@@ -84,12 +84,10 @@ def costing_resample(examples, rng: np.random.Generator) -> list:
     examples = list(examples)
     if not examples:
         return []
-    max_weight = max(e.weight for e in examples)
-    kept = []
-    for e in examples:
-        if rng.random() < e.weight / max_weight:
-            kept.append((e.x, e.y))
-    return kept
+    weights = np.array([e.weight for e in examples], dtype=float)
+    # one coin per example, drawn in example order
+    keep = rng.random(len(examples)) < weights / weights.max()
+    return [(e.x, e.y) for e, k in zip(examples, keep.tolist()) if k]
 
 
 def train_final(resampled, params: TreeParams = TreeParams(),
@@ -100,9 +98,9 @@ def train_final(resampled, params: TreeParams = TreeParams(),
     examples (normally the committee's initial prefix).
     """
     if resampled:
-        X = np.array([x for x, _ in resampled], dtype=float)
-        y = np.array([label for _, label in resampled], dtype=float)
-        return DecisionTree.fit(X, y, params)
+        xs, ys = zip(*resampled)
+        return DecisionTree.fit(np.array(xs, dtype=float),
+                                np.array(ys, dtype=float), params)
     if fallback is None or len(fallback[1]) == 0:
         raise ValueError("empty resample and no fallback prefix")
     X, y = fallback

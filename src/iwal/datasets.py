@@ -2,11 +2,13 @@
 
 CSV rows are `label,feature,feature,...`; svmlight rows are
 `label index:value ...` with 1-based indices. Labels are mapped to -1/+1 by
-sign (nonpositive raw labels become -1). Parse failures report the 1-based
-line number.
+sign (nonpositive raw labels become -1). Features must be finite: NaN and
+infinite values are rejected. Parse failures report the 1-based line number.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,6 +43,10 @@ def _load_csv(lines) -> tuple[np.ndarray, np.ndarray]:
             raise DatasetFormatError(
                 f"line {number}: non-numeric feature", number
             ) from None
+        if not all(map(math.isfinite, row)):
+            raise DatasetFormatError(
+                f"line {number}: non-finite feature", number
+            )
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -70,6 +76,10 @@ def _load_svmlight(lines) -> tuple[np.ndarray, np.ndarray]:
             if index < 1:
                 raise DatasetFormatError(
                     f"line {number}: indices are 1-based, got {index}", number
+                )
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"line {number}: non-finite feature {token!r}", number
                 )
             row[index - 1] = value
             max_index = max(max_index, index)

@@ -91,6 +91,14 @@ class ExperimentConfig:
         self.committee = committee
         if not 0.0 < self.committee["initial_fraction"] < 1.0:
             raise ConfigError("committee initial_fraction must lie in (0, 1)")
+        if self.committee["size"] < 2:
+            raise ConfigError("committee size must be at least 2")
+        if not 0.0 < self.committee["p_min"] <= 1.0:
+            raise ConfigError("committee p_min must lie in (0, 1]")
+        if self.committee["max_depth"] < 0:
+            raise ConfigError("committee max_depth must be nonnegative")
+        if self.committee["min_leaf"] < 1:
+            raise ConfigError("committee min_leaf must be at least 1")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

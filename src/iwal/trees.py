@@ -1,8 +1,19 @@
 """Greedy information-gain decision trees for binary labels.
 
-Axis-aligned threshold splits chosen by entropy reduction, deterministic
-tie-breaking on (feature index, threshold), leaves labeled by majority vote
-with ties going to +1. Trees serialize to plain nested dicts / JSON.
+Axis-aligned threshold splits chosen by entropy reduction, leaves labeled by
+majority vote with ties going to +1. Trees serialize to plain nested dicts /
+JSON.
+
+Tie rule: a node's candidate cuts are scanned in feature-major order (feature
+index, then position in the feature's stable sort). The first allowed cut is
+kept, and a later one replaces the kept cut only if its gain exceeds the kept
+gain by more than 1e-12. The search evaluates every cut of a node at once and
+replays this rule without a per-cut loop. Vector gains use np.log2, which can
+differ from math.log2 in the last bit, so a gain can differ from the scalar
+`_entropy` form by about 1e-16. When any comparison of the replay lies within
+1e-14 of its 1e-12 margin, the node's gains are recomputed with the scalar
+`_entropy` and the rule is replayed on those, so the tree is the one the
+sequential scan over scalar gains would grow.
 """
 
 from __future__ import annotations
@@ -16,6 +27,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 _MIN_GAIN = 1e-12
+# far above the gap between vector and scalar gains, far below _MIN_GAIN
+_CERTIFY = 1e-14
 
 
 @dataclass(frozen=True)
@@ -37,37 +50,85 @@ def _entropy(n_pos: int, n: int) -> float:
     return -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
 
 
+def _entropy_many(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`_entropy` elementwise: the same formula and operation order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = n_pos / n
+        h = -(q * np.log2(q) + (1 - q) * np.log2(1 - q))
+    return np.where((n == 0) | (n_pos == 0) | (n_pos == n), 0.0, h)
+
+
+def _entropy_exact(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """`_entropy` called once per element, for certifying near-ties."""
+    return np.frompyfunc(_entropy, 2, 1)(n_pos, n).astype(float)
+
+
 def _majority(y: np.ndarray) -> float:
     pos = int(np.sum(y > 0))
     return 1.0 if pos * 2 >= len(y) else -1.0
 
 
+def _scan(gains: np.ndarray):
+    """Replay the tie rule over gains in scan order (-inf marks a cut that is
+    not allowed). Returns (kept index or None, whether any comparison of the
+    replay lies within _CERTIFY of its margin)."""
+    before = np.maximum.accumulate(np.concatenate(([-np.inf], gains)))[:-1]
+    rising = np.flatnonzero(gains > before)
+    if rising.size == 0:
+        return None, False
+    # Only a new running maximum can replace the kept cut, since the kept
+    # gain is never below the running maximum by more than _MIN_GAIN. One
+    # that tops the running maximum by more than _MIN_GAIN always does.
+    sure = gains[rising] > before[rising] + _MIN_GAIN
+    chain = rising[sure]
+    unsure = rising[~sure]
+    if unsure.size:
+        taken = []
+        for j, last_sure in zip(unsure.tolist(),
+                                chain[np.searchsorted(chain, unsure) - 1].tolist()):
+            kept = max(last_sure, taken[-1]) if taken else last_sure
+            if gains[j] > gains[kept] + _MIN_GAIN:
+                taken.append(j)
+        chain = np.union1d(chain, np.array(taken, dtype=chain.dtype))
+    # the kept cut at the time each later cut is compared against it
+    marks = np.full(gains.size, -1)
+    marks[chain] = chain
+    kept_before = np.maximum.accumulate(marks)[:-1]
+    margin = np.where(kept_before >= 0, gains[kept_before], np.inf) + _MIN_GAIN
+    close = bool(np.any(np.abs(gains[1:] - margin) <= _CERTIFY))
+    return int(chain[-1]), close
+
+
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """(gain, feature, threshold) of the best entropy split, or None."""
-    n = len(y)
+    """(feature, threshold) of the best entropy split, or None.
+
+    X holds one row per feature. A cut after sorted position i leaves i + 1
+    points on the left; min_leaf allows lo <= i < hi.
+    """
+    n = X.shape[1]
+    lo, hi = min_leaf - 1, n - min_leaf
+    order = np.argsort(X, axis=1, kind="stable")
+    values = np.take_along_axis(X, order, axis=1)
+    pos_left = np.cumsum(y[order] > 0, axis=1)[:, lo:hi]
     pos_total = int(np.sum(y > 0))
+    n_left = np.arange(lo + 1, hi + 1)
+    n_right = n - n_left
+    allowed = values[:, lo:hi] != values[:, lo + 1:hi + 1]
     parent = _entropy(pos_total, n)
-    best = None
-    for feature in range(X.shape[1]):
-        order = np.argsort(X[:, feature], kind="stable")
-        values = X[order, feature]
-        pos_prefix = np.cumsum(y[order] > 0)
-        # split after position i (1-based count i+1 on the left)
-        for i in range(n - 1):
-            if values[i] == values[i + 1]:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            pos_left = int(pos_prefix[i])
-            child = (n_left * _entropy(pos_left, n_left)
-                     + n_right * _entropy(pos_total - pos_left, n_right)) / n
-            gain = parent - child
-            if best is None or gain > best[0] + _MIN_GAIN:
-                threshold = 0.5 * (values[i] + values[i + 1])
-                best = (gain, feature, threshold)
-    return best
+
+    def gains(entropy):
+        child = (n_left * entropy(pos_left, n_left)
+                 + n_right * entropy(pos_total - pos_left, n_right)) / n
+        return np.where(allowed, parent - child, -np.inf).ravel()
+
+    best, close = _scan(gains(_entropy_many))
+    if close:
+        best, _ = _scan(gains(_entropy_exact))
+    if best is None:
+        return None
+    feature, i = divmod(best, hi - lo)
+    i += lo
+    return feature, 0.5 * (values[feature, i] + values[feature, i + 1])
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: TreeParams) -> dict:
@@ -79,13 +140,13 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: TreeParams) -> dict:
     split = _best_split(X, y, params.min_leaf)
     if split is None:
         return {"label": _majority(y)}
-    _, feature, threshold = split
-    mask = X[:, feature] <= threshold
+    feature, threshold = split
+    mask = X[feature] <= threshold
     return {
         "feature": int(feature),
         "threshold": float(threshold),
-        "left": _grow(X[mask], y[mask], depth + 1, params),
-        "right": _grow(X[~mask], y[~mask], depth + 1, params),
+        "left": _grow(X[:, mask], y[mask], depth + 1, params),
+        "right": _grow(X[:, ~mask], y[~mask], depth + 1, params),
     }
 
 
@@ -102,7 +163,7 @@ class DecisionTree:
         y = np.asarray(y, dtype=float)
         if len(X) == 0:
             raise ValueError("cannot fit a tree on an empty sample")
-        return cls(_grow(X, y, 0, params), X.shape[1])
+        return cls(_grow(np.ascontiguousarray(X.T), y, 0, params), X.shape[1])
 
     @classmethod
     def leaf(cls, label: float, n_features: int) -> "DecisionTree":
@@ -122,8 +183,21 @@ class DecisionTree:
     def predict_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.empty(len(X))
-        for i, x in enumerate(X):
-            out[i] = self.predict(x)
+        if len(X) == 0:
+            return out
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DimensionMismatchError(
+                f"expected rows of dimension {self.n_features}, got shape {X.shape}"
+            )
+        pending = [(self.root, np.arange(len(X)))]
+        while pending:
+            node, rows = pending.pop()
+            if "label" in node:
+                out[rows] = node["label"]
+                continue
+            left = X[rows, node["feature"]] <= node["threshold"]
+            pending.append((node["left"], rows[left]))
+            pending.append((node["right"], rows[~left]))
         return out
 
     def depth(self) -> int:

@@ -54,6 +54,19 @@ class TestRun:
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("committee", [{"size": 1}, {"p_min": 0.0},
+                                           {"p_min": 1.5}, {"max_depth": -1},
+                                           {"min_leaf": 0}])
+    def test_bad_committee_option_is_a_config_error(self, tmp_path, capsys,
+                                                     committee):
+        config = write_config(tmp_path, strategy="bootstrap",
+                              committee=committee)
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error: committee" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 

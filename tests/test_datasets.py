@@ -38,6 +38,14 @@ class TestCsv:
         with pytest.raises(DatasetFormatError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"+1,0.5,0.2\n# note\n-1,0.5,{value}\n")
+        with pytest.raises(DatasetFormatError, match="line 3: non-finite") as info:
+            load_dataset(path)
+        assert info.value.line_number == 3
+
     def test_round_trip(self, tmp_path, rng):
         X = rng.normal(size=(25, 4))
         y = rng.choice([-1.0, 1.0], size=25)
@@ -69,6 +77,14 @@ class TestSvmlight:
         path.write_text("+1 1:0.5\n-1 nonsense\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
             load_dataset(path, fmt="svmlight")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = tmp_path / "data.svm"
+        path.write_text(f"+1 1:0.5\n-1 2:{value}\n")
+        with pytest.raises(DatasetFormatError, match="line 2: non-finite") as info:
+            load_dataset(path, fmt="svmlight")
+        assert info.value.line_number == 2
 
     def test_zero_index_rejected(self, tmp_path):
         path = tmp_path / "data.svm"

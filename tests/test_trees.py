@@ -1,6 +1,12 @@
+import math
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from iwal import trees
 from iwal.errors import DimensionMismatchError
 from iwal.trees import DecisionTree, TreeParams
 
@@ -66,6 +72,8 @@ class TestPredict:
                                 rng.choice([-1.0, 1.0], size=10))
         with pytest.raises(DimensionMismatchError):
             tree.predict(np.zeros(3))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict_many(np.zeros((4, 3)))
 
     def test_leaf_tree_predicts_constant(self, rng):
         tree = DecisionTree.leaf(-1.0, 4)
@@ -88,3 +96,166 @@ class TestSerialization:
         probe = rng.normal(size=(25, 3))
         assert np.array_equal(tree.predict_many(probe), clone.predict_many(probe))
         assert clone.to_json() == tree.to_json()
+
+
+# Frozen copy of the per-cut scalar search the vectorized one replaced: the
+# reference every fitted tree is compared against.
+def _oracle_entropy(n_pos, n):
+    if n == 0 or n_pos == 0 or n_pos == n:
+        return 0.0
+    q = n_pos / n
+    return -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
+
+
+def _oracle_majority(y):
+    pos = int(np.sum(y > 0))
+    return 1.0 if pos * 2 >= len(y) else -1.0
+
+
+def _oracle_best_split(X, y, min_leaf):
+    n = len(y)
+    pos_total = int(np.sum(y > 0))
+    parent = _oracle_entropy(pos_total, n)
+    best = None
+    for feature in range(X.shape[1]):
+        order = np.argsort(X[:, feature], kind="stable")
+        values = X[order, feature]
+        pos_prefix = np.cumsum(y[order] > 0)
+        for i in range(n - 1):
+            if values[i] == values[i + 1]:
+                continue
+            n_left = i + 1
+            n_right = n - n_left
+            if n_left < min_leaf or n_right < min_leaf:
+                continue
+            pos_left = int(pos_prefix[i])
+            child = (n_left * _oracle_entropy(pos_left, n_left)
+                     + n_right * _oracle_entropy(pos_total - pos_left, n_right)) / n
+            gain = parent - child
+            if best is None or gain > best[0] + 1e-12:
+                threshold = 0.5 * (values[i] + values[i + 1])
+                best = (gain, feature, threshold)
+    return best
+
+
+def _oracle_grow(X, y, depth, params):
+    if (depth >= params.max_depth or len(y) < 2 * params.min_leaf
+            or np.all(y > 0) or np.all(y <= 0)):
+        return {"label": _oracle_majority(y)}
+    split = _oracle_best_split(X, y, params.min_leaf)
+    if split is None:
+        return {"label": _oracle_majority(y)}
+    _, feature, threshold = split
+    mask = X[:, feature] <= threshold
+    return {
+        "feature": int(feature),
+        "threshold": float(threshold),
+        "left": _oracle_grow(X[mask], y[mask], depth + 1, params),
+        "right": _oracle_grow(X[~mask], y[~mask], depth + 1, params),
+    }
+
+
+def _oracle_json(X, y, params):
+    return DecisionTree(_oracle_grow(X, y, 0, params), X.shape[1]).to_json()
+
+
+def _sample(family, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 90))
+    d = int(rng.integers(1, 6))
+    if family == "continuous":
+        X = rng.normal(size=(n, d))
+        y = np.where(X @ rng.normal(size=d) + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    elif family == "few-valued":
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+        y = rng.choice([-1.0, 1.0], size=n)
+    else:
+        X = rng.integers(0, 2, size=(n, d)).astype(float)
+        y = np.where(X[:, : min(d, 3)].sum(axis=1) % 2 == 1, 1.0, -1.0)
+        if family == "noisy-parity":
+            y[rng.random(n) < 0.1] *= -1.0
+    params = TreeParams(max_depth=int(rng.integers(0, 9)),
+                        min_leaf=int(rng.integers(1, 5)))
+    return X, y, params
+
+
+FAMILIES = ("continuous", "few-valued", "parity", "noisy-parity")
+
+
+class TestAgainstScalarSearch:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_tree_as_scalar_search(self, family):
+        for seed in range(60):
+            X, y, params = _sample(family, seed)
+            assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params), seed
+
+    def test_scalar_certification_path_gives_the_same_tree(self, monkeypatch):
+        # a certification margin of 1 sends every node with a second
+        # allowed cut through the scalar recomputation
+        calls = []
+        exact = trees._entropy_exact
+        monkeypatch.setattr(trees, "_CERTIFY", 1.0)
+        monkeypatch.setattr(trees, "_entropy_exact",
+                            lambda *args: calls.append(1) or exact(*args))
+        for family in FAMILIES:
+            for seed in range(8):
+                X, y, params = _sample(family, seed)
+                assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params)
+        assert calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_rule_replay_matches_sequential_scan(self, seed):
+        # gains on a grid of 0.5e-12, so that comparisons fall inside the
+        # 1e-12 margin and right at it; -inf marks cuts that are not allowed
+        rng = np.random.default_rng(seed)
+        seen_close = False
+        for _ in range(200):
+            size = int(rng.integers(0, 40))
+            gains = rng.integers(0, 12, size=size) * 0.5e-12 + 0.3
+            gains[rng.random(size) < 0.3] = -np.inf
+            kept, close = None, False
+            for j, g in enumerate(gains.tolist()):
+                if g == -np.inf:
+                    continue
+                if kept is not None:
+                    close |= abs(g - (gains[kept] + 1e-12)) <= 1e-14
+                if kept is None or g > gains[kept] + 1e-12:
+                    kept = j
+            assert trees._scan(gains) == (kept, close)
+            seen_close |= close
+        assert seen_close
+
+
+class TestPredictMany:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_row_by_row_predict(self, family):
+        for seed in range(10):
+            X, y, params = _sample(family, seed)
+            tree = DecisionTree.fit(X, y, params)
+            probes = [X, np.random.default_rng(seed).normal(size=(20, X.shape[1]))]
+            nodes = [tree.root]
+            while nodes:
+                node = nodes.pop()
+                if "label" not in node:
+                    # rows sitting exactly on a threshold go left
+                    on_cut = X.copy()
+                    on_cut[:, node["feature"]] = node["threshold"]
+                    probes.append(on_cut)
+                    nodes += [node["left"], node["right"]]
+            probe = np.vstack(probes)
+            assert np.array_equal(tree.predict_many(probe),
+                                  np.array([tree.predict(x) for x in probe]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  max_side=12),
+                    elements=st.floats(-1e6, 1e6, allow_nan=False)),
+       labels=st.lists(st.sampled_from([-1.0, 1.0]), min_size=12, max_size=12),
+       max_depth=st.integers(0, 6), min_leaf=st.integers(1, 3))
+def test_fitted_tree_survives_json_round_trip(X, labels, max_depth, min_leaf):
+    tree = DecisionTree.fit(X, np.array(labels[:len(X)]),
+                            TreeParams(max_depth=max_depth, min_leaf=min_leaf))
+    clone = DecisionTree.from_json(tree.to_json())
+    assert clone.to_json() == tree.to_json()
+    assert np.array_equal(clone.predict_many(X), tree.predict_many(X))

@@ -17,7 +17,7 @@ from .harness import (ExperimentConfig, RunReport, emit_curves,
                       run_experiment, run_replicates)
 from .hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
                          LinearPredictor, TablePredictor, ThresholdPredictor,
-                         WeightedExample, erm_weighted, weighted_total_loss)
+                         WeightedExample, WeightedSample, erm_weighted)
 from .instances import (DiscreteInstance, SphereInstance,
                         lower_bound_instance, point_mass_instance,
                         random_discrete_instance)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import WeightedExample
+from .hypotheses import WeightedSample
 from .losses import LossFunction
 from .thresholds import loss_spread_finite
 from .trees import DecisionTree, TreeParams
@@ -67,6 +67,9 @@ class CommitteeThreshold:
         self.loss = loss
         self.labels = tuple(labels)
 
+    def attach(self, engine) -> None:
+        pass
+
     def probability(self, x) -> float:
         return query_probability(x, self.committee, self.loss, self.labels)
 
@@ -74,33 +77,43 @@ class CommitteeThreshold:
         pass
 
 
-def costing_resample(examples, rng: np.random.Generator) -> list:
-    """Reject-sample a weighted set down to an unweighted one.
+@dataclass(frozen=True)
+class Resample:
+    """Unweighted rows kept by costing, as columns; iterates (x, y) pairs."""
 
-    Each example is kept independently with probability weight / max weight,
-    so for any fixed f, E[sum over kept f(x)] * max weight recovers the
-    weighted sum. Returns (x, y) pairs.
+    X: np.ndarray
+    y: np.ndarray
+
+    def __len__(self):
+        return len(self.y)
+
+    def __iter__(self):
+        return zip(self.X, self.y.tolist())
+
+
+def costing_resample(sample: WeightedSample, rng: np.random.Generator) -> Resample:
+    """Reject-sample a weighted sample down to an unweighted one.
+
+    Each row is kept independently with probability weight / max weight, so
+    for any fixed f, E[sum over kept f(x)] * max weight recovers the weighted
+    sum.
     """
-    examples = list(examples)
-    if not examples:
-        return []
-    weights = np.array([e.weight for e in examples], dtype=float)
-    # one coin per example, drawn in example order
-    keep = rng.random(len(examples)) < weights / weights.max()
-    return [(e.x, e.y) for e, k in zip(examples, keep.tolist()) if k]
+    if not len(sample):
+        return Resample(sample.X, sample.y)
+    # one coin per row, drawn in row order
+    keep = rng.random(len(sample)) < sample.w / sample.w.max()
+    return Resample(sample.X[keep], sample.y[keep])
 
 
-def train_final(resampled, params: TreeParams = TreeParams(),
+def train_final(resampled: Resample, params: TreeParams = TreeParams(),
                 fallback=None) -> DecisionTree:
     """Train the final tree on the costing output.
 
     An empty resample falls back to a majority stump over the fallback
     examples (normally the committee's initial prefix).
     """
-    if resampled:
-        xs, ys = zip(*resampled)
-        return DecisionTree.fit(np.array(xs, dtype=float),
-                                np.array(ys, dtype=float), params)
+    if len(resampled):
+        return DecisionTree.fit(resampled.X, resampled.y, params)
     if fallback is None or len(fallback[1]) == 0:
         raise ValueError("empty resample and no fallback prefix")
     X, y = fallback
@@ -108,6 +121,5 @@ def train_final(resampled, params: TreeParams = TreeParams(),
     return DecisionTree.leaf(majority, np.asarray(X).shape[1])
 
 
-def weighted_examples_from_arrays(X, y, weights) -> list:
-    return [WeightedExample(x, float(label), float(w))
-            for x, label, w in zip(X, y, weights)]
+def weighted_examples_from_arrays(X, y, weights) -> WeightedSample:
+    return WeightedSample(zip(X, y, weights))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import theory
 from .errors import ConfigError, DatasetFormatError, IwalError
-from .harness import ExperimentConfig, aggregate_reports, emit_curves, run_experiment
+from .harness import ExperimentConfig, emit_curves, run_replicates
 from .hypotheses import LinearPredictor
 from .instances import SphereInstance, lower_bound_instance
 from .losses import LossFunction
@@ -49,19 +49,8 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_apply_overrides(payload, args))
 
 
-def _run_reports(config: ExperimentConfig):
-    reports = []
-    for i in range(config.replicates):
-        payload = config.to_dict()
-        payload["seed"] = config.seed + i
-        payload["replicates"] = 1
-        reports.append(run_experiment(ExperimentConfig.from_dict(payload)))
-    return reports
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    reports = _run_reports(config)
+    reports, aggregate = run_replicates(_load_config(args))
     for report in reports:
         stem = f"seed{report.seed}" if len(reports) > 1 else ""
         paths = emit_curves(report, args.out, stem)
@@ -70,7 +59,6 @@ def cmd_run(args) -> int:
               f" final test loss {report.active.final_loss:.4f}"
               f" -> {paths['summary']}")
     if len(reports) > 1:
-        aggregate = aggregate_reports(reports)
         path = f"{args.out}/aggregate.json"
         with open(path, "w") as fh:
             json.dump(aggregate, fh, indent=2, sort_keys=True)
@@ -80,9 +68,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args)
-    reports = _run_reports(config)
-    aggregate = aggregate_reports(reports)
+    reports, aggregate = run_replicates(_load_config(args))
     if args.out:
         for report in reports:
             stem = f"seed{report.seed}" if len(reports) > 1 else ""

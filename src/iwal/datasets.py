@@ -2,8 +2,9 @@
 
 CSV rows are `label,feature,feature,...`; svmlight rows are
 `label index:value ...` with 1-based indices. Labels are mapped to -1/+1 by
-sign (nonpositive raw labels become -1). Features must be finite: NaN and
-infinite values are rejected. Parse failures report the 1-based line number.
+sign (nonpositive raw labels become -1); a NaN label has no sign and is
+rejected. Features must be finite: NaN and infinite values are rejected.
+Parse failures report the 1-based line number.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ def _map_label(raw: str, line_number: int) -> float:
         raise DatasetFormatError(
             f"line {line_number}: bad label {raw!r}", line_number
         ) from None
+    if math.isnan(value):
+        raise DatasetFormatError(f"line {line_number}: NaN label", line_number)
     return 1.0 if value > 0 else -1.0
 
 

@@ -5,6 +5,10 @@ incoming point, flips a seeded coin, and on success requests the label and
 stores the example with weight 1/p. The label oracle is consulted only for
 queried points. The importance-weighted loss estimate built from the
 resulting sample is unbiased for the true loss of any fixed hypothesis.
+
+The engine is the only writer of its arm's store: the `WeightedSample` of
+queried examples and, for a finite class, the member loss sums. It hands
+itself to the threshold once, when built, and the threshold reads from it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTraceError, ThresholdContractError
-from .hypotheses import FiniteClass, LinearBall, WeightedExample, erm_weighted
+from .errors import InvalidTraceError
+from .hypotheses import (FiniteClass, LinearBall, WeightedSample, erm_weighted,
+                         member_losses)
 from .losses import LossFunction
 from .thresholds import validate_probability
 
@@ -43,9 +48,6 @@ class QueryTrace:
 
     def query_count(self) -> int:
         return sum(r.queried for r in self.records)
-
-    def cumulative_queries(self) -> np.ndarray:
-        return np.cumsum([r.queried for r in self.records])
 
     def write_csv(self, path) -> None:
         cum = 0
@@ -82,10 +84,10 @@ class Engine:
     """Runs the sampling loop for one stream with one threshold strategy.
 
     The hypothesis class may be None when only the query trace matters.
-    Finite classes keep incremental per-member weighted loss sums so the
-    running minimizer costs O(|H|) per queried point; the linear ball
-    recomputes through the solver, throttled to every `erm_every` queries
-    (the final hypothesis is always refreshed).
+    Finite classes keep incremental per-member weighted loss sums in
+    `member_sums` (None otherwise), so the running minimizer costs O(|H|) per
+    queried point; the linear ball recomputes through the solver, throttled
+    to every `erm_every` queries (the final hypothesis is always refreshed).
     """
 
     def __init__(self, loss: LossFunction, threshold, rng: np.random.Generator,
@@ -99,17 +101,18 @@ class Engine:
         self.p_min = p_min
         self.erm_every = max(int(erm_every), 0)
         self.t = 0
-        self.sample: list[WeightedExample] = []
+        self.sample = WeightedSample()
+        self.member_sums = None
         self.trace = QueryTrace()
         self.oracle_calls = 0
         self._current = None
-        self._stale = False
-        self._queries_since_fit = 0
+        self._fit_rows = 0            # sample rows the current ERM covers
         if isinstance(hypothesis_class, FiniteClass):
-            self._member_sums = np.zeros(len(hypothesis_class.members))
+            self.member_sums = np.zeros(len(hypothesis_class.members))
             self._current = hypothesis_class.members[0]
         elif isinstance(hypothesis_class, LinearBall):
-            self._current = erm_weighted(hypothesis_class, [], loss)
+            self._current = erm_weighted(hypothesis_class, self.sample, loss)
+        threshold.attach(self)
 
     def step(self, x, oracle: Callable) -> StepRecord:
         """Process one unlabeled point.
@@ -126,7 +129,7 @@ class Engine:
         if queried:
             y = float(oracle(self.t - 1, x))
             self.oracle_calls += 1
-            self.sample.append(WeightedExample(x, y, 1.0 / p))
+            self.sample.append(x, y, 1.0 / p)
             self._update_hypothesis(x, y, 1.0 / p)
         self.threshold.record(x, y, p, queried)
         record = StepRecord(self.t, x, y, p, queried)
@@ -134,28 +137,23 @@ class Engine:
         return record
 
     def _update_hypothesis(self, x, y, weight) -> None:
-        cls = self.hypothesis_class
-        if cls is None:
-            return
-        if isinstance(cls, FiniteClass):
-            for i, h in enumerate(cls.members):
-                self._member_sums[i] += weight * self.loss.eval(h.predict(x), y)
-            self._current = cls.members[int(np.argmin(self._member_sums))]
-            return
-        self._queries_since_fit += 1
-        self._stale = True
-        if self.erm_every and self._queries_since_fit >= self.erm_every:
+        if self.member_sums is not None:
+            members = self.hypothesis_class.members
+            self.member_sums += weight * member_losses(members, x, self.loss, (y,))[0]
+            self._current = members[int(np.argmin(self.member_sums))]
+        elif (self.hypothesis_class is not None and self.erm_every
+              and len(self.sample) - self._fit_rows >= self.erm_every):
             self.refresh_hypothesis()
 
     def refresh_hypothesis(self):
         """Force the running minimizer up to date; returns it."""
-        if self._stale:
+        if (self.member_sums is None and self.hypothesis_class is not None
+                and self._fit_rows < len(self.sample)):
             start = getattr(self._current, "weights", None)
             self._current = erm_weighted(
                 self.hypothesis_class, self.sample, self.loss, start=start
             )
-            self._stale = False
-            self._queries_since_fit = 0
+            self._fit_rows = len(self.sample)
         return self._current
 
     @property

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
                          ThresholdPredictor, predict_many)
 from .instances import (SphereInstance, lower_bound_instance,
                         point_mass_instance)
-from .losses import LOSS_KINDS, LossFunction
+from .losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
 from .thresholds import (ConstantThreshold, LossWeightingFinite,
                          LossWeightingLinear)
 from .trees import TreeParams
@@ -33,6 +34,23 @@ from .trees import TreeParams
 STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
               "bootstrap")
 SLACK_MODES = ("paper", "optimistic")
+
+# expected type of every numeric option; the last two may also be None
+_NUMBER_TYPES = {"train_size": Integral, "test_size": Integral,
+                 "seed": Integral, "replicates": Integral, "range_bound": Real,
+                 "confidence": Real, "slack_constant": Real, "p_min": Real,
+                 "checkpoint_every": Integral, "erm_every": Integral}
+_COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
+                       "max_depth": 8, "min_leaf": 2}
+
+
+def _require_number(name: str, value, kind) -> None:
+    """ConfigError unless value is an integer (kind Integral) or a real
+    number (kind Real); bool is neither here."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if kind is Integral else "a number"
+        raise ConfigError(f"{name} must be {expected}, got "
+                          f"{type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -70,25 +88,38 @@ class ExperimentConfig:
             raise ConfigError(f"unknown slack mode {self.slack_mode!r}")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' entry")
+        if not isinstance(self.class_spec, dict):
+            raise ConfigError("class_spec must be a dict")
+        if not isinstance(self.committee, dict):
+            raise ConfigError("committee must be a dict")
+        if self.seed is None:
+            raise ConfigError("a seed is required; unseeded runs are not allowed")
+        for name, kind in _NUMBER_TYPES.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("checkpoint_every", "erm_every"):
+                _require_number(name, value, kind)
+        linear = (self.strategy in ("passive", "loss-weighting-linear")
+                  and self.class_spec.get("kind", "linear") != "finite")
+        if linear and self.loss_kind not in SMOOTH_KINDS:
+            raise ConfigError(f"a linear class needs a smooth loss "
+                              f"{SMOOTH_KINDS}, got {self.loss_kind!r}")
         if self.train_size < 1 or self.test_size < 1:
             raise ConfigError("train and test sizes must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
         if not 0.0 <= self.p_min <= 1.0:
             raise ConfigError("p_min must lie in [0, 1]")
-        if self.seed is None:
-            raise ConfigError("a seed is required; unseeded runs are not allowed")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if not self.range_bound > 0:
             raise ConfigError("range_bound must be positive")
-        committee = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
-                     "max_depth": 8, "min_leaf": 2}
-        unknown = set(self.committee) - set(committee)
+        unknown = set(self.committee) - set(_COMMITTEE_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown committee options {sorted(unknown)}")
-        committee.update(self.committee)
-        self.committee = committee
+        self.committee = {**_COMMITTEE_DEFAULTS, **self.committee}
+        for name, value in self.committee.items():
+            kind = Real if name in ("p_min", "initial_fraction") else Integral
+            _require_number(f"committee {name}", value, kind)
         if not 0.0 < self.committee["initial_fraction"] < 1.0:
             raise ConfigError("committee initial_fraction must lie in (0, 1)")
         if self.committee["size"] < 2:
@@ -112,15 +143,6 @@ class ExperimentConfig:
             return cls(**payload)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in self._KEYS}

@@ -1,15 +1,18 @@
-"""Predictors, hypothesis classes, and importance-weighted ERM.
+"""Predictors, hypothesis classes, the weighted sample, and weighted ERM.
 
 Two class representations are supported: an explicit finite set of predictors
 (scanned exhaustively) and the ball of linear predictors with a squared-norm
 bound (handed to the interior-point solver). Linear predictions are clamped
 into the loss's prediction range so that normalized losses stay in [0, 1]
 even when the raw inner product exceeds the range.
+
+Each arm keeps its queried examples in one columnar `WeightedSample`, which
+ERM reads directly; every finite-class loss goes through `member_losses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,6 +125,56 @@ class WeightedExample:
             raise ValueError(f"label {self.y} outside [-1, 1]")
 
 
+class WeightedSample:
+    """Queried examples as growable columns X, y and w (the 1/p weights).
+
+    Rows are appended in query order, pass WeightedExample's checks and share
+    the first row's width. Capacity doubles as rows arrive; X, y and w are
+    views of the filled rows. Iterating yields WeightedExamples.
+    """
+
+    def __init__(self, rows=()):
+        self._X, self._y, self._w = np.empty((0, 0)), np.empty(0), np.empty(0)
+        self._show(0)
+        for row in rows:
+            self.append(*row)
+
+    def _show(self, n: int) -> None:
+        self.X, self.y, self.w = self._X[:n], self._y[:n], self._w[:n]
+
+    def append(self, x, y: float, weight: float) -> None:
+        row = WeightedExample(x, y, weight)
+        n = len(self.w)
+        if n == len(self._w):
+            # np.resize keeps the first n rows of each column
+            width = self._X.shape[1] if n else row.x.size
+            self._X = np.resize(self._X, (max(16, 2 * n), width))
+            self._y = np.resize(self._y, len(self._X))
+            self._w = np.resize(self._w, len(self._X))
+        if row.x.shape != self._X.shape[1:]:
+            raise DimensionMismatchError(
+                f"expected rows of width {self._X.shape[1]}, got shape {row.x.shape}"
+            )
+        self._X[n], self._y[n], self._w[n] = row.x, row.y, row.weight
+        self._show(n + 1)
+
+    def __len__(self):
+        return len(self.w)
+
+    def __iter__(self):
+        return map(WeightedExample, self.X, self.y.tolist(), self.w.tolist())
+
+    def __add__(self, other: "WeightedSample") -> "WeightedSample":
+        """A new sample holding the rows of self, then those of other."""
+        joined = WeightedSample()
+        parts = [s for s in (self, other) if len(s)] or [self]
+        joined._X = np.concatenate([s.X for s in parts])
+        joined._y = np.concatenate([s.y for s in parts])
+        joined._w = np.concatenate([s.w for s in parts])
+        joined._show(len(joined._w))
+        return joined
+
+
 @dataclass(frozen=True)
 class FiniteClass:
     """An explicit, ordered hypothesis set; order breaks ERM ties."""
@@ -151,12 +204,15 @@ class LinearBall:
             raise ValueError("norm_bound must be positive")
 
 
-def weighted_total_loss(predictor, examples, loss: LossFunction) -> float:
-    """Sum of weight * normalized loss over the weighted sample."""
-    return sum(e.weight * loss.eval(predictor.predict(e.x), e.y) for e in examples)
+def member_losses(members, x, loss: LossFunction, labels) -> list:
+    """Normalized loss of every member on x, one array per label.
+
+    Members predict one by one; only the loss step is vectorized."""
+    z = np.fromiter((h.predict(x) for h in members), float, len(members))
+    return [loss.eval_many(z, y) for y in labels]
 
 
-def erm_weighted(hypothesis_class, examples, loss: LossFunction,
+def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
                  solver_options=None, start=None):
     """Importance-weighted empirical risk minimizer over the class.
 
@@ -167,24 +223,17 @@ def erm_weighted(hypothesis_class, examples, loss: LossFunction,
     """
     if isinstance(hypothesis_class, FiniteClass):
         members = hypothesis_class.members
-        if not examples:
-            return members[0]
-        best, best_val = None, None
-        for h in members:
-            val = weighted_total_loss(h, examples, loss)
-            if best_val is None or val < best_val:
-                best, best_val = h, val
-        return best
+        sums = np.zeros(len(members))
+        for x, y, w in zip(sample.X, sample.y.tolist(), sample.w.tolist()):
+            sums += w * member_losses(members, x, loss, (y,))[0]
+        return members[int(np.argmin(sums))]
     if isinstance(hypothesis_class, LinearBall):
         from . import solver  # deferred: solver imports losses
 
-        if not examples:
+        if not len(sample):
             return LinearPredictor(np.zeros(hypothesis_class.dim), loss.range_bound)
-        xs = np.array([e.x for e in examples], dtype=float)
-        ys = np.array([e.y for e in examples], dtype=float)
-        ws = np.array([e.weight for e in examples], dtype=float)
         result = solver.minimize_weighted_loss(
-            loss, xs, ys, ws, hypothesis_class.norm_bound,
+            loss, sample.X, sample.y, sample.w, hypothesis_class.norm_bound,
             start=start, options=solver_options,
         )
         return LinearPredictor(result.point, loss.range_bound)

@@ -8,13 +8,12 @@ generative: uniform directions labeled by a hidden vector with label noise.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hypotheses import LinearPredictor, TablePredictor, ThresholdPredictor
+from .hypotheses import LinearPredictor, TablePredictor
 from .losses import LossFunction
 
 _MASS_TOL = 1e-12
@@ -206,9 +205,6 @@ class SphereInstance:
         flips = rng.random(size) < self.noise
         y[flips] = -y[flips]
         return X, y
-
-    def sign_optimal(self) -> ThresholdPredictor:
-        return ThresholdPredictor(self.direction.copy())
 
     def linear_reference(self, scale: float = 1.0,
                          range_bound: float = 1.0) -> LinearPredictor:

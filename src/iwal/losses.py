@@ -20,9 +20,6 @@ from .errors import PredictionDomainError, UnsupportedLossError
 
 LOSS_KINDS = ("zero-one", "hinge", "logistic", "squared", "absolute")
 
-# Loss kinds whose margin form phi(y*z) is nonincreasing in the margin.
-NONINCREASING_KINDS = ("zero-one", "hinge", "logistic")
-
 # Loss kinds with smooth convex surrogates usable by the interior-point solver.
 SMOOTH_KINDS = ("logistic", "squared")
 
@@ -85,17 +82,6 @@ class LossFunction:
         """Normalized loss at margin v, without domain checks."""
         return self.raw_margin_loss(v) / self.normalizer
 
-    def _check_prediction(self, z: float) -> None:
-        if self.kind == "zero-one":
-            if z not in (-1.0, 1.0):
-                raise PredictionDomainError(
-                    f"zero-one predictions must be -1 or +1, got {z}"
-                )
-        elif abs(z) > self.range_bound + _DOMAIN_TOL:
-            raise PredictionDomainError(
-                f"prediction {z} outside [-{self.range_bound}, {self.range_bound}]"
-            )
-
     def _check_label(self, y: float) -> None:
         if self.kind in ("squared", "absolute"):
             if abs(y) > 1.0 + _DOMAIN_TOL:
@@ -104,14 +90,10 @@ class LossFunction:
             raise ValueError(f"label must be -1 or +1, got {y}")
 
     def eval(self, z: float, y: float) -> float:
-        """Normalized loss of predicting z against label y; result in [0, 1]."""
-        self._check_prediction(z)
-        self._check_label(y)
-        if self.kind == "squared":
-            return (y - z) ** 2 / self.normalizer
-        if self.kind == "absolute":
-            return abs(y - z) / self.normalizer
-        return self.raw_margin_loss(y * z) / self.normalizer
+        """Normalized loss of predicting z against label y; result in [0, 1].
+
+        It is eval_many on one prediction, so the two agree bit for bit."""
+        return float(self.eval_many(np.array([z], dtype=float), y)[0])
 
     def eval_many(self, z: np.ndarray, y: float) -> np.ndarray:
         """Vectorized eval for a fixed label; one domain check on the batch."""
@@ -119,8 +101,9 @@ class LossFunction:
         if self.kind == "zero-one":
             if not np.all(np.isin(z, (-1.0, 1.0))):
                 raise PredictionDomainError("zero-one predictions must be -1 or +1")
-        elif z.size and np.max(np.abs(z)) > self.range_bound + _DOMAIN_TOL:
-            raise PredictionDomainError("prediction outside the configured range")
+        elif z.size and np.abs(z).max() > self.range_bound + _DOMAIN_TOL:
+            raise PredictionDomainError(
+                f"prediction outside [-{self.range_bound}, {self.range_bound}]")
         self._check_label(y)
         if self.kind == "zero-one":
             return (y * z < 0).astype(float)
@@ -224,17 +207,10 @@ class LossFunction:
                 return self.margin_loss(hi), self.margin_loss(lo)
             return self.margin_loss(-lo), self.margin_loss(-hi)
         # squared / absolute: convex in z with vertex at z = y
-        at_lo = self.eval_unchecked(lo, y)
-        at_hi = self.eval_unchecked(hi, y)
+        at_lo = self.eval(lo, y)
+        at_hi = self.eval(hi, y)
         mn = 0.0 if lo <= y <= hi else min(at_lo, at_hi)
         return mn, max(at_lo, at_hi)
-
-    def eval_unchecked(self, z: float, y: float) -> float:
-        if self.kind == "squared":
-            return (y - z) ** 2 / self.normalizer
-        if self.kind == "absolute":
-            return abs(y - z) / self.normalizer
-        return self.raw_margin_loss(y * z) / self.normalizer
 
     def interval_spread(self, lo: float, hi: float, labels=(-1.0, 1.0)) -> float:
         """Largest over labels of (max - min) normalized loss on [lo, hi].

@@ -43,14 +43,6 @@ class SolverDiagnostics:
     used_shortcut: bool = False
     stage_values: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "outer_stages": self.outer_stages,
-            "newton_steps": self.newton_steps,
-            "final_gap": self.final_gap,
-            "used_shortcut": self.used_shortcut,
-        }
-
 
 @dataclass
 class SolverResult:
@@ -108,22 +100,6 @@ class WeightedLossCap:
         z = self._margins(u)
         curv = self.ws * self.loss.smooth_curv_many(z, self.ys)
         return (self.xs * curv[:, None]).T @ self.xs
-
-
-class WeightedLossObjective:
-    """sum_i w_i * loss(u . x_i, y_i), losses normalized."""
-
-    def __init__(self, loss: LossFunction, xs, ys, ws):
-        self.cap = WeightedLossCap(loss, xs, ys, ws, 0.0)
-
-    def value(self, u):
-        return self.cap.value(u)
-
-    def grad(self, u):
-        return self.cap.grad(u)
-
-    def hess(self, u):
-        return self.cap.hess(u)
 
 
 class LinearObjective:
@@ -265,7 +241,7 @@ def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
     dim = xs.shape[1]
     if xs.shape[0] == 0:
         return SolverResult(np.zeros(dim), 0.0, SolverDiagnostics(used_shortcut=True))
-    objective = WeightedLossObjective(loss, xs, ys, ws)
+    objective = WeightedLossCap(loss, xs, ys, ws, 0.0)   # bound 0: value() is the sum
     constraints = [BallConstraint(norm_bound)]
     u0 = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
     if not _strictly_feasible(u0, constraints):

@@ -7,19 +7,21 @@ realize on the incoming point. Finite classes track survivors exactly; the
 linear-ball variant follows the tractable relaxation: the running minimum is
 taken over the whole ball and only the most recent survivor constraint is
 enforced when computing prediction extremes.
+
+Thresholds store no history: the engine built on one calls `attach(engine)`,
+and the threshold reads the engine's member loss sums or weighted sample.
 """
 
 from __future__ import annotations
 
 import math
 
-
 import numpy as np
 
 from . import solver
-from .errors import ThresholdContractError
-from .hypotheses import FiniteClass, LinearPredictor
-from .losses import NONINCREASING_KINDS, LossFunction
+from .errors import ThresholdContractError, UnsupportedLossError
+from .hypotheses import FiniteClass, LinearPredictor, member_losses
+from .losses import SMOOTH_KINDS, LossFunction
 
 _NOISE_FLOOR = -1e-9
 
@@ -78,45 +80,10 @@ def loss_spread_finite(x, predictors, loss: LossFunction,
     Equals the maximum over ordered pairs (f, g) and labels y of
     l(f(x), y) - l(g(x), y); computed per label as max - min.
     """
-    predictions = [h.predict(x) for h in predictors]
     spread = 0.0
-    for y in labels:
-        values = [loss.eval(z, y) for z in predictions]
-        spread = max(spread, max(values) - min(values))
+    for values in member_losses(predictors, x, loss, labels):
+        spread = max(spread, float(values.max() - values.min()))
     return min(max(spread, 0.0), 1.0)
-
-
-def prediction_interval_linear(x, norm_bound, cap=None, starts=(),
-                               options=None) -> tuple[float, float]:
-    """[min, max] of u . x over the norm ball intersected with an optional cap.
-
-    Both ends come from one linear minimization each (over x and -x); the
-    analytic ball solution short-circuits the solves whenever the cap is
-    absent or inactive.
-    """
-    x = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(x)) == 0.0:
-        return 0.0, 0.0
-    options = options or solver.DEFAULT_OPTIONS
-    low = solver.minimize_linear(x, norm_bound, cap, starts, options)
-    high = solver.minimize_linear(-x, norm_bound, cap, starts, options)
-    lo, hi = low.value, -high.value
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return lo, hi
-
-
-def loss_spread_linear(x, loss: LossFunction, norm_bound, cap=None, starts=(),
-                       labels=(-1.0, 1.0), options=None) -> float:
-    """Largest loss difference linear predictors in the set realize on x.
-
-    Evaluates the normalized loss spread over the prediction interval; for
-    nonincreasing margin losses this equals the two-sided difference of the
-    loss at the interval ends, one term per label.
-    """
-    lo, hi = prediction_interval_linear(x, norm_bound, cap, starts, options)
-    p = loss.interval_spread(lo, hi, labels)
-    return min(max(p, 0.0), 1.0)
 
 
 class ConstantThreshold:
@@ -126,6 +93,9 @@ class ConstantThreshold:
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
         self.p = float(p)
+
+    def attach(self, engine) -> None:
+        pass
 
     def probability(self, x) -> float:
         return self.p
@@ -139,9 +109,8 @@ class LossWeightingFinite:
 
     Each call first shrinks the survivor set using the importance-weighted
     losses accumulated so far, then returns the survivors' loss spread on the
-    incoming point. Cumulative weighted losses are tracked incrementally for
-    every member so the running minimizer and per-member estimates stay
-    available to callers.
+    incoming point. The cumulative weighted losses are the engine's running
+    member sums (`loss_sums` after `attach`), which also give its minimizer.
     """
 
     def __init__(self, hypothesis_class: FiniteClass, loss: LossFunction,
@@ -156,8 +125,15 @@ class LossWeightingFinite:
         self.slack_constant = slack_constant
         self.labels = tuple(labels)
         self.t = 0
-        self.loss_sums = np.zeros(len(self.members))
+        self.loss_sums = None
         self.alive = np.ones(len(self.members), dtype=bool)
+
+    def attach(self, engine) -> None:
+        """Read the member loss sums of an engine built on this class."""
+        members = getattr(engine.hypothesis_class, "members", None)
+        if members is not self.members or engine.loss != self.loss:
+            raise ValueError("the engine must run this threshold's class and loss")
+        self.loss_sums = engine.member_sums
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
@@ -175,13 +151,7 @@ class LossWeightingFinite:
         return loss_spread_finite(x, survivors, self.loss, self.labels)
 
     def record(self, x, y, p, queried) -> None:
-        if queried:
-            weight = 1.0 / p
-            for i, h in enumerate(self.members):
-                self.loss_sums[i] += weight * self.loss.eval(h.predict(x), y)
-
-    def survivor_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.alive)
+        pass
 
     def average_losses(self) -> np.ndarray:
         """Importance-weighted average losses over the steps seen so far."""
@@ -210,9 +180,9 @@ class LossWeightingLinear:
                  labels=(-1.0, 1.0), solver_options=None):
         if slack_mode not in ("paper", "optimistic"):
             raise ValueError(f"unknown slack mode {slack_mode!r}")
-        if loss.kind not in NONINCREASING_KINDS and loss.kind != "squared":
-            raise ValueError(
-                f"linear loss-weighting needs a nonincreasing or squared loss, "
+        if loss.kind not in SMOOTH_KINDS:
+            raise UnsupportedLossError(
+                f"linear loss-weighting needs a smooth loss {SMOOTH_KINDS}, "
                 f"got {loss.kind}"
             )
         self.dim = dim
@@ -223,12 +193,10 @@ class LossWeightingLinear:
         self.labels = tuple(labels)
         self.options = solver_options or solver.DEFAULT_OPTIONS
         self.t = 0
-        self._xs: list[np.ndarray] = []
-        self._ys: list[float] = []
-        self._ws: list[float] = []
+        self.sample = None            # the engine's WeightedSample
         self._erm_point = np.zeros(dim)
         self._erm_sum = 0.0           # minimized weighted loss sum
-        self._erm_stale = False
+        self._erm_rows = 0            # sample rows the ERM point covers
         self.solve_count = 0
         self.erm_solve_count = 0
 
@@ -237,19 +205,20 @@ class LossWeightingLinear:
             return optimistic_slack(t)
         return dimension_slack(t, self.dim)
 
+    def attach(self, engine) -> None:
+        self.sample = engine.sample
+
     def _refresh_erm(self) -> None:
-        if not self._erm_stale:
+        sample = self.sample
+        if self._erm_rows == len(sample):
             return
-        xs = np.array(self._xs)
-        ys = np.array(self._ys)
-        ws = np.array(self._ws)
         result = solver.minimize_weighted_loss(
-            self.loss, xs, ys, ws, self.norm_bound,
+            self.loss, sample.X, sample.y, sample.w, self.norm_bound,
             start=self._erm_point, options=self.options,
         )
         self._erm_point = result.point
         self._erm_sum = result.value
-        self._erm_stale = False
+        self._erm_rows = len(sample)
         self.erm_solve_count += 1
 
     def minimizer(self) -> LinearPredictor:
@@ -260,34 +229,37 @@ class LossWeightingLinear:
     def _retained_cap(self, seen: int) -> solver.WeightedLossCap | None:
         """Most recent survivor constraint, or None while it is vacuous."""
         slack = self.slack(seen)
-        if seen < 1 or math.isinf(slack) or not self._xs:
+        sample = self.sample
+        if seen < 1 or math.isinf(slack) or not len(sample):
             return None
         # normalized losses are at most 1, so no point can violate a bound
-        # of sum(w)/seen and the constraint excludes nothing
-        heaviest = sum(self._ws) / seen
+        # of sum(w)/seen and the constraint excludes nothing; the weights are
+        # summed left to right, in query order
+        heaviest = sum(sample.w.tolist()) / seen
         if slack >= heaviest:
             return None
         self._refresh_erm()
         best_avg = self._erm_sum / seen
         if best_avg + slack >= heaviest:
             return None
-        return solver.WeightedLossCap(
-            self.loss,
-            np.array(self._xs),
-            np.array(self._ys),
-            np.array(self._ws) / seen,
-            best_avg + slack,
-        )
+        return solver.WeightedLossCap(self.loss, sample.X, sample.y,
+                                      sample.w / seen, best_avg + slack)
 
     def prediction_interval(self, x) -> tuple[float, float]:
-        """[min, max] of u . x over the ball under the retained constraint."""
+        """[min, max] of u . x over the ball under the retained constraint:
+        one linear minimization per end, analytic while the cap is inactive."""
         x = np.asarray(x, dtype=float)
         if float(np.linalg.norm(x)) == 0.0:
             return 0.0, 0.0
         cap = self._retained_cap(self.t - 1)
         self.solve_count += 2
-        return prediction_interval_linear(x, self.norm_bound, cap,
-                                          (self._erm_point,), self.options)
+        starts = (self._erm_point,)
+        low = solver.minimize_linear(x, self.norm_bound, cap, starts, self.options)
+        high = solver.minimize_linear(-x, self.norm_bound, cap, starts, self.options)
+        lo, hi = low.value, -high.value
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        return lo, hi
 
     def probability(self, x) -> float:
         self.t += 1
@@ -298,17 +270,13 @@ class LossWeightingLinear:
         return min(p, 1.0)
 
     def record(self, x, y, p, queried) -> None:
-        if queried:
-            self._xs.append(np.asarray(x, dtype=float))
-            self._ys.append(float(y))
-            self._ws.append(1.0 / p)
-            self._erm_stale = True
+        pass
 
     def diagnostics(self) -> dict:
         return {
             "interval_solves": self.solve_count,
             "erm_solves": self.erm_solve_count,
-            "queried": len(self._xs),
+            "queried": len(self.sample),
         }
 
 

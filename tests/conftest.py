@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iwal.hypotheses import LinearPredictor, WeightedExample
+from iwal.hypotheses import LinearPredictor, WeightedSample
 
 
 @pytest.fixture
@@ -10,13 +10,18 @@ def rng():
 
 
 def random_weighted_examples(rng, n, dim, max_weight=5.0, labels=(-1.0, 1.0)):
-    examples = []
+    examples = WeightedSample()
     for _ in range(n):
         x = rng.uniform(-1.0, 1.0, size=dim)
         y = labels[rng.integers(len(labels))]
         w = rng.uniform(1.0, max_weight)
-        examples.append(WeightedExample(x, y, w))
+        examples.append(x, y, w)
     return examples
+
+
+def weighted_total_loss(predictor, sample, loss):
+    """Brute-force oracle: sum of weight * normalized loss, row by row."""
+    return sum(e.weight * loss.eval(predictor.predict(e.x), e.y) for e in sample)
 
 
 def random_linear_predictors(rng, n, dim, norm_bound=1.0, range_bound=1.0):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from iwal.bootstrap import (Committee, CommitteeThreshold, costing_resample,
-                            query_probability, train_committee, train_final,
+from iwal.bootstrap import (Committee, CommitteeThreshold, Resample,
+                            costing_resample, query_probability,
+                            train_committee, train_final,
                             weighted_examples_from_arrays)
-from iwal.hypotheses import WeightedExample
+from iwal.hypotheses import WeightedSample
 from iwal.losses import LossFunction
 from iwal.trees import TreeParams
 
@@ -104,21 +105,22 @@ class TestCosting:
         assert len(kept) == 20
 
     def test_single_example_always_kept(self, rng):
-        examples = [WeightedExample(np.zeros(2), 1.0, 17.0)]
+        examples = WeightedSample([(np.zeros(2), 1.0, 17.0)])
         assert len(costing_resample(examples, rng)) == 1
 
     def test_empty_input(self, rng):
-        assert costing_resample([], rng) == []
+        assert len(costing_resample(WeightedSample(), rng)) == 0
 
     def test_acceptance_frequency_binomial_band(self):
         # weight 1 next to weight 10: acceptance ratio 0.1 +- 4 sigma
         rng = np.random.default_rng(2024)
-        light = WeightedExample(np.zeros(1), 1.0, 1.0)
-        heavy = WeightedExample(np.ones(1), 1.0, 10.0)
+        # a light row at x = 0 next to a heavy one at x = 1
+        examples = WeightedSample([(np.zeros(1), 1.0, 1.0),
+                                   (np.ones(1), 1.0, 10.0)])
         reps = 100000
         accepted = 0
         for _ in range(reps):
-            kept = costing_resample([light, heavy], rng)
+            kept = costing_resample(examples, rng)
             accepted += sum(1 for x, _ in kept if x[0] == 0.0)
         assert abs(accepted / reps - 0.1) <= 0.004
 
@@ -142,20 +144,18 @@ class TestTrainFinal:
         from iwal.trees import DecisionTree
 
         X, y = separable_prefix(rng, n=50)
-        resampled = [(x, label) for x, label in zip(X, y)]
-        tree = train_final(resampled)
+        tree = train_final(Resample(X, y))
         passive = DecisionTree.fit(X, y)
         assert tree.to_json() == passive.to_json()
 
     def test_pure_labels_give_single_leaf(self, rng):
-        resampled = [(x, 1.0) for x in rng.normal(size=(12, 2))]
-        tree = train_final(resampled)
+        tree = train_final(Resample(rng.normal(size=(12, 2)), np.ones(12)))
         assert tree.root == {"label": 1.0}
 
     def test_xor_resample_zero_error(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0, 1.0, -1.0])
-        tree = train_final(list(zip(X, y)), TreeParams(max_depth=2, min_leaf=1))
+        tree = train_final(Resample(X, y), TreeParams(max_depth=2, min_leaf=1))
         assert np.array_equal(tree.predict_many(X), y)
 
     def test_empty_resample_falls_back_to_majority_stump(self, rng):

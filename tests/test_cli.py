@@ -67,6 +67,41 @@ class TestRun:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"train_size": "50"}, "train_size must be an integer, got str"),
+        ({"test_size": 40.0}, "test_size must be an integer, got float"),
+        ({"seed": True}, "seed must be an integer, got bool"),
+        ({"replicates": False}, "replicates must be an integer, got bool"),
+        ({"confidence": "0.1"}, "confidence must be a number, got str"),
+        ({"p_min": None}, "p_min must be a number, got NoneType"),
+        ({"checkpoint_every": 2.5}, "checkpoint_every must be an integer"),
+        ({"strategy": "bootstrap", "committee": {"size": "ten"}},
+         "committee size must be an integer, got str"),
+        ({"strategy": "bootstrap", "committee": {"max_depth": True}},
+         "committee max_depth must be an integer, got bool"),
+        ({"strategy": "bootstrap", "committee": {"p_min": "0.2"}},
+         "committee p_min must be a number, got str"),
+    ])
+    def test_wrong_option_type_is_a_config_error(self, tmp_path, capsys,
+                                                 overrides, message):
+        config = write_config(tmp_path, **overrides)
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("strategy", ["passive", "loss-weighting-linear"])
+    @pytest.mark.parametrize("loss_kind", ["hinge", "zero-one", "absolute"])
+    def test_linear_class_needs_smooth_loss(self, tmp_path, capsys, strategy,
+                                            loss_kind):
+        config = write_config(tmp_path, strategy=strategy, loss_kind=loss_kind,
+                              class_spec={"kind": "linear"})
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: a linear class needs a smooth loss" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 

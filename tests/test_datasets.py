@@ -46,6 +46,14 @@ class TestCsv:
             load_dataset(path)
         assert info.value.line_number == 3
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan"])
+    def test_nan_label_reports_line(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"+1,0.5,0.2\n# note\n{value},0.5,0.1\n")
+        with pytest.raises(DatasetFormatError, match="line 3: NaN label") as info:
+            load_dataset(path)
+        assert info.value.line_number == 3
+
     def test_round_trip(self, tmp_path, rng):
         X = rng.normal(size=(25, 4))
         y = rng.choice([-1.0, 1.0], size=25)
@@ -83,6 +91,14 @@ class TestSvmlight:
         path = tmp_path / "data.svm"
         path.write_text(f"+1 1:0.5\n-1 2:{value}\n")
         with pytest.raises(DatasetFormatError, match="line 2: non-finite") as info:
+            load_dataset(path, fmt="svmlight")
+        assert info.value.line_number == 2
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan"])
+    def test_nan_label_reports_line(self, tmp_path, value):
+        path = tmp_path / "data.svm"
+        path.write_text(f"+1 1:0.5\n{value} 2:0.5\n")
+        with pytest.raises(DatasetFormatError, match="line 2: NaN label") as info:
             load_dataset(path, fmt="svmlight")
         assert info.value.line_number == 2
 

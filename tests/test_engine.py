@@ -18,6 +18,9 @@ def make_engine(p, seed=0, **kwargs):
 
 
 class BrokenThreshold:
+    def attach(self, engine):
+        pass
+
     def probability(self, x):
         return 1.7
 
@@ -41,7 +44,7 @@ class TestStep:
         for i in range(50):
             engine.step(rng.normal(size=2), oracle)
         assert engine.trace.query_count() == 0
-        assert engine.sample == []
+        assert len(engine.sample) == 0
         assert oracle.calls == 0
 
     def test_half_probability_concentrates(self):

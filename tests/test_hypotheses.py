@@ -4,11 +4,11 @@ import pytest
 from iwal.errors import DimensionMismatchError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
                              LinearPredictor, TablePredictor,
-                             ThresholdPredictor, WeightedExample, erm_weighted,
-                             weighted_total_loss)
+                             ThresholdPredictor, WeightedExample,
+                             WeightedSample, erm_weighted)
 from iwal.losses import LossFunction
 
-from conftest import random_weighted_examples
+from conftest import random_weighted_examples, weighted_total_loss
 
 
 class TestPredict:
@@ -62,16 +62,67 @@ class TestWeightedExample:
         WeightedExample(np.zeros(2), 0.0, 3.0)
 
 
+class TestWeightedSample:
+    def test_columns_keep_every_row_across_growth(self, rng):
+        X = rng.normal(size=(100, 3))
+        y = rng.choice([-1.0, 0.0, 1.0], size=100)
+        w = rng.uniform(1.0, 9.0, size=100)
+        sample = WeightedSample()
+        for i in range(100):
+            sample.append(X[i], y[i], w[i])
+            assert len(sample) == i + 1
+        assert np.array_equal(sample.X, X)
+        assert np.array_equal(sample.y, y)
+        assert np.array_equal(sample.w, w)
+        rows = list(sample)
+        assert all(isinstance(e, WeightedExample) for e in rows)
+        assert [e.weight for e in rows] == w.tolist()
+
+    @pytest.mark.parametrize("row, error", [
+        ((np.zeros(2), 1.0, 0.0), ValueError),
+        ((np.zeros(2), 1.0, float("nan")), ValueError),
+        ((np.zeros(2), 1.5, 1.0), ValueError),
+        ((np.zeros(3), 1.0, 1.0), DimensionMismatchError),
+        ((np.zeros((1, 2)), 1.0, 1.0), DimensionMismatchError),
+    ])
+    def test_rejected_row_leaves_the_sample_unchanged(self, row, error):
+        sample = WeightedSample((np.ones(2), 1.0, 2.0) for _ in range(16))
+        with pytest.raises(error):
+            sample.append(*row)
+        assert len(sample) == 16
+        assert np.array_equal(sample.X, np.ones((16, 2)))
+
+    def test_first_row_fixes_the_width(self):
+        with pytest.raises(DimensionMismatchError):
+            WeightedSample([(np.zeros((1, 2)), 1.0, 1.0)])
+        sample = WeightedSample([(np.zeros(4), 1.0, 1.0)])
+        assert sample.X.shape == (1, 4)
+
+    def test_sum_concatenates_rows_in_order(self, rng):
+        a = random_weighted_examples(rng, 5, 2)
+        b = random_weighted_examples(rng, 7, 2)
+        empty = WeightedSample()
+        joined = a + b
+        assert np.array_equal(joined.X, np.concatenate([a.X, b.X]))
+        assert np.array_equal(joined.w, np.concatenate([a.w, b.w]))
+        assert np.array_equal((empty + b).y, b.y)
+        assert np.array_equal((a + empty).y, a.y)
+        assert len(empty + empty) == 0
+        joined.append(np.ones(2), 1.0, 1.0)
+        assert len(joined) == 13 and len(a) == 5
+
+
 class TestFiniteErm:
     def test_only_consistent_member_wins(self):
         cls = FiniteClass((ConstantPredictor(1.0), ConstantPredictor(-1.0)))
         loss = LossFunction("zero-one")
-        sample = [WeightedExample(np.array([0.3]), 1.0, 2.0)]
+        sample = WeightedSample([(np.array([0.3]), 1.0, 2.0)])
         assert erm_weighted(cls, sample, loss) is cls.members[0]
 
     def test_empty_sample_returns_first_member(self):
         cls = FiniteClass((ConstantPredictor(-1.0), ConstantPredictor(1.0)))
-        assert erm_weighted(cls, [], LossFunction("zero-one")) is cls.members[0]
+        assert erm_weighted(cls, WeightedSample(),
+                            LossFunction("zero-one")) is cls.members[0]
 
     def test_matches_brute_force_on_random_instances(self, rng):
         loss = LossFunction("zero-one")
@@ -82,12 +133,11 @@ class TestFiniteErm:
                 ThresholdPredictor(rng.normal(size=2)) for _ in range(size)
             )
             cls = FiniteClass(members)
-            sample = [
-                WeightedExample(points[rng.integers(16)],
-                                rng.choice([-1.0, 1.0]),
-                                rng.uniform(1.0, 4.0))
-                for _ in range(10)
-            ]
+            sample = WeightedSample()
+            for _ in range(10):
+                sample.append(points[rng.integers(16)],
+                              rng.choice([-1.0, 1.0]),
+                              rng.uniform(1.0, 4.0))
             winner = erm_weighted(cls, sample, loss)
             totals = [weighted_total_loss(h, sample, loss) for h in members]
             # first minimizer in member order
@@ -99,7 +149,7 @@ class TestFiniteErm:
         members = tuple(LinearPredictor(rng.normal(size=3), 1.0) for _ in range(12))
         cls = FiniteClass(members)
         sample = random_weighted_examples(rng, 20, 3)
-        scaled = [WeightedExample(e.x, e.y, 7.5 * e.weight) for e in sample]
+        scaled = WeightedSample(zip(sample.X, sample.y, 7.5 * sample.w))
         assert erm_weighted(cls, sample, loss) is erm_weighted(cls, scaled, loss)
 
     def test_larger_brute_force_sweep(self, rng):
@@ -121,15 +171,14 @@ class TestLinearErm:
         # with a generous norm bound this is unconstrained least squares
         loss = LossFunction("squared", 2.0)
         ball = LinearBall(dim=2, norm_bound=25.0)
-        sample = [
-            WeightedExample(np.array([1.0, 0.0]), 1.0, 1.0),
-            WeightedExample(np.array([0.0, 1.0]), -1.0, 1.0),
-        ]
+        sample = WeightedSample([(np.array([1.0, 0.0]), 1.0, 1.0),
+                                 (np.array([0.0, 1.0]), -1.0, 1.0)])
         h = erm_weighted(ball, sample, loss)
         assert h.weights == pytest.approx(np.array([1.0, -1.0]), abs=1e-4)
 
     def test_empty_sample_returns_zero_vector(self):
-        h = erm_weighted(LinearBall(3, 1.0), [], LossFunction("logistic", 1.0))
+        h = erm_weighted(LinearBall(3, 1.0), WeightedSample(),
+                         LossFunction("logistic", 1.0))
         assert np.all(h.weights == 0.0)
 
     def test_objective_matches_grid_search(self, rng):

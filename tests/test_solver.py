@@ -6,8 +6,7 @@ import pytest
 from iwal.errors import InfeasibleStartError
 from iwal.losses import LossFunction
 from iwal.solver import (BallConstraint, SolverOptions, WeightedLossCap,
-                         WeightedLossObjective, minimize_linear,
-                         minimize_weighted_loss)
+                         minimize_linear, minimize_weighted_loss)
 
 
 def random_program(rng, n=10, dim=2, kind="logistic"):
@@ -97,7 +96,7 @@ class TestWeightedLossProgram:
 
     def test_gradient_matches_central_differences(self, rng):
         loss, xs, ys, ws = random_program(rng)
-        objective = WeightedLossObjective(loss, xs, ys, ws)
+        objective = WeightedLossCap(loss, xs, ys, ws, 0.0)
         for _ in range(20):
             u = rng.uniform(-0.7, 0.7, size=2)
             grad = objective.grad(u)
@@ -110,7 +109,7 @@ class TestWeightedLossProgram:
 
     def test_objective_convexity_certificate(self, rng):
         loss, xs, ys, ws = random_program(rng)
-        objective = WeightedLossObjective(loss, xs, ys, ws)
+        objective = WeightedLossCap(loss, xs, ys, ws, 0.0)
         for _ in range(200):
             u, v = rng.uniform(-0.7, 0.7, size=(2, 2))
             lam = rng.uniform(0.0, 1.0)

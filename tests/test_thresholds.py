@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from iwal.errors import ThresholdContractError
+from iwal.engine import Engine
+from iwal.errors import ThresholdContractError, UnsupportedLossError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
                              predict_many)
 from iwal.losses import LossFunction
@@ -102,19 +103,17 @@ class TestSpreadFinite:
 
 class TestLossWeightingFinite:
     def _drive(self, rng, members, loss, steps, confidence=0.1):
-        """Run the threshold manually, returning the recorded history."""
-        threshold = LossWeightingFinite(FiniteClass(tuple(members)), loss,
-                                        confidence=confidence)
+        """Run the threshold under an engine, returning the recorded history."""
+        cls = FiniteClass(tuple(members))
+        threshold = LossWeightingFinite(cls, loss, confidence=confidence)
+        engine = Engine(loss, threshold, rng, hypothesis_class=cls)
         history = []
         masks = []
         for _ in range(steps):
             x = rng.normal(size=2)
-            p = threshold.probability(x)
+            record = engine.step(x, lambda i, x: float(rng.choice([-1.0, 1.0])))
             masks.append(threshold.alive.copy())
-            q = 1 if rng.random() < p else 0
-            y = float(rng.choice([-1.0, 1.0])) if q else None
-            threshold.record(x, y, p, q)
-            history.append((x, y, p, q))
+            history.append((x, record.y, record.p, record.queried))
         return threshold, history, masks
 
     def test_monotone_shrinkage_and_oracle_recomputation(self, rng):
@@ -141,6 +140,18 @@ class TestLossWeightingFinite:
                 for i, h in enumerate(members):
                     sums[i] += (1.0 / p) * loss.eval(h.predict(x), y)
         assert np.array_equal(alive, threshold.alive)
+
+    def test_reads_the_member_sums_of_its_engine(self, rng):
+        loss = LossFunction("logistic", 1.0)
+        cls = FiniteClass(tuple(random_linear_predictors(rng, 4, 2)))
+        threshold = LossWeightingFinite(cls, loss)
+        engine = Engine(loss, threshold, rng, hypothesis_class=cls)
+        assert threshold.loss_sums is engine.member_sums
+        with pytest.raises(ValueError, match="class and loss"):
+            Engine(loss, threshold, rng)
+        with pytest.raises(ValueError, match="class and loss"):
+            Engine(LossFunction("hinge", 1.0), threshold, rng,
+                   hypothesis_class=cls)
 
     def test_probability_in_unit_interval(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -169,6 +180,11 @@ class TestLossWeightingLinear:
         assert lo == pytest.approx(-5.0)
         assert hi == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("kind", ["zero-one", "hinge", "absolute"])
+    def test_rejects_losses_the_solver_cannot_take(self, kind):
+        with pytest.raises(UnsupportedLossError):
+            LossWeightingLinear(2, 1.0, LossFunction(kind, 1.0))
+
     def test_zero_point_probability_zero(self):
         loss = LossFunction("logistic", 1.0)
         threshold = LossWeightingLinear(2, 1.0, loss)
@@ -185,15 +201,11 @@ class TestLossWeightingLinear:
     def test_interval_extremes_against_cover_after_queries(self, rng):
         loss = LossFunction("logistic", 1.0)
         threshold = LossWeightingLinear(2, 1.0, loss, slack_mode="optimistic")
+        engine = Engine(loss, threshold, rng)
         # scripted history of confident queries shrinks the constraint set
         for _ in range(40):
-            x = rng.normal(size=2)
-            p = threshold.probability(x)
-            if rng.random() < p:
-                y = 1.0 if x[0] + 0.2 * x[1] > 0 else -1.0
-                threshold.record(x, y, p, 1)
-            else:
-                threshold.record(x, None, p, 0)
+            engine.step(rng.normal(size=2),
+                        lambda i, x: 1.0 if x[0] + 0.2 * x[1] > 0 else -1.0)
         x = rng.normal(size=2)
         seen = threshold.t
         threshold.t += 1
@@ -215,12 +227,10 @@ class TestLossWeightingLinear:
     def test_minimizer_feasible_for_its_own_constraint(self, rng):
         loss = LossFunction("logistic", 1.0)
         threshold = LossWeightingLinear(2, 1.0, loss)
+        engine = Engine(loss, threshold, rng)
         for _ in range(30):
-            x = rng.normal(size=2)
-            p = threshold.probability(x)
-            q = 1 if rng.random() < p else 0
-            y = float(rng.choice([-1.0, 1.0])) if q else None
-            threshold.record(x, y, p, q)
+            engine.step(rng.normal(size=2),
+                        lambda i, x: float(rng.choice([-1.0, 1.0])))
             cap = threshold._retained_cap(threshold.t)
             if cap is not None:
                 u = threshold.minimizer().weights

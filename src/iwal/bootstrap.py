@@ -24,7 +24,6 @@ from .trees import DecisionTree, TreeParams
 class Committee:
     members: tuple
     p_min: float = 0.1
-    initial_fraction: float = 0.1
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -37,8 +36,7 @@ class Committee:
 
 
 def train_committee(X, y, rng: np.random.Generator, size: int = 10,
-                    p_min: float = 0.1, params: TreeParams = TreeParams(),
-                    initial_fraction: float = 0.1) -> Committee:
+                    p_min: float = 0.1, params: TreeParams = TreeParams()) -> Committee:
     """Train `size` trees, each on a with-replacement resample of the prefix."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -48,7 +46,7 @@ def train_committee(X, y, rng: np.random.Generator, size: int = 10,
     for _ in range(size):
         idx = rng.integers(0, len(X), size=len(X))
         members.append(DecisionTree.fit(X[idx], y[idx], params))
-    return Committee(tuple(members), p_min=p_min, initial_fraction=initial_fraction)
+    return Committee(tuple(members), p_min=p_min)
 
 
 def query_probability(x, committee: Committee, loss: LossFunction,

@@ -85,13 +85,14 @@ class Engine:
 
     The hypothesis class may be None when only the query trace matters.
     Finite classes keep incremental per-member weighted loss sums in
-    `member_sums` (None otherwise), so the running minimizer costs O(|H|) per
-    queried point; the linear ball recomputes through the solver, throttled
-    to every `erm_every` queries (the final hypothesis is always refreshed).
+    `member_sums` (None otherwise), adding O(|H|) work per queried point.
+    The running minimizer is computed only when `refresh_hypothesis` reads
+    it: the argmin of the sums for a finite class, an ERM solve warm-started
+    from the last one for the linear ball.
     """
 
     def __init__(self, loss: LossFunction, threshold, rng: np.random.Generator,
-                 hypothesis_class=None, p_min: float = 0.0, erm_every: int = 1):
+                 hypothesis_class=None, p_min: float = 0.0):
         if not 0.0 <= p_min <= 1.0:
             raise ValueError("p_min must lie in [0, 1]")
         self.loss = loss
@@ -99,7 +100,6 @@ class Engine:
         self.rng = rng
         self.hypothesis_class = hypothesis_class
         self.p_min = p_min
-        self.erm_every = max(int(erm_every), 0)
         self.t = 0
         self.sample = WeightedSample()
         self.member_sums = None
@@ -109,7 +109,6 @@ class Engine:
         self._fit_rows = 0            # sample rows the current ERM covers
         if isinstance(hypothesis_class, FiniteClass):
             self.member_sums = np.zeros(len(hypothesis_class.members))
-            self._current = hypothesis_class.members[0]
         elif isinstance(hypothesis_class, LinearBall):
             self._current = erm_weighted(hypothesis_class, self.sample, loss)
         threshold.attach(self)
@@ -129,35 +128,24 @@ class Engine:
         if queried:
             y = float(oracle(self.t - 1, x))
             self.oracle_calls += 1
-            self.sample.append(x, y, 1.0 / p)
-            self._update_hypothesis(x, y, 1.0 / p)
+            weight = 1.0 / p
+            self.sample.append(x, y, weight)
+            if self.member_sums is not None:
+                self.member_sums += weight * member_losses(
+                    self.hypothesis_class.members, x, self.loss, (y,))[0]
         self.threshold.record(x, y, p, queried)
         record = StepRecord(self.t, x, y, p, queried)
         self.trace.append(record)
         return record
 
-    def _update_hypothesis(self, x, y, weight) -> None:
-        if self.member_sums is not None:
-            members = self.hypothesis_class.members
-            self.member_sums += weight * member_losses(members, x, self.loss, (y,))[0]
-            self._current = members[int(np.argmin(self.member_sums))]
-        elif (self.hypothesis_class is not None and self.erm_every
-              and len(self.sample) - self._fit_rows >= self.erm_every):
-            self.refresh_hypothesis()
-
     def refresh_hypothesis(self):
-        """Force the running minimizer up to date; returns it."""
-        if (self.member_sums is None and self.hypothesis_class is not None
-                and self._fit_rows < len(self.sample)):
-            start = getattr(self._current, "weights", None)
-            self._current = erm_weighted(
-                self.hypothesis_class, self.sample, self.loss, start=start
-            )
+        """The running minimizer over every queried row (None without a class)."""
+        if self.member_sums is not None:
+            return self.hypothesis_class.members[int(np.argmin(self.member_sums))]
+        if self.hypothesis_class is not None and self._fit_rows < len(self.sample):
+            self._current = erm_weighted(self.hypothesis_class, self.sample,
+                                         self.loss, start=self._current.weights)
             self._fit_rows = len(self.sample)
-        return self._current
-
-    @property
-    def hypothesis(self):
         return self._current
 
     def run_stream(self, xs, oracle: Callable):

@@ -3,8 +3,10 @@
 Every experiment runs the configured strategy over a training stream and a
 passive twin (the same learner with every label queried) over the identical
 stream order, evaluating both on a held-out test set at fixed checkpoints.
-Training labels reach the learner only through a counting oracle, so the
-reported query totals are exactly the number of label requests.
+All four arm kinds go through one stream loop, `_run_arm`; an arm differs
+only in its engine and in the model it reads at each checkpoint. Training
+labels reach the learner only through a counting oracle, so the reported
+query totals are exactly the number of label requests.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SLACK_MODES = ("paper", "optimistic")
 _NUMBER_TYPES = {"train_size": Integral, "test_size": Integral,
                  "seed": Integral, "replicates": Integral, "range_bound": Real,
                  "confidence": Real, "slack_constant": Real, "p_min": Real,
-                 "checkpoint_every": Integral, "erm_every": Integral}
+                 "checkpoint_every": Integral}
 _COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
                        "max_depth": 8, "min_leaf": 2}
 
@@ -70,14 +72,13 @@ class ExperimentConfig:
     p_min: float = 0.0
     replicates: int = 1
     checkpoint_every: int | None = None
-    erm_every: int | None = None
     standardize: bool = False
     committee: dict = field(default_factory=dict)
 
     _KEYS = ("dataset", "strategy", "train_size", "test_size", "seed",
              "loss_kind", "range_bound", "class_spec", "confidence",
              "slack_mode", "slack_constant", "p_min", "replicates",
-             "checkpoint_every", "erm_every", "standardize", "committee")
+             "checkpoint_every", "standardize", "committee")
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -96,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError("a seed is required; unseeded runs are not allowed")
         for name, kind in _NUMBER_TYPES.items():
             value = getattr(self, name)
-            if value is not None or name not in ("checkpoint_every", "erm_every"):
+            if value is not None or name != "checkpoint_every":
                 _require_number(name, value, kind)
         linear = (self.strategy in ("passive", "loss-weighting-linear")
                   and self.class_spec.get("kind", "linear") != "finite")
@@ -113,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be at least 1")
         if not self.range_bound > 0:
             raise ConfigError("range_bound must be positive")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be positive")
         unknown = set(self.committee) - set(_COMMITTEE_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown committee options {sorted(unknown)}")
@@ -149,8 +152,6 @@ class ExperimentConfig:
 
     def checkpoint_interval(self) -> int:
         if self.checkpoint_every is not None:
-            if self.checkpoint_every < 1:
-                raise ConfigError("checkpoint_every must be positive")
             return self.checkpoint_every
         return max(1, self.train_size // 100)
 
@@ -161,7 +162,7 @@ class ArmResult:
     final_loss: float
     final_error: float | None
     queries: int
-    trace: QueryTrace | None
+    trace: QueryTrace
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -225,19 +226,39 @@ def evaluate_error(predictor, X, y) -> float | None:
     return float(np.mean(signs != y))
 
 
+def _options(spec: dict, what: str, defaults: dict) -> dict:
+    """The options of a dataset or class spec, defaults filled in.
+
+    An option whose default is a bool must be a bool; one whose default is
+    an int or a float must be a number of that kind, and is converted to it.
+    ConfigError names any unknown or mistyped option."""
+    unknown = set(spec) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {what} options {sorted(unknown)}")
+    options = {**defaults, **spec}
+    for name, default in defaults.items():
+        value = options[name]
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{what} {name} must be a bool, got "
+                                  f"{type(value).__name__} {value!r}")
+        elif isinstance(default, (int, float)):
+            kind = Integral if isinstance(default, int) else Real
+            _require_number(f"{what} {name}", value, kind)
+            options[name] = type(default)(value)
+    return options
+
+
 def build_data(config: ExperimentConfig, rng: np.random.Generator):
     """(X_train, y_train, X_test, y_test, label_support) for the config."""
     spec = dict(config.dataset)
     kind = spec.pop("kind")
     n = config.train_size + config.test_size
     if kind == "file":
-        path = spec.pop("path", None)
-        fmt = spec.pop("format", "csv")
-        if spec:
-            raise ConfigError(f"unknown dataset options {sorted(spec)}")
-        if path is None:
+        opts = _options(spec, "dataset", {"path": None, "format": "csv"})
+        if opts["path"] is None:
             raise ConfigError("file datasets need a 'path'")
-        X, y = load_dataset(path, fmt)
+        X, y = load_dataset(opts["path"], opts["format"])
         if len(X) < n:
             raise ConfigError(
                 f"dataset has {len(X)} rows, need {n} for the requested split"
@@ -246,31 +267,19 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         X, y = X[order], y[order]
         support = (-1.0, 1.0)
     elif kind == "sphere":
-        instance = SphereInstance(dim=int(spec.pop("dim", 5)),
-                                  noise=float(spec.pop("noise", 0.0)))
-        if spec:
-            raise ConfigError(f"unknown dataset options {sorted(spec)}")
+        instance = SphereInstance(
+            **_options(spec, "dataset", {"dim": 5, "noise": 0.0}))
         X, y = instance.sample(rng, n)
         support = (-1.0, 1.0)
     elif kind == "point-mass":
-        instance = point_mass_instance(
-            beta=float(spec.pop("beta", 0.1)),
-            dim=int(spec.pop("dim", 2)),
-            binary_labels=bool(spec.pop("binary_labels", True)),
-        )
-        if spec:
-            raise ConfigError(f"unknown dataset options {sorted(spec)}")
+        instance = point_mass_instance(**_options(
+            spec, "dataset", {"beta": 0.1, "dim": 2, "binary_labels": True}))
         X, y = instance.sample(rng, n)
         support = instance.label_support()
     elif kind == "lower-bound":
-        hard = lower_bound_instance(
-            num_atoms=int(spec.pop("atoms", 8)),
-            eta=float(spec.pop("eta", 0.2)),
-            eps=float(spec.pop("eps", 0.05)),
-            rng=rng,
-        )
-        if spec:
-            raise ConfigError(f"unknown dataset options {sorted(spec)}")
+        opts = _options(spec, "dataset", {"atoms": 8, "eta": 0.2, "eps": 0.05})
+        hard = lower_bound_instance(num_atoms=opts["atoms"], eta=opts["eta"],
+                                    eps=opts["eps"], rng=rng)
         X, y = hard.instance.sample(rng, n)
         support = (-1.0, 1.0)
     else:
@@ -303,10 +312,8 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
     """(threshold, hypothesis_class) for the engine-based strategies."""
     spec = dict(config.class_spec)
     kind = spec.pop("kind", "linear")
-    norm_bound = float(spec.pop("norm_bound", 1.0))
-    size = int(spec.pop("size", 16))
-    if spec:
-        raise ConfigError(f"unknown class options {sorted(spec)}")
+    opts = _options(spec, "class", {"norm_bound": 1.0, "size": 16})
+    norm_bound, size = opts["norm_bound"], opts["size"]
     if config.strategy == "loss-weighting-finite" or kind == "finite":
         cls = _finite_members(size, dim, norm_bound, config.range_bound,
                               config.loss_kind, rng)
@@ -326,36 +333,46 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
     raise ConfigError(f"strategy {config.strategy} is not engine-based")
 
 
-def _engine_arm(config, loss, X_train, y_train, X_test, y_test, labels,
-                threshold, cls, rng, keep_trace=True) -> ArmResult:
-    interval = config.checkpoint_interval()
-    erm_every = config.erm_every if config.erm_every is not None else interval
-    engine = Engine(loss, threshold, rng, hypothesis_class=cls,
-                    p_min=config.p_min, erm_every=erm_every)
-    oracle = ArrayOracle(y_train)
-    checkpoints = []
+def _run_arm(config, engine, oracle, model, X_train, X_test, y_test,
+             start: int = 0):
+    """Stream rows start..T-1 of X_train through the engine.
+
+    model(i) is the learner's output at the i-th checkpoint: every multiple
+    of the checkpoint interval from `start` on, and T. Each one is evaluated
+    on the test set, and the last gives the final loss and error. Queries
+    count the `start` labels taken before the stream plus the oracle calls.
+    Returns (ArmResult, final model).
+    """
     T = len(X_train)
-    for i in range(T):
-        engine.step(X_train[i], oracle)
-        t = i + 1
-        if t % interval == 0 or t == T:
-            h = engine.refresh_hypothesis()
-            checkpoints.append((t, engine.trace.query_count(),
-                                evaluate_loss(h, X_test, y_test, loss),
-                                evaluate_error(h, X_test, y_test)))
-    h = engine.refresh_hypothesis()
-    diagnostics = {"oracle_calls": oracle.calls}
+    interval = config.checkpoint_interval()
+    schedule = sorted({t for t in range(interval, T + 1, interval) if t >= start}
+                      | {T})
+    checkpoints = []
+    done = start
+    for i, t in enumerate(schedule):
+        for row in range(done, t):
+            engine.step(X_train[row], oracle)
+        done = t
+        h = model(i)
+        checkpoints.append((t, start + oracle.calls,
+                            evaluate_loss(h, X_test, y_test, engine.loss),
+                            evaluate_error(h, X_test, y_test)))
+    _, queries, final_loss, final_error = checkpoints[-1]
+    return ArmResult(checkpoints, final_loss, final_error, queries,
+                     engine.trace, {"oracle_calls": oracle.calls}), h
+
+
+def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
+                cls, rng) -> ArmResult:
+    engine = Engine(loss, threshold, rng, hypothesis_class=cls,
+                    p_min=config.p_min)
+    arm, _ = _run_arm(config, engine, ArrayOracle(y_train),
+                      lambda i: engine.refresh_hypothesis(),
+                      X_train, X_test, y_test)
     extra = getattr(threshold, "diagnostics", None)
     if callable(extra):
-        diagnostics.update(extra())
-    return ArmResult(
-        checkpoints=checkpoints,
-        final_loss=evaluate_loss(h, X_test, y_test, loss),
-        final_error=evaluate_error(h, X_test, y_test),
-        queries=oracle.calls,
-        trace=engine.trace if keep_trace else None,
-        diagnostics=diagnostics,
-    )
+        arm.diagnostics.update(extra())
+    return arm
 
 
 def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
@@ -374,12 +391,9 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         threshold = ConstantThreshold(1.0)
     else:
         committee = bs.train_committee(X0, y0, committee_rng, size=opts["size"],
-                                       p_min=opts["p_min"], params=params,
-                                       initial_fraction=opts["initial_fraction"])
+                                       p_min=opts["p_min"], params=params)
         threshold = bs.CommitteeThreshold(committee, loss, labels)
     engine = Engine(loss, threshold, engine_rng, hypothesis_class=None)
-    oracle = ArrayOracle(y_train[prefix:])
-    interval = config.checkpoint_interval()
     prefix_examples = bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
 
     def snapshot(checkpoint_index):
@@ -388,30 +402,10 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         resampled = bs.costing_resample(collected, rng)
         return bs.train_final(resampled, params, fallback=(X0, y0))
 
-    checkpoints = []
-    checkpoint_steps = sorted(set(
-        [t for t in range(interval, T + 1, interval) if t >= prefix] + [T]
-    ))
-    next_idx = 0
-    final_tree = None
-    for t in range(prefix, T + 1):
-        if t > prefix:
-            engine.step(X_train[t - 1], oracle)
-        while next_idx < len(checkpoint_steps) and checkpoint_steps[next_idx] == t:
-            final_tree = snapshot(next_idx)
-            checkpoints.append((t, prefix + engine.trace.query_count(),
-                                evaluate_loss(final_tree, X_test, y_test, loss),
-                                evaluate_error(final_tree, X_test, y_test)))
-            next_idx += 1
-    return ArmResult(
-        checkpoints=checkpoints,
-        final_loss=checkpoints[-1][2],
-        final_error=checkpoints[-1][3],
-        queries=prefix + oracle.calls,
-        trace=engine.trace,
-        diagnostics={"prefix": prefix, "oracle_calls": oracle.calls,
-                     "final_tree_depth": final_tree.depth()},
-    )
+    arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
+                               snapshot, X_train, X_test, y_test, start=prefix)
+    arm.diagnostics.update(prefix=prefix, final_tree_depth=final_tree.depth())
+    return arm
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -435,15 +429,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         class_rng = np.random.default_rng(aux_a)
         threshold, cls = _make_threshold(config, loss, dim, support, class_rng)
         active = _engine_arm(config, loss, X_train, y_train, X_test, y_test,
-                             support, threshold, cls,
-                             np.random.default_rng(active_seed))
+                             threshold, cls, np.random.default_rng(active_seed))
         if config.strategy == "passive":
             passive = active
         else:
             passive = _engine_arm(config, loss, X_train, y_train, X_test, y_test,
-                                  support, ConstantThreshold(1.0), cls,
-                                  np.random.default_rng(passive_seed),
-                                  keep_trace=False)
+                                  ConstantThreshold(1.0), cls,
+                                  np.random.default_rng(passive_seed))
     return RunReport(config=config.to_dict(), seed=config.seed,
                      steps=config.train_size, active=active, passive=passive)
 
@@ -505,8 +497,5 @@ def emit_curves(report: RunReport, out_dir, stem: str = "") -> dict:
     with open(summary_path, "w") as fh:
         json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    paths = {"curve": curve_path, "summary": summary_path}
-    if report.active.trace is not None:
-        report.active.trace.write_csv(trace_path)
-        paths["trace"] = trace_path
-    return paths
+    report.active.trace.write_csv(trace_path)
+    return {"curve": curve_path, "summary": summary_path, "trace": trace_path}

@@ -102,11 +102,8 @@ class TablePredictor:
 
 
 def predict_many(predictor, X) -> np.ndarray:
-    """Batch predictions, using the predictor's vectorized path when present."""
-    fn = getattr(predictor, "predict_many", None)
-    if fn is not None:
-        return np.asarray(fn(X), dtype=float)
-    return np.array([predictor.predict(x) for x in X], dtype=float)
+    """Batch predictions through the predictor's vectorized path, as floats."""
+    return np.asarray(predictor.predict_many(X), dtype=float)
 
 
 @dataclass(frozen=True)

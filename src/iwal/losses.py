@@ -50,19 +50,9 @@ class LossFunction:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
         if not self.range_bound > 0:
             raise ValueError("range_bound must be positive")
-        object.__setattr__(self, "normalizer", self._sup_raw_loss())
-
-    def _sup_raw_loss(self) -> float:
-        b = self.range_bound
-        if self.kind == "zero-one":
-            return 1.0
-        if self.kind == "hinge":
-            return 1.0 + b
-        if self.kind == "logistic":
-            return _softplus(b)
-        if self.kind == "squared":
-            return (1.0 + b) ** 2
-        return 1.0 + b  # absolute
+        # every loss peaks at the worst margin over Z x Y, -range_bound
+        object.__setattr__(self, "normalizer",
+                           self.raw_margin_loss(-self.range_bound))
 
     # -- scalar evaluation ---------------------------------------------------
 

@@ -81,6 +81,12 @@ class TestRun:
          "committee max_depth must be an integer, got bool"),
         ({"strategy": "bootstrap", "committee": {"p_min": "0.2"}},
          "committee p_min must be a number, got str"),
+        ({"dataset": {"kind": "sphere", "dim": "five"}},
+         "dataset dim must be an integer, got str 'five'"),
+        ({"class_spec": {"kind": "finite", "size": "ten"}},
+         "class size must be an integer, got str 'ten'"),
+        ({"dataset": {"kind": "point-mass", "binary_labels": "false"}},
+         "dataset binary_labels must be a bool, got str 'false'"),
     ])
     def test_wrong_option_type_is_a_config_error(self, tmp_path, capsys,
                                                  overrides, message):

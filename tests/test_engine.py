@@ -194,6 +194,33 @@ class TestRunStream:
         assert h is erm_weighted(cls, engine.sample, loss)
 
 
+class TestLinearMinimizer:
+    def test_step_makes_no_solver_call_and_refresh_covers_every_row(
+            self, rng, monkeypatch):
+        import iwal.engine as engine_module
+        from iwal.hypotheses import LinearBall
+
+        rows_seen = []
+        solve = engine_module.erm_weighted
+
+        def counting_erm(cls, sample, loss, **kwargs):
+            rows_seen.append(len(sample))
+            return solve(cls, sample, loss, **kwargs)
+
+        monkeypatch.setattr(engine_module, "erm_weighted", counting_erm)
+        engine = make_engine(0.5, seed=2, hypothesis_class=LinearBall(2, 1.0))
+        rows_seen.clear()                   # the empty-sample start
+        X = rng.normal(size=(60, 2))
+        oracle = ArrayOracle(np.where(X[:, 0] > 0, 1.0, -1.0))
+        for x in X:
+            engine.step(x, oracle)
+        assert rows_seen == []
+        h = engine.refresh_hypothesis()
+        assert rows_seen == [oracle.calls] and oracle.calls > 0
+        assert engine.refresh_hypothesis() is h
+        assert rows_seen == [oracle.calls]
+
+
 def test_trace_csv_round_trip(tmp_path, rng):
     engine = make_engine(0.5, seed=1)
     oracle = ArrayOracle(np.ones(20))

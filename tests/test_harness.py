@@ -45,6 +45,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(p_min=1.5)
 
+    def test_removed_erm_every_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys \['erm_every'\]"):
+            base_config(erm_every=5)
+
+    def test_nonpositive_checkpoint_interval_rejected_early(self):
+        with pytest.raises(ConfigError, match="checkpoint_every must be positive"):
+            base_config(checkpoint_every=0)
+
     def test_checkpoint_default_cadence(self):
         config = base_config(train_size=1000)
         assert config.checkpoint_interval() == 10

@@ -1,17 +1,24 @@
-"""The benchmark's traced run finds library functions by owner and name.
+"""The benchmark still fits the library it measures.
 
 `perfbench/spans.py` patches each (owner, attribute) pair it lists, reading
-the original from `owner.__dict__`. A refactor that moves or renames one of
-them fails here, in the plain test run, instead of in the traced benchmark.
+the original from `owner.__dict__`, and `perfbench/bench.py` builds its
+workloads with `ExperimentConfig.from_dict`. A refactor that moves or renames
+a wrapped function, or a config schema change that drops a workload key,
+fails here, in the plain test run, instead of in the benchmark.
 """
 
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
+import bench  # noqa: E402
 import spans  # noqa: E402
+
+from iwal.harness import ExperimentConfig  # noqa: E402
 
 
 def test_every_wrapped_function_is_defined_on_its_owner():
@@ -20,3 +27,10 @@ def test_every_wrapped_function_is_defined_on_its_owner():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in pairs
                if attr not in owner.__dict__]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_every_workload_config_loads(name):
+    workload = bench.WORKLOADS[name]
+    config = ExperimentConfig.from_dict({**workload.config, "seed": 1})
+    assert config.strategy == workload.config["strategy"]

@@ -249,6 +249,15 @@ def _options(spec: dict, what: str, defaults: dict) -> dict:
     return options
 
 
+def _built(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the ValueError of its range checks turned
+    into a ConfigError that names `what`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def build_data(config: ExperimentConfig, rng: np.random.Generator):
     """(X_train, y_train, X_test, y_test, label_support) for the config."""
     spec = dict(config.dataset)
@@ -258,6 +267,9 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         opts = _options(spec, "dataset", {"path": None, "format": "csv"})
         if opts["path"] is None:
             raise ConfigError("file datasets need a 'path'")
+        if not isinstance(opts["path"], (str, os.PathLike)):
+            raise ConfigError(f"dataset path must be a string, got "
+                              f"{type(opts['path']).__name__} {opts['path']!r}")
         X, y = load_dataset(opts["path"], opts["format"])
         if len(X) < n:
             raise ConfigError(
@@ -267,19 +279,20 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         X, y = X[order], y[order]
         support = (-1.0, 1.0)
     elif kind == "sphere":
-        instance = SphereInstance(
-            **_options(spec, "dataset", {"dim": 5, "noise": 0.0}))
+        instance = _built("dataset sphere", SphereInstance,
+                          **_options(spec, "dataset", {"dim": 5, "noise": 0.0}))
         X, y = instance.sample(rng, n)
         support = (-1.0, 1.0)
     elif kind == "point-mass":
-        instance = point_mass_instance(**_options(
+        instance = _built("dataset point-mass", point_mass_instance, **_options(
             spec, "dataset", {"beta": 0.1, "dim": 2, "binary_labels": True}))
         X, y = instance.sample(rng, n)
         support = instance.label_support()
     elif kind == "lower-bound":
         opts = _options(spec, "dataset", {"atoms": 8, "eta": 0.2, "eps": 0.05})
-        hard = lower_bound_instance(num_atoms=opts["atoms"], eta=opts["eta"],
-                                    eps=opts["eps"], rng=rng)
+        hard = _built("dataset lower-bound", lower_bound_instance,
+                      num_atoms=opts["atoms"], eta=opts["eta"], eps=opts["eps"],
+                      rng=rng)
         X, y = hard.instance.sample(rng, n)
         support = (-1.0, 1.0)
     else:
@@ -314,11 +327,12 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
     kind = spec.pop("kind", "linear")
     opts = _options(spec, "class", {"norm_bound": 1.0, "size": 16})
     norm_bound, size = opts["norm_bound"], opts["size"]
+    # the ball checks norm_bound for finite classes too, whose members lie
+    # on its boundary
+    cls = _built("class_spec", LinearBall, dim, norm_bound)
     if config.strategy == "loss-weighting-finite" or kind == "finite":
-        cls = _finite_members(size, dim, norm_bound, config.range_bound,
-                              config.loss_kind, rng)
-    else:
-        cls = LinearBall(dim, norm_bound)
+        cls = _built("class_spec", _finite_members, size, dim, norm_bound,
+                     config.range_bound, config.loss_kind, rng)
     if config.strategy == "passive":
         return ConstantThreshold(1.0), cls
     if config.strategy == "loss-weighting-finite":

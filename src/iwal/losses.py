@@ -120,29 +120,24 @@ class LossFunction:
             return _softplus_arr(-y * z) / self.normalizer
         return (z - y) ** 2 / self.normalizer
 
-    def smooth_grad_many(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d(normalized loss)/dz on unclamped predictions."""
-        self._require_smooth()
-        if self.kind == "logistic":
-            # d/dz log(1 + e^{-yz}) = -y / (1 + e^{yz}), computed stably
-            m = y * z
-            out = np.empty_like(m)
-            pos = m >= 0
-            e = np.exp(-np.abs(m))
-            out[pos] = e[pos] / (1.0 + e[pos])
-            out[~pos] = 1.0 / (1.0 + e[~pos])
-            return -y * out / self.normalizer
-        return 2.0 * (z - y) / self.normalizer
+    def smooth_derivatives_many(self, z: np.ndarray,
+                                y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second d/dz of the normalized loss on unclamped predictions.
 
-    def smooth_curv_many(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d2(normalized loss)/dz2 on unclamped predictions."""
+        One pass serves both: the logistic kind shares m = y*z, e = e^{-|m|}
+        and 1 + e between the gradient and the curvature.
+        """
         self._require_smooth()
         if self.kind == "logistic":
+            # d/dz log(1 + e^{-yz}) = -y / (1 + e^{yz}), computed stably:
+            # e/(1+e) where m >= 0 and 1/(1+e) elsewhere
             m = y * z
             e = np.exp(-np.abs(m))
-            s = e / (1.0 + e) ** 2
-            return s / self.normalizer
-        return np.full_like(np.asarray(z, dtype=float), 2.0 / self.normalizer)
+            d = 1.0 + e
+            grad = -y * (np.where(m >= 0, e, 1.0) / d) / self.normalizer
+            return grad, e / (d * d) / self.normalizer
+        grad = 2.0 * (z - y) / self.normalizer
+        return grad, np.full_like(grad, 2.0 / self.normalizer)
 
     # -- derivative bounds and slope asymmetry --------------------------------
 

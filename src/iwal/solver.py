@@ -6,6 +6,15 @@ over the ball intersected with at most one weighted empirical-loss cap. Both
 are solved by damped-Newton centering on t*f0 + barrier, with the barrier
 parameter multiplied by mu per stage until m/t is below the gap target, which
 bounds the suboptimality of the returned point.
+
+One Newton iterate makes one margin pass per term. Each constraint returns
+its value, gradient and barrier Hessian g g^T / f^2 + H / (-f) together from
+`barrier_terms`; the loss terms get their first and second derivatives from
+one `LossFunction.smooth_derivatives_many` pass, and the ball adds 2/(-f) to
+the diagonal instead of building 2I. The linear objective contributes
+t*direction, formed once per centering stage, and no Hessian. The loss cap
+keeps its last margins and value, which the line search computed at the
+point the next iterate starts from.
 """
 
 from __future__ import annotations
@@ -60,11 +69,13 @@ class BallConstraint:
     def value(self, u):
         return float(u @ u) - self.norm_bound
 
-    def grad(self, u):
-        return 2.0 * u
-
-    def hess(self, u):
-        return 2.0 * np.eye(len(u))
+    def barrier_terms(self, u):
+        """(f, grad f, Hessian of -log(-f)) at u; the Hessian of f is 2I."""
+        f = self.value(u)
+        g = 2.0 * u
+        hess = np.outer(g, g) / (f * f)
+        hess.flat[::len(u) + 1] += 2.0 / (-f)
+        return f, g, hess
 
 
 class WeightedLossCap:
@@ -76,30 +87,36 @@ class WeightedLossCap:
         self.ys = np.asarray(ys, dtype=float)
         self.ws = np.asarray(ws, dtype=float)
         self.bound = float(bound)
-        self._z_key = None
-        self._z = None
+        self._last = (None, None, None)    # (u bytes, margins, value)
 
-    def _margins(self, u):
-        # one matmul per distinct u; Newton asks for value, grad, and
-        # Hessian at the same point back to back
+    def _margins_and_value(self, u):
+        # the line search evaluates the cap at the point the next Newton
+        # iterate starts from, so keep the last evaluation
         key = u.tobytes()
-        if key != self._z_key:
-            self._z = self.xs @ u
-            self._z_key = key
-        return self._z
+        if key != self._last[0]:
+            z = self.xs @ u
+            f = float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
+            self._last = (key, z, f)
+        return self._last[1], self._last[2]
+
+    def _derivatives(self, z):
+        dz, curv = self.loss.smooth_derivatives_many(z, self.ys)
+        grad = self.xs.T @ (self.ws * dz)
+        hess = (self.xs * (self.ws * curv)[:, None]).T @ self.xs
+        return grad, hess
 
     def value(self, u):
-        z = self._margins(u)
-        return float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
+        return self._margins_and_value(u)[1]
 
-    def grad(self, u):
-        z = self._margins(u)
-        return self.xs.T @ (self.ws * self.loss.smooth_grad_many(z, self.ys))
+    def derivatives(self, u):
+        """(gradient, Hessian) at u from one margin pass."""
+        return self._derivatives(self.xs @ u)
 
-    def hess(self, u):
-        z = self._margins(u)
-        curv = self.ws * self.loss.smooth_curv_many(z, self.ys)
-        return (self.xs * curv[:, None]).T @ self.xs
+    def barrier_terms(self, u):
+        """(f, grad f, Hessian of -log(-f)) at u from one margin pass."""
+        z, f = self._margins_and_value(u)
+        g, hess = self._derivatives(z)
+        return f, g, np.outer(g, g) / (f * f) + hess / (-f)
 
 
 class LinearObjective:
@@ -108,12 +125,6 @@ class LinearObjective:
 
     def value(self, u):
         return float(self.direction @ u)
-
-    def grad(self, u):
-        return self.direction
-
-    def hess(self, u):
-        return np.zeros((len(u), len(u)))
 
 
 def _strictly_feasible(u, constraints, margin=_STRICT_MARGIN) -> bool:
@@ -132,20 +143,26 @@ def _center(objective, constraints, u, t_barrier, options, diag):
             total -= math.log(-fv)
         return total
 
+    linear = isinstance(objective, LinearObjective)
+    if linear:
+        t_direction = t_barrier * objective.direction
     current = None  # barrier value at u, carried across iterations
     for _ in range(options.max_newton):
-        grad = t_barrier * objective.grad(u)
-        hess = t_barrier * objective.hess(u)
+        if linear:
+            grad, hess = t_direction, None
+        else:
+            g0, h0 = objective.derivatives(u)
+            grad, hess = t_barrier * g0, t_barrier * h0
         for c in constraints:
-            fv = c.value(u)
-            g = c.grad(u)
-            grad += g / (-fv)
-            hess += np.outer(g, g) / (fv * fv) + c.hess(u) / (-fv)
+            fv, g, h = c.barrier_terms(u)
+            grad = grad + g / (-fv)
+            hess = h if hess is None else hess + h
+        descent = -grad
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(hess, descent)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        decrement_sq = float(-grad @ step)
+            step = np.linalg.lstsq(hess, descent, rcond=None)[0]
+        decrement_sq = float(descent @ step)
         if decrement_sq < 0:
             # rounding noise at the precision floor of an extremely
             # ill-conditioned barrier Hessian; the iterate is centered

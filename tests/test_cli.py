@@ -108,6 +108,33 @@ class TestRun:
         assert "config error: a linear class needs a smooth loss" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dataset": {"kind": "sphere", "dim": 0}},
+         "dataset sphere: dimension must be at least 2"),
+        ({"dataset": {"kind": "sphere", "noise": -1.0}},
+         "dataset sphere: noise rate must lie in [0, 0.5)"),
+        ({"dataset": {"kind": "point-mass", "beta": 2.0}},
+         "dataset point-mass: beta must lie in (0, 1)"),
+        ({"dataset": {"kind": "lower-bound", "atoms": 0}},
+         "dataset lower-bound: need at least 2 atoms"),
+        ({"class_spec": {"kind": "finite", "size": 0}},
+         "class_spec: a finite hypothesis class must be nonempty"),
+        ({"class_spec": {"kind": "finite", "norm_bound": -1.0}},
+         "class_spec: norm_bound must be positive"),
+        ({"strategy": "passive", "class_spec": {"kind": "linear", "norm_bound": -1.0}},
+         "class_spec: norm_bound must be positive"),
+        ({"dataset": {"kind": "file", "path": 5}},
+         "dataset path must be a string, got int 5"),
+    ])
+    def test_out_of_range_option_is_a_config_error(self, tmp_path, capsys,
+                                                   overrides, message):
+        config = write_config(tmp_path, **overrides)
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 

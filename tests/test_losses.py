@@ -227,6 +227,31 @@ class TestIntervalSpread:
             1.0 / loss.normalizer)
 
 
+@st.composite
+def nested_intervals(draw):
+    """A loss, labels it accepts, and ends outer_lo <= lo <= hi <= outer_hi
+    reaching past the prediction range, so the clamp is exercised too."""
+    kind = draw(st.sampled_from(LOSS_KINDS))
+    loss = LossFunction(kind, draw(st.floats(0.01, 100.0)))
+    if kind in ("squared", "absolute"):
+        labels = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)))
+    else:
+        labels = (-1.0, 1.0)
+    reach = 2.0 * loss.range_bound
+    ends = sorted(draw(st.lists(st.floats(-reach, reach), min_size=4, max_size=4)))
+    return loss, labels, ends
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=nested_intervals())
+def test_interval_spread_monotone_under_inclusion_property(case):
+    # the linear relaxation widens the prediction interval, which may only
+    # ever raise the spread and so the query probability
+    loss, labels, (outer_lo, lo, hi, outer_hi) = case
+    assert (loss.interval_spread(lo, hi, labels)
+            <= loss.interval_spread(outer_lo, outer_hi, labels))
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedLossError):
         LossFunction("huber", 1.0)

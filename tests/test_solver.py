@@ -1,9 +1,14 @@
+import functools
 import math
+from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from iwal.errors import InfeasibleStartError
+from iwal import solver
+from iwal.errors import InfeasibleStartError, SolverConvergenceError
 from iwal.losses import LossFunction
 from iwal.solver import (BallConstraint, SolverOptions, WeightedLossCap,
                          minimize_linear, minimize_weighted_loss)
@@ -99,7 +104,7 @@ class TestWeightedLossProgram:
         objective = WeightedLossCap(loss, xs, ys, ws, 0.0)
         for _ in range(20):
             u = rng.uniform(-0.7, 0.7, size=2)
-            grad = objective.grad(u)
+            grad, _ = objective.derivatives(u)
             for j in range(2):
                 h = 1e-6
                 e = np.zeros(2)
@@ -135,9 +140,13 @@ class TestWeightedLossProgram:
 def test_ball_constraint_derivatives(rng):
     ball = BallConstraint(2.0)
     u = rng.normal(size=3)
+    f, grad, barrier_hess = ball.barrier_terms(u)
     assert ball.value(u) == pytest.approx(float(u @ u) - 2.0)
-    assert ball.grad(u) == pytest.approx(2.0 * u)
-    assert np.allclose(ball.hess(u), 2.0 * np.eye(3))
+    assert f == ball.value(u)
+    assert grad == pytest.approx(2.0 * u)
+    # the Hessian of -log(-f) is grad grad^T / f^2 + hess / (-f)
+    hess = (barrier_hess - np.outer(grad, grad) / (f * f)) * -f
+    assert np.allclose(hess, 2.0 * np.eye(3))
 
 
 def test_cap_constraint_satisfied_at_solution(rng):
@@ -152,3 +161,311 @@ def test_cap_constraint_satisfied_at_solution(rng):
                                  start_candidates=(base.point,))
         assert cap.value(result.point) <= 1e-9
         assert float(result.point @ result.point) <= 1.0 + 1e-9
+
+
+# Frozen copy of the per-constraint Newton step the fused one replaced: value,
+# grad and hess called separately on the objective and on each constraint.
+# Every solve below must agree with it bit for bit.
+def _frozen_smooth_grad_many(loss, z, y):
+    if loss.kind == "logistic":
+        m = y * z
+        out = np.empty_like(m)
+        pos = m >= 0
+        e = np.exp(-np.abs(m))
+        out[pos] = e[pos] / (1.0 + e[pos])
+        out[~pos] = 1.0 / (1.0 + e[~pos])
+        return -y * out / loss.normalizer
+    return 2.0 * (z - y) / loss.normalizer
+
+
+def _frozen_smooth_curv_many(loss, z, y):
+    if loss.kind == "logistic":
+        m = y * z
+        e = np.exp(-np.abs(m))
+        s = e / (1.0 + e) ** 2
+        return s / loss.normalizer
+    return np.full_like(np.asarray(z, dtype=float), 2.0 / loss.normalizer)
+
+
+class _FrozenBall:
+    def __init__(self, norm_bound):
+        self.norm_bound = float(norm_bound)
+
+    def value(self, u):
+        return float(u @ u) - self.norm_bound
+
+    def grad(self, u):
+        return 2.0 * u
+
+    def hess(self, u):
+        return 2.0 * np.eye(len(u))
+
+
+class _FrozenCap:
+    def __init__(self, cap):
+        self.loss, self.xs, self.ys, self.ws = cap.loss, cap.xs, cap.ys, cap.ws
+        self.bound = cap.bound
+        self._z_key = None
+        self._z = None
+
+    def _margins(self, u):
+        key = u.tobytes()
+        if key != self._z_key:
+            self._z = self.xs @ u
+            self._z_key = key
+        return self._z
+
+    def value(self, u):
+        z = self._margins(u)
+        return float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
+
+    def grad(self, u):
+        z = self._margins(u)
+        return self.xs.T @ (self.ws * _frozen_smooth_grad_many(self.loss, z, self.ys))
+
+    def hess(self, u):
+        z = self._margins(u)
+        curv = self.ws * _frozen_smooth_curv_many(self.loss, z, self.ys)
+        return (self.xs * curv[:, None]).T @ self.xs
+
+
+class _FrozenLinear:
+    def __init__(self, direction):
+        self.direction = direction
+
+    def value(self, u):
+        return float(self.direction @ u)
+
+    def grad(self, u):
+        return self.direction
+
+    def hess(self, u):
+        return np.zeros((len(u), len(u)))
+
+
+def _frozen(term):
+    if isinstance(term, BallConstraint):
+        return _FrozenBall(term.norm_bound)
+    if isinstance(term, WeightedLossCap):
+        return _FrozenCap(term)
+    return _FrozenLinear(term.direction)
+
+
+def _frozen_center(objective, constraints, u, t_barrier, options, diag, branches):
+    """The pre-fusion `_center`, counting which exit or step kind it takes."""
+    objective = _frozen(objective)
+    constraints = [_frozen(c) for c in constraints]
+
+    def barrier_value(v):
+        total = t_barrier * objective.value(v)
+        for c in constraints:
+            fv = c.value(v)
+            if fv >= 0:
+                return math.inf
+            total -= math.log(-fv)
+        return total
+
+    current = None
+    for _ in range(options.max_newton):
+        grad = t_barrier * objective.grad(u)
+        hess = t_barrier * objective.hess(u)
+        for c in constraints:
+            fv = c.value(u)
+            g = c.grad(u)
+            grad += g / (-fv)
+            hess += np.outer(g, g) / (fv * fv) + c.hess(u) / (-fv)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement_sq = float(-grad @ step)
+        if decrement_sq < 0:
+            branches["negative_decrement"] += 1
+            return u
+        if decrement_sq / 2.0 <= options.newton_tol:
+            branches["centered"] += 1
+            return u
+        if decrement_sq <= 1e-6:
+            branches["quadratic"] += 1
+            scale = 1.0
+            while not solver._strictly_feasible(u + scale * step, constraints, 0.0):
+                scale *= options.backtrack
+                if scale < 1e-14:
+                    return u
+            candidate = u + scale * step
+            current = None
+        else:
+            branches["damped"] += 1
+            if current is None:
+                current = barrier_value(u)
+            slope = float(grad @ step)
+            scale = 1.0
+            while True:
+                candidate = u + scale * step
+                trial = barrier_value(candidate)
+                if trial <= current + options.armijo * scale * slope:
+                    current = trial
+                    break
+                scale *= options.backtrack
+                if scale < 1e-14:
+                    return u
+        u = candidate
+        diag.newton_steps += 1
+    raise SolverConvergenceError(
+        "Newton centering did not converge within the iteration cap",
+        iterate=u, diagnostics=diag,
+    )
+
+
+def _solve_both(monkeypatch, solve):
+    """(new result, frozen result, frozen branch counts, phase-I solves)."""
+    new = solve()
+    branches = Counter()
+    phase_one = []
+    erm = solver.minimize_weighted_loss
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_center",
+                      functools.partial(_frozen_center, branches=branches))
+        patch.setattr(solver, "minimize_weighted_loss",
+                      lambda *args, **kwargs: phase_one.append(1) or erm(*args, **kwargs))
+        frozen = solve()
+    return new, frozen, branches, len(phase_one)
+
+
+def _assert_bit_identical(new, frozen):
+    assert new.point.tobytes() == frozen.point.tobytes()
+    assert new.value == frozen.value
+    assert new.diagnostics.newton_steps == frozen.diagnostics.newton_steps
+    assert new.diagnostics.outer_stages == frozen.diagnostics.outer_stages
+    assert new.diagnostics.stage_values == frozen.diagnostics.stage_values
+    assert not new.diagnostics.used_shortcut
+
+
+def _differential_program(kind, n, seed, dim=5):
+    rng = np.random.default_rng(seed)
+    loss = LossFunction(kind, 1.0)
+    xs = rng.uniform(-1.0, 1.0, size=(n, dim))
+    ys = rng.choice([-1.0, 1.0], size=n)
+    ws = rng.uniform(1.0, 5.0, size=n)
+    return rng, loss, xs, ys, ws
+
+
+def _active_cap(loss, xs, ys, ws, slack):
+    """A cap `slack` above the weighted minimum, and a direction it binds.
+
+    Minimizing u . sum_i w_i y_i x_i lowers every margin, so the ball
+    optimum of that direction raises the loss above the cap."""
+    base = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
+    cap = WeightedLossCap(loss, xs, ys, ws, bound=base.value + slack)
+    return base, cap, (ws * ys) @ xs
+
+
+class TestAgainstFrozenNewtonStep:
+    @pytest.mark.parametrize("kind", ("logistic", "squared"))
+    def test_loss_derivatives(self, kind, rng):
+        loss = LossFunction(kind, 1.0)
+        # margins of both signs, signed zeros and the far tails of exp
+        z = np.concatenate([rng.normal(scale=3.0, size=500), [0.0, -0.0, 40.0, -800.0]])
+        y = rng.choice([-1.0, 1.0], size=len(z))
+        grad, curv = loss.smooth_derivatives_many(z, y)
+        assert grad.tobytes() == _frozen_smooth_grad_many(loss, z, y).tobytes()
+        assert curv.tobytes() == _frozen_smooth_curv_many(loss, z, y).tobytes()
+
+    @pytest.mark.parametrize("kind", ("logistic", "squared"))
+    @pytest.mark.parametrize("n", (1, 10, 300))
+    @pytest.mark.parametrize("warm", (False, True))
+    def test_weighted_loss_program(self, monkeypatch, kind, n, warm):
+        rng, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
+        start = rng.normal(size=xs.shape[1]) if warm else None
+        new, frozen, _, _ = _solve_both(
+            monkeypatch, lambda: minimize_weighted_loss(loss, xs, ys, ws, 1.0, start=start))
+        _assert_bit_identical(new, frozen)
+
+    @pytest.mark.parametrize("kind", ("logistic", "squared"))
+    @pytest.mark.parametrize("n", (1, 10, 300))
+    @pytest.mark.parametrize("warm", (False, True))
+    def test_capped_linear_program(self, monkeypatch, kind, n, warm):
+        _, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
+        base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
+        starts = (base.point,) if warm else ()
+        new, frozen, _, _ = _solve_both(
+            monkeypatch, lambda: minimize_linear(direction, 1.0, cap, starts))
+        _assert_bit_identical(new, frozen)
+
+    @pytest.mark.parametrize("kind", ("logistic", "squared"))
+    def test_phase_one_fallback(self, monkeypatch, kind):
+        # a cap too tight for the origin and no start candidates: the cap
+        # minimizer from phase I is the only strictly feasible start
+        _, loss, xs, ys, ws = _differential_program(kind, 10, seed=3)
+        _, cap, direction = _active_cap(loss, xs, ys, ws, slack=1e-3)
+        assert cap.value(np.zeros(xs.shape[1])) > 0
+        new, frozen, _, phase_one = _solve_both(
+            monkeypatch, lambda: minimize_linear(direction, 1.0, cap))
+        assert phase_one == 1
+        _assert_bit_identical(new, frozen)
+
+    @pytest.mark.parametrize("program", ("weighted-loss", "capped-linear"))
+    def test_undamped_quadratic_phase(self, monkeypatch, program):
+        _, loss, xs, ys, ws = _differential_program("logistic", 10, seed=4)
+        if program == "weighted-loss":
+            def solve():
+                return minimize_weighted_loss(loss, xs, ys, ws, 1.0)
+        else:
+            base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
+
+            def solve():
+                return minimize_linear(direction, 1.0, cap, (base.point,))
+        new, frozen, branches, _ = _solve_both(monkeypatch, solve)
+        assert branches["quadratic"] > 0 and branches["damped"] > 0
+        _assert_bit_identical(new, frozen)
+
+
+# Optimality within the reported gap: the barrier method stops at m/t, which
+# bounds how far the returned value can sit above any feasible point.
+@st.composite
+def _programs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("logistic", "squared")))
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    norm_bound = draw(st.floats(0.25, 4.0))
+    _, loss, xs, ys, ws = _differential_program(kind, n, seed, dim)
+    return np.random.default_rng(seed + 1), loss, xs, ys, ws, norm_bound
+
+
+def _ball_points(rng, count, dim, norm_bound):
+    """Uniform directions at radii spread over [0, sqrt(norm_bound)]."""
+    v = rng.normal(size=(count, dim))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v * (math.sqrt(norm_bound) * rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim))[:, None]
+
+
+class TestOptimalityWithinGap:
+    @settings(max_examples=40, deadline=None)
+    @given(_programs())
+    def test_weighted_loss_beats_every_ball_point(self, program):
+        rng, loss, xs, ys, ws, norm_bound = program
+        result = minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
+        assert float(result.point @ result.point) < norm_bound
+        points = _ball_points(rng, 200, xs.shape[1], norm_bound)
+        objective = WeightedLossCap(loss, xs, ys, ws, 0.0)
+        best = min(objective.value(v) for v in points)
+        assert result.value <= best + result.diagnostics.final_gap + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(_programs(), st.floats(0.05, 2.0))
+    def test_capped_linear_beats_every_feasible_point(self, program, slack):
+        rng, loss, xs, ys, ws, norm_bound = program
+        base = minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
+        cap = WeightedLossCap(loss, xs, ys, ws, bound=base.value + slack)
+        direction = rng.normal(size=xs.shape[1])
+        result = minimize_linear(direction, norm_bound, cap, (base.point,))
+        if not result.diagnostics.used_shortcut:
+            assert float(result.point @ result.point) < norm_bound
+            assert cap.value(result.point) < 0
+        # the cap minimizer is feasible, so the comparison is never empty
+        points = [*_ball_points(rng, 400, xs.shape[1], norm_bound), base.point]
+        feasible = [v for v in points if cap.value(v) <= 0]
+        assert feasible
+        for v in feasible:
+            assert result.value <= float(direction @ v) + result.diagnostics.final_gap + 1e-9

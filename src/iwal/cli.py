@@ -18,23 +18,18 @@ import numpy as np
 
 from . import theory
 from .errors import ConfigError, DatasetFormatError, IwalError
-from .harness import ExperimentConfig, emit_curves, run_replicates
+from .harness import SLACK_MODES, ExperimentConfig, emit_curves, run_replicates
 from .hypotheses import LinearPredictor
 from .instances import SphereInstance, lower_bound_instance
 from .losses import LossFunction
 
 
 def _apply_overrides(payload: dict, args) -> dict:
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.strategy is not None:
-        payload["strategy"] = args.strategy
-    if args.delta is not None:
-        payload["confidence"] = args.delta
-    if args.pmin is not None:
-        payload["p_min"] = args.pmin
-    if args.slack is not None:
-        payload["slack_mode"] = args.slack
+    for flag, key in (("seed", "seed"), ("strategy", "strategy"),
+                      ("delta", "confidence"), ("pmin", "p_min"),
+                      ("slack", "slack_mode")):
+        if getattr(args, flag) is not None:
+            payload[key] = getattr(args, flag)
     return payload
 
 
@@ -49,11 +44,15 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_apply_overrides(payload, args))
 
 
+def _emit_all(reports, out) -> list:
+    """Each report's output paths; file names carry the seed when replicated."""
+    return [emit_curves(r, out, f"seed{r.seed}" if len(reports) > 1 else "")
+            for r in reports]
+
+
 def cmd_run(args) -> int:
     reports, aggregate = run_replicates(_load_config(args))
-    for report in reports:
-        stem = f"seed{report.seed}" if len(reports) > 1 else ""
-        paths = emit_curves(report, args.out, stem)
+    for report, paths in zip(reports, _emit_all(reports, args.out)):
         print(f"seed {report.seed}: queries {report.active.queries}"
               f"/{report.steps} ({report.query_fraction():.1%}),"
               f" final test loss {report.active.final_loss:.4f}"
@@ -70,9 +69,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     reports, aggregate = run_replicates(_load_config(args))
     if args.out:
-        for report in reports:
-            stem = f"seed{report.seed}" if len(reports) > 1 else ""
-            emit_curves(report, args.out, stem)
+        _emit_all(reports, args.out)
     header = f"{'seed':>6} {'queries':>9} {'fraction':>9} {'active':>10} {'passive':>10}"
     print(header)
     for r in reports:
@@ -192,25 +189,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a configured experiment")
-    run.add_argument("config", help="path to a JSON experiment config")
-    run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--strategy")
-    run.add_argument("--delta", type=float)
-    run.add_argument("--pmin", type=float)
-    run.add_argument("--slack", choices=["paper", "optimistic"])
-    run.set_defaults(fn=cmd_run)
-
-    compare = sub.add_parser("compare", help="paired active vs passive table")
-    compare.add_argument("config")
-    compare.add_argument("--out", default=None)
-    compare.add_argument("--seed", type=int)
-    compare.add_argument("--strategy")
-    compare.add_argument("--delta", type=float)
-    compare.add_argument("--pmin", type=float)
-    compare.add_argument("--slack", choices=["paper", "optimistic"])
-    compare.set_defaults(fn=cmd_compare)
+    for name, fn, out, text in (
+            ("run", cmd_run, "out", "run a configured experiment"),
+            ("compare", cmd_compare, None, "paired active vs passive table")):
+        experiment = sub.add_parser(name, help=text)
+        experiment.add_argument("config", help="path to a JSON experiment config")
+        experiment.add_argument("--out", default=out, help="output directory")
+        experiment.add_argument("--seed", type=int)
+        experiment.add_argument("--strategy")
+        experiment.add_argument("--delta", type=float)
+        experiment.add_argument("--pmin", type=float)
+        experiment.add_argument("--slack", choices=SLACK_MODES)
+        experiment.set_defaults(fn=fn)
 
     probe = sub.add_parser("probe", help="theory probes")
     probe_sub = probe.add_subparsers(dest="probe_command", required=True)

@@ -9,6 +9,9 @@ resulting sample is unbiased for the true loss of any fixed hypothesis.
 The engine is the only writer of its arm's store: the `WeightedSample` of
 queried examples and, for a finite class, the member loss sums. It hands
 itself to the threshold once, when built, and the threshold reads from it.
+The `QueryTrace` holds the per-step facts as two columns, the query
+probability p and the coin q, with the step t given by the position; the x
+and y of a queried step live only in the sample.
 """
 
 from __future__ import annotations
@@ -36,27 +39,29 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class QueryTrace:
-    """Per-step record of the sampling decisions."""
+    """Per-step sampling decisions: p[i] and q[i] belong to step t = i + 1."""
 
-    records: list = field(default_factory=list)
+    p: list = field(default_factory=list)
+    q: list = field(default_factory=list)
 
-    def append(self, record: StepRecord) -> None:
-        self.records.append(record)
+    def append(self, p: float, queried: int) -> None:
+        self.p.append(p)
+        self.q.append(queried)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.p)
 
     def query_count(self) -> int:
-        return sum(r.queried for r in self.records)
+        return sum(self.q)
 
     def write_csv(self, path) -> None:
         cum = 0
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "p_t", "q_t", "cum_queries"])
-            for r in self.records:
-                cum += r.queried
-                writer.writerow([r.t, repr(r.p), r.queried, cum])
+            for t, (p, queried) in enumerate(zip(self.p, self.q), start=1):
+                cum += queried
+                writer.writerow([t, repr(p), queried, cum])
 
 
 def weighted_loss_estimate(records, predictor, loss: LossFunction,
@@ -104,7 +109,6 @@ class Engine:
         self.sample = WeightedSample()
         self.member_sums = None
         self.trace = QueryTrace()
-        self.oracle_calls = 0
         self._current = None
         self._fit_rows = 0            # sample rows the current ERM covers
         if isinstance(hypothesis_class, FiniteClass):
@@ -127,16 +131,14 @@ class Engine:
         y = None
         if queried:
             y = float(oracle(self.t - 1, x))
-            self.oracle_calls += 1
             weight = 1.0 / p
             self.sample.append(x, y, weight)
             if self.member_sums is not None:
                 self.member_sums += weight * member_losses(
                     self.hypothesis_class.members, x, self.loss, (y,))[0]
         self.threshold.record(x, y, p, queried)
-        record = StepRecord(self.t, x, y, p, queried)
-        self.trace.append(record)
-        return record
+        self.trace.append(p, queried)
+        return StepRecord(self.t, x, y, p, queried)
 
     def refresh_hypothesis(self):
         """The running minimizer over every queried row (None without a class)."""

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -44,6 +44,7 @@ _NUMBER_TYPES = {"train_size": Integral, "test_size": Integral,
                  "checkpoint_every": Integral}
 _COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
                        "max_depth": 8, "min_leaf": 2}
+CLASS_KINDS = ("linear", "finite")
 
 
 def _require_number(name: str, value, kind) -> None:
@@ -57,6 +58,11 @@ def _require_number(name: str, value, kind) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment, checked when built. `p_min`, the floor on every query
+    probability, is read by every strategy; `slack_mode` by both
+    loss-weighting strategies; `confidence` and `slack_constant` by
+    loss-weighting-finite only; `committee` by bootstrap only."""
+
     dataset: dict
     strategy: str
     train_size: int
@@ -74,11 +80,6 @@ class ExperimentConfig:
     checkpoint_every: int | None = None
     standardize: bool = False
     committee: dict = field(default_factory=dict)
-
-    _KEYS = ("dataset", "strategy", "train_size", "test_size", "seed",
-             "loss_kind", "range_bound", "class_spec", "confidence",
-             "slack_mode", "slack_constant", "p_min", "replicates",
-             "checkpoint_every", "standardize", "committee")
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -99,8 +100,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name != "checkpoint_every":
                 _require_number(name, value, kind)
+        class_kind = self.class_spec.get("kind", "linear")
+        if class_kind not in CLASS_KINDS:
+            raise ConfigError(f"unknown class kind {class_kind!r}")
+        if self.strategy == "loss-weighting-linear" and class_kind != "linear":
+            raise ConfigError("loss-weighting-linear needs a linear class spec")
         linear = (self.strategy in ("passive", "loss-weighting-linear")
-                  and self.class_spec.get("kind", "linear") != "finite")
+                  and class_kind == "linear")
         if linear and self.loss_kind not in SMOOTH_KINDS:
             raise ConfigError(f"a linear class needs a smooth loss "
                               f"{SMOOTH_KINDS}, got {self.loss_kind!r}")
@@ -116,13 +122,8 @@ class ExperimentConfig:
             raise ConfigError("range_bound must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be positive")
-        unknown = set(self.committee) - set(_COMMITTEE_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown committee options {sorted(unknown)}")
-        self.committee = {**_COMMITTEE_DEFAULTS, **self.committee}
-        for name, value in self.committee.items():
-            kind = Real if name in ("p_min", "initial_fraction") else Integral
-            _require_number(f"committee {name}", value, kind)
+        self.committee = _options(self.committee, "committee",
+                                  _COMMITTEE_DEFAULTS)
         if not 0.0 < self.committee["initial_fraction"] < 1.0:
             raise ConfigError("committee initial_fraction must lie in (0, 1)")
         if self.committee["size"] < 2:
@@ -136,7 +137,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        unknown = set(payload) - set(cls._KEYS)
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         missing = {"dataset", "strategy", "train_size", "test_size", "seed"} - set(payload)
@@ -148,7 +149,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in self._KEYS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def checkpoint_interval(self) -> int:
         if self.checkpoint_every is not None:
@@ -339,12 +340,8 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
         return LossWeightingFinite(cls, loss, config.confidence,
                                    config.slack_mode, config.slack_constant,
                                    labels), cls
-    if config.strategy == "loss-weighting-linear":
-        if not isinstance(cls, LinearBall):
-            raise ConfigError("loss-weighting-linear needs a linear class spec")
-        return LossWeightingLinear(dim, norm_bound, loss, config.confidence,
-                                   config.slack_mode, labels), cls
-    raise ConfigError(f"strategy {config.strategy} is not engine-based")
+    return LossWeightingLinear(dim, norm_bound, loss, config.slack_mode,
+                               labels), cls
 
 
 def _run_arm(config, engine, oracle, model, X_train, X_test, y_test,
@@ -407,7 +404,7 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         committee = bs.train_committee(X0, y0, committee_rng, size=opts["size"],
                                        p_min=opts["p_min"], params=params)
         threshold = bs.CommitteeThreshold(committee, loss, labels)
-    engine = Engine(loss, threshold, engine_rng, hypothesis_class=None)
+    engine = Engine(loss, threshold, engine_rng, p_min=config.p_min)
     prefix_examples = bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
 
     def snapshot(checkpoint_index):

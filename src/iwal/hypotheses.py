@@ -210,7 +210,7 @@ def member_losses(members, x, loss: LossFunction, labels) -> list:
 
 
 def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
-                 solver_options=None, start=None):
+                 start=None):
     """Importance-weighted empirical risk minimizer over the class.
 
     Finite classes are scanned exhaustively; the first minimizer in member
@@ -231,7 +231,6 @@ def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
             return LinearPredictor(np.zeros(hypothesis_class.dim), loss.range_bound)
         result = solver.minimize_weighted_loss(
             loss, sample.X, sample.y, sample.w, hypothesis_class.norm_bound,
-            start=start, options=solver_options,
-        )
+            start=start)
         return LinearPredictor(result.point, loss.range_bound)
     raise TypeError(f"unsupported hypothesis class {type(hypothesis_class).__name__}")

@@ -153,17 +153,6 @@ class LossWeightingFinite:
     def record(self, x, y, p, queried) -> None:
         pass
 
-    def average_losses(self) -> np.ndarray:
-        """Importance-weighted average losses over the steps seen so far."""
-        if self.t == 0:
-            return np.zeros(len(self.members))
-        return self.loss_sums / self.t
-
-    def best_survivor(self) -> int:
-        """Index of the surviving member with the smallest weighted loss."""
-        averages = np.where(self.alive, self.loss_sums, math.inf)
-        return int(np.argmin(averages))
-
 
 class LossWeightingLinear:
     """Survivor threshold for the linear ball via two convex solves per point.
@@ -176,8 +165,7 @@ class LossWeightingLinear:
     """
 
     def __init__(self, dim: int, norm_bound: float, loss: LossFunction,
-                 confidence: float = 0.1, slack_mode: str = "paper",
-                 labels=(-1.0, 1.0), solver_options=None):
+                 slack_mode: str = "paper", labels=(-1.0, 1.0)):
         if slack_mode not in ("paper", "optimistic"):
             raise ValueError(f"unknown slack mode {slack_mode!r}")
         if loss.kind not in SMOOTH_KINDS:
@@ -188,10 +176,8 @@ class LossWeightingLinear:
         self.dim = dim
         self.norm_bound = float(norm_bound)
         self.loss = loss
-        self.confidence = confidence
         self.slack_mode = slack_mode
         self.labels = tuple(labels)
-        self.options = solver_options or solver.DEFAULT_OPTIONS
         self.t = 0
         self.sample = None            # the engine's WeightedSample
         self._erm_point = np.zeros(dim)
@@ -214,8 +200,7 @@ class LossWeightingLinear:
             return
         result = solver.minimize_weighted_loss(
             self.loss, sample.X, sample.y, sample.w, self.norm_bound,
-            start=self._erm_point, options=self.options,
-        )
+            start=self._erm_point)
         self._erm_point = result.point
         self._erm_sum = result.value
         self._erm_rows = len(sample)
@@ -254,8 +239,8 @@ class LossWeightingLinear:
         cap = self._retained_cap(self.t - 1)
         self.solve_count += 2
         starts = (self._erm_point,)
-        low = solver.minimize_linear(x, self.norm_bound, cap, starts, self.options)
-        high = solver.minimize_linear(-x, self.norm_bound, cap, starts, self.options)
+        low = solver.minimize_linear(x, self.norm_bound, cap, starts)
+        high = solver.minimize_linear(-x, self.norm_bound, cap, starts)
         lo, hi = low.value, -high.value
         if lo > hi:
             lo = hi = 0.5 * (lo + hi)
@@ -264,10 +249,7 @@ class LossWeightingLinear:
     def probability(self, x) -> float:
         self.t += 1
         lo, hi = self.prediction_interval(x)
-        p = self.loss.interval_spread(lo, hi, self.labels)
-        if p < 0.0:
-            p = 0.0 if p >= _NOISE_FLOOR else p
-        return min(p, 1.0)
+        return self.loss.interval_spread(lo, hi, self.labels)
 
     def record(self, x, y, p, queried) -> None:
         pass
@@ -276,7 +258,6 @@ class LossWeightingLinear:
         return {
             "interval_solves": self.solve_count,
             "erm_solves": self.erm_solve_count,
-            "queried": len(self.sample),
         }
 
 

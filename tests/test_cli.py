@@ -30,10 +30,11 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["strategy"] == "loss-weighting-finite"
 
-    def test_overrides_apply(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_overrides_apply(self, tmp_path, command):
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", str(config), "--out", str(out),
+        assert main([command, str(config), "--out", str(out),
                      "--strategy", "passive", "--seed", "11"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["strategy"] == "passive"
@@ -134,6 +135,27 @@ class TestRun:
         assert err.startswith("config error: ")
         assert message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"class_spec": {"kind": "quadratic"}}, "unknown class kind 'quadratic'"),
+        ({"strategy": "loss-weighting-linear", "class_spec": {"kind": "cubic"}},
+         "unknown class kind 'cubic'"),
+        ({"strategy": "loss-weighting-linear",
+          "class_spec": {"kind": "finite", "size": 4}},
+         "loss-weighting-linear needs a linear class spec"),
+    ])
+    def test_bad_class_kind_is_a_config_error(self, tmp_path, capsys,
+                                              overrides, message, monkeypatch):
+        import iwal.harness
+
+        def no_data(*args):
+            raise AssertionError("the data was built before the check")
+
+        monkeypatch.setattr(iwal.harness, "build_data", no_data)
+        config = write_config(tmp_path, **overrides)
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1

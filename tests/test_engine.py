@@ -70,7 +70,7 @@ class TestStep:
         for i in range(300):
             engine.step(rng.normal(size=2), oracle)
         assert oracle.calls == engine.trace.query_count()
-        assert oracle.calls == engine.oracle_calls
+        assert oracle.calls == len(engine.sample)
 
     def test_weights_are_inverse_probabilities(self, rng):
         engine = make_engine(0.25, seed=3)
@@ -165,8 +165,8 @@ class TestRunStream:
         h1, t1 = run()
         h2, t2 = run()
         assert h1 is h2  # same member object chosen
-        assert [(r.t, r.p, r.queried) for r in t1.records] == \
-               [(r.t, r.p, r.queried) for r in t2.records]
+        assert len(t1) == len(t2) == 120
+        assert (t1.p, t1.q) == (t2.p, t2.q)
 
     def test_separable_stream_queries_less_than_passive(self, rng):
         loss = LossFunction("logistic", 1.0)

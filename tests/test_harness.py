@@ -144,6 +144,29 @@ class TestRunExperiment:
         assert report.passive.queries == 200
         assert report.active.final_error is not None
 
+    def test_bootstrap_respects_top_level_p_min(self):
+        config = base_config(strategy="bootstrap", p_min=0.95,
+                             train_size=200, test_size=100)
+        report = run_experiment(config)
+        assert len(report.active.trace) == 180
+        assert min(report.active.trace.p) >= 0.95
+
+    def test_standardize_with_constant_feature(self, tmp_path, rng):
+        from iwal.datasets import save_csv
+
+        X = rng.normal(size=(150, 3))
+        X[:, 1] = 4.0
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        path = tmp_path / "d.csv"
+        save_csv(path, X, y)
+        config = base_config(dataset={"kind": "file", "path": str(path)},
+                             strategy="loss-weighting-linear",
+                             train_size=100, test_size=50, standardize=True)
+        report = run_experiment(config)
+        for arm in (report.active, report.passive):
+            assert math.isfinite(arm.final_loss)
+            assert 0.0 <= arm.final_error < 0.5
+
     def test_point_mass_faithful_labels_skip_error_metric(self):
         config = base_config(
             dataset={"kind": "point-mass", "beta": 0.3,

@@ -199,7 +199,7 @@ class TestRealizedQueriesAgainstBound:
             engine = Engine(loss, threshold, run_rng, hypothesis_class=cls)
             X, y = instance.sample(np.random.default_rng(1000 + seed), T)
             engine.run_stream(X, ArrayOracle(y))
-            realized = sum(r.p for r in engine.trace.records)
+            realized = sum(engine.trace.p)
             if realized <= bound:
                 hits += 1
         assert hits >= 0.9 * seeds

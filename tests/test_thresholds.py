@@ -159,15 +159,25 @@ class TestLossWeightingFinite:
         threshold, history, _ = self._drive(rng, members, loss, 40)
         assert all(0.0 <= p <= 1.0 for _, _, p, _ in history)
 
-    def test_best_survivor_is_weighted_argmin(self, rng):
+    def test_best_survivor_is_weighted_argmin(self):
+        # the survivor with the smallest weighted loss sum after step t is
+        # still alive after step t + 1: shrinking never drops the minimizer
         loss = LossFunction("logistic", 1.0)
-        members = random_linear_predictors(rng, 12, 2)
-        threshold, history, _ = self._drive(rng, members, loss, 50)
-        best = threshold.best_survivor()
-        averages = threshold.average_losses()
-        alive = threshold.alive
-        assert alive[best]
-        assert averages[best] == pytest.approx(averages[alive].min())
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cls = FiniteClass(tuple(random_linear_predictors(rng, 32, 2)))
+            threshold = LossWeightingFinite(cls, loss, slack_mode="optimistic")
+            engine = Engine(loss, threshold, rng, hypothesis_class=cls)
+            states = []
+            for _ in range(200):
+                engine.step(rng.normal(size=2),
+                            lambda i, x: 1.0 if x[0] - 0.5 * x[1] > 0 else -1.0)
+                states.append((engine.member_sums.copy(),
+                               threshold.alive.copy()))
+            assert states[-1][1].sum() < 16     # the set did shrink
+            for (sums, alive), (_, alive_next) in zip(states, states[1:]):
+                best = int(np.argmin(np.where(alive, sums, math.inf)))
+                assert alive[best] and alive_next[best]
 
 
 class TestLossWeightingLinear:

@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidTraceError
-from .hypotheses import (FiniteClass, LinearBall, WeightedSample, erm_weighted,
-                         member_losses)
+from .hypotheses import FiniteClass, LinearBall, WeightedSample, erm_weighted
 from .losses import LossFunction
 from .thresholds import validate_probability
 
@@ -90,7 +89,7 @@ class Engine:
 
     The hypothesis class may be None when only the query trace matters.
     Finite classes keep incremental per-member weighted loss sums in
-    `member_sums` (None otherwise), adding O(|H|) work per queried point.
+    `member_sums` (None otherwise), from one batched prediction per query.
     The running minimizer is computed only when `refresh_hypothesis` reads
     it: the argmin of the sums for a finite class, an ERM solve warm-started
     from the last one for the linear ball.
@@ -134,8 +133,8 @@ class Engine:
             weight = 1.0 / p
             self.sample.append(x, y, weight)
             if self.member_sums is not None:
-                self.member_sums += weight * member_losses(
-                    self.hypothesis_class.members, x, self.loss, (y,))[0]
+                self.member_sums += weight * self.loss.eval_many(
+                    self.hypothesis_class.predict(x), y)
         self.threshold.record(x, y, p, queried)
         self.trace.append(p, queried)
         return StepRecord(self.t, x, y, p, queried)

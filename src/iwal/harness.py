@@ -15,8 +15,9 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -29,19 +30,12 @@ from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
 from .instances import (SphereInstance, lower_bound_instance,
                         point_mass_instance)
 from .losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
-from .thresholds import (ConstantThreshold, LossWeightingFinite,
+from .thresholds import (SLACK_MODES, ConstantThreshold, LossWeightingFinite,
                          LossWeightingLinear)
 from .trees import TreeParams
 
 STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
               "bootstrap")
-SLACK_MODES = ("paper", "optimistic")
-
-# expected type of every numeric option; the last two may also be None
-_NUMBER_TYPES = {"train_size": Integral, "test_size": Integral,
-                 "seed": Integral, "replicates": Integral, "range_bound": Real,
-                 "confidence": Real, "slack_constant": Real, "p_min": Real,
-                 "checkpoint_every": Integral}
 _COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
                        "max_depth": 8, "min_leaf": 2}
 CLASS_KINDS = ("linear", "finite")
@@ -96,9 +90,9 @@ class ExperimentConfig:
             raise ConfigError("committee must be a dict")
         if self.seed is None:
             raise ConfigError("a seed is required; unseeded runs are not allowed")
-        for name, kind in _NUMBER_TYPES.items():
+        for name, (kind, optional) in _NUMBER_TYPES.items():
             value = getattr(self, name)
-            if value is not None or name != "checkpoint_every":
+            if value is not None or not optional:
                 _require_number(name, value, kind)
         class_kind = self.class_spec.get("kind", "linear")
         if class_kind not in CLASS_KINDS:
@@ -140,7 +134,8 @@ class ExperimentConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        missing = {"dataset", "strategy", "train_size", "test_size", "seed"} - set(payload)
+        missing = {f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING} - set(payload)
         if missing:
             raise ConfigError(f"missing config keys {sorted(missing)}")
         try:
@@ -155,6 +150,13 @@ class ExperimentConfig:
         if self.checkpoint_every is not None:
             return self.checkpoint_every
         return max(1, self.train_size // 100)
+
+
+# {name: (Integral or Real, None allowed)} of each int, float or `| None` field
+_NUMBER_TYPES = {name: (kind, type(None) in get_args(hint))
+                 for name, hint in get_type_hints(ExperimentConfig).items()
+                 for base, kind in ((int, Integral), (float, Real))
+                 if hint in (base, base | None)}
 
 
 @dataclass

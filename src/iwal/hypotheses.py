@@ -7,12 +7,12 @@ into the loss's prediction range so that normalized losses stay in [0, 1]
 even when the raw inner product exceeds the range.
 
 Each arm keeps its queried examples in one columnar `WeightedSample`, which
-ERM reads directly; every finite-class loss goes through `member_losses`.
+ERM reads directly; a finite class predicts all its members in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,14 +177,37 @@ class FiniteClass:
     """An explicit, ordered hypothesis set; order breaks ERM ties."""
 
     members: tuple
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("a finite hypothesis class must be nonempty")
+        kinds = {(type(h), getattr(h, "range_bound", 0)) for h in self.members}
+        if len(kinds) == 1 and type(self.members[0]) in (LinearPredictor, ThresholdPredictor):
+            object.__setattr__(self, "_weights", np.stack(
+                [h.weights for h in self.members])[:, None, :])
 
     def __len__(self):
         return len(self.members)
+
+    def predict(self, x) -> np.ndarray:
+        """Every member's prediction on x (each row of a 2-D x), in member order.
+        Linear members with one range bound, or threshold members, form a weight
+        matrix; each (1 x d)(d x 1) item of its batched matmul is the BLAS ddot
+        of the member's `w @ x`, bit for bit, as long as x is used as given."""
+        x, W = np.asarray(x, dtype=float), self._weights
+        if W is None and x.ndim > 1:
+            return np.array([self.predict(r) for r in x]).reshape(len(x), len(self))
+        if W is None:
+            return np.fromiter((h.predict(x) for h in self.members), float, len(self))
+        if x.shape[-1:] != W.shape[2:]:
+            raise DimensionMismatchError(f"expected dimension {W.shape[2]}, got {x.shape}")
+        z = np.matmul(W, x[..., None, :, None])[..., 0, 0]
+        if isinstance(self.members[0], ThresholdPredictor):
+            return np.where(z >= 0, 1.0, -1.0)
+        b = self.members[0].range_bound
+        return np.minimum(np.maximum(z, -b, out=z), b, out=z)
 
 
 @dataclass(frozen=True)
@@ -201,14 +224,6 @@ class LinearBall:
             raise ValueError("norm_bound must be positive")
 
 
-def member_losses(members, x, loss: LossFunction, labels) -> list:
-    """Normalized loss of every member on x, one array per label.
-
-    Members predict one by one; only the loss step is vectorized."""
-    z = np.fromiter((h.predict(x) for h in members), float, len(members))
-    return [loss.eval_many(z, y) for y in labels]
-
-
 def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
                  start=None):
     """Importance-weighted empirical risk minimizer over the class.
@@ -219,11 +234,11 @@ def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
     member 0, or the zero vector.
     """
     if isinstance(hypothesis_class, FiniteClass):
-        members = hypothesis_class.members
-        sums = np.zeros(len(members))
-        for x, y, w in zip(sample.X, sample.y.tolist(), sample.w.tolist()):
-            sums += w * member_losses(members, x, loss, (y,))[0]
-        return members[int(np.argmin(sums))]
+        sums = np.zeros(len(hypothesis_class))
+        Z = hypothesis_class.predict(sample.X) if len(sample) else ()
+        for z, y, w in zip(Z, sample.y.tolist(), sample.w.tolist()):
+            sums += w * loss.eval_many(z, y)
+        return hypothesis_class.members[int(np.argmin(sums))]
     if isinstance(hypothesis_class, LinearBall):
         from . import solver  # deferred: solver imports losses
 

@@ -213,3 +213,10 @@ class LossFunction:
             mn, mx = self._extremes_on_interval(lo, hi, y)
             spread = max(spread, mx - mn)
         return min(max(spread, 0.0), 1.0)
+
+    def spread_many(self, z: np.ndarray, labels=(-1.0, 1.0)) -> float:
+        """Largest over labels of (max - min) normalized loss over predictions z."""
+        spread = 0.0
+        for values in (self.eval_many(z, y) for y in labels):
+            spread = max(spread, float(values.max() - values.min()))
+        return min(max(spread, 0.0), 1.0)

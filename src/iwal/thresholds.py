@@ -20,10 +20,11 @@ import numpy as np
 
 from . import solver
 from .errors import ThresholdContractError, UnsupportedLossError
-from .hypotheses import FiniteClass, LinearPredictor, member_losses
+from .hypotheses import FiniteClass, LinearPredictor
 from .losses import SMOOTH_KINDS, LossFunction
 
 _NOISE_FLOOR = -1e-9
+SLACK_MODES = ("paper", "optimistic")
 
 
 def slack_width(t: int, class_size: int, confidence: float,
@@ -80,10 +81,7 @@ def loss_spread_finite(x, predictors, loss: LossFunction,
     Equals the maximum over ordered pairs (f, g) and labels y of
     l(f(x), y) - l(g(x), y); computed per label as max - min.
     """
-    spread = 0.0
-    for values in member_losses(predictors, x, loss, labels):
-        spread = max(spread, float(values.max() - values.min()))
-    return min(max(spread, 0.0), 1.0)
+    return loss.spread_many(FiniteClass(predictors).predict(x), labels)
 
 
 class ConstantThreshold:
@@ -116,9 +114,9 @@ class LossWeightingFinite:
     def __init__(self, hypothesis_class: FiniteClass, loss: LossFunction,
                  confidence: float = 0.1, slack_mode: str = "paper",
                  slack_constant: float = 8.0, labels=(-1.0, 1.0)):
-        if slack_mode not in ("paper", "optimistic"):
+        if slack_mode not in SLACK_MODES:
             raise ValueError(f"unknown slack mode {slack_mode!r}")
-        self.members = hypothesis_class.members
+        self.hypothesis_class = hypothesis_class
         self.loss = loss
         self.confidence = confidence
         self.slack_mode = slack_mode
@@ -126,19 +124,19 @@ class LossWeightingFinite:
         self.labels = tuple(labels)
         self.t = 0
         self.loss_sums = None
-        self.alive = np.ones(len(self.members), dtype=bool)
+        self.alive = np.ones(len(hypothesis_class), dtype=bool)
 
     def attach(self, engine) -> None:
         """Read the member loss sums of an engine built on this class."""
         members = getattr(engine.hypothesis_class, "members", None)
-        if members is not self.members or engine.loss != self.loss:
+        if members is not self.hypothesis_class.members or engine.loss != self.loss:
             raise ValueError("the engine must run this threshold's class and loss")
         self.loss_sums = engine.member_sums
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
             return optimistic_slack(t)
-        return slack_width(t, len(self.members), self.confidence,
+        return slack_width(t, len(self.hypothesis_class), self.confidence,
                            self.slack_constant)
 
     def probability(self, x) -> float:
@@ -147,8 +145,7 @@ class LossWeightingFinite:
         if seen >= 1:
             averages = self.loss_sums / seen
             self.alive = shrink_survivors(averages, self.alive, self.slack(seen))
-        survivors = [h for h, a in zip(self.members, self.alive) if a]
-        return loss_spread_finite(x, survivors, self.loss, self.labels)
+        return self.loss.spread_many(self.hypothesis_class.predict(x)[self.alive], self.labels)
 
     def record(self, x, y, p, queried) -> None:
         pass
@@ -166,7 +163,7 @@ class LossWeightingLinear:
 
     def __init__(self, dim: int, norm_bound: float, loss: LossFunction,
                  slack_mode: str = "paper", labels=(-1.0, 1.0)):
-        if slack_mode not in ("paper", "optimistic"):
+        if slack_mode not in SLACK_MODES:
             raise ValueError(f"unknown slack mode {slack_mode!r}")
         if loss.kind not in SMOOTH_KINDS:
             raise UnsupportedLossError(

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from iwal.errors import DimensionMismatchError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
@@ -164,6 +166,66 @@ class TestFiniteErm:
             winner = erm_weighted(cls, sample, loss)
             best = min(weighted_total_loss(h, sample, loss) for h in members)
             assert weighted_total_loss(winner, sample, loss) == pytest.approx(best)
+
+
+def _members(rng, kind, size, dim):
+    if kind == "threshold":
+        return tuple(ThresholdPredictor(rng.normal(size=dim)) for _ in range(size))
+    return tuple(LinearPredictor(rng.normal(size=dim), 0.5) for _ in range(size))
+
+
+class TestFiniteClassPredict:
+    # The class's prediction vector must equal its members' own `predict`
+    # bit for bit, or traces move. On OpenBLAS 0.3.31 (x86_64, Haswell
+    # kernels), the matrix-vector product `W @ x` (gemv) differs from the
+    # per-member `w @ x` (ddot) in the last bit on 33-68% of products for d
+    # from 2 to 20, and the matrix product `X @ W.T` (gemm) on 60% at d = 20
+    # (it happens to match for d <= 13), so the class must use neither.
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["linear", "threshold"]),
+           dim=st.integers(1, 20), size=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matrix_path_matches_members_bit_for_bit(self, kind, dim, size, seed):
+        rng = np.random.default_rng(seed)
+        cls = FiniteClass(_members(rng, kind, size, dim))
+        X = rng.normal(size=(16, dim))
+        for rows in (X, np.asfortranarray(X)):
+            expected = np.array([[h.predict(x) for h in cls.members] for x in rows])
+            got = np.array([cls.predict(x) for x in rows])
+            assert got.tobytes() == expected.tobytes()
+            assert cls.predict(rows).tobytes() == expected.tobytes()
+
+    def test_matrix_only_for_one_member_kind_and_range(self, rng):
+        linear = _members(rng, "linear", 4, 3)
+        assert FiniteClass(linear)._weights.flags.c_contiguous
+        assert FiniteClass(_members(rng, "threshold", 4, 3))._weights is not None
+        mixed = (*linear, LinearPredictor(rng.normal(size=3), 2.0))
+        for members in (mixed, (*linear, ThresholdPredictor(np.ones(3))),
+                        (ConstantPredictor(1.0), ConstantPredictor(-1.0))):
+            cls = FiniteClass(members)
+            assert cls._weights is None
+            x = rng.normal(size=3)
+            assert cls.predict(x).tolist() == [h.predict(x) for h in members]
+
+    def test_wrong_width_rejected_on_matrix_path(self, rng):
+        cls = FiniteClass(_members(rng, "linear", 5, 3))
+        for bad in (np.ones(2), np.ones((4, 4)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatchError):
+                cls.predict(bad)
+
+    @pytest.mark.parametrize("kind,loss_kind", [
+        ("linear", "logistic"), ("linear", "squared"), ("linear", "hinge"),
+        ("threshold", "zero-one")])
+    def test_erm_equals_per_row_reference_loop(self, rng, kind, loss_kind):
+        loss = LossFunction(loss_kind, 0.5 if kind == "linear" else 1.0)
+        for dim in (1, 5, 13):
+            cls = FiniteClass(_members(rng, kind, 48, dim))
+            sample = random_weighted_examples(rng, 40, dim)
+            sums = np.zeros(len(cls))
+            for x, y, w in zip(sample.X, sample.y.tolist(), sample.w.tolist()):
+                z = np.array([h.predict(x) for h in cls.members])
+                sums += w * loss.eval_many(z, y)
+            assert erm_weighted(cls, sample, loss) is cls.members[int(np.argmin(sums))]
 
 
 class TestLinearErm:

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from iwal.engine import Engine
 from iwal.errors import ThresholdContractError, UnsupportedLossError
@@ -178,6 +180,36 @@ class TestLossWeightingFinite:
             for (sums, alive), (_, alive_next) in zip(states, states[1:]):
                 best = int(np.argmin(np.where(alive, sums, math.inf)))
                 assert alive[best] and alive_next[best]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           slack_mode=st.sampled_from(["paper", "optimistic"]),
+           p_min=st.sampled_from([0.0, 0.05, 0.3]),
+           noise=st.floats(0.0, 0.3))
+    def test_stream_invariants(self, seed, dim, slack_mode, p_min, noise):
+        # survivors only shrink and keep the survivor with the smallest sum
+        # in the engine's ledger; every p lies in [p_min, 1]; no step queries
+        # at p = 0. The argmin over all members is not kept: with optimistic
+        # slack it was dropped on 30 of 600 such streams.
+        rng = np.random.default_rng(seed)
+        loss = LossFunction("logistic", 1.0)
+        cls = FiniteClass(tuple(random_linear_predictors(rng, 16, dim)))
+        threshold = LossWeightingFinite(cls, loss, slack_mode=slack_mode,
+                                        slack_constant=0.5)
+        engine = Engine(loss, threshold, rng, hypothesis_class=cls, p_min=p_min)
+        direction = rng.normal(size=dim)
+
+        def oracle(i, x):
+            sign = 1.0 if x @ direction >= 0 else -1.0
+            return -sign if rng.random() < noise else sign
+
+        for _ in range(150):
+            alive = threshold.alive.copy()
+            best = int(np.argmin(np.where(alive, engine.member_sums, math.inf)))
+            record = engine.step(rng.normal(size=dim), oracle)
+            assert np.all(threshold.alive <= alive) and threshold.alive[best]
+            assert p_min <= record.p <= 1.0
+            assert record.p > 0.0 or not record.queried
 
 
 class TestLossWeightingLinear:

@@ -10,13 +10,12 @@ importance-weighted sample back into an unweighted one for a final learner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypotheses import WeightedSample
+from .hypotheses import FiniteClass, WeightedSample
 from .losses import LossFunction
-from .thresholds import loss_spread_finite
 from .trees import DecisionTree, TreeParams
 
 
@@ -24,12 +23,14 @@ from .trees import DecisionTree, TreeParams
 class Committee:
     members: tuple
     p_min: float = 0.1
+    finite: FiniteClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("a committee needs at least 2 members")
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must lie in (0, 1]")
+        object.__setattr__(self, "finite", FiniteClass(self.members))
 
     def __len__(self):
         return len(self.members)
@@ -52,7 +53,7 @@ def train_committee(X, y, rng: np.random.Generator, size: int = 10,
 def query_probability(x, committee: Committee, loss: LossFunction,
                       labels=(-1.0, 1.0)) -> float:
     """p_min + (1 - p_min) * largest pairwise loss difference on x."""
-    spread = loss_spread_finite(x, committee.members, loss, labels)
+    spread = loss.spread_many(committee.finite.predict(x), labels)
     return committee.p_min + (1.0 - committee.p_min) * spread
 
 

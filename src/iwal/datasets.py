@@ -4,7 +4,8 @@ CSV rows are `label,feature,feature,...`; svmlight rows are
 `label index:value ...` with 1-based indices. Labels are mapped to -1/+1 by
 sign (nonpositive raw labels become -1); a NaN label has no sign and is
 rejected. Features must be finite: NaN and infinite values are rejected.
-Parse failures report the 1-based line number.
+Parse failures report the 1-based line number, as does an svmlight file
+whose dense matrix would exceed `_MAX_DENSE_CELLS`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import DatasetFormatError
 
 FORMATS = ("csv", "svmlight")
+# most cells an svmlight file's dense matrix may have: 800 MB of floats
+_MAX_DENSE_CELLS = 10**8
 
 
 def _map_label(raw: str, line_number: int) -> float:
@@ -62,7 +65,7 @@ def _load_csv(lines) -> tuple[np.ndarray, np.ndarray]:
 
 def _load_svmlight(lines) -> tuple[np.ndarray, np.ndarray]:
     entries, labels = [], []
-    max_index = 0
+    max_index = widest = 0
     for number, line in lines:
         parts = line.split()
         labels.append(_map_label(parts[0], number))
@@ -85,8 +88,13 @@ def _load_svmlight(lines) -> tuple[np.ndarray, np.ndarray]:
                     f"line {number}: non-finite feature {token!r}", number
                 )
             row[index - 1] = value
-            max_index = max(max_index, index)
+            if index > max_index:
+                max_index, widest = index, number
         entries.append(row)
+    if len(entries) * max_index > _MAX_DENSE_CELLS:
+        raise DatasetFormatError(
+            f"line {widest}: feature index {max_index} needs a dense {len(entries)} x "
+            f"{max_index} matrix, over the {_MAX_DENSE_CELLS} cell limit", widest)
     X = np.zeros((len(entries), max_index), dtype=float)
     for i, row in enumerate(entries):
         for j, value in row.items():

@@ -14,6 +14,13 @@ differ from math.log2 in the last bit, so a gain can differ from the scalar
 1e-14 of its 1e-12 margin, the node's gains are recomputed with the scalar
 `_entropy` and the rule is replayed on those, so the tree is the one the
 sequential scan over scalar gains would grow.
+
+Presort invariant: `fit` sorts every feature once (a stable argsort of the
+root's rows). A node holds a (features, rows) index matrix whose row f lists
+its rows in the stable order of feature f. A split partitions every row by the
+threshold mask `X[feature] <= threshold`, never by cut position (a midpoint can
+round up to the upper value, whose rows then go left), so each child's rows
+stay stably sorted and see the cuts, counts and midpoints a fresh sort gives.
 """
 
 from __future__ import annotations
@@ -51,21 +58,16 @@ def _entropy(n_pos: int, n: int) -> float:
 
 
 def _entropy_many(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """`_entropy` elementwise: the same formula and operation order."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = n_pos / n
-        h = -(q * np.log2(q) + (1 - q) * np.log2(1 - q))
+    """`_entropy` elementwise: the same formula and operation order (the
+    caller silences the 0/0 and log2(0) warnings)."""
+    q = n_pos / n
+    h = -(q * np.log2(q) + (1 - q) * np.log2(1 - q))
     return np.where((n == 0) | (n_pos == 0) | (n_pos == n), 0.0, h)
 
 
 def _entropy_exact(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     """`_entropy` called once per element, for certifying near-ties."""
     return np.frompyfunc(_entropy, 2, 1)(n_pos, n).astype(float)
-
-
-def _majority(y: np.ndarray) -> float:
-    pos = int(np.sum(y > 0))
-    return 1.0 if pos * 2 >= len(y) else -1.0
 
 
 def _scan(gains: np.ndarray):
@@ -99,26 +101,26 @@ def _scan(gains: np.ndarray):
     return int(chain[-1]), close
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(values: np.ndarray, flags: np.ndarray, pos_total: int,
+                min_leaf: int):
     """(feature, threshold) of the best entropy split, or None.
 
-    X holds one row per feature. A cut after sorted position i leaves i + 1
-    points on the left; min_leaf allows lo <= i < hi.
+    values and flags (label > 0) hold one row per feature, in that feature's
+    sorted order. A cut after sorted position i leaves i + 1 points on the
+    left; min_leaf allows lo <= i < hi.
     """
-    n = X.shape[1]
+    n = values.shape[1]
     lo, hi = min_leaf - 1, n - min_leaf
-    order = np.argsort(X, axis=1, kind="stable")
-    values = np.take_along_axis(X, order, axis=1)
-    pos_left = np.cumsum(y[order] > 0, axis=1)[:, lo:hi]
-    pos_total = int(np.sum(y > 0))
+    pos_left = np.cumsum(flags, axis=1)[:, lo:hi]
     n_left = np.arange(lo + 1, hi + 1)
-    n_right = n - n_left
+    counts = np.array((pos_left, pos_total - pos_left))
+    sizes = np.array((n_left, n - n_left))[:, None]
     allowed = values[:, lo:hi] != values[:, lo + 1:hi + 1]
     parent = _entropy(pos_total, n)
 
     def gains(entropy):
-        child = (n_left * entropy(pos_left, n_left)
-                 + n_right * entropy(pos_total - pos_left, n_right)) / n
+        h = entropy(counts, sizes)
+        child = (n_left * h[0] + sizes[1] * h[1]) / n
         return np.where(allowed, parent - child, -np.inf).ravel()
 
     best, close = _scan(gains(_entropy_many))
@@ -131,22 +133,30 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     return feature, 0.5 * (values[feature, i] + values[feature, i + 1])
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: TreeParams) -> dict:
-    if (depth >= params.max_depth or len(y) < 2 * params.min_leaf
-            or np.all(y > 0) or np.all(y <= 0)):
-        return {"label": _majority(y)}
+def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, depth: int,
+          params: TreeParams) -> dict:
+    """X is the root's (features, rows) array and pos its label > 0 flags;
+    order holds the node's rows, row f in the stable order of feature f."""
+    d, n = order.shape
+    flags = pos[order]
+    pos_total = int(np.count_nonzero(flags[0]))
+    leaf = {"label": 1.0 if pos_total * 2 >= n else -1.0}
+    if depth >= params.max_depth or n < 2 * params.min_leaf or pos_total in (0, n):
+        return leaf
     # zero-gain splits are allowed on impure nodes: parity-style patterns
     # only pay off a level deeper, and max_depth bounds the growth
-    split = _best_split(X, y, params.min_leaf)
+    split = _best_split(X[np.arange(d)[:, None], order], flags, pos_total,
+                        params.min_leaf)
     if split is None:
-        return {"label": _majority(y)}
+        return leaf
     feature, threshold = split
-    mask = X[feature] <= threshold
+    left = X[feature][order] <= threshold
+    k = int(np.count_nonzero(left[0]))
     return {
         "feature": int(feature),
         "threshold": float(threshold),
-        "left": _grow(X[:, mask], y[mask], depth + 1, params),
-        "right": _grow(X[:, ~mask], y[~mask], depth + 1, params),
+        "left": _grow(X, pos, order[left].reshape(d, k), depth + 1, params),
+        "right": _grow(X, pos, order[~left].reshape(d, n - k), depth + 1, params),
     }
 
 
@@ -163,7 +173,11 @@ class DecisionTree:
         y = np.asarray(y, dtype=float)
         if len(X) == 0:
             raise ValueError("cannot fit a tree on an empty sample")
-        return cls(_grow(np.ascontiguousarray(X.T), y, 0, params), X.shape[1])
+        # no feature: sort one constant column instead, which allows no cut
+        XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = _grow(XT, y > 0, np.argsort(XT, axis=1, kind="stable"), 0, params)
+        return cls(root, X.shape[1])
 
     @classmethod
     def leaf(cls, label: float, n_features: int) -> "DecisionTree":

@@ -1,12 +1,16 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from iwal.bootstrap import (Committee, CommitteeThreshold, Resample,
                             costing_resample, query_probability,
                             train_committee, train_final,
                             weighted_examples_from_arrays)
-from iwal.hypotheses import WeightedSample
+from iwal.engine import Engine
+from iwal.hypotheses import FiniteClass, WeightedSample
 from iwal.losses import LossFunction
+from iwal.thresholds import loss_spread_finite
 from iwal.trees import TreeParams
 
 
@@ -94,6 +98,51 @@ class TestQueryProbability:
         for _ in range(200):
             p = threshold.probability(rng.uniform(-1.5, 1.5, size=3))
             assert 0.1 <= p <= 1.0
+
+    def test_committee_builds_its_finite_class_once(self, rng, monkeypatch):
+        X, y = separable_prefix(rng)
+        committee = train_committee(X, y, rng, size=5)
+        assert committee.finite.members == committee.members
+        built = []
+        post_init = FiniteClass.__post_init__
+        monkeypatch.setattr(FiniteClass, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        loss = LossFunction("logistic", 1.0)
+        probes = rng.uniform(-1.5, 1.5, size=(30, 3))
+        got = [query_probability(x, committee, loss) for x in probes]
+        assert not built
+        assert got == [0.1 + 0.9 * loss_spread_finite(x, committee.members, loss)
+                       for x in probes]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           size=st.integers(2, 6), p_min=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+           loss_kind=st.sampled_from(["zero-one", "hinge", "logistic", "squared"]),
+           noise=st.floats(0.0, 0.4))
+    def test_stream_probabilities_lie_in_floor_to_one(self, seed, dim, size, p_min,
+                                                      loss_kind, noise):
+        # every p the threshold returns lies in [p_min, 1], and no step
+        # queries at p = 0
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=dim)
+
+        def label(x):
+            sign = 1.0 if x @ direction >= 0 else -1.0
+            return -sign if rng.random() < noise else sign
+
+        X = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 30)), dim))
+        y = np.array([label(x) for x in X])
+        loss = LossFunction(loss_kind, 1.0)
+        committee = train_committee(X, y, rng, size=size, p_min=p_min,
+                                    params=TreeParams(max_depth=3, min_leaf=1))
+        threshold = CommitteeThreshold(committee, loss)
+        engine = Engine(loss, threshold, rng)
+        for _ in range(40):
+            x = rng.uniform(-1.5, 1.5, size=dim)
+            assert p_min <= threshold.probability(x) <= 1.0
+            record = engine.step(x, lambda i, x: label(x))
+            assert p_min <= record.p <= 1.0
+            assert record.p > 0.0 or not record.queried
 
 
 class TestCosting:

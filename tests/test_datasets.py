@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iwal import datasets
 from iwal.datasets import load_dataset, save_csv
 from iwal.errors import DatasetFormatError
 
@@ -107,6 +108,28 @@ class TestSvmlight:
         path.write_text("+1 0:0.5\n")
         with pytest.raises(DatasetFormatError, match="1-based"):
             load_dataset(path, fmt="svmlight")
+
+    def test_huge_index_rejected_before_allocating(self, tmp_path, monkeypatch):
+        # a dense 2 x 10**12 matrix would take 16 TB
+        path = tmp_path / "data.svm"
+        path.write_text("+1 1:0.5\n-1 2:1.0 1000000000000:1\n+1 3:0.5\n")
+        monkeypatch.setattr(np, "zeros", lambda *args, **kw: pytest.fail("allocated"))
+        with pytest.raises(DatasetFormatError, match="line 2: feature index") as info:
+            load_dataset(path, fmt="svmlight")
+        assert info.value.line_number == 2
+
+    def test_cell_budget_counts_rows_too(self, tmp_path, monkeypatch):
+        # the widest index sits on line 2; a fourth row of width 3 tips the
+        # dense size from 9 to 12 cells, over a budget of 10
+        monkeypatch.setattr(datasets, "_MAX_DENSE_CELLS", 10)
+        path = tmp_path / "data.svm"
+        rows = ["+1 1:0.5", "-1 3:1.0", "+1 2:0.5", "-1 1:0.25"]
+        path.write_text("\n".join(rows[:3]) + "\n")
+        assert load_dataset(path, fmt="svmlight")[0].shape == (3, 3)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 2: .* 4 x 3") as info:
+            load_dataset(path, fmt="svmlight")
+        assert info.value.line_number == 2
 
 
 def test_unknown_format_rejected(tmp_path):

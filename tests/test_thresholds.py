@@ -266,6 +266,36 @@ class TestLossWeightingLinear:
         assert lo == pytest.approx(z.min(), abs=5e-3)
         assert hi == pytest.approx(z.max(), abs=5e-3)
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           slack_mode=st.sampled_from(["paper", "optimistic"]),
+           p_min=st.sampled_from([0.0, 0.05, 0.3]),
+           norm_bound=st.sampled_from([0.25, 1.0, 4.0]),
+           loss_kind=st.sampled_from(["logistic", "squared"]),
+           noise=st.floats(0.0, 0.3))
+    def test_stream_probabilities_lie_in_floor_to_one(
+            self, seed, dim, slack_mode, p_min, norm_bound, loss_kind, noise):
+        # the threshold's p lies in [0, 1], the engine's in [p_min, 1], and
+        # no step queries at p = 0
+        rng = np.random.default_rng(seed)
+        loss = LossFunction(loss_kind, 1.0)
+        threshold = LossWeightingLinear(dim, norm_bound, loss, slack_mode=slack_mode)
+        engine = Engine(loss, threshold, rng, p_min=p_min)
+        raw = []
+        probability = threshold.probability
+        threshold.probability = lambda x: raw.append(probability(x)) or raw[-1]
+        direction = rng.normal(size=dim)
+
+        def oracle(i, x):
+            sign = 1.0 if x @ direction >= 0 else -1.0
+            return -sign if rng.random() < noise else sign
+
+        for _ in range(20):
+            record = engine.step(rng.normal(size=dim), oracle)
+            assert 0.0 <= raw[-1] <= 1.0
+            assert p_min <= record.p <= 1.0
+            assert record.p > 0.0 or not record.queried
+
     def test_minimizer_feasible_for_its_own_constraint(self, rng):
         loss = LossFunction("logistic", 1.0)
         threshold = LossWeightingLinear(2, 1.0, loss)

@@ -259,3 +259,83 @@ def test_fitted_tree_survives_json_round_trip(X, labels, max_depth, min_leaf):
     clone = DecisionTree.from_json(tree.to_json())
     assert clone.to_json() == tree.to_json()
     assert np.array_equal(clone.predict_many(X), tree.predict_many(X))
+
+
+class TestPresort:
+    # one stable sort per fit, partitioned down the tree by the threshold mask
+    A, B = 1 + 2**-52, 1 + 2**-51   # adjacent doubles whose midpoint is B
+
+    def test_midpoint_rounding_up_sends_the_upper_value_left(self):
+        a, b = self.A, self.B
+        assert 0.5 * (a + b) == b
+        X = np.array([[a, 0.0], [b, 1.0], [b, 0.0], [3.0, 1.0], [a, 1.0], [b, 0.0]])
+        y = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+        params = TreeParams(max_depth=4, min_leaf=1)
+        tree = DecisionTree.fit(X, y, params)
+        assert tree.to_json() == _oracle_json(X, y, params)
+        assert tree.root["threshold"] == b
+
+    def test_midpoint_at_the_largest_value_leaves_the_right_child_empty(self):
+        X = np.array([[self.A], [self.B]])
+        y = np.array([-1.0, 1.0])
+        params = TreeParams(max_depth=3, min_leaf=1)
+        tree = DecisionTree.fit(X, y, params)
+        assert tree.to_json() == _oracle_json(X, y, params)
+        assert tree.root["right"] == {"label": 1.0}
+
+    @settings(max_examples=40, deadline=None)
+    @given(codes=hnp.arrays(np.int64, st.tuples(st.integers(1, 25), st.integers(1, 4)),
+                            elements=st.integers(0, 3)),
+           levels=st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4,
+                           max_size=4),
+           copies=st.integers(1, 3),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=75, max_size=75),
+           max_depth=st.integers(0, 8), min_leaf=st.integers(1, 4))
+    def test_duplicate_heavy_columns_match_the_scalar_search(
+            self, codes, levels, copies, signs, max_depth, min_leaf):
+        # few distinct values per column and every row repeated `copies` times,
+        # each copy with its own label
+        X = np.repeat(np.array(levels)[codes], copies, axis=0)
+        y = np.array(signs[:len(X)])
+        params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+        assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params)
+
+    def test_every_tree_of_a_bootstrap_experiment_matches_the_scalar_search(
+            self, monkeypatch):
+        from iwal import harness
+
+        fitted = []
+        fit = DecisionTree.fit.__func__
+
+        def recording_fit(cls, X, y, params=TreeParams()):
+            tree = fit(cls, X, y, params)
+            fitted.append((np.array(X, dtype=float), np.array(y, dtype=float),
+                           params, tree.to_json()))
+            return tree
+
+        monkeypatch.setattr(DecisionTree, "fit", classmethod(recording_fit))
+        config = harness.ExperimentConfig.from_dict({
+            "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
+            "strategy": "bootstrap", "loss_kind": "logistic",
+            "train_size": 300, "test_size": 50, "seed": 11})
+        harness.run_experiment(config)
+        # the committee's with-replacement resamples repeat rows
+        assert any(len(np.unique(X, axis=0)) < len(X) for X, *_ in fitted)
+        assert len(fitted) > 10
+        for X, y, params, tree in fitted:
+            assert tree == _oracle_json(X, y, params)
+
+    def test_one_argsort_per_fit_whatever_the_depth(self, monkeypatch, rng):
+        X = rng.normal(size=(400, 3))
+        y = rng.choice([-1.0, 1.0], size=400)
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+        tree = DecisionTree.fit(X, y, TreeParams(max_depth=8, min_leaf=1))
+        assert tree.depth() == 8
+        assert len(calls) <= 1
+
+    def test_no_feature_gives_the_majority_leaf(self):
+        tree = DecisionTree.fit(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
+        assert tree.root == {"label": 1.0} and tree.n_features == 0

@@ -5,7 +5,7 @@ probability from the point and the history, a biased coin decides whether to
 pay for the label, and queried examples are stored with weight 1/p so the
 weighted empirical loss stays unbiased for the true loss. The package ships
 the sampling engine, loss-weighting and bootstrap-committee thresholds, the
-log-barrier solver behind the linear-class instantiation, enumerable
+convex solvers behind the linear-class instantiation, enumerable
 synthetic instances, and probes for the theory that governs query counts.
 """
 

@@ -2,7 +2,7 @@
 
 Two class representations are supported: an explicit finite set of predictors
 (scanned exhaustively) and the ball of linear predictors with a squared-norm
-bound (handed to the interior-point solver). Linear predictions are clamped
+bound (handed to the ball solver). Linear predictions are clamped
 into the loss's prediction range so that normalized losses stay in [0, 1]
 even when the raw inner product exceeds the range.
 
@@ -229,7 +229,7 @@ def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
     """Importance-weighted empirical risk minimizer over the class.
 
     Finite classes are scanned exhaustively; the first minimizer in member
-    order wins ties. The linear ball delegates to the log-barrier solver
+    order wins ties. The linear ball delegates to the trust-region solver
     (smooth losses only). An empty sample returns the canonical element:
     member 0, or the zero vector.
     """

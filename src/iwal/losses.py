@@ -20,7 +20,7 @@ from .errors import PredictionDomainError, UnsupportedLossError
 
 LOSS_KINDS = ("zero-one", "hinge", "logistic", "squared", "absolute")
 
-# Loss kinds with smooth convex surrogates usable by the interior-point solver.
+# Loss kinds with smooth convex surrogates usable by the convex solvers.
 SMOOTH_KINDS = ("logistic", "squared")
 
 _DOMAIN_TOL = 1e-9
@@ -65,7 +65,7 @@ class LossFunction:
         if self.kind == "logistic":
             return _softplus(-v)
         if self.kind == "squared":
-            return (1.0 - v) ** 2
+            return (1.0 - v) * (1.0 - v)   # as eval_many squares; ** 2 may round lower
         return abs(1.0 - v)
 
     def margin_loss(self, v: float) -> float:

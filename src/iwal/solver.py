@@ -1,20 +1,20 @@
-"""Log-barrier interior-point solver for the two per-step convex programs.
+"""Solvers for the two per-step convex programs over the norm ball.
 
 Program 1 minimizes an importance-weighted smooth convex loss over the ball
-{u : ||u||^2 <= norm_bound}. Program 2 minimizes the linear functional u . x
-over the ball intersected with at most one weighted empirical-loss cap. Both
-are solved by damped-Newton centering on t*f0 + barrier, with the barrier
-parameter multiplied by mu per stage until m/t is below the gap target, which
-bounds the suboptimality of the returned point.
+{u : ||u||^2 <= B} by trust-region Newton (More & Sorensen 1983; Nocedal &
+Wright, Numerical Optimization, ch. 4): each iterate minimizes the loss's
+quadratic model over the ball exactly, from one eigendecomposition of the
+d x d Hessian, and backtracks toward that point. It stops when the KKT
+certificate lam (B - ||u||^2) + 2 sqrt(B) ||grad + 2 lam u||, which bounds the
+suboptimality of u for any lam >= 0, meets the gap target at
+lam = max(0, -grad . u / 2B).
 
-One Newton iterate makes one margin pass per term. Each constraint returns
-its value, gradient and barrier Hessian g g^T / f^2 + H / (-f) together from
-`barrier_terms`; the loss terms get their first and second derivatives from
-one `LossFunction.smooth_derivatives_many` pass, and the ball adds 2/(-f) to
-the diagonal instead of building 2I. The linear objective contributes
-t*direction, formed once per centering stage, and no Hessian. The loss cap
-keeps its last margins and value, which the line search computed at the
-point the next iterate starts from.
+Program 2 minimizes u . x over the ball and at most one weighted loss cap by
+damped-Newton centering on t*f0 + barrier, t growing by mu per stage until
+m/t meets the gap target. Each constraint returns its value, gradient and
+barrier Hessian g g^T / f^2 + H / (-f) together from `barrier_terms`; the cap
+keeps the margins and value the line search last computed, where the next
+iterate starts.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import InfeasibleStartError, SolverConvergenceError
 from .losses import LossFunction
 
 _STRICT_MARGIN = 1e-12
+_INSIDE = 1.0 - 1e-12      # ||u||^2 / B that keeps ERM iterates strictly inside
+_FLAT = 1e-12              # relative curvature or gradient taken as zero
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ class WeightedLossCap:
         return self._margins_and_value(u)[1]
 
     def derivatives(self, u):
-        """(gradient, Hessian) at u from one margin pass."""
-        return self._derivatives(self.xs @ u)
+        """(gradient, Hessian) at u, on the margins `value` last computed."""
+        return self._derivatives(self._margins_and_value(u)[0])
 
     def barrier_terms(self, u):
         """(f, grad f, Hessian of -log(-f)) at u from one margin pass."""
@@ -132,7 +134,8 @@ def _strictly_feasible(u, constraints, margin=_STRICT_MARGIN) -> bool:
 
 
 def _center(objective, constraints, u, t_barrier, options, diag):
-    """Damped Newton on t*f0 - sum log(-f_i), from a strictly feasible u."""
+    """Damped Newton on t*f0 - sum log(-f_i), from a strictly feasible u;
+    f0 is a `LinearObjective`."""
 
     def barrier_value(v):
         total = t_barrier * objective.value(v)
@@ -143,16 +146,10 @@ def _center(objective, constraints, u, t_barrier, options, diag):
             total -= math.log(-fv)
         return total
 
-    linear = isinstance(objective, LinearObjective)
-    if linear:
-        t_direction = t_barrier * objective.direction
+    t_direction = t_barrier * objective.direction
     current = None  # barrier value at u, carried across iterations
     for _ in range(options.max_newton):
-        if linear:
-            grad, hess = t_direction, None
-        else:
-            g0, h0 = objective.derivatives(u)
-            grad, hess = t_barrier * g0, t_barrier * h0
+        grad, hess = t_direction, None
         for c in constraints:
             fv, g, h = c.barrier_terms(u)
             grad = grad + g / (-fv)
@@ -245,9 +242,40 @@ def _interior_start(candidate, norm_bound, constraints):
     return None
 
 
+def _ball_model_minimizer(c, hess, norm_bound):
+    """argmin of c . v + v^T hess v / 2 over ||v||^2 <= norm_bound, hess PSD:
+    the Newton point if inside, else v = -(hess + mu I)^{-1} c with mu from
+    1/||v|| = 1/sqrt(norm_bound) by Newton's method, rising monotonically from
+    a lower bound. Flat directions without gradient are dropped (hard case)."""
+    evals, evecs = np.linalg.eigh(hess)
+    evals = np.maximum(evals, 0.0)
+    a = evecs.T @ c
+    keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * np.linalg.norm(a))
+    evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
+    mu = 0.0
+    if not np.all(evals > 0.0) or float((a / evals) @ (a / evals)) > norm_bound:
+        radius = math.sqrt(norm_bound)
+        mu = max(0.0, float(np.max(np.abs(a) / radius - evals)))
+        for _ in range(60):   # quadratic convergence; the cap guards rounding
+            shifted = evals + mu
+            v = a / shifted
+            sq = float(v @ v)
+            step = sq * (math.sqrt(sq) / radius - 1.0) / float(v @ (v / shifted))
+            if not step > 1e-12 * mu:   # converged, or past the root by rounding
+                break
+            mu += step
+    return -(evecs @ (a / (evals + mu)))
+
+
 def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
                            start=None, options=None) -> SolverResult:
     """Minimize the importance-weighted normalized loss over the norm ball.
+
+    Trust-region Newton from `start` (the origin when None); every iterate,
+    whose loss `stage_values` records, is strictly inside the ball. Steps at
+    a Newton decrement^2 <= 1e-6 skip the Armijo test, which float rounding
+    of the loss can defeat there; the one at decrement^2 / 2 <= `newton_tol`
+    is the last, whatever the certificate (`final_gap`) then reads.
 
     The objective is evaluated on unclamped inner products, which is the
     convex program actually solved; clamping applies only when predictions
@@ -259,11 +287,35 @@ def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
     if xs.shape[0] == 0:
         return SolverResult(np.zeros(dim), 0.0, SolverDiagnostics(used_shortcut=True))
     objective = WeightedLossCap(loss, xs, ys, ws, 0.0)   # bound 0: value() is the sum
-    constraints = [BallConstraint(norm_bound)]
-    u0 = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
-    if not _strictly_feasible(u0, constraints):
-        u0 = np.zeros(dim)
-    return _barrier_minimize(objective, constraints, u0, options)
+    u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound, _INSIDE)
+    diag = SolverDiagnostics(outer_stages=1)
+    centered = False
+    for _ in range(options.max_newton):
+        value = objective.value(u)
+        diag.stage_values.append(value)
+        grad, hess = objective.derivatives(u)
+        lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
+        diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
+                          * float(np.linalg.norm(grad + 2.0 * lam * u)))
+        if diag.final_gap <= options.gap_target or centered:
+            break
+        # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
+        step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, hess, norm_bound),
+                                 norm_bound, _INSIDE) - u
+        slope = float(grad @ step)     # -(Newton decrement^2)
+        centered = -slope / 2.0 <= options.newton_tol
+        scale = 1.0
+        while -slope > 1e-6 and (objective.value(u + scale * step)
+                                 > value + options.armijo * scale * slope):
+            scale *= options.backtrack
+            if scale < 1e-14:
+                return SolverResult(u, value, diag)
+        u = u + scale * step
+        diag.newton_steps += 1
+    else:
+        raise SolverConvergenceError("trust-region Newton did not converge within "
+                                     "the iteration cap", iterate=u, diagnostics=diag)
+    return SolverResult(point=u, value=value, diagnostics=diag)
 
 
 def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = None,

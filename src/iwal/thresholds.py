@@ -182,6 +182,8 @@ class LossWeightingLinear:
         self._erm_rows = 0            # sample rows the ERM point covers
         self.solve_count = 0
         self.erm_solve_count = 0
+        self.interval_newton_steps = 0
+        self.erm_newton_steps = 0
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
@@ -202,6 +204,7 @@ class LossWeightingLinear:
         self._erm_sum = result.value
         self._erm_rows = len(sample)
         self.erm_solve_count += 1
+        self.erm_newton_steps += result.diagnostics.newton_steps
 
     def minimizer(self) -> LinearPredictor:
         """Current ball-wide weighted-loss minimizer."""
@@ -238,6 +241,8 @@ class LossWeightingLinear:
         starts = (self._erm_point,)
         low = solver.minimize_linear(x, self.norm_bound, cap, starts)
         high = solver.minimize_linear(-x, self.norm_bound, cap, starts)
+        self.interval_newton_steps += (low.diagnostics.newton_steps
+                                       + high.diagnostics.newton_steps)
         lo, hi = low.value, -high.value
         if lo > hi:
             lo = hi = 0.5 * (lo + hi)
@@ -255,6 +260,8 @@ class LossWeightingLinear:
         return {
             "interval_solves": self.solve_count,
             "erm_solves": self.erm_solve_count,
+            "interval_newton_steps": self.interval_newton_steps,
+            "erm_newton_steps": self.erm_newton_steps,
         }
 
 

@@ -134,6 +134,17 @@ class TestRunExperiment:
         assert report.active.final_loss is not None
         assert "interval_solves" in report.active.diagnostics
 
+    def test_linear_solver_work_reaches_the_summary(self, tmp_path):
+        config = base_config(strategy="loss-weighting-linear",
+                             slack_mode="optimistic", train_size=60,
+                             test_size=40)
+        paths = emit_curves(run_experiment(config), tmp_path)
+        with open(paths["summary"]) as fh:
+            diagnostics = json.load(fh)["active"]["diagnostics"]
+        for key in ("interval_solves", "erm_solves", "interval_newton_steps",
+                    "erm_newton_steps"):
+            assert diagnostics[key] > 0, key
+
     def test_bootstrap_pipeline(self):
         config = base_config(strategy="bootstrap", loss_kind="zero-one",
                              train_size=200, test_size=100)

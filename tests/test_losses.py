@@ -3,10 +3,10 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from iwal.errors import PredictionDomainError, UnsupportedLossError
-from iwal.losses import LOSS_KINDS, LossFunction
+from iwal.losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
 
 
 def grid_predictions(loss, n=201):
@@ -92,10 +92,10 @@ class TestEval:
 
 
 @st.composite
-def loss_batches(draw):
+def loss_batches(draw, range_bounds=st.floats(0.01, 100.0)):
     """A loss, a label it accepts, and predictions inside its range."""
     kind = draw(st.sampled_from(LOSS_KINDS))
-    loss = LossFunction(kind, draw(st.floats(0.01, 100.0)))
+    loss = LossFunction(kind, draw(range_bounds))
     if kind == "zero-one":
         predictions = st.sampled_from([-1.0, 1.0])
     else:
@@ -112,6 +112,22 @@ def loss_batches(draw):
 def test_eval_many_equals_eval_property(batch):
     loss, y, zs = batch
     assert loss.eval_many(np.array(zs), y).tolist() == [loss.eval(z, y) for z in zs]
+
+
+# (1 + b)**2 in the normalizer once rounded one ulp below the array path's
+# (1 + b)*(1 + b) for this bound, so the squared loss at z = -y b was 1 + 2^-52
+@settings(max_examples=300, deadline=None)
+@given(batch=loss_batches(st.floats(0.0, 4.0, exclude_min=True)))
+@example(batch=(LossFunction("squared", 0.18050664525484791), 1.0,
+                [-0.18050664525484791]))
+def test_normalized_losses_lie_in_unit_interval(batch):
+    loss, y, zs = batch
+    z = np.array(zs)
+    values = [loss.eval_many(z, y)]
+    if loss.kind in SMOOTH_KINDS:
+        values.append(loss.smooth_value_many(z, np.full_like(z, y)))
+    for v in values:
+        assert np.all((0.0 <= v) & (v <= 1.0))
 
 
 class TestDerivativeBounds:

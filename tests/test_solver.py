@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 
 from iwal import solver
 from iwal.errors import InfeasibleStartError, SolverConvergenceError
+from iwal.harness import ExperimentConfig, run_experiment
 from iwal.losses import LossFunction
 from iwal.solver import (BallConstraint, SolverOptions, WeightedLossCap,
                          minimize_linear, minimize_weighted_loss)
@@ -97,6 +99,7 @@ class TestWeightedLossProgram:
         loss, xs, ys, ws = random_program(rng)
         result = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
         values = result.diagnostics.stage_values
+        assert len(values) == result.diagnostics.newton_steps + 1 >= 3
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_gradient_matches_central_differences(self, rng):
@@ -165,7 +168,9 @@ def test_cap_constraint_satisfied_at_solution(rng):
 
 # Frozen copy of the per-constraint Newton step the fused one replaced: value,
 # grad and hess called separately on the objective and on each constraint.
-# Every solve below must agree with it bit for bit.
+# Every barrier solve below must agree with it bit for bit. It also still
+# takes a weighted-loss objective, so `_barrier_minimize` with it rebuilds
+# the barrier ERM that the trust-region solver replaced (`_frozen_erm`).
 def _frozen_smooth_grad_many(loss, z, y):
     if loss.kind == "logistic":
         m = y * z
@@ -332,6 +337,33 @@ def _solve_both(monkeypatch, solve):
     return new, frozen, branches, len(phase_one)
 
 
+def _frozen_erm(loss, xs, ys, ws, norm_bound, start=None, options=None):
+    """The barrier ERM that the trust-region solver replaced: its start rule,
+    then `_barrier_minimize` with the frozen Newton step."""
+    options = options or solver.DEFAULT_OPTIONS
+    if len(xs) == 0:
+        return minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
+    constraints = [BallConstraint(norm_bound)]
+    u0 = np.zeros(xs.shape[1])
+    if start is not None:
+        u0 = solver._shrink_into_ball(start, norm_bound)
+        if not solver._strictly_feasible(u0, constraints):
+            u0 = np.zeros(xs.shape[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_center",
+                      functools.partial(_frozen_center, branches=Counter()))
+        return solver._barrier_minimize(WeightedLossCap(loss, xs, ys, ws, 0.0),
+                                        constraints, u0, options)
+
+
+@contextlib.contextmanager
+def _frozen_barrier_erm():
+    """Every ERM, the phase-I one included, solved by `_frozen_erm`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "minimize_weighted_loss", _frozen_erm)
+        yield
+
+
 def _assert_bit_identical(new, frozen):
     assert new.point.tobytes() == frozen.point.tobytes()
     assert new.value == frozen.value
@@ -374,12 +406,19 @@ class TestAgainstFrozenNewtonStep:
     @pytest.mark.parametrize("kind", ("logistic", "squared"))
     @pytest.mark.parametrize("n", (1, 10, 300))
     @pytest.mark.parametrize("warm", (False, True))
-    def test_weighted_loss_program(self, monkeypatch, kind, n, warm):
+    def test_weighted_loss_program(self, kind, n, warm):
+        # the trust-region ERM is no barrier solve, so it is held to the
+        # barrier's value instead of its bits: never above it, and below it
+        # by at most the barrier's gap m/t
         rng, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
         start = rng.normal(size=xs.shape[1]) if warm else None
-        new, frozen, _, _ = _solve_both(
-            monkeypatch, lambda: minimize_weighted_loss(loss, xs, ys, ws, 1.0, start=start))
-        _assert_bit_identical(new, frozen)
+        new = minimize_weighted_loss(loss, xs, ys, ws, 1.0, start=start)
+        with _frozen_barrier_erm():
+            frozen = solver.minimize_weighted_loss(loss, xs, ys, ws, 1.0, start=start)
+        assert float(new.point @ new.point) < 1.0
+        assert new.value <= frozen.value + 1e-9
+        assert frozen.value - new.value <= frozen.diagnostics.final_gap
+        assert new.diagnostics.final_gap <= solver.DEFAULT_OPTIONS.gap_target
 
     @pytest.mark.parametrize("kind", ("logistic", "squared"))
     @pytest.mark.parametrize("n", (1, 10, 300))
@@ -404,18 +443,11 @@ class TestAgainstFrozenNewtonStep:
         assert phase_one == 1
         _assert_bit_identical(new, frozen)
 
-    @pytest.mark.parametrize("program", ("weighted-loss", "capped-linear"))
-    def test_undamped_quadratic_phase(self, monkeypatch, program):
+    def test_undamped_quadratic_phase(self, monkeypatch):
         _, loss, xs, ys, ws = _differential_program("logistic", 10, seed=4)
-        if program == "weighted-loss":
-            def solve():
-                return minimize_weighted_loss(loss, xs, ys, ws, 1.0)
-        else:
-            base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
-
-            def solve():
-                return minimize_linear(direction, 1.0, cap, (base.point,))
-        new, frozen, branches, _ = _solve_both(monkeypatch, solve)
+        base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
+        new, frozen, branches, _ = _solve_both(
+            monkeypatch, lambda: minimize_linear(direction, 1.0, cap, (base.point,)))
         assert branches["quadratic"] > 0 and branches["damped"] > 0
         _assert_bit_identical(new, frozen)
 
@@ -469,3 +501,81 @@ class TestOptimalityWithinGap:
         assert feasible
         for v in feasible:
             assert result.value <= float(direction @ v) + result.diagnostics.final_gap + 1e-9
+
+
+# Programs the barrier ERM handled badly or that hit the trust-region step's
+# special cases. Every one must give a strictly interior point whose value
+# is within the certified gap of every sampled ball point and no higher than
+# the barrier's from the origin.
+@st.composite
+def _hard_programs(draw, case):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = "squared" if case == "interior-squared" else draw(
+        st.sampled_from(("logistic", "squared")))
+    n = 1 if case == "one-row" else draw(st.integers(2, 40))
+    dim = 5 if case == "one-row" else draw(st.integers(1, 5))
+    norm_bound = draw(st.floats(0.25, 4.0))
+    # unstandardized features, ||x|| up to 7
+    xs = rng.uniform(-1.0, 1.0, size=(n, dim)) * draw(st.floats(1.0, 7.0)) / math.sqrt(dim)
+    if case == "zero-features":
+        xs[:] = 0.0
+    ys = rng.choice([-1.0, 1.0], size=n)
+    ws = rng.uniform(0.1, 20.0, size=n)
+    if case == "interior-squared":
+        # the weighted least-squares point, with the ball drawn around it
+        root_w = np.sqrt(ws)
+        u_ls = np.linalg.lstsq(xs * root_w[:, None], ys * root_w, rcond=None)[0]
+        norm_bound = float(u_ls @ u_ls) * draw(st.floats(1.1, 4.0)) + 1e-3
+    start = None
+    if case == "warm-outside" or draw(st.booleans()):
+        start = rng.normal(size=dim)
+        reach = draw(st.sampled_from((1.0, 1.0 + 1e-9, 1.5, 3.0)))
+        start *= reach * math.sqrt(norm_bound) / np.linalg.norm(start)
+    return rng, LossFunction(kind, 1.0), xs, ys, ws, norm_bound, start
+
+
+class TestTrustRegionRobustness:
+    @pytest.mark.parametrize("case", ("warm-outside", "one-row",
+                                      "interior-squared", "zero-features"))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_interior_point_within_certified_gap(self, case, data):
+        rng, loss, xs, ys, ws, norm_bound, start = data.draw(_hard_programs(case))
+        result = minimize_weighted_loss(loss, xs, ys, ws, norm_bound, start=start)
+        assert float(result.point @ result.point) < norm_bound
+        points = _ball_points(rng, 200, xs.shape[1], norm_bound)
+        best = float((loss.smooth_value_many(points @ xs.T, ys) @ ws).min())
+        assert result.value <= best + result.diagnostics.final_gap + 1e-9
+        with _frozen_barrier_erm():
+            frozen = solver.minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
+        assert result.value <= frozen.value + 1e-9
+        if case == "zero-features":
+            assert result.value == WeightedLossCap(loss, xs, ys, ws, 0.0).value(
+                np.zeros(xs.shape[1]))
+
+
+# Declared tolerance on p: the trust-region ERM lands within the barrier's gap
+# m/t = 1e-6 of the barrier ERM, so the survivor cap and the prediction
+# interval move by solver-gap amounts. Any p > 0 keeps the 1/p estimate
+# unbiased, so such a move costs variance, never correctness; the coins and
+# the query count must not change.
+P_TOLERANCE = 1e-6
+
+
+@pytest.mark.parametrize("kind", ("logistic", "squared"))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_linear_stream_p_within_declared_tolerance_of_barrier_erm(kind, seed):
+    config = ExperimentConfig.from_dict({
+        "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
+        "strategy": "loss-weighting-linear", "loss_kind": kind,
+        "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
+        "checkpoint_every": 50, "seed": seed})
+    new = run_experiment(config)
+    with _frozen_barrier_erm():
+        frozen = run_experiment(config)
+    assert new.active.trace.q == frozen.active.trace.q
+    assert new.active.queries == frozen.active.queries
+    gaps = [abs(a - b) for a, b in zip(new.active.trace.p, frozen.active.trace.p)]
+    assert len(gaps) == 150 and max(gaps) <= P_TOLERANCE
+    assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-6
+    assert abs(new.passive.final_loss - frozen.passive.final_loss) <= 1e-6

@@ -30,7 +30,7 @@ class InfeasibleStartError(IwalError, RuntimeError):
 
 
 class SolverConvergenceError(IwalError, RuntimeError):
-    """Newton centering failed to converge; carries the last iterate."""
+    """A Newton solve failed to converge; carries the last iterate."""
 
     def __init__(self, message, iterate=None, diagnostics=None):
         super().__init__(message)

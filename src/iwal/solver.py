@@ -9,12 +9,19 @@ certificate lam (B - ||u||^2) + 2 sqrt(B) ||grad + 2 lam u||, which bounds the
 suboptimality of u for any lam >= 0, meets the gap target at
 lam = max(0, -grad . u / 2B).
 
-Program 2 minimizes u . x over the ball and at most one weighted loss cap by
-damped-Newton centering on t*f0 + barrier, t growing by mu per stage until
-m/t meets the gap target. Each constraint returns its value, gradient and
-barrier Hessian g g^T / f^2 + H / (-f) together from `barrier_terms`; the cap
-keeps the margins and value the line search last computed, where the next
-iterate starts.
+Program 2 minimizes x . u over the ball and one weighted loss cap
+L(u) - b <= 0. Unless the analytic ball optimum meets the cap, it runs the same
+trust-region loop along the tilted path u(s) = argmin over the ball of
+L(u) + s x . u, each point warm from the last. The cap's own minimizer u(0)
+anchors the path, and phi(s) = L(u(s)) - b rises with s to a root s* at which
+u(s*) is optimal, 1/s* being the cap's Lagrange multiplier (Boyd &
+Vandenberghe, Convex Optimization, ch. 5). phi is quadratic in s near 0, so
+the root is found by Newton's method in r = s^2, with d phi / dr from the KKT
+system, safeguarded by a bracket that is bisected geometrically. Weak duality
+makes every s a certificate: x . u(s) + (phi(s) - eps) / s is a lower bound D
+on the optimum, eps the inner solve's KKT gap. The primal bound P is x . u at
+u(s) when it meets the cap, and else at its blend with u(0) that the cap's
+convexity makes feasible. The search stops when P - D meets the gap target.
 """
 
 from __future__ import annotations
@@ -27,18 +34,16 @@ import numpy as np
 from .errors import InfeasibleStartError, SolverConvergenceError
 from .losses import LossFunction
 
-_STRICT_MARGIN = 1e-12
-_INSIDE = 1.0 - 1e-12      # ||u||^2 / B that keeps ERM iterates strictly inside
+_INSIDE = 1.0 - 1e-12      # ||u||^2 / B that keeps iterates strictly inside
+_ON_BALL = 1.0 - 1e-9      # ||u||^2 / B from which the path runs on the ball
 _FLAT = 1e-12              # relative curvature or gradient taken as zero
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     gap_target: float = 1e-6
-    mu: float = 10.0
-    barrier_init: float = 1.0
-    newton_tol: float = 1e-10      # stop centering when decrement^2/2 falls below
-    max_newton: int = 200          # per centering stage
+    newton_tol: float = 1e-10      # stop after the step at decrement^2/2 below this
+    max_newton: int = 200          # per trust-region solve and per level-set search
     armijo: float = 0.25
     backtrack: float = 0.5
 
@@ -60,24 +65,6 @@ class SolverResult:
     point: np.ndarray
     value: float
     diagnostics: SolverDiagnostics
-
-
-class BallConstraint:
-    """||u||^2 - norm_bound <= 0."""
-
-    def __init__(self, norm_bound: float):
-        self.norm_bound = float(norm_bound)
-
-    def value(self, u):
-        return float(u @ u) - self.norm_bound
-
-    def barrier_terms(self, u):
-        """(f, grad f, Hessian of -log(-f)) at u; the Hessian of f is 2I."""
-        f = self.value(u)
-        g = 2.0 * u
-        hess = np.outer(g, g) / (f * f)
-        hess.flat[::len(u) + 1] += 2.0 / (-f)
-        return f, g, hess
 
 
 class WeightedLossCap:
@@ -114,132 +101,15 @@ class WeightedLossCap:
         """(gradient, Hessian) at u, on the margins `value` last computed."""
         return self._derivatives(self._margins_and_value(u)[0])
 
-    def barrier_terms(self, u):
-        """(f, grad f, Hessian of -log(-f)) at u from one margin pass."""
-        z, f = self._margins_and_value(u)
-        g, hess = self._derivatives(z)
-        return f, g, np.outer(g, g) / (f * f) + hess / (-f)
 
-
-class LinearObjective:
-    def __init__(self, direction):
-        self.direction = np.asarray(direction, dtype=float)
-
-    def value(self, u):
-        return float(self.direction @ u)
-
-
-def _strictly_feasible(u, constraints, margin=_STRICT_MARGIN) -> bool:
-    return all(c.value(u) < -margin for c in constraints)
-
-
-def _center(objective, constraints, u, t_barrier, options, diag):
-    """Damped Newton on t*f0 - sum log(-f_i), from a strictly feasible u;
-    f0 is a `LinearObjective`."""
-
-    def barrier_value(v):
-        total = t_barrier * objective.value(v)
-        for c in constraints:
-            fv = c.value(v)
-            if fv >= 0:
-                return math.inf
-            total -= math.log(-fv)
-        return total
-
-    t_direction = t_barrier * objective.direction
-    current = None  # barrier value at u, carried across iterations
-    for _ in range(options.max_newton):
-        grad, hess = t_direction, None
-        for c in constraints:
-            fv, g, h = c.barrier_terms(u)
-            grad = grad + g / (-fv)
-            hess = h if hess is None else hess + h
-        descent = -grad
-        try:
-            step = np.linalg.solve(hess, descent)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, descent, rcond=None)[0]
-        decrement_sq = float(descent @ step)
-        if decrement_sq < 0:
-            # rounding noise at the precision floor of an extremely
-            # ill-conditioned barrier Hessian; the iterate is centered
-            return u
-        if decrement_sq / 2.0 <= options.newton_tol:
-            return u
-        if decrement_sq <= 1e-6:
-            # quadratic phase: the undamped step is guaranteed to decrease the
-            # barrier, and its improvement can sit below the float resolution
-            # of the barrier value, so skip the Armijo test
-            scale = 1.0
-            while not _strictly_feasible(u + scale * step, constraints, 0.0):
-                scale *= options.backtrack
-                if scale < 1e-14:
-                    return u
-            candidate = u + scale * step
-            current = None
-        else:
-            if current is None:
-                current = barrier_value(u)
-            slope = float(grad @ step)
-            scale = 1.0
-            while True:
-                candidate = u + scale * step
-                trial = barrier_value(candidate)
-                if trial <= current + options.armijo * scale * slope:
-                    current = trial
-                    break
-                scale *= options.backtrack
-                if scale < 1e-14:
-                    # step direction exhausted by rounding; treat as centered
-                    return u
-        u = candidate
-        diag.newton_steps += 1
-    raise SolverConvergenceError(
-        "Newton centering did not converge within the iteration cap",
-        iterate=u, diagnostics=diag,
-    )
-
-
-def _barrier_minimize(objective, constraints, start, options) -> SolverResult:
-    if not _strictly_feasible(start, constraints):
-        raise InfeasibleStartError("starting point is not strictly feasible")
-    diag = SolverDiagnostics()
-    u = np.asarray(start, dtype=float).copy()
-    t_barrier = options.barrier_init
-    m = len(constraints)
-    while True:
-        u = _center(objective, constraints, u, t_barrier, options, diag)
-        diag.outer_stages += 1
-        diag.stage_values.append(objective.value(u))
-        diag.final_gap = m / t_barrier
-        if diag.final_gap <= options.gap_target:
-            break
-        t_barrier *= options.mu
-    return SolverResult(point=u, value=objective.value(u), diagnostics=diag)
-
-
-def _shrink_into_ball(u, norm_bound, factor=1.0 - 1e-9):
+def _shrink_into_ball(u, norm_bound):
     """Scale u to lie strictly inside the ball, preserving direction."""
     u = np.asarray(u, dtype=float)
     sq = float(u @ u)
-    limit = norm_bound * factor
+    limit = norm_bound * _INSIDE
     if sq >= limit:
         u = u * math.sqrt(limit / sq)
     return u
-
-
-def _interior_start(candidate, norm_bound, constraints):
-    """Pull a candidate inside the ball, as deep as the other constraints allow.
-
-    Starts hugging the ball boundary make the barrier nearly singular and
-    stall the damped Newton phase, so prefer the strongest shrink that stays
-    strictly feasible.
-    """
-    for factor in (0.96, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
-        u0 = _shrink_into_ball(candidate, norm_bound, factor)
-        if _strictly_feasible(u0, constraints):
-            return u0
-    return None
 
 
 def _ball_model_minimizer(c, hess, norm_bound):
@@ -267,6 +137,48 @@ def _ball_model_minimizer(c, hess, norm_bound):
     return -(evecs @ (a / (evals + mu)))
 
 
+def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
+    """Trust-region Newton on objective(v) + tilt . v over the ball, from u
+    strictly inside it; returns the result and the gradient and Hessian of
+    the tilted objective at its point."""
+    diag = SolverDiagnostics(outer_stages=1)
+    centered = False
+    for _ in range(options.max_newton):
+        value = objective.value(u)
+        grad, hess = objective.derivatives(u)
+        if tilt is not None:
+            value += float(tilt @ u)
+            grad = grad + tilt
+        diag.stage_values.append(value)
+        lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
+        diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
+                          * float(np.linalg.norm(grad + 2.0 * lam * u)))
+        if diag.final_gap <= gap_target or centered:
+            break
+        # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
+        step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, hess, norm_bound),
+                                 norm_bound) - u
+        slope = float(grad @ step)     # -(Newton decrement^2)
+        centered = -slope / 2.0 <= options.newton_tol
+        scale = 1.0
+        while -slope > 1e-6:
+            trial = u + scale * step
+            trial_value = objective.value(trial)
+            if tilt is not None:
+                trial_value += float(tilt @ trial)
+            if not trial_value > value + options.armijo * scale * slope:
+                break
+            scale *= options.backtrack
+            if scale < 1e-14:
+                return SolverResult(u, value, diag), grad, hess
+        u = u + scale * step
+        diag.newton_steps += 1
+    else:
+        raise SolverConvergenceError("trust-region Newton did not converge within "
+                                     "the iteration cap", iterate=u, diagnostics=diag)
+    return SolverResult(point=u, value=value, diagnostics=diag), grad, hess
+
+
 def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
                            start=None, options=None) -> SolverResult:
     """Minimize the importance-weighted normalized loss over the norm ball.
@@ -287,68 +199,109 @@ def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
     if xs.shape[0] == 0:
         return SolverResult(np.zeros(dim), 0.0, SolverDiagnostics(used_shortcut=True))
     objective = WeightedLossCap(loss, xs, ys, ws, 0.0)   # bound 0: value() is the sum
-    u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound, _INSIDE)
-    diag = SolverDiagnostics(outer_stages=1)
-    centered = False
-    for _ in range(options.max_newton):
-        value = objective.value(u)
-        diag.stage_values.append(value)
-        grad, hess = objective.derivatives(u)
-        lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
-        diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
-                          * float(np.linalg.norm(grad + 2.0 * lam * u)))
-        if diag.final_gap <= options.gap_target or centered:
-            break
-        # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
-        step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, hess, norm_bound),
-                                 norm_bound, _INSIDE) - u
-        slope = float(grad @ step)     # -(Newton decrement^2)
-        centered = -slope / 2.0 <= options.newton_tol
-        scale = 1.0
-        while -slope > 1e-6 and (objective.value(u + scale * step)
-                                 > value + options.armijo * scale * slope):
-            scale *= options.backtrack
-            if scale < 1e-14:
-                return SolverResult(u, value, diag)
-        u = u + scale * step
-        diag.newton_steps += 1
-    else:
-        raise SolverConvergenceError("trust-region Newton did not converge within "
-                                     "the iteration cap", iterate=u, diagnostics=diag)
-    return SolverResult(point=u, value=value, diagnostics=diag)
+    u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
+    return _trust_region(objective, norm_bound, u, options.gap_target, options)[0]
+
+
+def _path_rate(direction, u, grad, hess, norm_bound):
+    """d phi / d(s^2) on the tilted path at u, from its KKT system.
+
+    Inside the ball u' = -s H^+ x, so phi' = grad L . u' = s x^T H^+ x; on its
+    boundary u' is confined to u . u' = 0 and H gains the ball's 2 lam I. The
+    pseudo-inverse drops flat directions, where the path has no rate."""
+    on_ball = float(u @ u) >= norm_bound * _ON_BALL
+    if on_ball:
+        hess = hess + max(0.0, -float(grad @ u) / norm_bound) * np.eye(len(u))
+    evals, evecs = np.linalg.eigh(hess)
+    if not evals[-1] > 0.0:
+        return 0.0
+    inverse = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _FLAT * evals[-1])
+    a = evecs.T @ direction
+    rate = float(a @ (inverse * a))
+    if on_ball:
+        c = evecs.T @ u
+        cc = float(c @ (inverse * c))
+        if cc > 0.0:
+            rate -= float(c @ (inverse * a)) ** 2 / cc
+    return 0.5 * rate
 
 
 def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = None,
-                    start_candidates=(), options=None) -> SolverResult:
-    """Minimize u . direction over the ball, plus an optional loss cap.
+                    start=None, options=None) -> SolverResult:
+    """Minimize x . u over the ball, x = `direction`, plus an optional loss cap.
 
     Without an active cap the ball optimum -sqrt(norm_bound) * x/||x|| is
-    analytic; the barrier only runs when that point violates the cap.
+    analytic. Otherwise the cap's minimizer u0 over the ball, warm from
+    `start`, anchors the tilted path u(s) = argmin L(u) + s x . u, and a
+    safeguarded Newton search in r = s^2 walks it to the root of
+    phi(s) = cap(u(s)). Every s gives the dual bound x . u(s) + (phi - eps)/s
+    below the optimum, eps the inner solve's gap; the returned point is the
+    best feasible one met, u(s) or its blend with u0 toward the cap, pulled
+    slightly further toward u0 so the cap holds strictly. `value` minus
+    `final_gap` is the best dual bound, so [value - final_gap, value] holds
+    the exact optimum. `outer_stages` counts level-set iterations and
+    `newton_steps` all trust-region steps, the anchor's included.
     """
     options = options or DEFAULT_OPTIONS
     direction = np.asarray(direction, dtype=float)
     dim = len(direction)
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
-        return SolverResult(np.zeros(dim), 0.0, SolverDiagnostics(used_shortcut=True))
+        diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
+        return SolverResult(np.zeros(dim), 0.0, diag)
     ball_opt = -math.sqrt(norm_bound) * direction / norm
     if loss_cap is None or loss_cap.value(ball_opt) <= 0.0:
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(ball_opt, float(direction @ ball_opt), diag)
-    objective = LinearObjective(direction)
-    constraints = [BallConstraint(norm_bound), loss_cap]
-    candidates = list(start_candidates) + [np.zeros(dim)]
-    for candidate in candidates:
-        u0 = _interior_start(candidate, norm_bound, constraints)
-        if u0 is not None:
-            return _barrier_minimize(objective, constraints, u0, options)
-    # phase I: the cap minimizer over the ball is strictly feasible unless the
-    # cap bound is genuinely unattainable
-    phase1 = minimize_weighted_loss(loss_cap.loss, loss_cap.xs, loss_cap.ys,
-                                    loss_cap.ws, norm_bound, options=options)
-    u0 = _interior_start(phase1.point, norm_bound, constraints)
-    if u0 is not None:
-        return _barrier_minimize(objective, constraints, u0, options)
-    raise InfeasibleStartError(
-        "no strictly feasible start for the capped linear program"
-    )
+    u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
+    anchor, grad, hess = _trust_region(loss_cap, norm_bound, u, options.gap_target, options)
+    u0, delta = anchor.point, -anchor.value
+    if not delta > 0.0:
+        raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
+    diag = SolverDiagnostics(newton_steps=anchor.diagnostics.newton_steps)
+    anchor_value = float(direction @ u0)
+    best = (anchor_value, 1.0, u0)       # (primal bound, weight on u0, u(s))
+    lower = -math.inf
+    lo, hi = 0.0, math.inf               # r = s^2 with phi(lo) < 0 <= phi(hi)
+    r, phi, last_phi, u = 0.0, -delta, math.inf, u0
+    rate = _path_rate(direction, u0, grad, hess, norm_bound)
+    for _ in range(options.max_newton):
+        if phi < 0.0:
+            lo = r
+        else:
+            hi = r
+        step = r - phi / rate if rate > 0.0 else math.nan
+        if not lo < step < hi or abs(phi) > 0.5 * last_phi:
+            if math.isinf(hi):
+                step = 16.0 * r if r > 0.0 else (delta / (norm * math.sqrt(norm_bound))) ** 2
+            else:
+                step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
+        r, last_phi, s = step, abs(phi), math.sqrt(step)
+        result, grad, hess = _trust_region(loss_cap, norm_bound, u, 0.5 * s * options.gap_target,
+                                           options, s * direction)
+        diag.outer_stages += 1
+        diag.newton_steps += result.diagnostics.newton_steps
+        u = result.point
+        phi = loss_cap.value(u)
+        value = float(direction @ u)
+        lower = max(lower, value + (phi - result.diagnostics.final_gap) / s)
+        # the cap is convex, so this blend with u0 meets it
+        weight = 1.0 - delta / (max(phi, 0.0) + delta) * _INSIDE
+        upper = weight * anchor_value + (1.0 - weight) * value
+        if upper < best[0]:
+            best = (upper, weight, u)
+        if best[0] - lower <= options.gap_target:
+            break
+        rate = _path_rate(direction, u, grad, hess, norm_bound)
+    else:
+        raise SolverConvergenceError("the tilted path search did not converge within "
+                                     "the iteration cap", iterate=u, diagnostics=diag)
+    _, weight, u = best
+    point, pull = weight * u0 + (1.0 - weight) * u, 1e-12
+    while not loss_cap.value(point) < 0.0:    # rounding at the cap: pull harder
+        pull = min(1.0, 64.0 * pull)
+        weight = 1.0 - (1.0 - weight) * (1.0 - pull)
+        point = weight * u0 + (1.0 - weight) * u
+    value = float(direction @ point)
+    diag.final_gap = max(0.0, value - lower)
+    return SolverResult(point=point, value=value, diagnostics=diag)

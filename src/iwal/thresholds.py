@@ -158,7 +158,9 @@ class LossWeightingLinear:
     [min u.x, max u.x]; the query probability is the normalized loss spread
     over that interval. The running loss minimum is taken over the whole
     ball and only the latest empirical-loss constraint is enforced, which can
-    only enlarge the interval and hence the probability.
+    only enlarge the interval and hence the probability. Each end is the
+    solver's certified dual bound, so the interval holds the exact one and p
+    rounds up, by at most the solver's gap target times the spread's slope.
     """
 
     def __init__(self, dim: int, norm_bound: float, loss: LossFunction,
@@ -183,6 +185,7 @@ class LossWeightingLinear:
         self.solve_count = 0
         self.erm_solve_count = 0
         self.interval_newton_steps = 0
+        self.interval_outer_steps = 0
         self.erm_newton_steps = 0
 
     def slack(self, t: int) -> float:
@@ -231,19 +234,21 @@ class LossWeightingLinear:
                                       sample.w / seen, best_avg + slack)
 
     def prediction_interval(self, x) -> tuple[float, float]:
-        """[min, max] of u . x over the ball under the retained constraint:
-        one linear minimization per end, analytic while the cap is inactive."""
+        """[min, max] of u . x over the ball under the retained constraint,
+        each end widened by its certified gap: one linear minimization per
+        end, analytic while the cap is inactive."""
         x = np.asarray(x, dtype=float)
         if float(np.linalg.norm(x)) == 0.0:
             return 0.0, 0.0
         cap = self._retained_cap(self.t - 1)
         self.solve_count += 2
-        starts = (self._erm_point,)
-        low = solver.minimize_linear(x, self.norm_bound, cap, starts)
-        high = solver.minimize_linear(-x, self.norm_bound, cap, starts)
-        self.interval_newton_steps += (low.diagnostics.newton_steps
-                                       + high.diagnostics.newton_steps)
-        lo, hi = low.value, -high.value
+        low = solver.minimize_linear(x, self.norm_bound, cap, self._erm_point)
+        high = solver.minimize_linear(-x, self.norm_bound, cap, self._erm_point)
+        for end in (low.diagnostics, high.diagnostics):
+            self.interval_newton_steps += end.newton_steps
+            self.interval_outer_steps += end.outer_stages
+        lo = low.value - low.diagnostics.final_gap
+        hi = -high.value + high.diagnostics.final_gap
         if lo > hi:
             lo = hi = 0.5 * (lo + hi)
         return lo, hi
@@ -261,6 +266,7 @@ class LossWeightingLinear:
             "interval_solves": self.solve_count,
             "erm_solves": self.erm_solve_count,
             "interval_newton_steps": self.interval_newton_steps,
+            "interval_outer_steps": self.interval_outer_steps,
             "erm_newton_steps": self.erm_newton_steps,
         }
 

@@ -142,7 +142,7 @@ class TestRunExperiment:
         with open(paths["summary"]) as fh:
             diagnostics = json.load(fh)["active"]["diagnostics"]
         for key in ("interval_solves", "erm_solves", "interval_newton_steps",
-                    "erm_newton_steps"):
+                    "interval_outer_steps", "erm_newton_steps"):
             assert diagnostics[key] > 0, key
 
     def test_bootstrap_pipeline(self):

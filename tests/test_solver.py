@@ -1,7 +1,5 @@
 import contextlib
-import functools
 import math
-from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,8 +10,8 @@ from iwal import solver
 from iwal.errors import InfeasibleStartError, SolverConvergenceError
 from iwal.harness import ExperimentConfig, run_experiment
 from iwal.losses import LossFunction
-from iwal.solver import (BallConstraint, SolverOptions, WeightedLossCap,
-                         minimize_linear, minimize_weighted_loss)
+from iwal.solver import (SolverDiagnostics, SolverOptions, SolverResult,
+                         WeightedLossCap, minimize_linear, minimize_weighted_loss)
 
 
 def random_program(rng, n=10, dim=2, kind="logistic"):
@@ -140,18 +138,6 @@ class TestWeightedLossProgram:
         assert tight.diagnostics.final_gap <= 1e-8
 
 
-def test_ball_constraint_derivatives(rng):
-    ball = BallConstraint(2.0)
-    u = rng.normal(size=3)
-    f, grad, barrier_hess = ball.barrier_terms(u)
-    assert ball.value(u) == pytest.approx(float(u @ u) - 2.0)
-    assert f == ball.value(u)
-    assert grad == pytest.approx(2.0 * u)
-    # the Hessian of -log(-f) is grad grad^T / f^2 + hess / (-f)
-    hess = (barrier_hess - np.outer(grad, grad) / (f * f)) * -f
-    assert np.allclose(hess, 2.0 * np.eye(3))
-
-
 def test_cap_constraint_satisfied_at_solution(rng):
     loss = LossFunction("logistic", 1.0)
     xs = rng.uniform(-1.0, 1.0, size=(6, 2))
@@ -160,17 +146,16 @@ def test_cap_constraint_satisfied_at_solution(rng):
     base = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
     cap = WeightedLossCap(loss, xs, ys, ws, bound=base.value + 0.05)
     for direction in (np.array([1.0, 1.0]), np.array([-2.0, 0.5])):
-        result = minimize_linear(direction, 1.0, cap,
-                                 start_candidates=(base.point,))
+        result = minimize_linear(direction, 1.0, cap, start=base.point)
         assert cap.value(result.point) <= 1e-9
         assert float(result.point @ result.point) <= 1.0 + 1e-9
 
 
-# Frozen copy of the per-constraint Newton step the fused one replaced: value,
-# grad and hess called separately on the objective and on each constraint.
-# Every barrier solve below must agree with it bit for bit. It also still
-# takes a weighted-loss objective, so `_barrier_minimize` with it rebuilds
-# the barrier ERM that the trust-region solver replaced (`_frozen_erm`).
+# Frozen copy of the log-barrier method that solved both programs before the
+# trust-region ERM and the tilted path replaced it, with its per-constraint
+# Newton step: value, grad and hess called separately on the objective and on
+# each constraint. It is the reference the new solvers are bracketed against:
+# its points are strictly feasible and its values within m/t of the optimum.
 def _frozen_smooth_grad_many(loss, z, y):
     if loss.kind == "logistic":
         m = y * z
@@ -248,18 +233,12 @@ class _FrozenLinear:
         return np.zeros((len(u), len(u)))
 
 
-def _frozen(term):
-    if isinstance(term, BallConstraint):
-        return _FrozenBall(term.norm_bound)
-    if isinstance(term, WeightedLossCap):
-        return _FrozenCap(term)
-    return _FrozenLinear(term.direction)
+def _strictly_feasible(u, constraints, margin=1e-12):
+    return all(c.value(u) < -margin for c in constraints)
 
 
-def _frozen_center(objective, constraints, u, t_barrier, options, diag, branches):
-    """The pre-fusion `_center`, counting which exit or step kind it takes."""
-    objective = _frozen(objective)
-    constraints = [_frozen(c) for c in constraints]
+def _frozen_center(objective, constraints, u, t_barrier, options, diag):
+    """Damped Newton on t*f0 - sum log(-f_i) from a strictly feasible u."""
 
     def barrier_value(v):
         total = t_barrier * objective.value(v)
@@ -284,23 +263,18 @@ def _frozen_center(objective, constraints, u, t_barrier, options, diag, branches
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         decrement_sq = float(-grad @ step)
-        if decrement_sq < 0:
-            branches["negative_decrement"] += 1
-            return u
-        if decrement_sq / 2.0 <= options.newton_tol:
-            branches["centered"] += 1
+        if decrement_sq < 0 or decrement_sq / 2.0 <= options.newton_tol:
             return u
         if decrement_sq <= 1e-6:
-            branches["quadratic"] += 1
+            # quadratic phase: the undamped step, kept strictly feasible
             scale = 1.0
-            while not solver._strictly_feasible(u + scale * step, constraints, 0.0):
+            while not _strictly_feasible(u + scale * step, constraints, 0.0):
                 scale *= options.backtrack
                 if scale < 1e-14:
                     return u
             candidate = u + scale * step
             current = None
         else:
-            branches["damped"] += 1
             if current is None:
                 current = barrier_value(u)
             slope = float(grad @ step)
@@ -322,55 +296,100 @@ def _frozen_center(objective, constraints, u, t_barrier, options, diag, branches
     )
 
 
-def _solve_both(monkeypatch, solve):
-    """(new result, frozen result, frozen branch counts, phase-I solves)."""
-    new = solve()
-    branches = Counter()
-    phase_one = []
-    erm = solver.minimize_weighted_loss
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_center",
-                      functools.partial(_frozen_center, branches=branches))
-        patch.setattr(solver, "minimize_weighted_loss",
-                      lambda *args, **kwargs: phase_one.append(1) or erm(*args, **kwargs))
-        frozen = solve()
-    return new, frozen, branches, len(phase_one)
+def _frozen_barrier_minimize(objective, constraints, start, options, mu=10.0):
+    """Center at t = 1, 10, 100, ... until m/t meets the gap target."""
+    if not _strictly_feasible(start, constraints):
+        raise InfeasibleStartError("starting point is not strictly feasible")
+    diag = SolverDiagnostics()
+    u = np.asarray(start, dtype=float).copy()
+    t_barrier = 1.0
+    while True:
+        u = _frozen_center(objective, constraints, u, t_barrier, options, diag)
+        diag.outer_stages += 1
+        diag.final_gap = len(constraints) / t_barrier
+        if diag.final_gap <= options.gap_target:
+            break
+        t_barrier *= mu
+    return SolverResult(point=u, value=objective.value(u), diagnostics=diag)
+
+
+def _frozen_shrink(u, norm_bound, factor=1.0 - 1e-9):
+    u = np.asarray(u, dtype=float)
+    sq = float(u @ u)
+    limit = norm_bound * factor
+    return u * math.sqrt(limit / sq) if sq >= limit else u
+
+
+def _frozen_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
+                            options=None):
+    """The barrier interval solver: the analytic shortcut, then the barrier
+    from the start or else the origin, each pulled into the ball as deep as
+    the cap allows, and else from the cap minimizer (phase I)."""
+    options = options or solver.DEFAULT_OPTIONS
+    direction = np.asarray(direction, dtype=float)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0 or loss_cap is None or loss_cap.value(
+            -math.sqrt(norm_bound) * direction / norm) <= 0.0:
+        return minimize_linear(direction, norm_bound, loss_cap)
+    objective = _FrozenLinear(direction)
+    constraints = [_FrozenBall(norm_bound), _FrozenCap(loss_cap)]
+    for candidate in ([] if start is None else [start]) + [np.zeros(len(direction)), None]:
+        if candidate is None:    # phase I: the cap minimizer
+            candidate = minimize_weighted_loss(loss_cap.loss, loss_cap.xs, loss_cap.ys,
+                                               loss_cap.ws, norm_bound, options=options).point
+        for factor in (0.96, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+            u0 = _frozen_shrink(candidate, norm_bound, factor)
+            if _strictly_feasible(u0, constraints):
+                return _frozen_barrier_minimize(objective, constraints, u0, options)
+    raise InfeasibleStartError("no strictly feasible start for the capped linear program")
 
 
 def _frozen_erm(loss, xs, ys, ws, norm_bound, start=None, options=None):
     """The barrier ERM that the trust-region solver replaced: its start rule,
-    then `_barrier_minimize` with the frozen Newton step."""
+    then the barrier over the ball alone."""
     options = options or solver.DEFAULT_OPTIONS
     if len(xs) == 0:
         return minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
-    constraints = [BallConstraint(norm_bound)]
+    constraints = [_FrozenBall(norm_bound)]
     u0 = np.zeros(xs.shape[1])
     if start is not None:
-        u0 = solver._shrink_into_ball(start, norm_bound)
-        if not solver._strictly_feasible(u0, constraints):
+        u0 = _frozen_shrink(start, norm_bound)
+        if not _strictly_feasible(u0, constraints):
             u0 = np.zeros(xs.shape[1])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_center",
-                      functools.partial(_frozen_center, branches=Counter()))
-        return solver._barrier_minimize(WeightedLossCap(loss, xs, ys, ws, 0.0),
-                                        constraints, u0, options)
+    objective = _FrozenCap(WeightedLossCap(loss, xs, ys, ws, 0.0))
+    return _frozen_barrier_minimize(objective, constraints, u0, options)
 
 
 @contextlib.contextmanager
 def _frozen_barrier_erm():
-    """Every ERM, the phase-I one included, solved by `_frozen_erm`."""
+    """Every ERM solved by `_frozen_erm`."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "minimize_weighted_loss", _frozen_erm)
         yield
 
 
-def _assert_bit_identical(new, frozen):
-    assert new.point.tobytes() == frozen.point.tobytes()
-    assert new.value == frozen.value
-    assert new.diagnostics.newton_steps == frozen.diagnostics.newton_steps
-    assert new.diagnostics.outer_stages == frozen.diagnostics.outer_stages
-    assert new.diagnostics.stage_values == frozen.diagnostics.stage_values
-    assert not new.diagnostics.used_shortcut
+def _assert_certified(result, direction, norm_bound, cap, start=None):
+    """A capped solve ends strictly inside the ball and the cap with its gap
+    met, and [value - final_gap, value] holds the exact optimum, which the
+    barrier's feasible value bounds from above and that value less its gap
+    m/t from below."""
+    assert not result.diagnostics.used_shortcut
+    assert float(result.point @ result.point) < norm_bound
+    assert cap.value(result.point) < 0
+    assert 0.0 <= result.diagnostics.final_gap <= solver.DEFAULT_OPTIONS.gap_target
+    try:
+        frozen = _frozen_minimize_linear(direction, norm_bound, cap, start)
+    except SolverConvergenceError:
+        # the barrier stalls on some caps near the rounding floor of the
+        # loss; the certified lower end must still lie below every feasible
+        # point sampled
+        points = [*_ball_points(np.random.default_rng(0), 400, len(direction), norm_bound),
+                  result.point]
+        lowest = min(float(direction @ v) for v in points if cap.value(v) <= 0)
+        assert result.value - result.diagnostics.final_gap <= lowest + 1e-9
+        return
+    assert result.value - result.diagnostics.final_gap <= frozen.value + 1e-9
+    assert result.value >= frozen.value - frozen.diagnostics.final_gap - 1e-9
 
 
 def _differential_program(kind, n, seed, dim=5):
@@ -382,12 +401,12 @@ def _differential_program(kind, n, seed, dim=5):
     return rng, loss, xs, ys, ws
 
 
-def _active_cap(loss, xs, ys, ws, slack):
+def _active_cap(loss, xs, ys, ws, slack, norm_bound=1.0):
     """A cap `slack` above the weighted minimum, and a direction it binds.
 
     Minimizing u . sum_i w_i y_i x_i lowers every margin, so the ball
     optimum of that direction raises the loss above the cap."""
-    base = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
+    base = minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
     cap = WeightedLossCap(loss, xs, ys, ws, bound=base.value + slack)
     return base, cap, (ws * ys) @ xs
 
@@ -423,33 +442,22 @@ class TestAgainstFrozenNewtonStep:
     @pytest.mark.parametrize("kind", ("logistic", "squared"))
     @pytest.mark.parametrize("n", (1, 10, 300))
     @pytest.mark.parametrize("warm", (False, True))
-    def test_capped_linear_program(self, monkeypatch, kind, n, warm):
+    def test_capped_linear_program(self, kind, n, warm):
         _, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
         base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
-        starts = (base.point,) if warm else ()
-        new, frozen, _, _ = _solve_both(
-            monkeypatch, lambda: minimize_linear(direction, 1.0, cap, starts))
-        _assert_bit_identical(new, frozen)
+        start = base.point if warm else None
+        result = minimize_linear(direction, 1.0, cap, start)
+        _assert_certified(result, direction, 1.0, cap, start)
 
     @pytest.mark.parametrize("kind", ("logistic", "squared"))
-    def test_phase_one_fallback(self, monkeypatch, kind):
-        # a cap too tight for the origin and no start candidates: the cap
-        # minimizer from phase I is the only strictly feasible start
+    def test_phase_one_fallback(self, kind):
+        # a cap too tight for the origin and no start: the barrier needs its
+        # phase I, the tilted path anchors at the cap minimizer from the origin
         _, loss, xs, ys, ws = _differential_program(kind, 10, seed=3)
         _, cap, direction = _active_cap(loss, xs, ys, ws, slack=1e-3)
         assert cap.value(np.zeros(xs.shape[1])) > 0
-        new, frozen, _, phase_one = _solve_both(
-            monkeypatch, lambda: minimize_linear(direction, 1.0, cap))
-        assert phase_one == 1
-        _assert_bit_identical(new, frozen)
-
-    def test_undamped_quadratic_phase(self, monkeypatch):
-        _, loss, xs, ys, ws = _differential_program("logistic", 10, seed=4)
-        base, cap, direction = _active_cap(loss, xs, ys, ws, slack=0.5)
-        new, frozen, branches, _ = _solve_both(
-            monkeypatch, lambda: minimize_linear(direction, 1.0, cap, (base.point,)))
-        assert branches["quadratic"] > 0 and branches["damped"] > 0
-        _assert_bit_identical(new, frozen)
+        result = minimize_linear(direction, 1.0, cap)
+        _assert_certified(result, direction, 1.0, cap)
 
 
 # Optimality within the reported gap: the barrier method stops at m/t, which
@@ -491,7 +499,7 @@ class TestOptimalityWithinGap:
         base = minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
         cap = WeightedLossCap(loss, xs, ys, ws, bound=base.value + slack)
         direction = rng.normal(size=xs.shape[1])
-        result = minimize_linear(direction, norm_bound, cap, (base.point,))
+        result = minimize_linear(direction, norm_bound, cap, base.point)
         if not result.diagnostics.used_shortcut:
             assert float(result.point @ result.point) < norm_bound
             assert cap.value(result.point) < 0
@@ -512,13 +520,15 @@ def _hard_programs(draw, case):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = "squared" if case == "interior-squared" else draw(
         st.sampled_from(("logistic", "squared")))
-    n = 1 if case == "one-row" else draw(st.integers(2, 40))
-    dim = 5 if case == "one-row" else draw(st.integers(1, 5))
+    n = {"one-row": 1, "few-rows": draw(st.integers(1, 4))}.get(case) or draw(st.integers(2, 40))
+    dim = 5 if case in ("one-row", "few-rows") else draw(st.integers(1, 5))
     norm_bound = draw(st.floats(0.25, 4.0))
     # unstandardized features, ||x|| up to 7
     xs = rng.uniform(-1.0, 1.0, size=(n, dim)) * draw(st.floats(1.0, 7.0)) / math.sqrt(dim)
     if case == "zero-features":
         xs[:] = 0.0
+    if case == "constant-column":
+        xs[:, draw(st.integers(0, dim - 1))] = draw(st.sampled_from((0.0, 1.0, -2.5)))
     ys = rng.choice([-1.0, 1.0], size=n)
     ws = rng.uniform(0.1, 20.0, size=n)
     if case == "interior-squared":
@@ -554,22 +564,69 @@ class TestTrustRegionRobustness:
                 np.zeros(xs.shape[1]))
 
 
-# Declared tolerance on p: the trust-region ERM lands within the barrier's gap
+# The capped programs on the same hard kinds, and a cap 1e-3 above the
+# minimum, which the barrier reached only through its phase I. Each solve must
+# end strictly inside the ball and the cap, certified to the gap target and
+# inside the barrier's bracket.
+class TestCappedLinearRobustness:
+    @pytest.mark.parametrize("case", ("constant-column", "few-rows", "one-row",
+                                      "tight-cap", "warm-outside"))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_certified_inside_barrier_bracket(self, case, data):
+        rng, loss, xs, ys, ws, norm_bound, start = data.draw(_hard_programs(case))
+        slack = 1e-3 if case == "tight-cap" else data.draw(st.floats(0.01, 1.0))
+        _, cap, direction = _active_cap(loss, xs, ys, ws, slack, norm_bound)
+        if data.draw(st.booleans()):
+            direction = rng.normal(size=xs.shape[1])
+        result = minimize_linear(direction, norm_bound, cap, start)
+        if not result.diagnostics.used_shortcut:
+            _assert_certified(result, direction, norm_bound, cap, start)
+
+    def test_steep_path_with_interior_optimum(self):
+        # d = 2, 12 rows: the cap minimizer lies on the ball; the tilted path
+        # leaves the ball, meets the cap strictly inside at s* ~ 0.156, and
+        # only then runs back to the ball optimum
+        rng = np.random.default_rng(598)
+        loss = LossFunction("logistic", 1.0)
+        xs = rng.uniform(-1.0, 1.0, size=(12, 2)) * rng.uniform(1.0, 7.0) / math.sqrt(2)
+        ys = rng.choice([-1.0, 1.0], size=12)
+        ws = rng.uniform(0.01, 0.3, size=12)
+        norm_bound = rng.uniform(0.25, 4.0)
+        base, cap, _ = _active_cap(loss, xs, ys, ws, 0.05, norm_bound)
+        direction = rng.normal(size=2)
+        result = minimize_linear(direction, norm_bound, cap, base.point)
+        assert float(base.point @ base.point) > norm_bound * (1.0 - 1e-9)
+        assert float(result.point @ result.point) < 0.5 * norm_bound
+        # inside the ball, s* direction = -grad cap at the optimum
+        grad, _ = cap.derivatives(result.point)
+        assert np.linalg.norm(grad) / np.linalg.norm(direction) == pytest.approx(0.156, abs=1e-3)
+        _assert_certified(result, direction, norm_bound, cap, base.point)
+
+
+# Declared tolerance on p. The trust-region ERM lands within the barrier's gap
 # m/t = 1e-6 of the barrier ERM, so the survivor cap and the prediction
-# interval move by solver-gap amounts. Any p > 0 keeps the 1/p estimate
-# unbiased, so such a move costs variance, never correctness; the coins and
-# the query count must not change.
+# interval move by solver-gap amounts. The interval ends are the tilted path's
+# dual bounds, which hold the exact interval, which holds the barrier's
+# feasible values; `interval_spread` is monotone under inclusion, so p can only
+# rise, by at most the certified gap of 1e-6 times the spread's slope. Any
+# p > 0 keeps the 1/p estimate unbiased, so such a move costs variance, never
+# correctness; the coins and the query count must not change.
 P_TOLERANCE = 1e-6
+
+
+def _stream_config(kind, seed):
+    return ExperimentConfig.from_dict({
+        "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
+        "strategy": "loss-weighting-linear", "loss_kind": kind,
+        "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
+        "checkpoint_every": 50, "seed": seed})
 
 
 @pytest.mark.parametrize("kind", ("logistic", "squared"))
 @pytest.mark.parametrize("seed", (1, 2))
 def test_linear_stream_p_within_declared_tolerance_of_barrier_erm(kind, seed):
-    config = ExperimentConfig.from_dict({
-        "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
-        "strategy": "loss-weighting-linear", "loss_kind": kind,
-        "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
-        "checkpoint_every": 50, "seed": seed})
+    config = _stream_config(kind, seed)
     new = run_experiment(config)
     with _frozen_barrier_erm():
         frozen = run_experiment(config)
@@ -579,3 +636,25 @@ def test_linear_stream_p_within_declared_tolerance_of_barrier_erm(kind, seed):
     assert len(gaps) == 150 and max(gaps) <= P_TOLERANCE
     assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-6
     assert abs(new.passive.final_loss - frozen.passive.final_loss) <= 1e-6
+
+
+def _barrier_interval_read_unwidened(*args, **kwargs):
+    """The barrier's interval solve with its gap zeroed: the threshold took
+    the barrier's values as the interval ends."""
+    result = _frozen_minimize_linear(*args, **kwargs)
+    result.diagnostics.final_gap = 0.0
+    return result
+
+
+@pytest.mark.parametrize(("kind", "seed"), (("logistic", 1), ("squared", 2)))
+def test_linear_stream_p_rounds_up_from_barrier_interval(kind, seed):
+    config = _stream_config(kind, seed)
+    new = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "minimize_linear", _barrier_interval_read_unwidened)
+        frozen = run_experiment(config)
+    assert new.active.trace.q == frozen.active.trace.q
+    assert new.active.queries == frozen.active.queries
+    rises = [b - a for a, b in zip(frozen.active.trace.p, new.active.trace.p)]
+    assert len(rises) == 150
+    assert min(rises) >= -1e-12 and max(rises) <= P_TOLERANCE

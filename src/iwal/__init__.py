@@ -28,8 +28,7 @@ from .theory import (disagreement_coefficient, expected_query_bound,
                      loss_deviation_bound, loss_distance_exact,
                      loss_distance_mc, sphere_coefficient_bound)
 from .thresholds import (ConstantThreshold, LossWeightingFinite,
-                         LossWeightingLinear, loss_spread_finite,
-                         optimistic_slack, slack_width)
+                         LossWeightingLinear, optimistic_slack, slack_width)
 from .trees import DecisionTree, TreeParams
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,9 @@ queried points. The importance-weighted loss estimate built from the
 resulting sample is unbiased for the true loss of any fixed hypothesis.
 
 The engine is the only writer of its arm's store: the `WeightedSample` of
-queried examples and, for a finite class, the member loss sums. It hands
-itself to the threshold once, when built, and the threshold reads from it.
+queried examples, for a finite class the member loss sums, and for the
+linear ball the running ERM. It hands itself to the threshold once, when
+built, and the threshold reads from it.
 The `QueryTrace` holds the per-step facts as two columns, the query
 probability p and the coin q, with the step t given by the position; the x
 and y of a queried step live only in the sample.
@@ -87,12 +88,15 @@ def weighted_loss_estimate(records, predictor, loss: LossFunction,
 class Engine:
     """Runs the sampling loop for one stream with one threshold strategy.
 
-    The hypothesis class may be None when only the query trace matters.
+    Without a `hypothesis_class` the engine takes its threshold's, if the
+    threshold has one; it stays None when only the query trace matters.
     Finite classes keep incremental per-member weighted loss sums in
     `member_sums` (None otherwise), from one batched prediction per query.
-    The running minimizer is computed only when `refresh_hypothesis` reads
-    it: the argmin of the sums for a finite class, an ERM solve warm-started
-    from the last one for the linear ball.
+    The running minimizer is computed only when `refresh_hypothesis` is
+    called, at checkpoints and by the linear threshold: the argmin of the
+    sums for a finite class, over the threshold's survivors when it keeps an
+    `alive` mask; for the linear ball an ERM solve warm-started from the last
+    one, at most once per row count, counted in `erm_solves`.
     """
 
     def __init__(self, loss: LossFunction, threshold, rng: np.random.Generator,
@@ -102,6 +106,8 @@ class Engine:
         self.loss = loss
         self.threshold = threshold
         self.rng = rng
+        if hypothesis_class is None:
+            hypothesis_class = getattr(threshold, "hypothesis_class", None)
         self.hypothesis_class = hypothesis_class
         self.p_min = p_min
         self.t = 0
@@ -110,6 +116,7 @@ class Engine:
         self.trace = QueryTrace()
         self._current = None
         self._fit_rows = 0            # sample rows the current ERM covers
+        self.erm_solves = 0
         if isinstance(hypothesis_class, FiniteClass):
             self.member_sums = np.zeros(len(hypothesis_class.members))
         elif isinstance(hypothesis_class, LinearBall):
@@ -140,13 +147,19 @@ class Engine:
         return StepRecord(self.t, x, y, p, queried)
 
     def refresh_hypothesis(self):
-        """The running minimizer over every queried row (None without a class)."""
-        if self.member_sums is not None:
-            return self.hypothesis_class.members[int(np.argmin(self.member_sums))]
+        """The running minimizer over every queried row (None without a class);
+        for a finite class, the first least sum among the threshold's survivors."""
+        sums = self.member_sums
+        if sums is not None:
+            alive = getattr(self.threshold, "alive", None)
+            if alive is not None:
+                sums = np.where(alive, sums, np.inf)
+            return self.hypothesis_class.members[int(np.argmin(sums))]
         if self.hypothesis_class is not None and self._fit_rows < len(self.sample):
             self._current = erm_weighted(self.hypothesis_class, self.sample,
                                          self.loss, start=self._current.weights)
             self._fit_rows = len(self.sample)
+            self.erm_solves += 1
         return self._current
 
     def run_stream(self, xs, oracle: Callable):

@@ -9,7 +9,8 @@ taken over the whole ball and only the most recent survivor constraint is
 enforced when computing prediction extremes.
 
 Thresholds store no history: the engine built on one calls `attach(engine)`,
-and the threshold reads the engine's member loss sums or weighted sample.
+and the threshold reads the engine's member loss sums, or its weighted
+sample and running ERM, which the engine alone computes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import solver
 from .errors import ThresholdContractError, UnsupportedLossError
-from .hypotheses import FiniteClass, LinearPredictor
+from .hypotheses import FiniteClass, LinearBall, LinearPredictor
 from .losses import SMOOTH_KINDS, LossFunction
 
 _NOISE_FLOOR = -1e-9
@@ -72,16 +73,6 @@ def shrink_survivors(avg_losses: np.ndarray, alive: np.ndarray,
         return alive.copy()
     best = np.min(avg_losses[alive])
     return alive & (np.asarray(avg_losses) <= best + slack)
-
-
-def loss_spread_finite(x, predictors, loss: LossFunction,
-                       labels=(-1.0, 1.0)) -> float:
-    """Largest loss difference any two predictors realize on x, over labels.
-
-    Equals the maximum over ordered pairs (f, g) and labels y of
-    l(f(x), y) - l(g(x), y); computed per label as max - min.
-    """
-    return loss.spread_many(FiniteClass(predictors).predict(x), labels)
 
 
 class ConstantThreshold:
@@ -161,6 +152,8 @@ class LossWeightingLinear:
     only enlarge the interval and hence the probability. Each end is the
     solver's certified dual bound, so the interval holds the exact one and p
     rounds up, by at most the solver's gap target times the spread's slope.
+    The ball-wide minimizer is the engine's running ERM, which this threshold
+    only reads; the interval solves start from it.
     """
 
     def __init__(self, dim: int, norm_bound: float, loss: LossFunction,
@@ -172,62 +165,45 @@ class LossWeightingLinear:
                 f"linear loss-weighting needs a smooth loss {SMOOTH_KINDS}, "
                 f"got {loss.kind}"
             )
-        self.dim = dim
-        self.norm_bound = float(norm_bound)
+        self.hypothesis_class = LinearBall(dim, float(norm_bound))
         self.loss = loss
         self.slack_mode = slack_mode
         self.labels = tuple(labels)
         self.t = 0
-        self.sample = None            # the engine's WeightedSample
-        self._erm_point = np.zeros(dim)
-        self._erm_sum = 0.0           # minimized weighted loss sum
-        self._erm_rows = 0            # sample rows the ERM point covers
+        self.engine = None
         self.solve_count = 0
-        self.erm_solve_count = 0
         self.interval_newton_steps = 0
         self.interval_outer_steps = 0
-        self.erm_newton_steps = 0
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
             return optimistic_slack(t)
-        return dimension_slack(t, self.dim)
+        return dimension_slack(t, self.hypothesis_class.dim)
 
     def attach(self, engine) -> None:
-        self.sample = engine.sample
-
-    def _refresh_erm(self) -> None:
-        sample = self.sample
-        if self._erm_rows == len(sample):
-            return
-        result = solver.minimize_weighted_loss(
-            self.loss, sample.X, sample.y, sample.w, self.norm_bound,
-            start=self._erm_point)
-        self._erm_point = result.point
-        self._erm_sum = result.value
-        self._erm_rows = len(sample)
-        self.erm_solve_count += 1
-        self.erm_newton_steps += result.diagnostics.newton_steps
+        """Read the sample and running ERM of an engine on this ball and loss."""
+        if engine.hypothesis_class != self.hypothesis_class or engine.loss != self.loss:
+            raise ValueError("the engine must run this threshold's class and loss")
+        self.engine = engine
 
     def minimizer(self) -> LinearPredictor:
-        """Current ball-wide weighted-loss minimizer."""
-        self._refresh_erm()
-        return LinearPredictor(self._erm_point.copy(), self.loss.range_bound)
+        """Current ball-wide weighted-loss minimizer: the engine's ERM."""
+        return self.engine.refresh_hypothesis()
 
     def _retained_cap(self, seen: int) -> solver.WeightedLossCap | None:
         """Most recent survivor constraint, or None while it is vacuous."""
         slack = self.slack(seen)
-        sample = self.sample
-        if seen < 1 or math.isinf(slack) or not len(sample):
+        if seen < 1 or math.isinf(slack):
             return None
+        sample = self.engine.sample
         # normalized losses are at most 1, so no point can violate a bound
-        # of sum(w)/seen and the constraint excludes nothing; the weights are
-        # summed left to right, in query order
+        # of sum(w)/seen (0 with no queries) and the constraint excludes
+        # nothing; the weights are summed left to right, in query order
         heaviest = sum(sample.w.tolist()) / seen
         if slack >= heaviest:
             return None
-        self._refresh_erm()
-        best_avg = self._erm_sum / seen
+        best = solver.WeightedLossCap(self.loss, sample.X, sample.y, sample.w, 0.0)
+        best_avg = best.value(self.minimizer().weights) / seen
         if best_avg + slack >= heaviest:
             return None
         return solver.WeightedLossCap(self.loss, sample.X, sample.y,
@@ -241,9 +217,11 @@ class LossWeightingLinear:
         if float(np.linalg.norm(x)) == 0.0:
             return 0.0, 0.0
         cap = self._retained_cap(self.t - 1)
+        start = None if cap is None else self.minimizer().weights
+        bound = self.hypothesis_class.norm_bound
         self.solve_count += 2
-        low = solver.minimize_linear(x, self.norm_bound, cap, self._erm_point)
-        high = solver.minimize_linear(-x, self.norm_bound, cap, self._erm_point)
+        low = solver.minimize_linear(x, bound, cap, start)
+        high = solver.minimize_linear(-x, bound, cap, start)
         for end in (low.diagnostics, high.diagnostics):
             self.interval_newton_steps += end.newton_steps
             self.interval_outer_steps += end.outer_stages
@@ -264,10 +242,9 @@ class LossWeightingLinear:
     def diagnostics(self) -> dict:
         return {
             "interval_solves": self.solve_count,
-            "erm_solves": self.erm_solve_count,
+            "erm_solves": self.engine.erm_solves,
             "interval_newton_steps": self.interval_newton_steps,
             "interval_outer_steps": self.interval_outer_steps,
-            "erm_newton_steps": self.erm_newton_steps,
         }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iwal.harness import ExperimentConfig
 from iwal.hypotheses import LinearPredictor, WeightedSample
 
 
@@ -42,3 +43,12 @@ def pair_spread_oracle(x, predictors, loss, labels=(-1.0, 1.0)):
                 gap = loss.eval(f.predict(x), y) - loss.eval(g.predict(x), y)
                 best = max(best, gap)
     return best
+
+
+def linear_stream_config(kind, seed):
+    """A 150-step loss-weighting-linear run on the 5-d sphere, optimistic slack."""
+    return ExperimentConfig.from_dict({
+        "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
+        "strategy": "loss-weighting-linear", "loss_kind": kind,
+        "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
+        "checkpoint_every": 50, "seed": seed})

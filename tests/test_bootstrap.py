@@ -10,7 +10,6 @@ from iwal.bootstrap import (Committee, CommitteeThreshold, Resample,
 from iwal.engine import Engine
 from iwal.hypotheses import FiniteClass, WeightedSample
 from iwal.losses import LossFunction
-from iwal.thresholds import loss_spread_finite
 from iwal.trees import TreeParams
 
 
@@ -111,8 +110,9 @@ class TestQueryProbability:
         probes = rng.uniform(-1.5, 1.5, size=(30, 3))
         got = [query_probability(x, committee, loss) for x in probes]
         assert not built
-        assert got == [0.1 + 0.9 * loss_spread_finite(x, committee.members, loss)
-                       for x in probes]
+        spreads = [loss.spread_many(FiniteClass(committee.members).predict(x),
+                                    (-1.0, 1.0)) for x in probes]
+        assert got == [0.1 + 0.9 * spread for spread in spreads]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),

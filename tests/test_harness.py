@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from iwal import solver
 from iwal.errors import ConfigError
 from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
                           emit_curves, run_experiment, run_replicates)
@@ -134,16 +135,23 @@ class TestRunExperiment:
         assert report.active.final_loss is not None
         assert "interval_solves" in report.active.diagnostics
 
-    def test_linear_solver_work_reaches_the_summary(self, tmp_path):
+    def test_linear_solver_work_reaches_the_summary(self, tmp_path, monkeypatch):
+        solves = []
+        solve = solver.minimize_weighted_loss
+        monkeypatch.setattr(solver, "minimize_weighted_loss",
+                            lambda *args, **kw: solves.append(1) or solve(*args, **kw))
         config = base_config(strategy="loss-weighting-linear",
                              slack_mode="optimistic", train_size=60,
                              test_size=40)
-        paths = emit_curves(run_experiment(config), tmp_path)
+        report = run_experiment(config)
+        paths = emit_curves(report, tmp_path)
         with open(paths["summary"]) as fh:
             diagnostics = json.load(fh)["active"]["diagnostics"]
         for key in ("interval_solves", "erm_solves", "interval_newton_steps",
-                    "interval_outer_steps", "erm_newton_steps"):
+                    "interval_outer_steps"):
             assert diagnostics[key] > 0, key
+        # the passive twin queries every row: one solve per checkpoint
+        assert diagnostics["erm_solves"] == len(solves) - len(report.passive.checkpoints)
 
     def test_bootstrap_pipeline(self):
         config = base_config(strategy="bootstrap", loss_kind="zero-one",

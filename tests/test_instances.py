@@ -102,13 +102,12 @@ class TestPointMassInstance:
         assert inst.label_probs[1].tolist() == [0.5, 0.5, 0.0]
 
     def test_all_linear_predictors_agree_at_origin(self, rng):
-        from iwal.hypotheses import LinearPredictor
-        from iwal.thresholds import loss_spread_finite
+        from iwal.hypotheses import FiniteClass, LinearPredictor
 
         loss = LossFunction("squared", 1.0)
         predictors = [LinearPredictor(rng.normal(size=2), 1.0) for _ in range(10)]
-        spread = loss_spread_finite(np.zeros(2), predictors, loss,
-                                    labels=(-1.0, 0.0, 1.0))
+        spread = loss.spread_many(FiniteClass(predictors).predict(np.zeros(2)),
+                                  (-1.0, 0.0, 1.0))
         assert spread == 0.0
 
     def test_beta_domain(self):

@@ -4,16 +4,19 @@
 the original from `owner.__dict__`, and `perfbench/bench.py` builds its
 workloads with `ExperimentConfig.from_dict`. A refactor that moves or renames
 a wrapped function, or a config schema change that drops a workload key,
-fails here, in the plain test run, instead of in the benchmark.
+fails here, in the plain test run, instead of in the benchmark. So does a
+library change that breaks `perfbench/micro.py`, run once with timing off.
 """
 
+import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import bench  # noqa: E402
 import spans  # noqa: E402
@@ -34,3 +37,13 @@ def test_every_workload_config_loads(name):
     workload = bench.WORKLOADS[name]
     config = ExperimentConfig.from_dict({**workload.config, "seed": 1})
     assert config.strategy == workload.config["strategy"]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("pytest_benchmark") is None,
+                    reason="pytest-benchmark is not installed")
+def test_micro_benchmarks_run():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/micro.py", "-q",
+         "--benchmark-disable", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

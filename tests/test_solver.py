@@ -8,10 +8,12 @@ from hypothesis import given, settings
 
 from iwal import solver
 from iwal.errors import InfeasibleStartError, SolverConvergenceError
-from iwal.harness import ExperimentConfig, run_experiment
+from iwal.harness import run_experiment
 from iwal.losses import LossFunction
 from iwal.solver import (SolverDiagnostics, SolverOptions, SolverResult,
                          WeightedLossCap, minimize_linear, minimize_weighted_loss)
+
+from conftest import linear_stream_config
 
 
 def random_program(rng, n=10, dim=2, kind="logistic"):
@@ -615,18 +617,10 @@ class TestCappedLinearRobustness:
 P_TOLERANCE = 1e-6
 
 
-def _stream_config(kind, seed):
-    return ExperimentConfig.from_dict({
-        "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
-        "strategy": "loss-weighting-linear", "loss_kind": kind,
-        "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
-        "checkpoint_every": 50, "seed": seed})
-
-
 @pytest.mark.parametrize("kind", ("logistic", "squared"))
 @pytest.mark.parametrize("seed", (1, 2))
 def test_linear_stream_p_within_declared_tolerance_of_barrier_erm(kind, seed):
-    config = _stream_config(kind, seed)
+    config = linear_stream_config(kind, seed)
     new = run_experiment(config)
     with _frozen_barrier_erm():
         frozen = run_experiment(config)
@@ -648,7 +642,7 @@ def _barrier_interval_read_unwidened(*args, **kwargs):
 
 @pytest.mark.parametrize(("kind", "seed"), (("logistic", 1), ("squared", 2)))
 def test_linear_stream_p_rounds_up_from_barrier_interval(kind, seed):
-    config = _stream_config(kind, seed)
+    config = linear_stream_config(kind, seed)
     new = run_experiment(config)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "minimize_linear", _barrier_interval_read_unwidened)

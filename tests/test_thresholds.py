@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from iwal import harness, solver
 from iwal.engine import Engine
 from iwal.errors import ThresholdContractError, UnsupportedLossError
-from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
-                             predict_many)
+from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
+                             LinearPredictor, predict_many)
 from iwal.losses import LossFunction
 from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
                              LossWeightingLinear, dimension_slack,
-                             loss_spread_finite, optimistic_slack,
-                             shrink_survivors, slack_width,
+                             optimistic_slack, shrink_survivors, slack_width,
                              validate_probability)
 
-from conftest import pair_spread_oracle, random_linear_predictors
+from conftest import (linear_stream_config, pair_spread_oracle,
+                      random_linear_predictors)
 
 
 class TestSlack:
@@ -78,19 +79,21 @@ class TestSpreadFinite:
     def test_single_survivor_is_zero(self, rng):
         loss = LossFunction("logistic", 1.0)
         h = LinearPredictor(rng.normal(size=2), 1.0)
-        assert loss_spread_finite(rng.normal(size=2), [h], loss) == 0.0
+        assert loss.spread_many(FiniteClass((h,)).predict(rng.normal(size=2)),
+                                (-1.0, 1.0)) == 0.0
 
     def test_opposite_constants_zero_one(self, rng):
         loss = LossFunction("zero-one")
         survivors = [ConstantPredictor(1.0), ConstantPredictor(-1.0)]
-        assert loss_spread_finite(rng.normal(size=3), survivors, loss) == 1.0
+        z = FiniteClass(survivors).predict(rng.normal(size=3))
+        assert loss.spread_many(z, (-1.0, 1.0)) == 1.0
 
     def test_matches_pair_enumeration(self, rng):
         loss = LossFunction("logistic", 1.0)
         for _ in range(20):
             survivors = random_linear_predictors(rng, 16, 3)
             x = rng.normal(size=3)
-            fast = loss_spread_finite(x, survivors, loss)
+            fast = loss.spread_many(FiniteClass(survivors).predict(x), (-1.0, 1.0))
             slow = pair_spread_oracle(x, survivors, loss)
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -98,9 +101,33 @@ class TestSpreadFinite:
         loss = LossFunction("logistic", 1.0)
         survivors = random_linear_predictors(rng, 10, 2)
         x = rng.normal(size=2)
-        base = loss_spread_finite(x, survivors, loss)
+        base = loss.spread_many(FiniteClass(survivors).predict(x), (-1.0, 1.0))
         perm = [survivors[i] for i in rng.permutation(10)]
-        assert loss_spread_finite(x, perm, loss) == pytest.approx(base, abs=1e-15)
+        assert loss.spread_many(FiniteClass(perm).predict(x),
+                                (-1.0, 1.0)) == pytest.approx(base, abs=1e-15)
+
+
+def _survivor_stream(seed, dim, slack_mode, p_min, noise, steps=150):
+    """A 16-member logistic class under LossWeightingFinite with slack
+    constant 0.5, its engine, and the stream as (x, oracle) pairs."""
+    rng = np.random.default_rng(seed)
+    loss = LossFunction("logistic", 1.0)
+    cls = FiniteClass(tuple(random_linear_predictors(rng, 16, dim)))
+    threshold = LossWeightingFinite(cls, loss, slack_mode=slack_mode,
+                                    slack_constant=0.5)
+    engine = Engine(loss, threshold, rng, hypothesis_class=cls, p_min=p_min)
+    direction = rng.normal(size=dim)
+
+    def oracle(i, x):
+        sign = 1.0 if x @ direction >= 0 else -1.0
+        return -sign if rng.random() < noise else sign
+
+    return cls, threshold, engine, ((rng.normal(size=dim), oracle)
+                                    for _ in range(steps))
+
+
+def _member_index(cls, member):
+    return next(i for i, h in enumerate(cls.members) if h is member)
 
 
 class TestLossWeightingFinite:
@@ -149,8 +176,13 @@ class TestLossWeightingFinite:
         threshold = LossWeightingFinite(cls, loss)
         engine = Engine(loss, threshold, rng, hypothesis_class=cls)
         assert threshold.loss_sums is engine.member_sums
+        # an engine built with no class takes the threshold's
+        engine = Engine(loss, threshold, rng)
+        assert engine.hypothesis_class is cls
+        assert threshold.loss_sums is engine.member_sums
+        other = FiniteClass(tuple(random_linear_predictors(rng, 4, 2)))
         with pytest.raises(ValueError, match="class and loss"):
-            Engine(loss, threshold, rng)
+            Engine(loss, threshold, rng, hypothesis_class=other)
         with pytest.raises(ValueError, match="class and loss"):
             Engine(LossFunction("hinge", 1.0), threshold, rng,
                    hypothesis_class=cls)
@@ -188,28 +220,35 @@ class TestLossWeightingFinite:
            noise=st.floats(0.0, 0.3))
     def test_stream_invariants(self, seed, dim, slack_mode, p_min, noise):
         # survivors only shrink and keep the survivor with the smallest sum
-        # in the engine's ledger; every p lies in [p_min, 1]; no step queries
-        # at p = 0. The argmin over all members is not kept: with optimistic
-        # slack it was dropped on 30 of 600 such streams.
-        rng = np.random.default_rng(seed)
-        loss = LossFunction("logistic", 1.0)
-        cls = FiniteClass(tuple(random_linear_predictors(rng, 16, dim)))
-        threshold = LossWeightingFinite(cls, loss, slack_mode=slack_mode,
-                                        slack_constant=0.5)
-        engine = Engine(loss, threshold, rng, hypothesis_class=cls, p_min=p_min)
-        direction = rng.normal(size=dim)
-
-        def oracle(i, x):
-            sign = 1.0 if x @ direction >= 0 else -1.0
-            return -sign if rng.random() < noise else sign
-
-        for _ in range(150):
+        # in the engine's ledger; the engine's minimizer is a survivor; every
+        # p lies in [p_min, 1]; no step queries at p = 0. The argmin over all
+        # members is not kept: with optimistic slack it was dropped on 30 of
+        # 600 such streams.
+        cls, threshold, engine, steps = _survivor_stream(seed, dim, slack_mode,
+                                                         p_min, noise)
+        for x, oracle in steps:
             alive = threshold.alive.copy()
             best = int(np.argmin(np.where(alive, engine.member_sums, math.inf)))
-            record = engine.step(rng.normal(size=dim), oracle)
+            record = engine.step(x, oracle)
             assert np.all(threshold.alive <= alive) and threshold.alive[best]
+            assert threshold.alive[_member_index(cls, engine.refresh_hypothesis())]
             assert p_min <= record.p <= 1.0
             assert record.p > 0.0 or not record.queried
+
+    def test_minimizer_is_the_least_sum_among_survivors(self):
+        # on this seeded optimistic-slack stream the argmin over all members
+        # is dead after most steps; the engine returns the first least sum
+        # among the survivors instead
+        cls, threshold, engine, steps = _survivor_stream(85, 3, "optimistic",
+                                                         0.0, 0.2)
+        dead_argmin = 0
+        for x, oracle in steps:
+            engine.step(x, oracle)
+            sums = engine.member_sums
+            dead_argmin += not threshold.alive[int(np.argmin(sums))]
+            best = int(np.argmin(np.where(threshold.alive, sums, math.inf)))
+            assert _member_index(cls, engine.refresh_hypothesis()) == best
+        assert dead_argmin > 100
 
 
 class TestLossWeightingLinear:
@@ -307,6 +346,131 @@ class TestLossWeightingLinear:
             if cap is not None:
                 u = threshold.minimizer().weights
                 assert cap.value(u) <= 1e-9
+
+
+class _TwoErmLinear:
+    """Frozen reference: the linear threshold as it was when it solved its
+    own warm-started ERM beside the engine's, so that each arm solved the
+    same program twice. Only the interval solves' start and the cap level
+    read that second ERM."""
+
+    def __init__(self, dim, norm_bound, loss, slack_mode="paper", labels=(-1.0, 1.0)):
+        self.dim, self.norm_bound, self.loss = dim, float(norm_bound), loss
+        self.slack_mode, self.labels = slack_mode, tuple(labels)
+        self.t = 0
+        self.sample = None
+        self._erm_point = np.zeros(dim)
+        self._erm_sum = 0.0
+        self._erm_rows = 0
+
+    def slack(self, t):
+        if self.slack_mode == "optimistic":
+            return optimistic_slack(t)
+        return dimension_slack(t, self.dim)
+
+    def attach(self, engine):
+        self.sample = engine.sample
+
+    def _refresh_erm(self):
+        sample = self.sample
+        if self._erm_rows == len(sample):
+            return
+        result = solver.minimize_weighted_loss(
+            self.loss, sample.X, sample.y, sample.w, self.norm_bound,
+            start=self._erm_point)
+        self._erm_point, self._erm_sum = result.point, result.value
+        self._erm_rows = len(sample)
+
+    def _retained_cap(self, seen):
+        slack = self.slack(seen)
+        sample = self.sample
+        if seen < 1 or math.isinf(slack) or not len(sample):
+            return None
+        heaviest = sum(sample.w.tolist()) / seen
+        if slack >= heaviest:
+            return None
+        self._refresh_erm()
+        best_avg = self._erm_sum / seen
+        if best_avg + slack >= heaviest:
+            return None
+        return solver.WeightedLossCap(self.loss, sample.X, sample.y,
+                                      sample.w / seen, best_avg + slack)
+
+    def probability(self, x):
+        self.t += 1
+        x = np.asarray(x, dtype=float)
+        if float(np.linalg.norm(x)) == 0.0:
+            return self.loss.interval_spread(0.0, 0.0, self.labels)
+        cap = self._retained_cap(self.t - 1)
+        low = solver.minimize_linear(x, self.norm_bound, cap, self._erm_point)
+        high = solver.minimize_linear(-x, self.norm_bound, cap, self._erm_point)
+        lo = low.value - low.diagnostics.final_gap
+        hi = -high.value + high.diagnostics.final_gap
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        return self.loss.interval_spread(lo, hi, self.labels)
+
+    def record(self, x, y, p, queried):
+        pass
+
+
+class TestOneErmPerArm:
+    def _stream(self, rng, threshold, steps, checkpoint=10):
+        engine = Engine(threshold.loss, threshold, rng)
+        for t in range(1, steps + 1):
+            engine.step(rng.normal(size=threshold.hypothesis_class.dim),
+                        lambda i, x: 1.0 if x[0] - 0.3 * x[1] > 0 else -1.0)
+            if t % checkpoint == 0:
+                engine.refresh_hypothesis()
+        return engine
+
+    def test_one_solve_per_row_count(self, rng, monkeypatch):
+        rows = []
+        solve = solver.minimize_weighted_loss
+        monkeypatch.setattr(solver, "minimize_weighted_loss",
+                            lambda *args, **kw: rows.append(len(args[1])) or solve(*args, **kw))
+        threshold = LossWeightingLinear(2, 1.0, LossFunction("logistic", 1.0),
+                                        slack_mode="optimistic")
+        engine = self._stream(rng, threshold, 80)
+        assert len(rows) > 10 and rows == sorted(set(rows))
+        assert engine.erm_solves == len(rows)
+        assert threshold.diagnostics()["erm_solves"] == len(rows)
+
+    def test_classless_engine_takes_the_threshold_ball(self, rng):
+        loss = LossFunction("logistic", 1.0)
+        threshold = LossWeightingLinear(3, 2.0, loss)
+        engine = Engine(loss, threshold, rng)
+        assert engine.hypothesis_class == LinearBall(3, 2.0)
+        assert threshold.engine is engine
+        assert threshold.minimizer() is engine.refresh_hypothesis()
+
+    @pytest.mark.parametrize("cls", [LinearBall(3, 1.0), LinearBall(2, 2.0),
+                                     FiniteClass((ConstantPredictor(1.0),))])
+    def test_attach_rejects_another_class(self, rng, cls):
+        loss = LossFunction("logistic", 1.0)
+        threshold = LossWeightingLinear(2, 1.0, loss)
+        with pytest.raises(ValueError, match="class and loss"):
+            Engine(loss, threshold, rng, hypothesis_class=cls)
+
+    def test_attach_rejects_another_loss(self, rng):
+        threshold = LossWeightingLinear(2, 1.0, LossFunction("logistic", 1.0))
+        with pytest.raises(ValueError, match="class and loss"):
+            Engine(LossFunction("squared", 1.0), threshold, rng)
+
+    @pytest.mark.parametrize(("kind", "seed"), (("logistic", 1), ("squared", 2)))
+    def test_stream_matches_the_two_erm_threshold(self, kind, seed, monkeypatch):
+        # the engine's ERM history also holds the checkpoint solves, so its
+        # warm starts differ from the threshold's own; the coins must not
+        config = linear_stream_config(kind, seed)
+        new = harness.run_experiment(config)
+        monkeypatch.setattr(harness, "LossWeightingLinear", _TwoErmLinear)
+        frozen = harness.run_experiment(config)
+        assert new.active.trace.q == frozen.active.trace.q
+        assert new.active.queries == frozen.active.queries
+        gaps = [abs(a - b) for a, b in zip(new.active.trace.p, frozen.active.trace.p)]
+        assert len(gaps) == 150 and max(gaps) <= 1e-6
+        assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-9
+        assert new.passive.final_loss == frozen.passive.final_loss
 
 
 def test_constant_threshold():

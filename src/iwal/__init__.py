@@ -11,8 +11,7 @@ synthetic instances, and probes for the theory that governs query counts.
 
 from .bootstrap import (Committee, CommitteeThreshold, costing_resample,
                         query_probability, train_committee, train_final)
-from .engine import (ArrayOracle, Engine, QueryTrace, StepRecord,
-                     weighted_loss_estimate)
+from .engine import ArrayOracle, Engine, QueryTrace, weighted_loss_estimate
 from .harness import (ExperimentConfig, RunReport, emit_curves,
                       run_experiment, run_replicates)
 from .hypotheses import (ConstantPredictor, FiniteClass, LinearBall,

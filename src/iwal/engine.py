@@ -3,8 +3,8 @@
 Each step asks the rejection threshold for a query probability on the
 incoming point, flips a seeded coin, and on success requests the label and
 stores the example with weight 1/p. The label oracle is consulted only for
-queried points. The importance-weighted loss estimate built from the
-resulting sample is unbiased for the true loss of any fixed hypothesis.
+queried points. `weighted_loss_estimate` reads that sample: over T steps it
+is unbiased for the true loss of any fixed hypothesis.
 
 The engine is the only writer of its arm's store: the `WeightedSample` of
 queried examples, for a finite class the member loss sums, and for the
@@ -19,22 +19,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidTraceError
 from .hypotheses import FiniteClass, LinearBall, WeightedSample, erm_weighted
 from .losses import LossFunction
 from .thresholds import validate_probability
-
-
-class StepRecord(NamedTuple):
-    t: int
-    x: object
-    y: object          # None when the label was not queried
-    p: float
-    queried: int
 
 
 @dataclass
@@ -64,25 +55,17 @@ class QueryTrace:
                 writer.writerow([t, repr(p), queried, cum])
 
 
-def weighted_loss_estimate(records, predictor, loss: LossFunction,
-                           steps: int | None = None) -> float:
-    """Importance-weighted empirical loss (1/T) sum q/p * l(h(x), y).
-
-    Steps with q = 0 contribute exactly zero and their labels are never
-    touched. A record claiming a query at p = 0 is rejected.
+def weighted_loss_estimate(sample: WeightedSample, predictor, loss: LossFunction,
+                           steps: int) -> float:
+    """Importance-weighted empirical loss (1/T) sum_t q_t/p_t * l(h(x_t), y_t)
+    over T = `steps` steps: the sum of w * l(h(x), y) over the sample's rows,
+    divided by T. Steps that were not queried are not in the sample and add
+    zero; the sample's weights are finite, so no row was queried at p = 0.
     """
-    records = list(records)
-    T = len(records) if steps is None else steps
-    if T < 1:
+    if steps < 1:
         raise ValueError("the estimate needs at least one step")
-    total = 0.0
-    for r in records:
-        if not r.queried:
-            continue
-        if r.p == 0.0:
-            raise InvalidTraceError(f"step {r.t} queried at probability zero")
-        total += loss.eval(predictor.predict(r.x), r.y) / r.p
-    return total / T
+    return sum(row.weight * loss.eval(predictor.predict(row.x), row.y)
+               for row in sample) / steps
 
 
 class Engine:
@@ -123,7 +106,7 @@ class Engine:
             self._current = erm_weighted(hypothesis_class, self.sample, loss)
         threshold.attach(self)
 
-    def step(self, x, oracle: Callable) -> StepRecord:
+    def step(self, x, oracle: Callable) -> None:
         """Process one unlabeled point.
 
         oracle(i, x) is called only on a query, with i the 0-based position
@@ -144,7 +127,6 @@ class Engine:
                     self.hypothesis_class.predict(x), y)
         self.threshold.record(x, y, p, queried)
         self.trace.append(p, queried)
-        return StepRecord(self.t, x, y, p, queried)
 
     def refresh_hypothesis(self):
         """The running minimizer over every queried row (None without a class);
@@ -161,12 +143,6 @@ class Engine:
             self._fit_rows = len(self.sample)
             self.erm_solves += 1
         return self._current
-
-    def run_stream(self, xs, oracle: Callable):
-        """Consume the whole stream; returns (final hypothesis, trace)."""
-        for x in xs:
-            self.step(x, oracle)
-        return self.refresh_hypothesis(), self.trace
 
 
 class ArrayOracle:

@@ -21,10 +21,6 @@ class ThresholdContractError(IwalError, RuntimeError):
     """A rejection threshold returned a probability outside [0, 1]."""
 
 
-class InvalidTraceError(IwalError, ValueError):
-    """A trace entry claims a query at probability zero."""
-
-
 class InfeasibleStartError(IwalError, RuntimeError):
     """No strictly feasible starting point is available for the solver."""
 

@@ -116,8 +116,8 @@ class WeightedExample:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if not self.weight > 0:
-            raise ValueError(f"importance weight must be positive, got {self.weight}")
+        if not 0 < self.weight < np.inf:
+            raise ValueError(f"importance weight must be finite and positive, got {self.weight}")
         if abs(self.y) > 1.0:
             raise ValueError(f"label {self.y} outside [-1, 1]")
 

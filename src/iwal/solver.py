@@ -27,7 +27,7 @@ convexity makes feasible. The search stops when P - D meets the gap target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class SolverDiagnostics:
     newton_steps: int = 0
     final_gap: float = math.inf
     used_shortcut: bool = False
-    stage_values: list = field(default_factory=list)
 
 
 @dataclass
@@ -149,7 +148,6 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
         if tilt is not None:
             value += float(tilt @ u)
             grad = grad + tilt
-        diag.stage_values.append(value)
         lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
         diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
                           * float(np.linalg.norm(grad + 2.0 * lam * u)))
@@ -183,9 +181,9 @@ def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
                            start=None, options=None) -> SolverResult:
     """Minimize the importance-weighted normalized loss over the norm ball.
 
-    Trust-region Newton from `start` (the origin when None); every iterate,
-    whose loss `stage_values` records, is strictly inside the ball. Steps at
-    a Newton decrement^2 <= 1e-6 skip the Armijo test, which float rounding
+    Trust-region Newton from `start` (the origin when None); every iterate is
+    strictly inside the ball, and each lowers the loss up to rounding. Steps
+    at a Newton decrement^2 <= 1e-6 skip the Armijo test, which float rounding
     of the loss can defeat there; the one at decrement^2 / 2 <= `newton_tol`
     is the last, whatever the certificate (`final_gap`) then reads.
 

@@ -190,24 +190,26 @@ class LossWeightingLinear:
         """Current ball-wide weighted-loss minimizer: the engine's ERM."""
         return self.engine.refresh_hypothesis()
 
-    def _retained_cap(self, seen: int) -> solver.WeightedLossCap | None:
-        """Most recent survivor constraint, or None while it is vacuous."""
+    def _retained_cap(self, seen: int):
+        """Most recent survivor constraint and the engine's ERM point that
+        sets its level, or (None, None) while the constraint is vacuous."""
         slack = self.slack(seen)
         if seen < 1 or math.isinf(slack):
-            return None
+            return None, None
         sample = self.engine.sample
         # normalized losses are at most 1, so no point can violate a bound
         # of sum(w)/seen (0 with no queries) and the constraint excludes
         # nothing; the weights are summed left to right, in query order
         heaviest = sum(sample.w.tolist()) / seen
         if slack >= heaviest:
-            return None
+            return None, None
+        point = self.minimizer().weights
         best = solver.WeightedLossCap(self.loss, sample.X, sample.y, sample.w, 0.0)
-        best_avg = best.value(self.minimizer().weights) / seen
+        best_avg = best.value(point) / seen
         if best_avg + slack >= heaviest:
-            return None
+            return None, None
         return solver.WeightedLossCap(self.loss, sample.X, sample.y,
-                                      sample.w / seen, best_avg + slack)
+                                      sample.w / seen, best_avg + slack), point
 
     def prediction_interval(self, x) -> tuple[float, float]:
         """[min, max] of u . x over the ball under the retained constraint,
@@ -216,8 +218,7 @@ class LossWeightingLinear:
         x = np.asarray(x, dtype=float)
         if float(np.linalg.norm(x)) == 0.0:
             return 0.0, 0.0
-        cap = self._retained_cap(self.t - 1)
-        start = None if cap is None else self.minimizer().weights
+        cap, start = self._retained_cap(self.t - 1)
         bound = self.hypothesis_class.norm_bound
         self.solve_count += 2
         low = solver.minimize_linear(x, bound, cap, start)

@@ -140,9 +140,10 @@ class TestQueryProbability:
         for _ in range(40):
             x = rng.uniform(-1.5, 1.5, size=dim)
             assert p_min <= threshold.probability(x) <= 1.0
-            record = engine.step(x, lambda i, x: label(x))
-            assert p_min <= record.p <= 1.0
-            assert record.p > 0.0 or not record.queried
+            engine.step(x, lambda i, x: label(x))
+            p, queried = engine.trace.p[-1], engine.trace.q[-1]
+            assert p_min <= p <= 1.0
+            assert p > 0.0 or not queried
 
 
 class TestCosting:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from iwal.engine import (ArrayOracle, Engine, StepRecord,
-                         weighted_loss_estimate)
-from iwal.errors import InvalidTraceError, ThresholdContractError
-from iwal.hypotheses import ConstantPredictor, FiniteClass, LinearPredictor
+from iwal.engine import ArrayOracle, Engine, weighted_loss_estimate
+from iwal.errors import ThresholdContractError
+from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
+                             WeightedSample)
 from iwal.instances import random_discrete_instance
 from iwal.losses import LossFunction
 from iwal.thresholds import ConstantThreshold, LossWeightingFinite
@@ -94,35 +96,44 @@ class TestWeightedLossEstimate:
     def test_passive_case_is_empirical_loss(self, rng):
         loss = LossFunction("logistic", 1.0)
         h = LinearPredictor(rng.normal(size=2), 1.0)
-        records = []
+        sample = WeightedSample()
         plain = 0.0
-        for t in range(1, 21):
+        for _ in range(20):
             x = rng.normal(size=2)
             y = float(rng.choice([-1.0, 1.0]))
-            records.append(StepRecord(t, x, y, 1.0, 1))
+            sample.append(x, y, 1.0)
             plain += loss.eval(h.predict(x), y)
-        assert weighted_loss_estimate(records, h, loss) == pytest.approx(plain / 20)
+        assert weighted_loss_estimate(sample, h, loss, 20) == pytest.approx(plain / 20)
 
     def test_single_step_reweighting(self):
         loss = LossFunction("zero-one")
         h = ConstantPredictor(1.0)
-        records = [StepRecord(1, np.zeros(1), -1.0, 0.25, 1)]
-        # loss value 1 at weight 4, averaged over T=2
-        assert weighted_loss_estimate(records, h, loss, steps=2) == 2.0
+        sample = WeightedSample([(np.zeros(1), -1.0, 4.0)])
+        # loss value 1 at weight 4 (p = 0.25), averaged over T=2
+        assert weighted_loss_estimate(sample, h, loss, 2) == 2.0
 
     def test_unqueried_steps_contribute_zero_without_labels(self):
         loss = LossFunction("zero-one")
         h = ConstantPredictor(1.0)
-        records = [StepRecord(1, np.zeros(1), None, 0.5, 0),
-                   StepRecord(2, np.zeros(1), -1.0, 1.0, 1)]
-        assert weighted_loss_estimate(records, h, loss) == 0.5
+        # step 1 was not queried, so only step 2 (p = 1) is in the sample
+        sample = WeightedSample([(np.zeros(1), -1.0, 1.0)])
+        assert weighted_loss_estimate(sample, h, loss, 2) == 0.5
+        assert weighted_loss_estimate(WeightedSample(), h, loss, 3) == 0.0
+        with pytest.raises(ValueError, match="at least one step"):
+            weighted_loss_estimate(sample, h, loss, 0)
 
     def test_query_at_zero_probability_rejected(self):
+        # the weight 1/p of a query at p = 0, or at a subnormal p, is not
+        # finite, and the sample refuses it
         loss = LossFunction("zero-one")
         h = ConstantPredictor(1.0)
-        records = [StepRecord(1, np.zeros(1), 1.0, 0.0, 1)]
-        with pytest.raises(InvalidTraceError):
-            weighted_loss_estimate(records, h, loss)
+        sample = WeightedSample()
+        with np.errstate(divide="ignore", over="ignore"):
+            for p in (0.0, 5e-324):
+                with pytest.raises(ValueError, match="finite"):
+                    sample.append(np.zeros(1), 1.0, np.float64(1.0) / p)
+        assert len(sample) == 0
+        assert weighted_loss_estimate(sample, h, loss, 1) == 0.0
 
     def test_unbiased_on_enumerable_instance(self, rng):
         # fixed hypothesis, fixed p: Monte-Carlo mean within 3 standard errors
@@ -135,20 +146,49 @@ class TestWeightedLossEstimate:
         for r in range(reps):
             X, y = instance.sample(rng, T)
             q = rng.random(T) < 0.3
-            records = [StepRecord(t + 1, X[t], y[t], 0.3, int(q[t]))
-                       for t in range(T)]
-            estimates[r] = weighted_loss_estimate(records, h, loss)
+            sample = WeightedSample((X[t], y[t], 1.0 / 0.3) for t in range(T) if q[t])
+            estimates[r] = weighted_loss_estimate(sample, h, loss, T)
         stderr = estimates.std() / np.sqrt(reps)
         assert abs(estimates.mean() - exact) <= 3 * stderr
+
+    def test_unbiased_under_adaptive_probabilities(self):
+        # the engine's own sample under loss-weighting p (optimistic slack,
+        # p_min = 0.1, so every member keeps a positive query chance): the
+        # weighted estimate of a fixed member's loss stays within 3 standard
+        # errors of its true loss, while the plain mean of the queried rows,
+        # which over-represents the points where p is high, misses it by
+        # more (z about 6 to 9 over five disjoint sets of 400 run seeds,
+        # against |z| < 1 for the weighted estimate)
+        build = np.random.default_rng(1)
+        loss = LossFunction("logistic", 1.0)
+        instance = random_discrete_instance(6, 2, build)
+        cls = FiniteClass(tuple(random_linear_predictors(build, 8, 2)))
+        h = cls.members[3]
+        exact = instance.exact_loss(h, loss)
+        T, runs = 30, 400
+        weighted, queried = np.empty(runs), []
+        for r in range(runs):
+            run_rng = np.random.default_rng(r)
+            X, y = instance.sample(run_rng, T)
+            threshold = LossWeightingFinite(cls, loss, slack_mode="optimistic")
+            engine = Engine(loss, threshold, run_rng, p_min=0.1)
+            oracle = ArrayOracle(y)
+            for x in X:
+                engine.step(x, oracle)
+            weighted[r] = weighted_loss_estimate(engine.sample, h, loss, T)
+            queried += [loss.eval(h.predict(e.x), e.y) for e in engine.sample]
+        assert min(engine.trace.p) < 1.0    # p did adapt
+        assert abs(weighted.mean() - exact) <= 3 * weighted.std() / math.sqrt(runs)
+        queried = np.array(queried)
+        assert abs(queried.mean() - exact) > 3 * queried.std() / math.sqrt(len(queried))
 
 
 class TestRunStream:
     def test_single_point_stream(self, rng):
         engine = make_engine(1.0)
-        h, trace = engine.run_stream([rng.normal(size=2)],
-                                     ArrayOracle(np.array([1.0])))
-        assert len(trace) == 1
-        assert trace.query_count() == 1
+        engine.step(rng.normal(size=2), ArrayOracle(np.array([1.0])))
+        assert len(engine.trace) == 1
+        assert engine.trace.query_count() == 1
 
     def test_deterministic_replay(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -160,7 +200,10 @@ class TestRunStream:
             threshold = LossWeightingFinite(FiniteClass(members), loss)
             engine = Engine(loss, threshold, np.random.default_rng(42),
                             hypothesis_class=FiniteClass(members))
-            return engine.run_stream(X, ArrayOracle(y))
+            oracle = ArrayOracle(y)
+            for x in X:
+                engine.step(x, oracle)
+            return engine.refresh_hypothesis(), engine.trace
 
         h1, t1 = run()
         h2, t2 = run()
@@ -178,7 +221,9 @@ class TestRunStream:
         threshold = LossWeightingFinite(cls, loss)
         engine = Engine(loss, threshold, np.random.default_rng(5),
                         hypothesis_class=cls)
-        engine.run_stream(X, ArrayOracle(y))
+        oracle = ArrayOracle(y)
+        for x in X:
+            engine.step(x, oracle)
         assert engine.trace.query_count() < 300
 
     def test_finite_class_incremental_erm_matches_scan(self, rng):
@@ -189,9 +234,10 @@ class TestRunStream:
         engine = Engine(loss, ConstantThreshold(0.6),
                         np.random.default_rng(11), hypothesis_class=cls)
         X = rng.normal(size=(80, 2))
-        y = rng.choice([-1.0, 1.0], size=80)
-        h, _ = engine.run_stream(X, ArrayOracle(y))
-        assert h is erm_weighted(cls, engine.sample, loss)
+        oracle = ArrayOracle(rng.choice([-1.0, 1.0], size=80))
+        for x in X:
+            engine.step(x, oracle)
+        assert engine.refresh_hypothesis() is erm_weighted(cls, engine.sample, loss)
 
 
 class TestLinearMinimizer:

@@ -56,6 +56,13 @@ class TestWeightedExample:
         with pytest.raises(ValueError):
             WeightedExample(np.zeros(2), 1.0, 0.0)
 
+    def test_rejects_infinite_weight(self):
+        # 1/p overflows to inf for a subnormal p
+        with pytest.raises(ValueError, match="finite"):
+            WeightedExample(np.zeros(2), 1.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            WeightedSample().append(np.zeros(1), 1.0, np.inf)
+
     def test_rejects_label_outside_unit_interval(self):
         with pytest.raises(ValueError):
             WeightedExample(np.zeros(2), 2.0, 1.0)

@@ -198,7 +198,9 @@ class TestRealizedQueriesAgainstBound:
             threshold = LossWeightingFinite(cls, loss)
             engine = Engine(loss, threshold, run_rng, hypothesis_class=cls)
             X, y = instance.sample(np.random.default_rng(1000 + seed), T)
-            engine.run_stream(X, ArrayOracle(y))
+            oracle = ArrayOracle(y)
+            for x in X:
+                engine.step(x, oracle)
             realized = sum(engine.trace.p)
             if realized <= bound:
                 hits += 1

@@ -140,9 +140,11 @@ class TestLossWeightingFinite:
         masks = []
         for _ in range(steps):
             x = rng.normal(size=2)
-            record = engine.step(x, lambda i, x: float(rng.choice([-1.0, 1.0])))
+            engine.step(x, lambda i, x: float(rng.choice([-1.0, 1.0])))
             masks.append(threshold.alive.copy())
-            history.append((x, record.y, record.p, record.queried))
+            queried = engine.trace.q[-1]
+            y = engine.sample.y[-1] if queried else None
+            history.append((x, y, engine.trace.p[-1], queried))
         return threshold, history, masks
 
     def test_monotone_shrinkage_and_oracle_recomputation(self, rng):
@@ -229,11 +231,12 @@ class TestLossWeightingFinite:
         for x, oracle in steps:
             alive = threshold.alive.copy()
             best = int(np.argmin(np.where(alive, engine.member_sums, math.inf)))
-            record = engine.step(x, oracle)
+            engine.step(x, oracle)
             assert np.all(threshold.alive <= alive) and threshold.alive[best]
             assert threshold.alive[_member_index(cls, engine.refresh_hypothesis())]
-            assert p_min <= record.p <= 1.0
-            assert record.p > 0.0 or not record.queried
+            p, queried = engine.trace.p[-1], engine.trace.q[-1]
+            assert p_min <= p <= 1.0
+            assert p > 0.0 or not queried
 
     def test_minimizer_is_the_least_sum_among_survivors(self):
         # on this seeded optimistic-slack stream the argmin over all members
@@ -291,7 +294,7 @@ class TestLossWeightingLinear:
         seen = threshold.t
         threshold.t += 1
         lo, hi = threshold.prediction_interval(x)
-        cap = threshold._retained_cap(seen)
+        cap, _ = threshold._retained_cap(seen)
         assert cap is not None
         # dense polar cover of the feasible region
         radii = np.linspace(0.0, 1.0, 300)
@@ -330,10 +333,11 @@ class TestLossWeightingLinear:
             return -sign if rng.random() < noise else sign
 
         for _ in range(20):
-            record = engine.step(rng.normal(size=dim), oracle)
+            engine.step(rng.normal(size=dim), oracle)
             assert 0.0 <= raw[-1] <= 1.0
-            assert p_min <= record.p <= 1.0
-            assert record.p > 0.0 or not record.queried
+            p, queried = engine.trace.p[-1], engine.trace.q[-1]
+            assert p_min <= p <= 1.0
+            assert p > 0.0 or not queried
 
     def test_minimizer_feasible_for_its_own_constraint(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -342,9 +346,10 @@ class TestLossWeightingLinear:
         for _ in range(30):
             engine.step(rng.normal(size=2),
                         lambda i, x: float(rng.choice([-1.0, 1.0])))
-            cap = threshold._retained_cap(threshold.t)
+            cap, start = threshold._retained_cap(threshold.t)
             if cap is not None:
                 u = threshold.minimizer().weights
+                assert start is u
                 assert cap.value(u) <= 1e-9
 
 

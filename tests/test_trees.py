@@ -339,3 +339,126 @@ class TestPresort:
     def test_no_feature_gives_the_majority_leaf(self):
         tree = DecisionTree.fit(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
         assert tree.root == {"label": 1.0} and tree.n_features == 0
+
+
+class TestDepthwiseSearch:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_selection_matches_sequential_scan(self, seed):
+        # the gain grid of the replay test, many nodes packed side by side as
+        # column segments of one (features, columns) matrix
+        rng = np.random.default_rng(seed)
+        picked = flagged = 0
+        for _ in range(20):
+            d = int(rng.integers(1, 5))
+            sizes = rng.integers(1, 12, size=int(rng.integers(1, 30)))
+            blocks = []
+            for size in sizes.tolist():
+                gains = rng.integers(0, 12, size=(d, size)) * 0.5e-12 + 0.3
+                gains[rng.random((d, size)) < 0.3] = -np.inf
+                blocks.append(gains)
+            feature, column, exact = trees._select(np.concatenate(blocks, axis=1), sizes)
+            starts = np.cumsum(sizes) - sizes
+            for k, gains in enumerate(blocks):
+                kept = None
+                for j, g in enumerate(gains.ravel().tolist()):
+                    if g != -np.inf and (kept is None or g > gains.flat[kept] + 1e-12):
+                        kept = j
+                if kept is None:
+                    assert feature[k] == -1 and not exact[k]
+                elif exact[k]:
+                    flagged += 1
+                else:
+                    assert (feature[k], column[k] - starts[k]) == divmod(kept, gains.shape[1])
+                    picked += 1
+        assert picked and flagged
+
+    def test_one_search_per_depth(self, monkeypatch, rng):
+        X = rng.normal(size=(400, 3))
+        y = rng.choice([-1.0, 1.0], size=400)
+        calls = []
+        search = trees._split_depth
+        monkeypatch.setattr(trees, "_split_depth",
+                            lambda *args: calls.append(1) or search(*args))
+        tree = DecisionTree.fit(X, y, TreeParams(max_depth=8, min_leaf=1))
+        assert tree.depth() == 8
+        assert 1 <= len(calls) <= 8
+
+    def test_fitted_arrays_survive_the_dict_round_trip(self, rng):
+        # the nested dict is derived from the node arrays, and back
+        X = rng.normal(size=(150, 4))
+        y = np.where(X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0, 1.0, -1.0)
+        tree = DecisionTree.fit(X, y, TreeParams(max_depth=6, min_leaf=1))
+        clone = DecisionTree(tree.root, 4)
+        for name in ("feature", "threshold", "left", "right", "label"):
+            assert np.array_equal(getattr(tree, name), getattr(clone, name)), name
+        leaves = tree.left == np.arange(len(tree.left))
+        assert np.array_equal(leaves, tree.right == np.arange(len(tree.right)))
+        assert set(tree.label[leaves]) <= {-1.0, 1.0}
+
+    def test_non_finite_features_rejected(self):
+        X = np.array([[0.0], [np.inf], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DecisionTree.fit(X, np.array([1.0, -1.0, 1.0]))
+
+
+def _split(feature, threshold, left, right):
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
+
+class TestFromDictValidation:
+    LEAF, OTHER = {"label": 1.0}, {"label": -1.0}
+
+    @pytest.mark.parametrize("feature", [7, 5, -1, 1.0, True, "0"])
+    def test_feature_outside_the_features_rejected(self, feature):
+        payload = {"n_features": 5, "root": _split(feature, 0.0, self.LEAF, self.OTHER)}
+        with pytest.raises(ValueError, match="root has feature"):
+            DecisionTree.from_dict(payload)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan, None, "0.5"])
+    def test_threshold_not_finite_rejected(self, threshold):
+        with pytest.raises(ValueError, match="root has threshold"):
+            DecisionTree(_split(0, threshold, self.LEAF, self.OTHER), 2)
+
+    def test_missing_child_rejected_with_its_path(self):
+        inner = {"feature": 1, "threshold": 0.5, "left": self.LEAF}
+        with pytest.raises(ValueError, match=r"root\.right has no right"):
+            DecisionTree(_split(0, 0.0, self.LEAF, inner), 2)
+
+    @pytest.mark.parametrize("label", [0.3, 0.0, 2, True, None, "1"])
+    def test_leaf_label_not_a_sign_rejected(self, label):
+        with pytest.raises(ValueError, match=r"root\.left\.right has label"):
+            DecisionTree(_split(0, 0.0, _split(1, 1.0, self.OTHER, {"label": label}),
+                                self.LEAF), 2)
+
+    def test_node_that_is_not_a_dict_rejected(self):
+        with pytest.raises(ValueError, match=r"root\.left is not a dict"):
+            DecisionTree(_split(0, 0.0, [1.0], self.LEAF), 2)
+
+    def test_cycle_rejected(self):
+        root = _split(0, 0.0, self.LEAF, None)
+        root["right"] = root
+        with pytest.raises(ValueError, match="appears twice"):
+            DecisionTree(root, 1)
+
+    def test_n_features_must_be_a_count(self):
+        for n_features in (-1, 2.0, None):
+            with pytest.raises(ValueError, match="n_features"):
+                DecisionTree(self.LEAF, n_features)
+
+    def test_valid_hand_made_tree_round_trips(self):
+        root = _split(1, -0.25, self.OTHER, _split(0, 2.0, self.LEAF, self.OTHER))
+        tree = DecisionTree.from_dict({"n_features": 2, "root": root})
+        assert tree.root == root and tree.depth() == 2
+        X = np.array([[0.0, -1.0], [1.0, 0.0], [3.0, 0.0], [0.0, -0.25]])
+        assert np.array_equal(tree.predict_many(X), [-1.0, 1.0, -1.0, -1.0])
+        assert [tree.predict(x) for x in X] == [-1.0, 1.0, -1.0, -1.0]
+
+
+class TestEmptyPredictMany:
+    def test_empty_rows_of_the_wrong_width_rejected(self, rng):
+        tree = DecisionTree.fit(rng.normal(size=(20, 5)), rng.choice([-1.0, 1.0], size=20))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict_many(np.zeros((0, 3)))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict_many(np.zeros(0))
+        assert tree.predict_many(np.zeros((0, 5))).shape == (0,)

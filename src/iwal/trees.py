@@ -203,30 +203,31 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     starts = sizes.cumsum() - sizes
     node = np.arange(len(sizes)).repeat(sizes)       # each column's segment
     values = X.ravel().take(order + np.arange(0, d * n_rows, n_rows)[:, None])
+    blocked = np.ones((d, m), dtype=bool)        # cuts that are not allowed
+    np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
     flags = pos.take(order)
     # positives up to each column, less those before the column's segment
-    prefix = flags.ravel().cumsum()
-    before = prefix.take((np.arange(0, d * m, m)[:, None] + starts - 1).ravel())
+    pos_left = flags.ravel().cumsum()
+    before = pos_left.take((np.arange(0, d * m, m)[:, None] + starts - 1).ravel())
     before[0] = 0
-    counts = np.empty((2, d, m))       # positives left and right of each cut
-    np.subtract(prefix.reshape(d, m), before.reshape(d, -1).take(node, axis=1),
-                out=counts[0])
-    np.subtract(n_pos.take(node), counts[0], out=counts[1])
+    pos_left = pos_left.reshape(d, m)
+    pos_left -= before.reshape(d, -1).take(node, axis=1)
     # a cut after a column leaves the segment's columns up to it on the left
     n = sizes.take(node).astype(float)
     n_left = np.arange(1.0, m + 1) - starts.take(node)
-    halves = np.array((n_left, n - n_left))[:, None]
+    n_right = n - n_left
+    blocked |= (n_left < min_leaf) | (n_right < min_leaf)
     parent = np.array([_entropy(p, s) for p, s in zip(n_pos.tolist(), sizes.tolist())])
     # `_best_split`'s gain formula and operation order, elementwise and in
-    # place: parent - (n_left * h_left + n_right * h_right) / n
-    h = _entropy_many(counts, halves)
-    h *= halves
-    gains = np.add(h[0], h[1], out=h[0])
+    # place (one child at a time, to hold fewer temporaries):
+    # parent - (n_left * h_left + n_right * h_right) / n
+    gains = _entropy_many(pos_left, n_left)
+    gains *= n_left
+    h = _entropy_many(n_pos.take(node) - pos_left, n_right)
+    h *= n_right
+    gains += h
     gains /= n
     np.subtract(parent.take(node), gains, out=gains)
-    blocked = np.ones((d, m), dtype=bool)
-    np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
-    blocked |= (halves < min_leaf).any(axis=0)
     np.copyto(gains, -np.inf, where=blocked)
 
     feature, column, exact = _select(gains, sizes)
@@ -423,9 +424,8 @@ class DecisionTree:
                 f"expected rows of dimension {self.n_features}, got shape {X.shape}"
             )
         node = np.zeros(len(X), dtype=np.intp)
-        if self._depth:
-            # X[rows, feature[node]] as one flat take
-            flat, rows = X.ravel(), np.arange(0, X.size, self.n_features)
+        # X[i, feature[node[i]]] as one flat take
+        flat, rows = X.ravel(), np.arange(len(X)) * self.n_features
         for _ in range(self._depth):
             node = np.where(flat.take(rows + self.feature.take(node))
                             <= self.threshold.take(node),

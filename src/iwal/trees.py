@@ -272,7 +272,8 @@ def _grow(X: np.ndarray, pos: np.ndarray, params: TreeParams):
         taken[parents] = True
         left_ids = n_nodes + 2 * (np.cumsum(taken) - 1)[parents]
         splits.append((parents, feature[split], threshold[split], left_ids))
-        # each row's side, by its node's threshold mask
+        # each row's side, by its node's threshold mask (unused for the rows
+        # of a node without a split, whose feature -1 picks some value)
         node = np.arange(len(ids)).repeat(sizes)
         rows = order[0]
         goes_left = X.ravel().take(feature[node] * n_rows + rows) <= threshold[node]

@@ -20,6 +20,13 @@ from .errors import DimensionMismatchError
 from .losses import LossFunction
 
 
+def _rows(X, dim) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatchError(f"expected rows of dimension {dim}, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class LinearPredictor:
     """Clamped linear predictor: z = clip(u . x, -range_bound, +range_bound)."""
@@ -40,7 +47,7 @@ class LinearPredictor:
         return float(min(max(float(self.weights @ x), -b), b))
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _rows(X, self.weights.shape[0])
         return np.clip(X @ self.weights, -self.range_bound, self.range_bound)
 
 
@@ -62,7 +69,7 @@ class ThresholdPredictor:
         return 1.0 if float(self.weights @ x) >= 0 else -1.0
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _rows(X, self.weights.shape[0])
         return np.where(X @ self.weights >= 0, 1.0, -1.0)
 
 

@@ -22,6 +22,9 @@ makes every s a certificate: x . u(s) + (phi(s) - eps) / s is a lower bound D
 on the optimum, eps the inner solve's KKT gap. The primal bound P is x . u at
 u(s) when it meets the cap, and else at its blend with u(0) that the cap's
 convexity makes feasible. The search stops when P - D meets the gap target.
+The cap keeps its last point's Hessian eigendecomposition for the step and
+the path rate from it, which on the ball shifts H's eigenvalues by 2 lam, so
+each point of a solve is evaluated and factored once.
 """
 
 from __future__ import annotations
@@ -67,7 +70,10 @@ class SolverResult:
 
 
 class WeightedLossCap:
-    """sum_i w_i * loss(u . x_i, y_i) - bound <= 0, losses normalized."""
+    """sum_i w_i * loss(u . x_i, y_i) - bound <= 0, losses normalized.
+
+    It keeps the last point's margins, value and, once asked for, read-only
+    gradient, Hessian and Hessian eigendecomposition."""
 
     def __init__(self, loss: LossFunction, xs, ys, ws, bound: float):
         self.loss = loss
@@ -75,30 +81,36 @@ class WeightedLossCap:
         self.ys = np.asarray(ys, dtype=float)
         self.ws = np.asarray(ws, dtype=float)
         self.bound = float(bound)
-        self._last = (None, None, None)    # (u bytes, margins, value)
+        self._last = (None, {})    # (u bytes, what is known at u)
 
-    def _margins_and_value(self, u):
-        # the line search evaluates the cap at the point the next Newton
-        # iterate starts from, so keep the last evaluation
+    def _at(self, u):
         key = u.tobytes()
         if key != self._last[0]:
             z = self.xs @ u
             f = float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
-            self._last = (key, z, f)
-        return self._last[1], self._last[2]
-
-    def _derivatives(self, z):
-        dz, curv = self.loss.smooth_derivatives_many(z, self.ys)
-        grad = self.xs.T @ (self.ws * dz)
-        hess = (self.xs * (self.ws * curv)[:, None]).T @ self.xs
-        return grad, hess
+            self._last = (key, {"margins": z, "value": f})
+        return self._last[1]
 
     def value(self, u):
-        return self._margins_and_value(u)[1]
+        return self._at(u)["value"]
 
     def derivatives(self, u):
-        """(gradient, Hessian) at u, on the margins `value` last computed."""
-        return self._derivatives(self._margins_and_value(u)[0])
+        """(gradient, Hessian) at u."""
+        known = self._at(u)
+        if "hess" not in known:
+            dz, curv = self.loss.smooth_derivatives_many(known["margins"], self.ys)
+            known["grad"] = grad = self.xs.T @ (self.ws * dz)
+            known["hess"] = hess = (self.xs * (self.ws * curv)[:, None]).T @ self.xs
+            grad.flags.writeable = hess.flags.writeable = False
+        return known["grad"], known["hess"]
+
+    def eigh(self, u):
+        """(eigenvalues in ascending order, eigenvectors) of the Hessian at u."""
+        known = self._at(u)
+        if "eigh" not in known:
+            known["eigh"] = evals, evecs = np.linalg.eigh(self.derivatives(u)[1])
+            evals.flags.writeable = evecs.flags.writeable = False
+        return known["eigh"]
 
 
 def _shrink_into_ball(u, norm_bound):
@@ -111,20 +123,20 @@ def _shrink_into_ball(u, norm_bound):
     return u
 
 
-def _ball_model_minimizer(c, hess, norm_bound):
-    """argmin of c . v + v^T hess v / 2 over ||v||^2 <= norm_bound, hess PSD:
-    the Newton point if inside, else v = -(hess + mu I)^{-1} c with mu from
-    1/||v|| = 1/sqrt(norm_bound) by Newton's method, rising monotonically from
+def _ball_model_minimizer(c, evals, evecs, norm_bound):
+    """argmin of c . v + v^T H v / 2 over ||v||^2 <= norm_bound, H = evecs diag(evals)
+    evecs^T PSD: the Newton point if inside, else v = -(H + mu I)^{-1} c with mu
+    from 1/||v|| = 1/sqrt(norm_bound) by Newton's method, rising monotonically from
     a lower bound. Flat directions without gradient are dropped (hard case)."""
-    evals, evecs = np.linalg.eigh(hess)
     evals = np.maximum(evals, 0.0)
     a = evecs.T @ c
-    keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * np.linalg.norm(a))
-    evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
+    keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * math.sqrt(float(a @ a)))
+    if not keep.all():
+        evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
     mu = 0.0
-    if not np.all(evals > 0.0) or float((a / evals) @ (a / evals)) > norm_bound:
+    if not (evals > 0.0).all() or float((a / evals) @ (a / evals)) > norm_bound:
         radius = math.sqrt(norm_bound)
-        mu = max(0.0, float(np.max(np.abs(a) / radius - evals)))
+        mu = max(0.0, float((np.abs(a) / radius - evals).max()))
         for _ in range(60):   # quadratic convergence; the cap guards rounding
             shifted = evals + mu
             v = a / shifted
@@ -138,8 +150,8 @@ def _ball_model_minimizer(c, hess, norm_bound):
 
 def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
     """Trust-region Newton on objective(v) + tilt . v over the ball, from u
-    strictly inside it; returns the result and the gradient and Hessian of
-    the tilted objective at its point."""
+    strictly inside it; returns the result and the gradient of the tilted
+    objective at its point."""
     diag = SolverDiagnostics(outer_stages=1)
     centered = False
     for _ in range(options.max_newton):
@@ -154,8 +166,8 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
         if diag.final_gap <= gap_target or centered:
             break
         # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
-        step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, hess, norm_bound),
-                                 norm_bound) - u
+        step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, *objective.eigh(u),
+                                                       norm_bound), norm_bound) - u
         slope = float(grad @ step)     # -(Newton decrement^2)
         centered = -slope / 2.0 <= options.newton_tol
         scale = 1.0
@@ -168,13 +180,13 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
                 break
             scale *= options.backtrack
             if scale < 1e-14:
-                return SolverResult(u, value, diag), grad, hess
+                return SolverResult(u, value, diag), grad
         u = u + scale * step
         diag.newton_steps += 1
     else:
         raise SolverConvergenceError("trust-region Newton did not converge within "
                                      "the iteration cap", iterate=u, diagnostics=diag)
-    return SolverResult(point=u, value=value, diagnostics=diag), grad, hess
+    return SolverResult(point=u, value=value, diagnostics=diag), grad
 
 
 def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
@@ -201,16 +213,15 @@ def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
     return _trust_region(objective, norm_bound, u, options.gap_target, options)[0]
 
 
-def _path_rate(direction, u, grad, hess, norm_bound):
-    """d phi / d(s^2) on the tilted path at u, from its KKT system.
-
-    Inside the ball u' = -s H^+ x, so phi' = grad L . u' = s x^T H^+ x; on its
-    boundary u' is confined to u . u' = 0 and H gains the ball's 2 lam I. The
-    pseudo-inverse drops flat directions, where the path has no rate."""
+def _path_rate(direction, u, grad, evals, evecs, norm_bound):
+    """d phi / d(s^2) on the tilted path at u from its KKT system, H = evecs
+    diag(evals) evecs^T the loss's Hessian at u. Inside the ball u' = -s H^+ x,
+    so phi' = grad L . u' = s x^T H^+ x; on its boundary u' is confined to
+    u . u' = 0 and H gains the ball's 2 lam I, which shifts its eigenvalues.
+    The pseudo-inverse drops flat directions, where the path has no rate."""
     on_ball = float(u @ u) >= norm_bound * _ON_BALL
     if on_ball:
-        hess = hess + max(0.0, -float(grad @ u) / norm_bound) * np.eye(len(u))
-    evals, evecs = np.linalg.eigh(hess)
+        evals = evals + max(0.0, -float(grad @ u) / norm_bound)
     if not evals[-1] > 0.0:
         return 0.0
     inverse = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _FLAT * evals[-1])
@@ -252,7 +263,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(ball_opt, float(direction @ ball_opt), diag)
     u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
-    anchor, grad, hess = _trust_region(loss_cap, norm_bound, u, options.gap_target, options)
+    anchor, grad = _trust_region(loss_cap, norm_bound, u, options.gap_target, options)
     u0, delta = anchor.point, -anchor.value
     if not delta > 0.0:
         raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
@@ -262,7 +273,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
     lower = -math.inf
     lo, hi = 0.0, math.inf               # r = s^2 with phi(lo) < 0 <= phi(hi)
     r, phi, last_phi, u = 0.0, -delta, math.inf, u0
-    rate = _path_rate(direction, u0, grad, hess, norm_bound)
+    rate = _path_rate(direction, u0, grad, *loss_cap.eigh(u0), norm_bound)
     for _ in range(options.max_newton):
         if phi < 0.0:
             lo = r
@@ -275,8 +286,8 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
             else:
                 step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
         r, last_phi, s = step, abs(phi), math.sqrt(step)
-        result, grad, hess = _trust_region(loss_cap, norm_bound, u, 0.5 * s * options.gap_target,
-                                           options, s * direction)
+        result, grad = _trust_region(loss_cap, norm_bound, u, 0.5 * s * options.gap_target,
+                                     options, s * direction)
         diag.outer_stages += 1
         diag.newton_steps += result.diagnostics.newton_steps
         u = result.point
@@ -290,7 +301,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
             best = (upper, weight, u)
         if best[0] - lower <= options.gap_target:
             break
-        rate = _path_rate(direction, u, grad, hess, norm_bound)
+        rate = _path_rate(direction, u, grad, *loss_cap.eigh(u), norm_bound)
     else:
         raise SolverConvergenceError("the tilted path search did not converge within "
                                      "the iteration cap", iterate=u, diagnostics=diag)

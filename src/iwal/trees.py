@@ -408,9 +408,9 @@ class DecisionTree:
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_features:
+        if x.shape != (self.n_features,):
             raise DimensionMismatchError(
-                f"expected dimension {self.n_features}, got {x.shape[0]}"
+                f"expected dimension {self.n_features}, got {x.shape}"
             )
         feature, threshold, left, right, label = self._walk
         node = 0

@@ -51,6 +51,29 @@ class TestPredict:
             assert z == pytest.approx(h.predict(x))
 
 
+class TestPredictShape:
+    PREDICTORS = (LinearPredictor(np.array([1.0, -2.0, 0.5]), range_bound=1.0),
+                  ThresholdPredictor(np.array([1.0, -2.0, 0.5])))
+
+    @pytest.mark.parametrize("h", PREDICTORS)
+    @pytest.mark.parametrize("shape", ((), (3,), (0,), (4, 2), (0, 2), (2, 3, 1)))
+    def test_predict_many_rejects_anything_but_rows_of_the_dimension(self, h, shape):
+        with pytest.raises(DimensionMismatchError):
+            h.predict_many(np.zeros(shape))
+
+    @pytest.mark.parametrize("h", PREDICTORS)
+    def test_predict_many_keeps_rows_and_the_empty_matrix(self, h, rng):
+        X = rng.normal(size=(7, 3))
+        assert h.predict_many(X).tolist() == [h.predict(x) for x in X]
+        assert h.predict_many(np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("h", PREDICTORS)
+    @pytest.mark.parametrize("shape", ((), (2,), (1, 3), (3, 3)))
+    def test_scalar_predict_rejects_anything_but_one_point(self, h, shape):
+        with pytest.raises(DimensionMismatchError):
+            h.predict(np.zeros(shape))
+
+
 class TestWeightedExample:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):

@@ -663,3 +663,196 @@ def test_linear_stream_p_rounds_up_from_barrier_interval(kind, seed):
     rises = [b - a for a, b in zip(frozen.active.trace.p, new.active.trace.p)]
     assert len(rises) == 150
     assert min(rises) >= -1e-12 and max(rises) <= P_TOLERANCE
+
+
+# One factorization and one derivative pass per point. Each tilted solve
+# starts where the last ended and the path rate reads the Hessian there, so a
+# capped solve factors each point it steps from or takes the rate at once.
+@contextlib.contextmanager
+def _counting_work():
+    """Counts of `np.linalg.eigh` and `smooth_derivatives_many` calls."""
+    counts = {"eigh": 0, "derivatives": 0}
+    eigh, derivatives = np.linalg.eigh, LossFunction.smooth_derivatives_many
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_derivatives(*args, **kwargs):
+        counts["derivatives"] += 1
+        return derivatives(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted_eigh)
+        patch.setattr(LossFunction, "smooth_derivatives_many", counted_derivatives)
+        yield counts
+
+
+def _assert_one_factorization_per_point(direction, norm_bound, cap, start):
+    with _counting_work() as counts:
+        result = minimize_linear(direction, norm_bound, cap, start)
+    steps = result.diagnostics.newton_steps
+    assert counts["eigh"] <= steps + 1
+    assert counts["derivatives"] <= steps + 1
+    return result
+
+
+class TestWorkPerPoint:
+    @pytest.mark.parametrize("kind", ("logistic", "squared"))
+    @pytest.mark.parametrize(("n", "slack"), ((1, 0.5), (10, 0.5), (300, 0.5), (10, 1e-3)))
+    @pytest.mark.parametrize("warm", (False, True))
+    def test_fixed_programs(self, kind, n, slack, warm):
+        _, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
+        base, cap, direction = _active_cap(loss, xs, ys, ws, slack)
+        result = _assert_one_factorization_per_point(direction, 1.0, cap,
+                                                     base.point if warm else None)
+        # factoring each path point twice would show on a path of several
+        # stages, which the logistic caps take; a squared path may take one
+        assert kind == "squared" or result.diagnostics.outer_stages >= 2
+
+    def test_steep_path_with_interior_optimum(self):
+        rng = np.random.default_rng(598)
+        loss = LossFunction("logistic", 1.0)
+        xs = rng.uniform(-1.0, 1.0, size=(12, 2)) * rng.uniform(1.0, 7.0) / math.sqrt(2)
+        ys = rng.choice([-1.0, 1.0], size=12)
+        ws = rng.uniform(0.01, 0.3, size=12)
+        norm_bound = rng.uniform(0.25, 4.0)
+        base, cap, _ = _active_cap(loss, xs, ys, ws, 0.05, norm_bound)
+        result = _assert_one_factorization_per_point(rng.normal(size=2), norm_bound, cap,
+                                                     base.point)
+        assert result.diagnostics.outer_stages >= 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(_programs(), st.floats(0.05, 2.0), st.booleans())
+    def test_random_programs(self, program, slack, warm):
+        rng, loss, xs, ys, ws, norm_bound = program
+        base, cap, direction = _active_cap(loss, xs, ys, ws, slack, norm_bound)
+        if rng.uniform() < 0.5:
+            direction = rng.normal(size=xs.shape[1])
+        _assert_one_factorization_per_point(direction, norm_bound, cap,
+                                            base.point if warm else None)
+
+
+class TestCapCache:
+    def test_derivatives_after_moving_away_and_back_are_fresh(self, rng):
+        loss, xs, ys, ws = random_program(rng, n=30, dim=4)
+        cap = WeightedLossCap(loss, xs, ys, ws, 0.3)
+        u, v = rng.uniform(-0.5, 0.5, size=(2, 4))
+        for point in (u, v):
+            cap.value(point)
+            cap.derivatives(point)
+            cap.eigh(point)
+        fresh = WeightedLossCap(loss, xs, ys, ws, 0.3)
+        assert cap.value(u) == fresh.value(u)
+        for kept, new in zip((*cap.derivatives(u), *cap.eigh(u)),
+                             (*fresh.derivatives(u), *fresh.eigh(u))):
+            assert kept.tobytes() == new.tobytes()
+
+    def test_returned_arrays_are_read_only(self, rng):
+        loss, xs, ys, ws = random_program(rng, n=30, dim=4)
+        cap = WeightedLossCap(loss, xs, ys, ws, 0.3)
+        u = rng.uniform(-0.5, 0.5, size=4)
+        for array in (*cap.derivatives(u), *cap.eigh(u)):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+
+# Declared tolerance of the path rate. On the ball the rate used to take a
+# fresh eigh of H + 2 lam I; it now shifts H's eigenvalues by 2 lam, which
+# moves the rate by rounding, so the Newton search in r = s^2 takes
+# rounding-sized different steps. The frozen rate below is the reference.
+def _frozen_path_rate(direction, u, grad, hess, norm_bound):
+    on_ball = float(u @ u) >= norm_bound * solver._ON_BALL
+    if on_ball:
+        hess = hess + max(0.0, -float(grad @ u) / norm_bound) * np.eye(len(u))
+    evals, evecs = np.linalg.eigh(hess)
+    if not evals[-1] > 0.0:
+        return 0.0
+    inverse = np.divide(1.0, evals, out=np.zeros_like(evals),
+                        where=evals > solver._FLAT * evals[-1])
+    a = evecs.T @ direction
+    rate = float(a @ (inverse * a))
+    if on_ball:
+        c = evecs.T @ u
+        cc = float(c @ (inverse * c))
+        if cc > 0.0:
+            rate -= float(c @ (inverse * a)) ** 2 / cc
+    return 0.5 * rate
+
+
+_MINIMIZE_LINEAR = solver.minimize_linear
+
+
+def _fresh_rate_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
+                                options=None):
+    """`minimize_linear` with every path rate from the frozen fresh eigh."""
+    def fresh_rate(x, u, grad, evals, evecs, bound):
+        return _frozen_path_rate(x, u, grad, loss_cap.derivatives(u)[1], bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_path_rate", fresh_rate)
+        return _MINIMIZE_LINEAR(direction, norm_bound, loss_cap, start, options)
+
+
+@pytest.mark.parametrize("kind", ("logistic", "squared"))
+@pytest.mark.parametrize("seed", (1, 2))
+def test_linear_stream_within_declared_tolerance_of_fresh_rate(kind, seed):
+    config = linear_stream_config(kind, seed)
+    new = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "minimize_linear", _fresh_rate_minimize_linear)
+        frozen = run_experiment(config)
+    assert new.active.trace.q == frozen.active.trace.q
+    assert new.active.queries == frozen.active.queries
+    gaps = [abs(a - b) for a, b in zip(new.active.trace.p, frozen.active.trace.p)]
+    assert len(gaps) == 150 and max(gaps) <= 1e-12
+    assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-12
+    assert abs(new.passive.final_loss - frozen.passive.final_loss) <= 1e-12
+
+
+@st.composite
+def _rate_points(draw):
+    """A PSD Hessian of rank 0 to d, a point on or inside the ball, a gradient
+    that presses it outward (2 lam >= 1e-4 ||H||) or not, and a direction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, dim))
+    factor = rng.normal(size=(rank, dim)) * draw(st.floats(0.01, 100.0))
+    hess = factor.T @ factor
+    norm_bound = draw(st.floats(0.25, 4.0))
+    u = rng.normal(size=dim)
+    u *= math.sqrt(norm_bound) * draw(st.sampled_from((1.0, 0.5))) / np.linalg.norm(u)
+    press = draw(st.sampled_from((-1.0, 0.0, 1.0))) * draw(st.floats(1e-4, 10.0))
+    grad = rng.normal(size=dim) * 1e-3 - press * max(np.linalg.norm(hess), 1.0) * u
+    return rng.normal(size=dim), u, grad, hess, norm_bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rate_points())
+def test_shifted_rate_matches_fresh_rate(point):
+    direction, u, grad, hess, norm_bound = point
+    shifted = solver._path_rate(direction, u, grad, *np.linalg.eigh(hess), norm_bound)
+    fresh = _frozen_path_rate(direction, u, grad, hess, norm_bound)
+    # the rate's scale: its first term, x^T (H + 2 lam I)^+ x / 2, which the
+    # on-ball correction can cancel down to rounding
+    shift = max(0.0, -float(grad @ u) / norm_bound) if float(u @ u) >= norm_bound * (
+        solver._ON_BALL) else 0.0
+    scale = _frozen_path_rate(direction, np.zeros_like(u), grad,
+                              hess + shift * np.eye(len(u)), norm_bound)
+    assert abs(shifted - fresh) <= 1e-9 * max(abs(fresh), scale)
+
+
+@pytest.mark.parametrize("kind", ("logistic", "squared"))
+@pytest.mark.parametrize("n", (1, 10, 300))
+@pytest.mark.parametrize("slack", (0.5, 1e-3))
+def test_certificate_bounds_the_exact_optimum(kind, n, slack):
+    # [value - final_gap, value] must hold the optimum, which a tight solve
+    # with the frozen rate brackets to 1e-9
+    _, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
+    _, cap, direction = _active_cap(loss, xs, ys, ws, slack)
+    result = minimize_linear(direction, 1.0, cap)
+    tight = _fresh_rate_minimize_linear(direction, 1.0, cap,
+                                        options=SolverOptions(gap_target=1e-9))
+    assert tight.diagnostics.final_gap <= 1e-9
+    assert result.value - result.diagnostics.final_gap <= tight.value
+    assert result.value >= tight.value - tight.diagnostics.final_gap

@@ -462,3 +462,12 @@ class TestEmptyPredictMany:
         with pytest.raises(DimensionMismatchError):
             tree.predict_many(np.zeros(0))
         assert tree.predict_many(np.zeros((0, 5))).shape == (0,)
+
+
+class TestPredictShape:
+    @pytest.mark.parametrize("shape", ((), (5, 5), (1, 5), (4,), (6,)))
+    def test_scalar_predict_rejects_every_other_shape(self, rng, shape):
+        tree = DecisionTree.fit(rng.normal(size=(20, 5)), rng.choice([-1.0, 1.0], size=20))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict(np.zeros(shape))
+        assert tree.predict(np.zeros(5)) in (-1.0, 1.0)

@@ -130,9 +130,10 @@ def _ball_model_minimizer(c, evals, evecs, norm_bound):
     a lower bound. Flat directions without gradient are dropped (hard case)."""
     evals = np.maximum(evals, 0.0)
     a = evecs.T @ c
-    keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * math.sqrt(float(a @ a)))
-    if not keep.all():
-        evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
+    if not evals[0] > _FLAT * evals[-1]:    # ascending, so else none is flat
+        keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * math.sqrt(float(a @ a)))
+        if not keep.all():
+            evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
     mu = 0.0
     if not (evals > 0.0).all() or float((a / evals) @ (a / evals)) > norm_bound:
         radius = math.sqrt(norm_bound)
@@ -161,8 +162,9 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
             value += float(tilt @ u)
             grad = grad + tilt
         lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
+        kkt = grad + 2.0 * lam * u
         diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
-                          * float(np.linalg.norm(grad + 2.0 * lam * u)))
+                          * math.sqrt(float(kkt @ kkt)))
         if diag.final_gap <= gap_target or centered:
             break
         # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
@@ -254,7 +256,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
     options = options or DEFAULT_OPTIONS
     direction = np.asarray(direction, dtype=float)
     dim = len(direction)
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(float(direction @ direction))
     if norm == 0.0:
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(np.zeros(dim), 0.0, diag)

@@ -22,9 +22,9 @@ makes every s a certificate: x . u(s) + (phi(s) - eps) / s is a lower bound D
 on the optimum, eps the inner solve's KKT gap. The primal bound P is x . u at
 u(s) when it meets the cap, and else at its blend with u(0) that the cap's
 convexity makes feasible. The search stops when P - D meets the gap target.
-The cap keeps its last point's Hessian eigendecomposition for the step and
-the path rate from it, which on the ball shifts H's eigenvalues by 2 lam, so
-each point of a solve is evaluated and factored once.
+The cap keeps its last point's derivatives and Hessian eigendecomposition,
+which the next step and the path rate both read (on the ball the rate shifts
+the eigenvalues by 2 lam), so each point is evaluated and factored once.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _ball_model_minimizer(c, evals, evecs, norm_bound):
     a lower bound. Flat directions without gradient are dropped (hard case)."""
     evals = np.maximum(evals, 0.0)
     a = evecs.T @ c
-    if not evals[0] > _FLAT * evals[-1]:    # ascending, so else none is flat
+    if not evals[0] > _FLAT * evals[-1]:    # they ascend: else none is flat
         keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * math.sqrt(float(a @ a)))
         if not keep.all():
             evals, a, evecs = evals[keep], a[keep], evecs[:, keep]

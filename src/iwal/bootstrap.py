@@ -43,10 +43,8 @@ def train_committee(X, y, rng: np.random.Generator, size: int = 10,
     y = np.asarray(y, dtype=float)
     if len(X) == 0:
         raise ValueError("committee prefix must be nonempty")
-    members = []
-    for _ in range(size):
-        idx = rng.integers(0, len(X), size=len(X))
-        members.append(DecisionTree.fit(X[idx], y[idx], params))
+    resamples = [rng.integers(0, len(X), size=len(X)) for _ in range(size)]
+    members = DecisionTree.fit_many(((X[idx], y[idx]) for idx in resamples), params)
     return Committee(tuple(members), p_min=p_min)
 
 
@@ -111,13 +109,32 @@ def train_final(resampled: Resample, params: TreeParams = TreeParams(),
     An empty resample falls back to a majority stump over the fallback
     examples (normally the committee's initial prefix).
     """
-    if len(resampled):
-        return DecisionTree.fit(resampled.X, resampled.y, params)
-    if fallback is None or len(fallback[1]) == 0:
-        raise ValueError("empty resample and no fallback prefix")
-    X, y = fallback
-    majority = 1.0 if np.sum(np.asarray(y) > 0) * 2 >= len(y) else -1.0
-    return DecisionTree.leaf(majority, np.asarray(X).shape[1])
+    return train_finals([resampled], params, fallback)[0]
+
+
+def train_finals(resamples, params: TreeParams = TreeParams(),
+                 fallback=None) -> list:
+    """`train_final` on each resample of an iterable, in order. The iterable
+    is read lazily and the trees are grown together by
+    `DecisionTree.fit_many`; each empty resample's stump takes its place."""
+    empty = []
+
+    def nonempty():
+        for i, resampled in enumerate(resamples):
+            if len(resampled):
+                yield resampled.X, resampled.y
+            else:
+                empty.append(i)
+
+    trees = DecisionTree.fit_many(nonempty(), params)
+    if empty:
+        if fallback is None or len(fallback[1]) == 0:
+            raise ValueError("empty resample and no fallback prefix")
+        X, y = fallback
+        majority = 1.0 if np.sum(np.asarray(y) > 0) * 2 >= len(y) else -1.0
+        for i in empty:
+            trees.insert(i, DecisionTree.leaf(majority, np.asarray(X).shape[1]))
+    return trees
 
 
 def weighted_examples_from_arrays(X, y, weights) -> WeightedSample:

@@ -346,29 +346,32 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
                                labels), cls
 
 
-def _run_arm(config, engine, oracle, model, X_train, X_test, y_test,
-             start: int = 0):
-    """Stream rows start..T-1 of X_train through the engine.
+def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
+             start: int = 0, models=list):
+    """Stream rows start..T-1 of X_train through the engine, then evaluate.
 
-    model(i) is the learner's output at the i-th checkpoint: every multiple
-    of the checkpoint interval from `start` on, and T. Each one is evaluated
-    on the test set, and the last gives the final loss and error. Queries
-    count the `start` labels taken before the stream plus the oracle calls.
-    Returns (ArmResult, final model).
+    Two phases. While streaming, state() records the arm at each checkpoint:
+    every multiple of the checkpoint interval from `start` on, and T. After
+    the stream, models(states) gives the learner's output at each checkpoint,
+    in order; each is evaluated on the test set, and the last gives the final
+    loss and error. Queries count the `start` labels taken before the stream
+    plus the oracle calls. Returns (ArmResult, final model).
     """
     T = len(X_train)
     interval = config.checkpoint_interval()
     schedule = sorted({t for t in range(interval, T + 1, interval) if t >= start}
                       | {T})
-    checkpoints = []
+    states, queries = [], []
     done = start
-    for i, t in enumerate(schedule):
+    for t in schedule:
         for row in range(done, t):
             engine.step(X_train[row], oracle)
         done = t
-        h = model(i)
-        checkpoints.append((t, start + oracle.calls,
-                            evaluate_loss(h, X_test, y_test, engine.loss),
+        states.append(state())
+        queries.append(start + oracle.calls)
+    checkpoints = []
+    for t, cum, h in zip(schedule, queries, models(states)):
+        checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss),
                             evaluate_error(h, X_test, y_test)))
     _, queries, final_loss, final_error = checkpoints[-1]
     return ArmResult(checkpoints, final_loss, final_error, queries,
@@ -380,8 +383,7 @@ def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
     engine = Engine(loss, threshold, rng, hypothesis_class=cls,
                     p_min=config.p_min)
     arm, _ = _run_arm(config, engine, ArrayOracle(y_train),
-                      lambda i: engine.refresh_hypothesis(),
-                      X_train, X_test, y_test)
+                      engine.refresh_hypothesis, X_train, X_test, y_test)
     extra = getattr(threshold, "diagnostics", None)
     if callable(extra):
         arm.diagnostics.update(extra())
@@ -390,7 +392,14 @@ def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
 
 def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
                    seeds, passive: bool) -> ArmResult:
-    """Committee pipeline; with passive=True every post-prefix label is taken."""
+    """Committee pipeline; with passive=True every post-prefix label is taken.
+
+    Two phases. While streaming, each checkpoint records how many rows the
+    arm has collected (the prefix and the queried rows). No final tree feeds
+    back into the stream, so after it, checkpoint i draws its costing
+    resample from the first rows it collected, with its own
+    default_rng([costing seed, i]), and the final trees are grown together.
+    """
     committee_rng = np.random.default_rng(seeds[0])
     engine_rng = np.random.default_rng(seeds[1])
     costing_seed = seeds[2]
@@ -407,16 +416,19 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
                                        p_min=opts["p_min"], params=params)
         threshold = bs.CommitteeThreshold(committee, loss, labels)
     engine = Engine(loss, threshold, engine_rng, p_min=config.p_min)
-    prefix_examples = bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
 
-    def snapshot(checkpoint_index):
-        rng = np.random.default_rng([costing_seed, checkpoint_index])
-        collected = prefix_examples + engine.sample
-        resampled = bs.costing_resample(collected, rng)
-        return bs.train_final(resampled, params, fallback=(X0, y0))
+    def final_trees(counts):
+        collected = (bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
+                     + engine.sample)
+        resamples = (bs.costing_resample(collected.head(n),
+                                         np.random.default_rng([costing_seed, i]))
+                     for i, n in enumerate(counts))
+        return bs.train_finals(resamples, params, fallback=(X0, y0))
 
     arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
-                               snapshot, X_train, X_test, y_test, start=prefix)
+                               lambda: prefix + len(engine.sample),
+                               X_train, X_test, y_test, start=prefix,
+                               models=final_trees)
     arm.diagnostics.update(prefix=prefix, final_tree_depth=final_tree.depth())
     return arm
 

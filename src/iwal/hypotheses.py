@@ -81,6 +81,9 @@ class ConstantPredictor:
         return self.value
 
     def predict_many(self, X) -> np.ndarray:
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise DimensionMismatchError(f"expected a 2-D array of rows, got shape {X.shape}")
         return np.full(len(X), self.value)
 
 
@@ -167,6 +170,13 @@ class WeightedSample:
 
     def __iter__(self):
         return map(WeightedExample, self.X, self.y.tolist(), self.w.tolist())
+
+    def head(self, n: int) -> "WeightedSample":
+        """A sample of the first n rows, its columns views of these."""
+        first = WeightedSample()
+        first._X, first._y, first._w = self.X[:n], self.y[:n], self.w[:n]
+        first._show(len(first._w))
+        return first
 
     def __add__(self, other: "WeightedSample") -> "WeightedSample":
         """A new sample holding the rows of self, then those of other."""

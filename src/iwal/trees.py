@@ -27,9 +27,11 @@ vector-scalar gap below _CERTIFY / 2, on vector and on scalar gains alike:
 So the replay, its scalar certification and the sequential scan over scalar
 gains all keep j*.
 
-Per-depth segments: `fit` sorts every feature once (a stable argsort of the
-root's rows) and grows the tree one depth at a time with one search per
-depth. The rows of that depth's searched nodes lie in a (features, rows)
+Per-depth segments: `fit_many` grows many trees together, as a forest,
+one depth at a time with one search per depth; `fit` is its one-tree case.
+A forest of K trees starts from K root segments, one per tree's rows, each
+with every feature sorted once (a stable argsort of that tree's rows). The
+rows of that depth's searched nodes lie in a (features, rows)
 index matrix, each node's rows one contiguous column segment, row f of a
 segment in the stable order of feature f. Prefix counts, both child
 entropies and the gains of every cut of every node come from a few array
@@ -40,10 +42,18 @@ can round up to the upper value, whose rows then go left). Every feature row
 of a segment holds the same rows, so one per-row mask gathered through the
 matrix compresses it into the children's segments, still stably sorted:
 each child sees the cuts, counts and midpoints a fresh sort gives.
+A node's search reads only its own segment, so each tree of a forest is the
+tree it would be alone; the forest only shares each depth's NumPy calls,
+which small trees are bound by. Nodes are numbered breadth first across
+the forest, each depth's children in the order of their parents, so a
+tree's nodes in forest order are in its own breadth-first order, and its
+arrays are cut out of the forest's. A forest holds at most _FOREST_ROWS
+rows, which bounds the per-depth arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -58,6 +68,8 @@ _MIN_GAIN = 1e-12
 _CERTIFY = 1e-14
 # cuts this close to a node's best gain tie with it (_NEAR + _CERTIFY < _MIN_GAIN)
 _NEAR = 1e-13
+# rows of the datasets `fit_many` grows together in one forest
+_FOREST_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -239,26 +251,34 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     return feature, threshold
 
 
-def _grow(X: np.ndarray, pos: np.ndarray, params: TreeParams):
-    """(feature, threshold, left, right, label, depth) of the tree grown on
-    the (features, rows) array X with label > 0 flags pos. Nodes are numbered
-    breadth first, as `_flatten` numbers them; a leaf's children are itself."""
+def _grow(X: np.ndarray, pos: np.ndarray, sizes: np.ndarray, params: TreeParams):
+    """(feature, threshold, left, right, label, depth) of each tree grown on
+    the (features, rows) array X with label > 0 flags pos, whose rows hold
+    the trees' samples one after another, in blocks of the given sizes. The
+    trees are grown together as one forest: their roots are the first
+    depth's segments. Nodes are numbered breadth first across the forest; a
+    leaf's children are itself."""
     d, n_rows = X.shape
 
     def searched(depth, sizes, n_pos):
         return ((depth < params.max_depth) & (sizes >= 2 * params.min_leaf)
                 & (n_pos > 0) & (n_pos < sizes))
 
-    sizes = np.array([n_rows])
-    n_pos = np.array([np.count_nonzero(pos)])
-    ids = np.zeros(1, dtype=np.intp)
-    levels = [(ids, sizes, n_pos)]    # every node: id, rows, positives
+    n_trees = len(sizes)
+    starts = sizes.cumsum() - sizes
+    n_pos = np.add.reduceat(pos, starts)
+    ids = tree = np.arange(n_trees)
+    levels = [(ids, sizes, n_pos, tree)]    # every node: id, rows, positives, tree
     splits = []                       # split nodes: ids, features, thresholds, left child ids
-    n_nodes, depth = 1, 0
+    n_nodes, depth = n_trees, 0
     wanted = searched(0, sizes, n_pos)
-    order = np.argsort(X, axis=1, kind="stable") if wanted[0] else None
+    if wanted.any():
+        # each tree's own stable presort, its rows one column segment
+        order = np.concatenate([np.argsort(X[:, s:s + n], axis=1, kind="stable") + s
+                                for s, n in zip(starts[wanted].tolist(),
+                                                sizes[wanted].tolist())], axis=1)
     while wanted.any():
-        ids, sizes, n_pos = ids[wanted], sizes[wanted], n_pos[wanted]
+        ids, sizes, n_pos, tree = ids[wanted], sizes[wanted], n_pos[wanted], tree[wanted]
         # zero-gain splits are allowed on impure nodes: parity-style patterns
         # only pay off a level deeper, and max_depth bounds the growth
         feature, threshold = _split_depth(X, pos, order, sizes, n_pos, params.min_leaf)
@@ -284,7 +304,8 @@ def _grow(X: np.ndarray, pos: np.ndarray, params: TreeParams):
         ids = np.concatenate((left_ids, left_ids + 1))
         sizes = np.concatenate((left_sizes, sizes[split] - left_sizes))
         n_pos = np.concatenate((left_pos, n_pos[split] - left_pos))
-        levels.append((ids, sizes, n_pos))
+        tree = np.concatenate((tree[split], tree[split]))
+        levels.append((ids, sizes, n_pos, tree))
         n_nodes += 2 * k
         depth += 1
         wanted = searched(depth, sizes, n_pos)
@@ -301,9 +322,11 @@ def _grow(X: np.ndarray, pos: np.ndarray, params: TreeParams):
         order = np.concatenate((order.compress(side == 1).reshape(d, -1),
                                 order.compress(side == 2).reshape(d, -1)), axis=1)
 
-    ids, sizes, n_pos = (np.concatenate(column) for column in zip(*levels))
+    ids, sizes, n_pos, tree = (np.concatenate(column) for column in zip(*levels))
     label = np.empty(n_nodes)
     label[ids] = np.where(2 * n_pos >= sizes, 1.0, -1.0)
+    node_tree = np.empty(n_nodes, dtype=np.intp)
+    node_tree[ids] = tree
     feature = np.zeros(n_nodes, dtype=np.intp)
     threshold = np.zeros(n_nodes)
     left = np.arange(n_nodes)
@@ -311,7 +334,20 @@ def _grow(X: np.ndarray, pos: np.ndarray, params: TreeParams):
     for ids, f, t, left_ids in splits:
         feature[ids], threshold[ids], label[ids] = f, t, 0.0
         left[ids], right[ids] = left_ids, left_ids + 1
-    return feature, threshold, left, right, label, depth
+    tree_depth = np.zeros(n_trees, dtype=int)
+    for level, (*_, tree) in enumerate(levels):
+        tree_depth[tree] = level
+    # each tree cut out of the forest: its nodes, in forest order, are in its
+    # own breadth-first order, since every depth numbers its children in the
+    # order of their parents
+    grown = []
+    local = np.empty(n_nodes, dtype=np.intp)
+    for k, depth in enumerate(tree_depth.tolist()):
+        mine = np.flatnonzero(node_tree == k)
+        local[mine] = np.arange(len(mine))
+        grown.append((feature[mine], threshold[mine], local[left[mine]],
+                      local[right[mine]], label[mine], depth))
+    return grown
 
 
 def _is_int(value) -> bool:
@@ -366,6 +402,27 @@ def _flatten(root: dict, n_features: int):
             np.array(label), depth)
 
 
+def _checked(index: int, X, y, width):
+    """X and y of the index-th dataset as float arrays; ValueError, naming
+    the index, unless X is a nonempty finite (rows, width) array (any width
+    when width is None) and y has one label per row."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"dataset {index}: expected (rows, features) features and "
+                         f"one label per row, got shapes {X.shape} and {y.shape}")
+    if width is not None and X.shape[1] != width:
+        raise ValueError(f"dataset {index}: has {X.shape[1]} features, "
+                         f"the first dataset {width}")
+    if len(X) == 0:
+        raise ValueError(f"dataset {index}: cannot fit a tree on an empty sample")
+    if not np.isfinite(X).all():
+        # a fitted tree's thresholds are finite, as `_flatten` requires
+        raise ValueError(f"dataset {index}: cannot fit a tree on features "
+                         f"that are not finite")
+    return X, y
+
+
 class DecisionTree:
     """A fitted tree as parallel node arrays: node i splits on feature[i] at
     threshold[i] into left[i] and right[i]; a leaf is its own child and
@@ -382,25 +439,55 @@ class DecisionTree:
         self.feature, self.threshold = feature, threshold
         self.left, self.right, self.label = left, right, label
         self._depth = depth
-        # scalar predictions walk lists: indexing them beats indexing arrays
-        self._walk = (feature.tolist(), threshold.tolist(), left.tolist(),
-                      right.tolist(), label.tolist())
+
+    @functools.cached_property
+    def _walk(self):
+        # scalar predictions walk lists: indexing them beats indexing arrays;
+        # made on first use, since most fitted trees only predict in batches
+        return (self.feature.tolist(), self.threshold.tolist(), self.left.tolist(),
+                self.right.tolist(), self.label.tolist())
 
     @classmethod
     def fit(cls, X, y, params: TreeParams = TreeParams()) -> "DecisionTree":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if len(X) == 0:
-            raise ValueError("cannot fit a tree on an empty sample")
-        if not np.isfinite(X).all():
-            # a fitted tree's thresholds are finite, as `_flatten` requires
-            raise ValueError("cannot fit a tree on features that are not finite")
+        return cls.fit_many([(X, y)], params)[0]
+
+    @classmethod
+    def fit_many(cls, datasets, params: TreeParams = TreeParams()) -> list:
+        """One tree per (X, y) of `datasets`, in order, each the tree `fit`
+        grows on it. The iterable is read lazily: consecutive datasets are
+        grown together, in forests of at most _FOREST_ROWS rows, and a
+        larger dataset is grown alone. A dataset that is empty, has features
+        that are not finite, or differs in shape from the first raises
+        ValueError naming its index."""
+        fitted, forest, rows, width = [], [], 0, None
+        for i, (X, y) in enumerate(datasets):
+            X, y = _checked(i, X, y, width)
+            width = X.shape[1]
+            if forest and rows + len(X) > _FOREST_ROWS:
+                fitted += cls._grow_forest(forest, params)
+                forest, rows = [], 0
+            forest.append((X, y))
+            rows += len(X)
+        if forest:
+            fitted += cls._grow_forest(forest, params)
+        return fitted
+
+    @classmethod
+    def _grow_forest(cls, forest, params: TreeParams) -> list:
+        n_features = forest[0][0].shape[1]
+        X = np.concatenate([X for X, _ in forest])
         # no feature: sort one constant column instead, which allows no cut
-        XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
-        tree = cls.__new__(cls)
+        XT = np.ascontiguousarray(X.T) if n_features else np.zeros((1, len(X)))
+        pos = np.concatenate([y for _, y in forest]) > 0
+        sizes = np.array([len(y) for _, y in forest])
         with np.errstate(divide="ignore", invalid="ignore"):
-            tree._set(X.shape[1], *_grow(XT, y > 0, params))
-        return tree
+            grown = _grow(XT, pos, sizes, params)
+        trees = []
+        for arrays in grown:
+            tree = cls.__new__(cls)
+            tree._set(n_features, *arrays)
+            trees.append(tree)
+        return trees
 
     @classmethod
     def leaf(cls, label: float, n_features: int) -> "DecisionTree":

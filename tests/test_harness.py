@@ -4,10 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from iwal import solver
+from iwal import bootstrap as bs
+from iwal import harness, solver, trees
+from iwal.engine import ArrayOracle, Engine
 from iwal.errors import ConfigError
 from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
-                          emit_curves, run_experiment, run_replicates)
+                          emit_curves, evaluate_error, evaluate_loss,
+                          run_experiment, run_replicates)
+from iwal.losses import LossFunction
+from iwal.thresholds import ConstantThreshold
+from iwal.trees import TreeParams
 
 
 def base_config(**overrides):
@@ -195,6 +201,89 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.active.final_error is None
         assert report.active.final_loss is not None
+
+
+def _eager_bootstrap_checkpoints(config, passive):
+    """Frozen reference for a bootstrap arm's checkpoint rows: at each
+    checkpoint, draw the costing resample and fit the final tree right away,
+    as the stream loop did before the final trees were grown after it."""
+    states = np.random.SeedSequence(config.seed).generate_state(7)
+    data_seed, active_seed, passive_seed, aux_a, aux_b, aux_c, aux_d = map(int, states)
+    X_train, y_train, X_test, y_test, support = build_data(
+        config, np.random.default_rng(data_seed))
+    seeds = (aux_c, passive_seed, aux_d) if passive else (aux_a, active_seed, aux_b)
+    loss = LossFunction(config.loss_kind, config.range_bound)
+    opts = config.committee
+    T = len(X_train)
+    prefix = min(T, max(2, math.ceil(opts["initial_fraction"] * T)))
+    params = TreeParams(max_depth=opts["max_depth"], min_leaf=opts["min_leaf"])
+    X0, y0 = X_train[:prefix], y_train[:prefix]
+    if passive:
+        threshold = ConstantThreshold(1.0)
+    else:
+        committee = bs.train_committee(X0, y0, np.random.default_rng(seeds[0]),
+                                       size=opts["size"], p_min=opts["p_min"],
+                                       params=params)
+        threshold = bs.CommitteeThreshold(committee, loss, support)
+    engine = Engine(loss, threshold, np.random.default_rng(seeds[1]),
+                    p_min=config.p_min)
+    oracle = ArrayOracle(y_train[prefix:])
+    interval = config.checkpoint_interval()
+    schedule = sorted({t for t in range(interval, T + 1, interval) if t >= prefix}
+                      | {T})
+    rows, done = [], prefix
+    for i, t in enumerate(schedule):
+        for row in range(done, t):
+            engine.step(X_train[row], oracle)
+        done = t
+        collected = (bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
+                     + engine.sample)
+        resampled = bs.costing_resample(collected,
+                                        np.random.default_rng([seeds[2], i]))
+        tree = bs.train_final(resampled, params, fallback=(X0, y0))
+        rows.append((t, prefix + oracle.calls,
+                     evaluate_loss(tree, X_test, y_test, loss),
+                     evaluate_error(tree, X_test, y_test)))
+    return rows
+
+
+class TestBootstrapCheckpoints:
+    @pytest.mark.parametrize("seed", (3, 8))
+    def test_rows_match_the_eager_reference(self, seed):
+        config = base_config(strategy="bootstrap", train_size=300,
+                             test_size=60, checkpoint_every=10, seed=seed)
+        report = run_experiment(config)
+        assert report.active.checkpoints == _eager_bootstrap_checkpoints(config, False)
+        assert report.passive.checkpoints == _eager_bootstrap_checkpoints(config, True)
+
+    def test_empty_resample_gets_the_leaf_at_its_own_checkpoint(self, monkeypatch):
+        # the 6th costing draw of each run keeps no row; the active arm's
+        # resamples are small enough to be grown as one forest around it
+        empty_at, calls, forests, models = 5, [], [], []
+        costing, grow, evaluate = bs.costing_resample, trees._grow, harness.evaluate_loss
+
+        def costing_with_one_empty(sample, rng):
+            calls.append(len(sample))
+            kept = costing(sample, rng)
+            return bs.Resample(kept.X[:0], kept.y[:0]) if len(calls) == empty_at + 1 else kept
+
+        monkeypatch.setattr(bs, "costing_resample", costing_with_one_empty)
+        config = base_config(strategy="bootstrap", train_size=300, test_size=60,
+                             checkpoint_every=10, seed=3)
+        reference = _eager_bootstrap_checkpoints(config, False)
+        calls.clear()
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, sizes, params:
+                            forests.append(len(sizes)) or grow(X, pos, sizes, params))
+        monkeypatch.setattr(harness, "evaluate_loss", lambda h, *args:
+                            models.append(h) or evaluate(h, *args))
+        report = run_experiment(config)
+        assert report.active.checkpoints == reference
+        leaf = models[empty_at]
+        assert leaf.depth() == 0 and models[empty_at - 1].depth() > 0
+        assert models[empty_at + 1].depth() > 0
+        # one forest for the committee, one for every other active checkpoint
+        checkpoints = len(reference)
+        assert forests[:2] == [config.committee["size"], checkpoints - 1]
 
 
 class TestReplicatesAndEmission:

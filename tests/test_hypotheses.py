@@ -94,6 +94,18 @@ class TestWeightedExample:
         WeightedExample(np.zeros(2), 0.0, 3.0)
 
 
+class TestConstantPredictorShape:
+    @pytest.mark.parametrize("shape", ((), (3,), (0,), (2, 3, 1)))
+    def test_predict_many_rejects_anything_but_rows(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            ConstantPredictor(0.5).predict_many(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", ((4, 2), (1, 7), (0, 3)))
+    def test_predict_many_gives_one_value_per_row_of_any_width(self, shape):
+        assert ConstantPredictor(0.5).predict_many(np.zeros(shape)).tolist() == \
+            [0.5] * shape[0]
+
+
 class TestWeightedSample:
     def test_columns_keep_every_row_across_growth(self, rng):
         X = rng.normal(size=(100, 3))
@@ -129,6 +141,18 @@ class TestWeightedSample:
             WeightedSample([(np.zeros((1, 2)), 1.0, 1.0)])
         sample = WeightedSample([(np.zeros(4), 1.0, 1.0)])
         assert sample.X.shape == (1, 4)
+
+    def test_head_keeps_the_first_rows(self, rng):
+        sample = random_weighted_examples(rng, 20, 3)
+        for n in (0, 1, 13, 20):
+            head = sample.head(n)
+            assert len(head) == n
+            for name in ("X", "y", "w"):
+                assert np.array_equal(getattr(head, name), getattr(sample, name)[:n])
+        head = sample.head(5)
+        head.append(np.zeros(3), 1.0, 1.0)     # grows into its own columns
+        assert len(head) == 6 and len(sample) == 20
+        assert not np.array_equal(sample.X[5], np.zeros(3))
 
     def test_sum_concatenates_rows_in_order(self, rng):
         a = random_weighted_examples(rng, 5, 2)

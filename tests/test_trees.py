@@ -304,16 +304,20 @@ class TestPresort:
             self, monkeypatch):
         from iwal import harness
 
-        fitted = []
-        fit = DecisionTree.fit.__func__
+        fitted, forests = [], []
+        fit_many, grow = DecisionTree.fit_many.__func__, trees._grow
 
-        def recording_fit(cls, X, y, params=TreeParams()):
-            tree = fit(cls, X, y, params)
-            fitted.append((np.array(X, dtype=float), np.array(y, dtype=float),
-                           params, tree.to_json()))
-            return tree
+        def recording_fit_many(cls, datasets, params=TreeParams()):
+            datasets = [(np.array(X, dtype=float), np.array(y, dtype=float))
+                        for X, y in datasets]
+            grown = fit_many(cls, datasets, params)
+            fitted.extend((X, y, params, tree.to_json())
+                          for (X, y), tree in zip(datasets, grown))
+            return grown
 
-        monkeypatch.setattr(DecisionTree, "fit", classmethod(recording_fit))
+        monkeypatch.setattr(DecisionTree, "fit_many", classmethod(recording_fit_many))
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, sizes, params:
+                            forests.append(len(sizes)) or grow(X, pos, sizes, params))
         config = harness.ExperimentConfig.from_dict({
             "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
             "strategy": "bootstrap", "loss_kind": "logistic",
@@ -322,6 +326,8 @@ class TestPresort:
         # the committee's with-replacement resamples repeat rows
         assert any(len(np.unique(X, axis=0)) < len(X) for X, *_ in fitted)
         assert len(fitted) > 10
+        # the trees were grown as forests
+        assert sum(forests) == len(fitted) > len(forests)
         for X, y, params, tree in fitted:
             assert tree == _oracle_json(X, y, params)
 
@@ -471,3 +477,94 @@ class TestPredictShape:
         with pytest.raises(DimensionMismatchError):
             tree.predict(np.zeros(shape))
         assert tree.predict(np.zeros(5)) in (-1.0, 1.0)
+
+
+def _dataset(kind, n, d, rng):
+    """(X, y) of one of the shapes `fit_many` must grow like `fit`."""
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X += 0.25 * rng.normal(size=(n, d)) * (rng.random(d) < 0.5)
+    y = rng.choice([-1.0, 1.0], size=n)
+    if kind == "single-row":
+        X, y = X[:1], y[:1]
+    elif kind == "pure-label":
+        y[:] = y[0]
+    elif kind == "constant-feature" and d:
+        X[:, rng.integers(d)] = 1.5
+    elif kind == "parity" and d:
+        y = np.where(X[:, :2].sum(axis=1) % 2 < 1, 1.0, -1.0)
+    return X, y
+
+
+KINDS = ("random", "single-row", "pure-label", "constant-feature", "parity")
+
+
+class TestFitMany:
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(0, 4),
+           shapes=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(1, 400)),
+                           min_size=1, max_size=12),
+           large_at=st.one_of(st.none(), st.integers(0, 12)),
+           seed=st.integers(0, 2**32 - 1),
+           max_depth=st.integers(0, 8), min_leaf=st.integers(1, 4))
+    def test_same_trees_as_one_fit_per_dataset(self, d, shapes, large_at, seed,
+                                               max_depth, min_leaf):
+        rng = np.random.default_rng(seed)
+        datasets = [_dataset(kind, n, d, rng) for kind, n in shapes]
+        if large_at is not None:
+            # one dataset above the forest bound, grown alone
+            datasets.insert(min(large_at, len(datasets)),
+                            _dataset("random", trees._FOREST_ROWS + 37, d, rng))
+        params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+        grown = DecisionTree.fit_many(iter(datasets), params)
+        assert len(grown) == len(datasets)
+        for (X, y), tree in zip(datasets, grown):
+            alone = DecisionTree.fit(X, y, params)
+            assert tree.n_features == alone.n_features == d
+            assert tree.depth() == alone.depth()
+            for name in ("feature", "threshold", "left", "right", "label"):
+                a, b = getattr(tree, name), getattr(alone, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_each_forest_holds_at_most_the_row_bound(self, monkeypatch, rng):
+        sizes = [1, 700, 900, 400, 3000, 5, 2048, 2047, 1, 1200, 900, 60]
+        datasets = [(rng.normal(size=(n, 3)), rng.choice([-1.0, 1.0], size=n))
+                    for n in sizes]
+        read, forests = [], []
+        grow = trees._grow
+
+        def spy(X, pos, roots, params):
+            forests.append((X.shape[1], roots.tolist(), len(read)))
+            return grow(X, pos, roots, params)
+
+        def lazily():
+            for X, y in datasets:
+                read.append(len(y))
+                yield X, y
+
+        monkeypatch.setattr(trees, "_grow", spy)
+        grown = DecisionTree.fit_many(lazily(), TreeParams(max_depth=3))
+        assert len(grown) == len(datasets)
+        for rows, roots, _ in forests:
+            assert rows == sum(roots)
+            assert rows <= trees._FOREST_ROWS or len(roots) == 1
+        # consecutive datasets, in order, greedily packed
+        assert [n for _, roots, _ in forests for n in roots] == sizes
+        assert [roots for _, roots, _ in forests] == [
+            [1, 700, 900, 400], [3000], [5], [2048], [2047, 1], [1200], [900, 60]]
+        # a forest is grown once the next dataset would overflow it: read lazily
+        assert [seen for *_, seen in forests] == [5, 6, 7, 8, 10, 11, 12]
+
+    @pytest.mark.parametrize("bad, message", [
+        ((np.zeros((0, 3)), np.zeros(0)), "empty"),
+        ((np.array([[0.0, np.nan, 1.0]]), np.ones(1)), "finite"),
+        ((np.array([[0.0, np.inf, 1.0]]), np.ones(1)), "finite"),
+        ((np.zeros((2, 2)), np.ones(2)), "2 features"),
+        ((np.zeros((2, 4)), np.ones(2)), "4 features"),
+        ((np.zeros((3, 3)), np.ones(2)), "one label per row"),
+        ((np.zeros(3), np.ones(3)), "one label per row"),
+    ])
+    def test_bad_dataset_named_by_its_index(self, bad, message, rng):
+        good = [(rng.normal(size=(5, 3)), rng.choice([-1.0, 1.0], size=5))
+                for _ in range(2)]
+        with pytest.raises(ValueError, match=f"dataset 2: .*{message}"):
+            DecisionTree.fit_many(good + [bad] + good, TreeParams())

@@ -361,16 +361,16 @@ def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
     interval = config.checkpoint_interval()
     schedule = sorted({t for t in range(interval, T + 1, interval) if t >= start}
                       | {T})
-    states, queries = [], []
+    states, cum_queries = [], []
     done = start
     for t in schedule:
         for row in range(done, t):
             engine.step(X_train[row], oracle)
         done = t
         states.append(state())
-        queries.append(start + oracle.calls)
+        cum_queries.append(start + oracle.calls)
     checkpoints = []
-    for t, cum, h in zip(schedule, queries, models(states)):
+    for t, cum, h in zip(schedule, cum_queries, models(states)):
         checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss),
                             evaluate_error(h, X_test, y_test)))
     _, queries, final_loss, final_error = checkpoints[-1]

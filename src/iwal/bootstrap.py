@@ -39,12 +39,13 @@ class Committee:
 def train_committee(X, y, rng: np.random.Generator, size: int = 10,
                     p_min: float = 0.1, params: TreeParams = TreeParams()) -> Committee:
     """Train `size` trees, each on a with-replacement resample of the prefix."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if len(X) == 0:
         raise ValueError("committee prefix must be nonempty")
-    resamples = [rng.integers(0, len(X), size=len(X)) for _ in range(size)]
-    members = DecisionTree.fit_many(((X[idx], y[idx]) for idx in resamples), params)
+    # the resamples repeat rows, so they are stacked as consecutive blocks
+    rows = np.concatenate([rng.integers(0, len(X), size=len(X)) for _ in range(size)])
+    members = DecisionTree.fit_many(X[rows], y[rows],
+                                    np.arange(len(rows)).reshape(size, -1), params)
     return Committee(tuple(members), p_min=p_min)
 
 
@@ -76,16 +77,18 @@ class CommitteeThreshold:
 
 @dataclass(frozen=True)
 class Resample:
-    """Unweighted rows kept by costing, as columns; iterates (x, y) pairs."""
+    """Unweighted rows kept by costing: the increasing indices `rows` into
+    the columns X and y of the sample drawn from; iterates (x, y) pairs."""
 
     X: np.ndarray
     y: np.ndarray
+    rows: np.ndarray
 
     def __len__(self):
-        return len(self.y)
+        return len(self.rows)
 
     def __iter__(self):
-        return zip(self.X, self.y.tolist())
+        return zip(self.X[self.rows], self.y[self.rows].tolist())
 
 
 def costing_resample(sample: WeightedSample, rng: np.random.Generator) -> Resample:
@@ -95,11 +98,9 @@ def costing_resample(sample: WeightedSample, rng: np.random.Generator) -> Resamp
     for any fixed f, E[sum over kept f(x)] * max weight recovers the weighted
     sum.
     """
-    if not len(sample):
-        return Resample(sample.X, sample.y)
     # one coin per row, drawn in row order
-    keep = rng.random(len(sample)) < sample.w / sample.w.max()
-    return Resample(sample.X[keep], sample.y[keep])
+    keep = rng.random(len(sample)) < sample.w / sample.w.max() if len(sample) else []
+    return Resample(sample.X, sample.y, np.flatnonzero(keep))
 
 
 def train_final(resampled: Resample, params: TreeParams = TreeParams(),
@@ -109,31 +110,32 @@ def train_final(resampled: Resample, params: TreeParams = TreeParams(),
     An empty resample falls back to a majority stump over the fallback
     examples (normally the committee's initial prefix).
     """
-    return train_finals([resampled], params, fallback)[0]
+    return train_finals(resampled.X, resampled.y, [resampled], params, fallback)[0]
 
 
-def train_finals(resamples, params: TreeParams = TreeParams(),
+def train_finals(X, y, resamples, params: TreeParams = TreeParams(),
                  fallback=None) -> list:
-    """`train_final` on each resample of an iterable, in order. The iterable
-    is read lazily and the trees are grown together by
-    `DecisionTree.fit_many`; each empty resample's stump takes its place."""
+    """`train_final` on each resample of an iterable, in order, every
+    resample's rows indexing X and y. The iterable is read lazily and the
+    trees are grown together by `DecisionTree.fit_many`; each empty
+    resample's stump takes its place."""
     empty = []
 
     def nonempty():
         for i, resampled in enumerate(resamples):
             if len(resampled):
-                yield resampled.X, resampled.y
+                yield resampled.rows
             else:
                 empty.append(i)
 
-    trees = DecisionTree.fit_many(nonempty(), params)
+    trees = DecisionTree.fit_many(X, y, nonempty(), params)
     if empty:
         if fallback is None or len(fallback[1]) == 0:
             raise ValueError("empty resample and no fallback prefix")
-        X, y = fallback
-        majority = 1.0 if np.sum(np.asarray(y) > 0) * 2 >= len(y) else -1.0
+        X0, y0 = fallback
+        majority = 1.0 if np.sum(np.asarray(y0) > 0) * 2 >= len(y0) else -1.0
         for i in empty:
-            trees.insert(i, DecisionTree.leaf(majority, np.asarray(X).shape[1]))
+            trees.insert(i, DecisionTree.leaf(majority, np.asarray(X0).shape[1]))
     return trees
 
 

@@ -208,9 +208,10 @@ class RunReport:
         }
 
 
-def evaluate_loss(predictor, X, y, loss: LossFunction) -> float:
-    """Mean normalized test loss, grouped by label value for vector evals."""
-    z = predict_many(predictor, X)
+def evaluate_loss(predictor, X, y, loss: LossFunction, z=None) -> float:
+    """Mean normalized test loss, grouped by label value for vector evals;
+    z, when given, is the predictor's predictions on X."""
+    z = predict_many(predictor, X) if z is None else z
     y = np.asarray(y, dtype=float)
     total = 0.0
     for value in np.unique(y):
@@ -219,12 +220,13 @@ def evaluate_loss(predictor, X, y, loss: LossFunction) -> float:
     return total / len(y)
 
 
-def evaluate_error(predictor, X, y) -> float | None:
-    """Sign-agreement error; None when labels are not all -1/+1."""
+def evaluate_error(predictor, X, y, z=None) -> float | None:
+    """Sign-agreement error; None when labels are not all -1/+1. z, when
+    given, is the predictor's predictions on X."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         return None
-    z = predict_many(predictor, X)
+    z = predict_many(predictor, X) if z is None else z
     signs = np.where(z >= 0, 1.0, -1.0)
     return float(np.mean(signs != y))
 
@@ -371,8 +373,9 @@ def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
         cum_queries.append(start + oracle.calls)
     checkpoints = []
     for t, cum, h in zip(schedule, cum_queries, models(states)):
-        checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss),
-                            evaluate_error(h, X_test, y_test)))
+        z = predict_many(h, X_test)
+        checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss, z),
+                            evaluate_error(h, X_test, y_test, z)))
     _, queries, final_loss, final_error = checkpoints[-1]
     return ArmResult(checkpoints, final_loss, final_error, queries,
                      engine.trace, {"oracle_calls": oracle.calls}), h
@@ -423,7 +426,7 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         resamples = (bs.costing_resample(collected.head(n),
                                          np.random.default_rng([costing_seed, i]))
                      for i, n in enumerate(counts))
-        return bs.train_finals(resamples, params, fallback=(X0, y0))
+        return bs.train_finals(collected.X, collected.y, resamples, params, (X0, y0))
 
     arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
                                lambda: prefix + len(engine.sample),

@@ -4,8 +4,8 @@ Axis-aligned threshold splits chosen by entropy reduction, leaves labeled by
 majority vote with ties going to +1. A fitted tree is a set of flat node
 arrays; it serializes to plain nested dicts / JSON.
 
-Tie rule: a node's candidate cuts are scanned in feature-major order (feature
-index, then position in the feature's stable sort). The first allowed cut is
+Tie rule: a node's cuts are scanned in feature-major order (feature index,
+then position in the feature's stable sort). The first allowed cut is
 kept, and a later one replaces the kept cut only if its gain exceeds the kept
 gain by more than _MIN_GAIN (1e-12). Vector gains use np.log2, which can
 differ from math.log2 in the last bit, so a gain can differ from the scalar
@@ -27,18 +27,55 @@ vector-scalar gap below _CERTIFY / 2, on vector and on scalar gains alike:
 So the replay, its scalar certification and the sequential scan over scalar
 gains all keep j*.
 
+Candidate cuts. A depth computes gains only at candidate cuts: allowed cuts
+with a label change across them (the rows on their two sides differ in
+label), or next to a blocked cut (one between equal values, one leaving
+fewer than min_leaf rows on a side, or the segment edge before a node's
+first column). In a node of more than _BOUNDARY_ROWS rows every allowed cut
+is a candidate. After Fayyad & Irani (Machine Learning 8, 1992), no other
+cut can be near or in the band, so `_select` over the candidates picks the
+cut it would pick over every allowed cut, and the band proof above holds.
+`_best_split`, the exact path, still reads every cut of its node.
+  Proof. Take a searched node of n rows, P of them positive; it is impure.
+Let cut i leave the first i rows of a feature's order on the left and
+W(i) = i H(left) + (n - i) H(right), so its gain is G(i) = H(P/n) - W(i)/n.
+With f(p, q) = (p + q) H(p / (p + q)) for p positive and q negative rows,
+W = f(left) + f(right), and d2f/dp2 = -q / (ln2 p (p + q)). Let cut i be
+allowed but not a candidate: rows i and i + 1 (counting from 1) share a
+label, say +, and cuts i - 1 and i + 1 are allowed. From cut i - 1 to i + 1
+the two rows move left one at a time and both children keep their negative
+counts, which sum to at least 1. A child with q >= 1 and p + q < n has a
+second difference below -1 / (ln2 n^2) (by the mean value theorem), the
+other one at most 0, so G(i - 1) - 2 G(i) + G(i + 1) > 1 / (ln2 n^3) = 2 delta
+and a neighbour of i has a gain above G(i) + delta. Walk from i that way:
+while the cut reached is not a candidate the same argument applies there,
+so the gain keeps rising, and the walk ends at a candidate (a node's first
+and last allowed cuts are candidates) whose gain exceeds G(i) + delta. The
+vector and scalar gains each lie within _CERTIFY / 2 of the exact ones
+(their rounding is about 1e-16), so on both cut i is below that candidate
+by more than delta - _CERTIFY. _BOUNDARY_ROWS is the largest n with
+delta = 1 / (2 ln2 n^3) > _MIN_GAIN + _NEAR + 2 _CERTIFY: up to it, cut i
+is far, and dropping it moves neither M, nor j*, nor the band test.
+
+Shared presort. `fit_many` takes one (X, y) and, per tree, a strictly
+increasing array of row indices into it. Every feature gets one stable
+argsort over all the rows. A tree's rows keep their order and repeat none,
+so the shared order filtered to them is the order a stable sort of those
+rows alone gives, bit for bit. Bootstrap resamples repeat rows, so the
+committee stacks them as consecutive blocks of one (X, y).
+
 Per-depth segments: `fit_many` grows many trees together, as a forest,
 one depth at a time with one search per depth; `fit` is its one-tree case.
-A forest of K trees starts from K root segments, one per tree's rows, each
-with every feature sorted once (a stable argsort of that tree's rows). The
-rows of that depth's searched nodes lie in a (features, rows)
-index matrix, each node's rows one contiguous column segment, row f of a
-segment in the stable order of feature f. Prefix counts, both child
-entropies and the gains of every cut of every node come from a few array
-passes over the whole matrix; per-node maxima and first picks come from
-`reduceat` over the segment starts. A split partitions the rows by the
-threshold mask `X[feature] <= threshold`, never by cut position (a midpoint
-can round up to the upper value, whose rows then go left). Every feature row
+A forest of K trees starts from K root segments, each a tree's rows in the
+shared order, copied into the forest's own rows. The rows of that depth's
+searched nodes lie in a (features, rows) index matrix, each node's rows one
+contiguous column segment, row f of a segment in the stable order of
+feature f. Prefix counts and the candidate cuts come from a few array
+passes over the whole matrix, the entropies and gains from passes over the
+candidates; per-node maxima and first picks come from `ufunc.at` over the
+candidates' nodes. A split partitions the rows by the threshold mask
+`X[feature] <= threshold`, never by cut position (a midpoint can round up
+to the upper value, whose rows then go left). Every feature row
 of a segment holds the same rows, so one per-row mask gathered through the
 matrix compresses it into the children's segments, still stably sorted:
 each child sees the cuts, counts and midpoints a fresh sort gives.
@@ -70,6 +107,9 @@ _CERTIFY = 1e-14
 _NEAR = 1e-13
 # rows of the datasets `fit_many` grows together in one forest
 _FOREST_ROWS = 2048
+# largest node whose cuts inside a stretch of one label are far below its
+# best gain, derived from the band (module docstring)
+_BOUNDARY_ROWS = int((2 * math.log(2) * (_MIN_GAIN + _NEAR + 2 * _CERTIFY)) ** (-1 / 3))
 
 
 @dataclass(frozen=True)
@@ -177,72 +217,83 @@ def _best_split(values: np.ndarray, flags: np.ndarray, pos_total: int,
     return feature, 0.5 * (values[feature, i] + values[feature, i + 1])
 
 
-def _select(gains: np.ndarray, sizes: np.ndarray):
-    """The batched tie rule over node segments of a (features, columns) gain
-    matrix (-inf marks a cut that is not allowed). Per node: the feature and
-    column of the first cut in scan order within _NEAR of its best gain M
-    (feature -1 when no cut is allowed), and whether a gain lies in the band
-    [M - (_MIN_GAIN + _NEAR + _CERTIFY), M - _NEAR), which `_best_split`
-    must settle. See the module docstring."""
-    d, m = gains.shape
-    node = np.arange(len(sizes)).repeat(sizes)
-    best = np.maximum.reduceat(gains, sizes.cumsum() - sizes, axis=1).max(axis=0)
-    # cuts at or above the band's floor, in scan order (all cuts of a node
-    # with none allowed, each near its best of -inf)
-    hits = np.flatnonzero(gains >= (best - (_MIN_GAIN + _NEAR + _CERTIFY))[node])
-    hit_node = node[hits % m]
-    near = gains.ravel()[hits] >= best[hit_node] - _NEAR
-    first = np.full(len(sizes), d * m)
-    np.minimum.at(first, hit_node[near], hits[near])
-    exact = np.zeros(len(sizes), dtype=bool)
-    exact[hit_node[~near]] = True
+def _select(cells: np.ndarray, gains: np.ndarray, node: np.ndarray,
+            n_nodes: int, m: int):
+    """The batched tie rule over one depth's searched cuts: their flat
+    indices into a (features, m) matrix of node column segments (ascending,
+    so in scan order within each node), their gains and their nodes. Per
+    node: the feature and column of the first cut in scan order within
+    _NEAR of its best gain M (feature -1, column 0 when no cut is
+    searched), and whether a gain lies in the band [M - (_MIN_GAIN + _NEAR
+    + _CERTIFY), M - _NEAR), which `_best_split` must settle. See the module
+    docstring."""
+    best = np.full(n_nodes, -np.inf)
+    np.maximum.at(best, node, gains)
+    floor = best.take(node)
+    near = gains >= floor - _NEAR
+    # column 0 where no cut is searched
+    first = np.full(n_nodes, np.iinfo(np.intp).max // m * m)
+    np.minimum.at(first, node[near], cells[near])
+    band = (gains >= floor - (_MIN_GAIN + _NEAR + _CERTIFY)) & ~near
+    exact = np.bincount(node[band], minlength=n_nodes) > 0
     feature, column = np.divmod(first, m)
     feature[best == -np.inf] = -1
     return feature, column, exact
 
 
 def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
-                 sizes: np.ndarray, n_pos: np.ndarray, min_leaf: int):
+                 sizes: np.ndarray, starts: np.ndarray, node: np.ndarray,
+                 n_pos: np.ndarray, min_leaf: int):
     """One depth's split search: (feature, threshold) per node, feature -1
     where the node has no allowed cut.
 
     X is the root's (features, rows) array and pos its label > 0 flags; order
-    holds the nodes' rows as consecutive column segments of the given sizes,
-    with n_pos positive labels each.
+    holds the nodes' rows as consecutive column segments of the given sizes
+    and starts, with n_pos positive labels each; node is each column's
+    segment.
     """
     d, n_rows = X.shape
     m = order.shape[1]
-    starts = sizes.cumsum() - sizes
-    node = np.arange(len(sizes)).repeat(sizes)       # each column's segment
     values = X.ravel().take(order + np.arange(0, d * n_rows, n_rows)[:, None])
     blocked = np.ones((d, m), dtype=bool)        # cuts that are not allowed
     np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
     flags = pos.take(order)
-    # positives up to each column, less those before the column's segment
-    pos_left = flags.ravel().cumsum()
-    before = pos_left.take((np.arange(0, d * m, m)[:, None] + starts - 1).ravel())
-    before[0] = 0
-    pos_left = pos_left.reshape(d, m)
-    pos_left -= before.reshape(d, -1).take(node, axis=1)
     # a cut after a column leaves the segment's columns up to it on the left
     n = sizes.take(node).astype(float)
     n_left = np.arange(1.0, m + 1) - starts.take(node)
+    blocked |= (n_left < min_leaf) | (n - n_left < min_leaf)
+    # the candidate cuts, the only ones searched (module docstring); the first
+    # column has the segment edge before it
+    candidate = np.ones((d, m), dtype=bool)
+    np.not_equal(flags[:, :-1], flags[:, 1:], out=candidate[:, :-1])
+    candidate[:, 1:] |= blocked[:, :-1]
+    candidate[:, :-1] |= blocked[:, 1:]
+    candidate[:, 0] = True
+    candidate |= n > _BOUNDARY_ROWS
+    candidate &= ~blocked
+    cells = np.flatnonzero(candidate)
+    column = cells - cells // m * m
+    cut_node = node.take(column)
+    n, n_left = n.take(column), n_left.take(column)
     n_right = n - n_left
-    blocked |= (n_left < min_leaf) | (n_right < min_leaf)
+    # positives before each flat index; a cut's left side holds those up to
+    # it less those before its segment
+    cum = np.zeros(d * m + 1, dtype=np.intp)
+    np.cumsum(flags.ravel(), out=cum[1:])
+    pos_left = cum.take(cells + 1) - cum.take(cells - column + starts.take(cut_node))
     parent = np.array([_entropy(p, s) for p, s in zip(n_pos.tolist(), sizes.tolist())])
     # `_best_split`'s gain formula and operation order, elementwise and in
     # place (one child at a time, to hold fewer temporaries):
     # parent - (n_left * h_left + n_right * h_right) / n
     gains = _entropy_many(pos_left, n_left)
     gains *= n_left
-    h = _entropy_many(n_pos.take(node) - pos_left, n_right)
+    h = _entropy_many(n_pos.take(cut_node) - pos_left, n_right)
     h *= n_right
     gains += h
     gains /= n
-    np.subtract(parent.take(node), gains, out=gains)
-    np.copyto(gains, -np.inf, where=blocked)
+    np.subtract(parent.take(cut_node), gains, out=gains)
 
-    feature, column, exact = _select(gains, sizes)
+    feature, column, exact = _select(cells, gains, cut_node, len(sizes), m)
     threshold = 0.5 * (values[feature, column] + values[feature, column + 1])
     for k in np.flatnonzero(exact).tolist():
         seg = slice(starts[k], starts[k] + sizes[k])
@@ -251,13 +302,15 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     return feature, threshold
 
 
-def _grow(X: np.ndarray, pos: np.ndarray, sizes: np.ndarray, params: TreeParams):
+def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
+          params: TreeParams):
     """(feature, threshold, left, right, label, depth) of each tree grown on
     the (features, rows) array X with label > 0 flags pos, whose rows hold
-    the trees' samples one after another, in blocks of the given sizes. The
-    trees are grown together as one forest: their roots are the first
-    depth's segments. Nodes are numbered breadth first across the forest; a
-    leaf's children are itself."""
+    the trees' samples one after another, in blocks of the given sizes;
+    order holds each tree's rows, stably sorted by each feature, as one
+    column segment. The trees are grown together as one forest: their roots
+    are the first depth's segments. Nodes are numbered breadth first across
+    the forest; a leaf's children are itself."""
     d, n_rows = X.shape
 
     def searched(depth, sizes, n_pos):
@@ -265,23 +318,21 @@ def _grow(X: np.ndarray, pos: np.ndarray, sizes: np.ndarray, params: TreeParams)
                 & (n_pos > 0) & (n_pos < sizes))
 
     n_trees = len(sizes)
-    starts = sizes.cumsum() - sizes
-    n_pos = np.add.reduceat(pos, starts)
+    n_pos = np.add.reduceat(pos, sizes.cumsum() - sizes)
     ids = tree = np.arange(n_trees)
     levels = [(ids, sizes, n_pos, tree)]    # every node: id, rows, positives, tree
     splits = []                       # split nodes: ids, features, thresholds, left child ids
     n_nodes, depth = n_trees, 0
     wanted = searched(0, sizes, n_pos)
-    if wanted.any():
-        # each tree's own stable presort, its rows one column segment
-        order = np.concatenate([np.argsort(X[:, s:s + n], axis=1, kind="stable") + s
-                                for s, n in zip(starts[wanted].tolist(),
-                                                sizes[wanted].tolist())], axis=1)
+    order = order.compress(wanted.repeat(sizes), axis=1)
     while wanted.any():
         ids, sizes, n_pos, tree = ids[wanted], sizes[wanted], n_pos[wanted], tree[wanted]
         # zero-gain splits are allowed on impure nodes: parity-style patterns
         # only pay off a level deeper, and max_depth bounds the growth
-        feature, threshold = _split_depth(X, pos, order, sizes, n_pos, params.min_leaf)
+        starts = sizes.cumsum() - sizes
+        node = np.arange(len(ids)).repeat(sizes)
+        feature, threshold = _split_depth(X, pos, order, sizes, starts, node, n_pos,
+                                          params.min_leaf)
         split = feature >= 0
         k = int(np.count_nonzero(split))
         if k == 0:
@@ -294,10 +345,8 @@ def _grow(X: np.ndarray, pos: np.ndarray, sizes: np.ndarray, params: TreeParams)
         splits.append((parents, feature[split], threshold[split], left_ids))
         # each row's side, by its node's threshold mask (unused for the rows
         # of a node without a split, whose feature -1 picks some value)
-        node = np.arange(len(ids)).repeat(sizes)
         rows = order[0]
         goes_left = X.ravel().take(feature[node] * n_rows + rows) <= threshold[node]
-        starts = sizes.cumsum() - sizes
         left_sizes = np.add.reduceat(goes_left, starts)[split]
         left_pos = np.add.reduceat(goes_left & pos[rows], starts)[split]
         # the children's segments: all left ones, then all right ones
@@ -318,9 +367,8 @@ def _grow(X: np.ndarray, pos: np.ndarray, sizes: np.ndarray, params: TreeParams)
         side = np.zeros(n_rows, dtype=np.int8)        # 1: left, 2: right
         side[rows] = keep * (2 - goes_left)
         side = side.take(order).ravel()
-        order = order.ravel()
-        order = np.concatenate((order.compress(side == 1).reshape(d, -1),
-                                order.compress(side == 2).reshape(d, -1)), axis=1)
+        order = np.concatenate([order.ravel().compress(side == s).reshape(d, -1)
+                                for s in (1, 2)], axis=1)
 
     ids, sizes, n_pos, tree = (np.concatenate(column) for column in zip(*levels))
     label = np.empty(n_nodes)
@@ -402,25 +450,20 @@ def _flatten(root: dict, n_features: int):
             np.array(label), depth)
 
 
-def _checked(index: int, X, y, width):
-    """X and y of the index-th dataset as float arrays; ValueError, naming
-    the index, unless X is a nonempty finite (rows, width) array (any width
-    when width is None) and y has one label per row."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
-        raise ValueError(f"dataset {index}: expected (rows, features) features and "
-                         f"one label per row, got shapes {X.shape} and {y.shape}")
-    if width is not None and X.shape[1] != width:
-        raise ValueError(f"dataset {index}: has {X.shape[1]} features, "
-                         f"the first dataset {width}")
-    if len(X) == 0:
-        raise ValueError(f"dataset {index}: cannot fit a tree on an empty sample")
-    if not np.isfinite(X).all():
-        # a fitted tree's thresholds are finite, as `_flatten` requires
-        raise ValueError(f"dataset {index}: cannot fit a tree on features "
-                         f"that are not finite")
-    return X, y
+def _checked(index: int, rows, n_rows: int) -> np.ndarray:
+    """The index-th array of row indices; ValueError, naming the index,
+    unless it is a nonempty, strictly increasing 1-D integer array of
+    indices below n_rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"subset {index}: expected a 1-D array of integer row "
+                         f"indices, got {rows.dtype} of shape {rows.shape}")
+    if len(rows) == 0:
+        raise ValueError(f"subset {index}: cannot fit a tree on an empty sample")
+    if (np.diff(rows) <= 0).any() or rows[0] < 0 or rows[-1] >= n_rows:
+        raise ValueError(f"subset {index}: row indices must be strictly increasing "
+                         f"(sorted, none repeated) and below {n_rows}, from 0")
+    return rows
 
 
 class DecisionTree:
@@ -439,6 +482,7 @@ class DecisionTree:
         self.feature, self.threshold = feature, threshold
         self.left, self.right, self.label = left, right, label
         self._depth = depth
+        return self
 
     @functools.cached_property
     def _walk(self):
@@ -449,45 +493,54 @@ class DecisionTree:
 
     @classmethod
     def fit(cls, X, y, params: TreeParams = TreeParams()) -> "DecisionTree":
-        return cls.fit_many([(X, y)], params)[0]
+        return cls.fit_many(X, y, [np.arange(len(X))], params)[0]
 
     @classmethod
-    def fit_many(cls, datasets, params: TreeParams = TreeParams()) -> list:
-        """One tree per (X, y) of `datasets`, in order, each the tree `fit`
-        grows on it. The iterable is read lazily: consecutive datasets are
-        grown together, in forests of at most _FOREST_ROWS rows, and a
-        larger dataset is grown alone. A dataset that is empty, has features
-        that are not finite, or differs in shape from the first raises
-        ValueError naming its index."""
-        fitted, forest, rows, width = [], [], 0, None
-        for i, (X, y) in enumerate(datasets):
-            X, y = _checked(i, X, y, width)
-            width = X.shape[1]
-            if forest and rows + len(X) > _FOREST_ROWS:
-                fitted += cls._grow_forest(forest, params)
-                forest, rows = [], 0
-            forest.append((X, y))
-            rows += len(X)
-        if forest:
-            fitted += cls._grow_forest(forest, params)
-        return fitted
-
-    @classmethod
-    def _grow_forest(cls, forest, params: TreeParams) -> list:
-        n_features = forest[0][0].shape[1]
-        X = np.concatenate([X for X, _ in forest])
+    def fit_many(cls, X, y, subsets, params: TreeParams = TreeParams()) -> list:
+        """One tree per array of row indices into (X, y) in `subsets`, in
+        order, each the tree `fit` grows on those rows. Every feature is
+        sorted once, over all rows. The iterable is read lazily: consecutive
+        subsets are grown together, in forests of at most _FOREST_ROWS rows,
+        and a larger subset is grown alone. ValueError unless X is a finite
+        (rows, features) array with one label per row, or, naming its index,
+        unless a subset is nonempty, strictly increasing and in range."""
+        X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"expected (rows, features) features and one label "
+                             f"per row, got shapes {X.shape} and {y.shape}")
+        if not np.isfinite(X).all():
+            # a fitted tree's thresholds are finite, as `_flatten` requires
+            raise ValueError("cannot fit a tree on features that are not finite")
         # no feature: sort one constant column instead, which allows no cut
-        XT = np.ascontiguousarray(X.T) if n_features else np.zeros((1, len(X)))
-        pos = np.concatenate([y for _, y in forest]) > 0
-        sizes = np.array([len(y) for _, y in forest])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grown = _grow(XT, pos, sizes, params)
-        trees = []
-        for arrays in grown:
-            tree = cls.__new__(cls)
-            tree._set(n_features, *arrays)
-            trees.append(tree)
-        return trees
+        XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
+        order = np.argsort(XT, axis=1, kind="stable")
+
+        def grow(forest):
+            # each tree's root: the shared order filtered to its rows, renumbered
+            # as forest rows; one tree at a time, to hold one (features, rows) array
+            sizes = np.array([len(rows) for rows in forest])
+            slot, roots = np.full(len(X), -1), []
+            for start, rows in zip(sizes.cumsum() - sizes, forest):
+                slot[rows] = np.arange(start, start + len(rows))
+                root = slot.take(order)
+                roots.append(root[root >= 0].reshape(len(order), -1))
+                slot[rows] = -1
+            rows = np.concatenate(forest)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grown = _grow(XT.take(rows, axis=1), y.take(rows) > 0,
+                              np.concatenate(roots, axis=1), sizes, params)
+            return [cls.__new__(cls)._set(X.shape[1], *arrays) for arrays in grown]
+
+        fitted, forest = [], []
+        for i, rows in enumerate(subsets):
+            rows = _checked(i, rows, len(X))
+            if forest and sum(map(len, forest)) + len(rows) > _FOREST_ROWS:
+                fitted += grow(forest)
+                forest = []
+            forest.append(rows)
+        if forest:
+            fitted += grow(forest)
+        return fitted
 
     @classmethod
     def leaf(cls, label: float, n_features: int) -> "DecisionTree":

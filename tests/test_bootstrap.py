@@ -161,6 +161,20 @@ class TestCosting:
     def test_empty_input(self, rng):
         assert len(costing_resample(WeightedSample(), rng)) == 0
 
+    def test_kept_rows_index_the_sample(self, rng):
+        # costing keeps row indices into the sample's columns, not copies
+        examples = weighted_examples_from_arrays(
+            rng.normal(size=(30, 2)), rng.choice([-1.0, 1.0], size=30),
+            rng.uniform(1.0, 6.0, size=30))
+        kept = costing_resample(examples, np.random.default_rng(5))
+        coins = np.random.default_rng(5).random(30) < examples.w / examples.w.max()
+        assert np.array_equal(kept.rows, np.flatnonzero(coins))
+        assert kept.X is examples.X and kept.y is examples.y
+        pairs = list(kept)
+        assert len(pairs) == len(kept) == coins.sum()
+        for (x, label), row in zip(pairs, kept.rows.tolist()):
+            assert np.array_equal(x, examples.X[row]) and label == examples.y[row]
+
     def test_acceptance_frequency_binomial_band(self):
         # weight 1 next to weight 10: acceptance ratio 0.1 +- 4 sigma
         rng = np.random.default_rng(2024)
@@ -194,22 +208,22 @@ class TestTrainFinal:
         from iwal.trees import DecisionTree
 
         X, y = separable_prefix(rng, n=50)
-        tree = train_final(Resample(X, y))
+        tree = train_final(Resample(X, y, np.arange(len(y))))
         passive = DecisionTree.fit(X, y)
         assert tree.to_json() == passive.to_json()
 
     def test_pure_labels_give_single_leaf(self, rng):
-        tree = train_final(Resample(rng.normal(size=(12, 2)), np.ones(12)))
+        tree = train_final(Resample(rng.normal(size=(12, 2)), np.ones(12), np.arange(12)))
         assert tree.root == {"label": 1.0}
 
     def test_xor_resample_zero_error(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0, 1.0, -1.0])
-        tree = train_final(Resample(X, y), TreeParams(max_depth=2, min_leaf=1))
+        tree = train_final(Resample(X, y, np.arange(4)), TreeParams(max_depth=2, min_leaf=1))
         assert np.array_equal(tree.predict_many(X), y)
 
     def test_empty_resample_falls_back_to_majority_stump(self, rng):
         X, y = separable_prefix(rng)
         y[:] = -1.0
-        tree = train_final([], fallback=(X, y))
+        tree = train_final(Resample(X, y, np.arange(0)), fallback=(X, y))
         assert np.all(tree.predict_many(rng.normal(size=(7, 3))) == -1.0)

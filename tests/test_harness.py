@@ -265,15 +265,17 @@ class TestBootstrapCheckpoints:
         def costing_with_one_empty(sample, rng):
             calls.append(len(sample))
             kept = costing(sample, rng)
-            return bs.Resample(kept.X[:0], kept.y[:0]) if len(calls) == empty_at + 1 else kept
+            if len(calls) == empty_at + 1:
+                return bs.Resample(kept.X, kept.y, kept.rows[:0])
+            return kept
 
         monkeypatch.setattr(bs, "costing_resample", costing_with_one_empty)
         config = base_config(strategy="bootstrap", train_size=300, test_size=60,
                              checkpoint_every=10, seed=3)
         reference = _eager_bootstrap_checkpoints(config, False)
         calls.clear()
-        monkeypatch.setattr(trees, "_grow", lambda X, pos, sizes, params:
-                            forests.append(len(sizes)) or grow(X, pos, sizes, params))
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, params:
+                            forests.append(len(sizes)) or grow(X, pos, order, sizes, params))
         monkeypatch.setattr(harness, "evaluate_loss", lambda h, *args:
                             models.append(h) or evaluate(h, *args))
         report = run_experiment(config)
@@ -284,6 +286,32 @@ class TestBootstrapCheckpoints:
         # one forest for the committee, one for every other active checkpoint
         checkpoints = len(reference)
         assert forests[:2] == [config.committee["size"], checkpoints - 1]
+
+
+class TestCheckpointEvaluation:
+    @pytest.mark.parametrize("strategy", ("passive", "loss-weighting-finite", "bootstrap"))
+    def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
+        # the loss and the error of a checkpoint read one routing of the test rows
+        predictions, losses = [], []
+        predict, evaluate = harness.predict_many, harness.evaluate_loss
+        monkeypatch.setattr(harness, "predict_many", lambda h, X:
+                            predictions.append(len(X)) or predict(h, X))
+        monkeypatch.setattr(harness, "evaluate_loss", lambda *args:
+                            losses.append(1) or evaluate(*args))
+        report = run_experiment(base_config(strategy=strategy, train_size=200,
+                                            test_size=30, checkpoint_every=20))
+        arms = {id(report.active): report.active, id(report.passive): report.passive}
+        checkpoints = sum(len(arm.checkpoints) for arm in arms.values())
+        assert len(predictions) == len(losses) == checkpoints
+        assert set(predictions) == {30}
+
+    def test_given_predictions_give_the_same_loss_and_error(self, rng):
+        X, y = rng.normal(size=(50, 3)), rng.choice([-1.0, 1.0], size=50)
+        tree = trees.DecisionTree.fit(X[:30], y[:30], TreeParams(max_depth=3))
+        z = tree.predict_many(X)
+        loss = LossFunction("logistic", 1.0)
+        assert evaluate_loss(tree, X, y, loss, z) == evaluate_loss(tree, X, y, loss)
+        assert evaluate_error(tree, X, y, z) == evaluate_error(tree, X, y)
 
 
 class TestReplicatesAndEmission:

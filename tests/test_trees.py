@@ -307,17 +307,17 @@ class TestPresort:
         fitted, forests = [], []
         fit_many, grow = DecisionTree.fit_many.__func__, trees._grow
 
-        def recording_fit_many(cls, datasets, params=TreeParams()):
-            datasets = [(np.array(X, dtype=float), np.array(y, dtype=float))
-                        for X, y in datasets]
-            grown = fit_many(cls, datasets, params)
-            fitted.extend((X, y, params, tree.to_json())
-                          for (X, y), tree in zip(datasets, grown))
+        def recording_fit_many(cls, X, y, subsets, params=TreeParams()):
+            X, y = np.array(X, dtype=float), np.array(y, dtype=float)
+            subsets = [np.array(rows) for rows in subsets]
+            grown = fit_many(cls, X, y, subsets, params)
+            fitted.extend((X[rows], y[rows], params, tree.to_json())
+                          for rows, tree in zip(subsets, grown))
             return grown
 
         monkeypatch.setattr(DecisionTree, "fit_many", classmethod(recording_fit_many))
-        monkeypatch.setattr(trees, "_grow", lambda X, pos, sizes, params:
-                            forests.append(len(sizes)) or grow(X, pos, sizes, params))
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, params:
+                            forests.append(len(sizes)) or grow(X, pos, order, sizes, params))
         config = harness.ExperimentConfig.from_dict({
             "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
             "strategy": "bootstrap", "loss_kind": "logistic",
@@ -362,7 +362,12 @@ class TestDepthwiseSearch:
                 gains = rng.integers(0, 12, size=(d, size)) * 0.5e-12 + 0.3
                 gains[rng.random((d, size)) < 0.3] = -np.inf
                 blocks.append(gains)
-            feature, column, exact = trees._select(np.concatenate(blocks, axis=1), sizes)
+            # the allowed cuts, as flat indices into the packed matrix
+            packed = np.concatenate(blocks, axis=1)
+            cells = np.flatnonzero(packed != -np.inf)
+            node = np.arange(len(sizes)).repeat(sizes)[cells % packed.shape[1]]
+            feature, column, exact = trees._select(cells, packed.ravel()[cells], node,
+                                                   len(sizes), packed.shape[1])
             starts = np.cumsum(sizes) - sizes
             for k, gains in enumerate(blocks):
                 kept = None
@@ -370,7 +375,7 @@ class TestDepthwiseSearch:
                     if g != -np.inf and (kept is None or g > gains.flat[kept] + 1e-12):
                         kept = j
                 if kept is None:
-                    assert feature[k] == -1 and not exact[k]
+                    assert (feature[k], column[k]) == (-1, 0) and not exact[k]
                 elif exact[k]:
                     flagged += 1
                 else:
@@ -506,19 +511,30 @@ class TestFitMany:
            large_at=st.one_of(st.none(), st.integers(0, 12)),
            seed=st.integers(0, 2**32 - 1),
            max_depth=st.integers(0, 8), min_leaf=st.integers(1, 4))
-    def test_same_trees_as_one_fit_per_dataset(self, d, shapes, large_at, seed,
-                                               max_depth, min_leaf):
+    def test_same_trees_as_one_fit_per_subset(self, d, shapes, large_at, seed,
+                                              max_depth, min_leaf):
         rng = np.random.default_rng(seed)
         datasets = [_dataset(kind, n, d, rng) for kind, n in shapes]
         if large_at is not None:
             # one dataset above the forest bound, grown alone
             datasets.insert(min(large_at, len(datasets)),
                             _dataset("random", trees._FOREST_ROWS + 37, d, rng))
+        # the datasets as consecutive blocks of one shared (X, y), then nested
+        # prefixes and costing-style subsets of the prefixes, as the bootstrap
+        # arms pass them
+        X = np.concatenate([X for X, _ in datasets])
+        y = np.concatenate([y for _, y in datasets])
+        ends = np.cumsum([len(y) for _, y in datasets])
+        subsets = [np.arange(end - len(y), end) for end, (_, y) in zip(ends, datasets)]
+        heads = np.sort(rng.integers(1, min(len(y), 900) + 1, size=2))
+        subsets += [np.arange(n) for n in heads]
+        subsets += [rows for rows in (np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1))
+                                      for n in heads) if len(rows)]
         params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
-        grown = DecisionTree.fit_many(iter(datasets), params)
-        assert len(grown) == len(datasets)
-        for (X, y), tree in zip(datasets, grown):
-            alone = DecisionTree.fit(X, y, params)
+        grown = DecisionTree.fit_many(X, y, iter(subsets), params)
+        assert len(grown) == len(subsets)
+        for rows, tree in zip(subsets, grown):
+            alone = DecisionTree.fit(X[rows], y[rows], params)
             assert tree.n_features == alone.n_features == d
             assert tree.depth() == alone.depth()
             for name in ("feature", "threshold", "left", "right", "label"):
@@ -527,44 +543,137 @@ class TestFitMany:
 
     def test_each_forest_holds_at_most_the_row_bound(self, monkeypatch, rng):
         sizes = [1, 700, 900, 400, 3000, 5, 2048, 2047, 1, 1200, 900, 60]
-        datasets = [(rng.normal(size=(n, 3)), rng.choice([-1.0, 1.0], size=n))
-                    for n in sizes]
+        X, y = rng.normal(size=(3000, 3)), rng.choice([-1.0, 1.0], size=3000)
+        subsets = [np.sort(rng.choice(3000, size=n, replace=False)) for n in sizes]
         read, forests = [], []
         grow = trees._grow
 
-        def spy(X, pos, roots, params):
+        def spy(X, pos, order, roots, params):
             forests.append((X.shape[1], roots.tolist(), len(read)))
-            return grow(X, pos, roots, params)
+            return grow(X, pos, order, roots, params)
 
         def lazily():
-            for X, y in datasets:
-                read.append(len(y))
-                yield X, y
+            for rows in subsets:
+                read.append(len(rows))
+                yield rows
 
         monkeypatch.setattr(trees, "_grow", spy)
-        grown = DecisionTree.fit_many(lazily(), TreeParams(max_depth=3))
-        assert len(grown) == len(datasets)
+        grown = DecisionTree.fit_many(X, y, lazily(), TreeParams(max_depth=3))
+        assert len(grown) == len(subsets)
         for rows, roots, _ in forests:
             assert rows == sum(roots)
             assert rows <= trees._FOREST_ROWS or len(roots) == 1
-        # consecutive datasets, in order, greedily packed
+        # consecutive subsets, in order, greedily packed
         assert [n for _, roots, _ in forests for n in roots] == sizes
         assert [roots for _, roots, _ in forests] == [
             [1, 700, 900, 400], [3000], [5], [2048], [2047, 1], [1200], [900, 60]]
-        # a forest is grown once the next dataset would overflow it: read lazily
+        # a forest is grown once the next subset would overflow it: read lazily
         assert [seen for *_, seen in forests] == [5, 6, 7, 8, 10, 11, 12]
 
     @pytest.mark.parametrize("bad, message", [
-        ((np.zeros((0, 3)), np.zeros(0)), "empty"),
-        ((np.array([[0.0, np.nan, 1.0]]), np.ones(1)), "finite"),
-        ((np.array([[0.0, np.inf, 1.0]]), np.ones(1)), "finite"),
-        ((np.zeros((2, 2)), np.ones(2)), "2 features"),
-        ((np.zeros((2, 4)), np.ones(2)), "4 features"),
-        ((np.zeros((3, 3)), np.ones(2)), "one label per row"),
-        ((np.zeros(3), np.ones(3)), "one label per row"),
+        (np.zeros(0, dtype=int), "empty"),
+        (np.array([3, 1, 4]), "strictly increasing"),
+        (np.array([1, 1, 2]), "strictly increasing"),
+        (np.array([0, 5]), "below 5, from 0"),
+        (np.array([-1, 2]), "below 5, from 0"),
+        (np.array([0.0, 1.0]), "integer row indices"),
+        (np.array([True, False, True]), "integer row indices"),
+        (np.array([[0, 1]]), "integer row indices"),
     ])
-    def test_bad_dataset_named_by_its_index(self, bad, message, rng):
-        good = [(rng.normal(size=(5, 3)), rng.choice([-1.0, 1.0], size=5))
-                for _ in range(2)]
-        with pytest.raises(ValueError, match=f"dataset 2: .*{message}"):
-            DecisionTree.fit_many(good + [bad] + good, TreeParams())
+    def test_bad_subset_named_by_its_index(self, bad, message, rng):
+        X, y = rng.normal(size=(5, 3)), rng.choice([-1.0, 1.0], size=5)
+        good = [np.arange(5), np.array([0, 2, 4])]
+        with pytest.raises(ValueError, match=f"subset 2: .*{message}"):
+            DecisionTree.fit_many(X, y, good + [bad] + good, TreeParams())
+
+    @pytest.mark.parametrize("X, y, message", [
+        (np.array([[0.0, np.nan, 1.0]]), np.ones(1), "finite"),
+        (np.array([[0.0, np.inf, 1.0]]), np.ones(1), "finite"),
+        (np.zeros((3, 3)), np.ones(2), "one label per row"),
+        (np.zeros(3), np.ones(3), "one label per row"),
+    ])
+    def test_bad_features_or_labels_rejected(self, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            DecisionTree.fit_many(X, y, [np.arange(len(y))], TreeParams())
+
+    def test_one_argsort_per_call_whatever_the_forests(self, monkeypatch, rng):
+        # every feature is sorted once over the shared rows; each tree's root
+        # order is that order filtered to its rows
+        X, y = rng.normal(size=(1500, 4)), rng.choice([-1.0, 1.0], size=1500)
+        calls, forests = [], []
+        argsort, grow = np.argsort, trees._grow
+        monkeypatch.setattr(np, "argsort",
+                            lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+        monkeypatch.setattr(trees, "_grow", lambda *args:
+                            forests.append(1) or grow(*args))
+        grown = DecisionTree.fit_many(X, y, (np.arange(n) for n in range(100, 1501, 100)),
+                                      TreeParams(max_depth=8, min_leaf=1))
+        assert len(grown) == 15 and len(forests) > 5
+        assert max(tree.depth() for tree in grown) == 8
+        assert len(calls) == 1
+
+
+class TestBoundaryCuts:
+    """Only cuts with a label change across them or next to a blocked cut
+    are searched (the module docstring's candidate set)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(codes=hnp.arrays(np.int64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+                            elements=st.integers(0, 3)),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=30, max_size=30),
+           min_leaf=st.integers(1, 5), max_depth=st.integers(1, 6),
+           resamples=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_resamples_of_duplicate_heavy_columns_match_the_scalar_search(
+            self, codes, signs, min_leaf, max_depth, resamples, seed):
+        # with-replacement resamples of few-valued rows, stacked as blocks the
+        # way the committee grows them; in each, feature 0's least value sits
+        # on min_leaf + 1 rows, so the cut at the min_leaf edge is blocked
+        n = len(codes)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n, size=(resamples, n))
+        X, y = codes[rows.ravel()].astype(float), np.array(signs[:n])[rows.ravel()]
+        blocks = np.arange(resamples * n).reshape(resamples, n)
+        X[blocks[:, :min_leaf + 1].ravel(), 0] = -1.0
+        params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+        grown = DecisionTree.fit_many(X, y, blocks, params)
+        for block, tree in zip(blocks, grown):
+            assert tree.to_json() == _oracle_json(X[block], y[block], params)
+
+    def test_first_allowed_cut_after_a_blocked_min_leaf_edge_is_searched(self):
+        # the cut leaving min_leaf = 2 rows on the left lies between equal
+        # values; the next one, between 1 and 4, has + on both sides and is
+        # the only allowed cut (the 4s block the rest, min_leaf the last)
+        X = np.array([[1.0], [1.0], [1.0], [4.0], [4.0], [4.0], [4.0], [5.0]])
+        y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+        params = TreeParams(max_depth=1, min_leaf=2)
+        tree = DecisionTree.fit(X, y, params)
+        assert tree.root["threshold"] == 2.5
+        assert tree.to_json() == _oracle_json(X, y, params)
+
+    def test_node_size_bound_is_derived_from_the_band(self):
+        # the least gap between a cut inside a stretch of one label and the
+        # stretch's best end, 1 / (2 ln2 n^3), exceeds the band plus twice the
+        # rounding allowance up to the bound and not beyond it
+        def gap(n):
+            return 1 / (2 * math.log(2) * n**3)
+        allowance = trees._MIN_GAIN + trees._NEAR + 2 * trees._CERTIFY
+        assert gap(trees._BOUNDARY_ROWS) > allowance >= gap(trees._BOUNDARY_ROWS + 1)
+
+    def _root_cells(self, monkeypatch, X, y):
+        sizes, entropy = [], trees._entropy_many
+        monkeypatch.setattr(trees, "_entropy_many", lambda n_pos, n:
+                            sizes.append(n.size) or entropy(n_pos, n))
+        params = TreeParams(max_depth=1, min_leaf=1)
+        tree = DecisionTree.fit(X, y, params)
+        assert tree.to_json() == _oracle_json(X, y, params)
+        return sizes[0]
+
+    def test_a_node_above_the_bound_searches_every_allowed_cut(self, monkeypatch):
+        # long runs of one label: below the bound only the run ends are
+        # searched, above it every cut is
+        n = trees._BOUNDARY_ROWS + 1
+        X = np.linspace(-1.0, 1.0, n)[:, None]
+        y = np.where(np.sin(40 * X[:, 0]) > 0, 1.0, -1.0)
+        assert self._root_cells(monkeypatch, X, y) == n - 1
+        below = self._root_cells(monkeypatch, X[1:], y[1:])
+        assert below < 100 and below == np.count_nonzero(np.diff(y[1:])) + 2

@@ -39,7 +39,8 @@ class Committee:
 def train_committee(X, y, rng: np.random.Generator, size: int = 10,
                     p_min: float = 0.1, params: TreeParams = TreeParams()) -> Committee:
     """Train `size` trees, each on a with-replacement resample of the prefix."""
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     if len(X) == 0:
         raise ValueError("committee prefix must be nonempty")
     # the resamples repeat rows, so they are stacked as consecutive blocks

@@ -426,7 +426,8 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         resamples = (bs.costing_resample(collected.head(n),
                                          np.random.default_rng([costing_seed, i]))
                      for i, n in enumerate(counts))
-        return bs.train_finals(collected.X, collected.y, resamples, params, (X0, y0))
+        return bs.train_finals(collected.X, collected.y, resamples, params,
+                               fallback=(X0, y0))
 
     arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
                                lambda: prefix + len(engine.sample),

@@ -367,8 +367,9 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
         side = np.zeros(n_rows, dtype=np.int8)        # 1: left, 2: right
         side[rows] = keep * (2 - goes_left)
         side = side.take(order).ravel()
-        order = np.concatenate([order.ravel().compress(side == s).reshape(d, -1)
-                                for s in (1, 2)], axis=1)
+        order = order.ravel()
+        order = np.concatenate((order.compress(side == 1).reshape(d, -1),
+                                order.compress(side == 2).reshape(d, -1)), axis=1)
 
     ids, sizes, n_pos, tree = (np.concatenate(column) for column in zip(*levels))
     label = np.empty(n_nodes)
@@ -462,7 +463,7 @@ def _checked(index: int, rows, n_rows: int) -> np.ndarray:
         raise ValueError(f"subset {index}: cannot fit a tree on an empty sample")
     if (np.diff(rows) <= 0).any() or rows[0] < 0 or rows[-1] >= n_rows:
         raise ValueError(f"subset {index}: row indices must be strictly increasing "
-                         f"(sorted, none repeated) and below {n_rows}, from 0")
+                         f"(sorted, none repeated) and within 0..{n_rows - 1}")
     return rows
 
 

@@ -574,8 +574,8 @@ class TestFitMany:
         (np.zeros(0, dtype=int), "empty"),
         (np.array([3, 1, 4]), "strictly increasing"),
         (np.array([1, 1, 2]), "strictly increasing"),
-        (np.array([0, 5]), "below 5, from 0"),
-        (np.array([-1, 2]), "below 5, from 0"),
+        (np.array([0, 5]), r"within 0\.\.4"),
+        (np.array([-1, 2]), r"within 0\.\.4"),
         (np.array([0.0, 1.0]), "integer row indices"),
         (np.array([True, False, True]), "integer row indices"),
         (np.array([[0, 1]]), "integer row indices"),

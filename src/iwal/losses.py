@@ -134,7 +134,7 @@ class LossFunction:
             m = y * z
             e = np.exp(-np.abs(m))
             d = 1.0 + e
-            grad = -y * (np.where(m >= 0, e, 1.0) / d) / self.normalizer
+            grad = y * (np.where(m >= 0, e, 1.0) / d) / -self.normalizer
             return grad, e / (d * d) / self.normalizer
         grad = 2.0 * (z - y) / self.normalizer
         return grad, np.full_like(grad, 2.0 / self.normalizer)

@@ -25,6 +25,9 @@ convexity makes feasible. The search stops when P - D meets the gap target.
 The cap keeps its last point's derivatives and Hessian eigendecomposition,
 which the next step and the path rate both read (on the ball the rate shifts
 the eigenvalues by 2 lam), so each point is evaluated and factored once.
+As d is small, call overhead rather than arithmetic dominates the scalar work
+of a step: the model's secular iteration and the path rate run on d Python
+floats in the Hessian's eigenbasis, between one projection and one map back.
 """
 
 from __future__ import annotations
@@ -81,15 +84,15 @@ class WeightedLossCap:
         self.ys = np.asarray(ys, dtype=float)
         self.ws = np.asarray(ws, dtype=float)
         self.bound = float(bound)
-        self._last = (None, {})    # (u bytes, what is known at u)
+        self._key, self._known = None, {}    # u's bytes, and what is known at u
 
     def _at(self, u):
         key = u.tobytes()
-        if key != self._last[0]:
+        if key != self._key:
             z = self.xs @ u
             f = float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
-            self._last = (key, {"margins": z, "value": f})
-        return self._last[1]
+            self._key, self._known = key, {"margins": z, "value": f}
+        return self._known
 
     def value(self, u):
         return self._at(u)["value"]
@@ -127,26 +130,28 @@ def _ball_model_minimizer(c, evals, evecs, norm_bound):
     """argmin of c . v + v^T H v / 2 over ||v||^2 <= norm_bound, H = evecs diag(evals)
     evecs^T PSD: the Newton point if inside, else v = -(H + mu I)^{-1} c with mu
     from 1/||v|| = 1/sqrt(norm_bound) by Newton's method, rising monotonically from
-    a lower bound. Flat directions without gradient are dropped (hard case)."""
-    evals = np.maximum(evals, 0.0)
-    a = evecs.T @ c
+    a lower bound (More & Sorensen 1983). In the eigenbasis, where a = evecs^T c,
+    each round is a sum over d scalars; d is small, so it runs on Python floats.
+    Flat directions without gradient are dropped (hard case): v is 0 along them."""
+    a = (c @ evecs).tolist()
+    evals = [e if e > 0.0 else 0.0 for e in evals.tolist()]
     if not evals[0] > _FLAT * evals[-1]:    # they ascend: else none is flat
-        keep = (evals > _FLAT * evals[-1]) | (np.abs(a) > _FLAT * math.sqrt(float(a @ a)))
-        if not keep.all():
-            evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
+        flat, tiny = _FLAT * evals[-1], _FLAT * math.sqrt(sum(ai * ai for ai in a))
+        evals = [e if e > flat or abs(ai) > tiny else math.inf for ai, e in zip(a, evals)]
     mu = 0.0
-    if not (evals > 0.0).all() or float((a / evals) @ (a / evals)) > norm_bound:
+    if not min(evals) > 0.0 or sum([(ai / e) * (ai / e) for ai, e in zip(a, evals)]) > norm_bound:
         radius = math.sqrt(norm_bound)
-        mu = max(0.0, float((np.abs(a) / radius - evals).max()))
+        mu = max(0.0, *[abs(ai) / radius - e for ai, e in zip(a, evals)])
         for _ in range(60):   # quadratic convergence; the cap guards rounding
-            shifted = evals + mu
-            v = a / shifted
-            sq = float(v @ v)
-            step = sq * (math.sqrt(sq) / radius - 1.0) / float(v @ (v / shifted))
+            sq = slope = 0.0
+            for ai, e in zip(a, evals):
+                vi = ai / (e + mu)
+                sq, slope = sq + vi * vi, slope + vi * (vi / (e + mu))
+            step = sq * (math.sqrt(sq) / radius - 1.0) / slope
             if not step > 1e-12 * mu:   # converged, or past the root by rounding
                 break
             mu += step
-    return -(evecs @ (a / (evals + mu)))
+    return evecs.dot([-ai / (e + mu) for ai, e in zip(a, evals)])
 
 
 def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
@@ -154,17 +159,25 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
     strictly inside it; returns the result and the gradient of the tilted
     objective at its point."""
     diag = SolverDiagnostics(outer_stages=1)
-    centered = False
+
+    def tilted(v):
+        return objective.value(v) if tilt is None else objective.value(v) + float(tilt @ v)
+
+    centered, value = False, None      # value: tilted(u), once known
     for _ in range(options.max_newton):
-        value = objective.value(u)
+        if value is None:
+            value = tilted(u)
         grad, hess = objective.derivatives(u)
         if tilt is not None:
-            value += float(tilt @ u)
             grad = grad + tilt
-        lam = max(0.0, -float(grad @ u) / (2.0 * norm_bound))
-        kkt = grad + 2.0 * lam * u
-        diag.final_gap = (lam * (norm_bound - float(u @ u)) + 2.0 * math.sqrt(norm_bound)
-                          * math.sqrt(float(kkt @ kkt)))
+        g, x = grad.tolist(), u.tolist()
+        gu = uu = kk = 0.0
+        for gi, xi in zip(g, x):
+            gu, uu = gu + gi * xi, uu + xi * xi
+        lam = max(0.0, -gu / (2.0 * norm_bound))
+        for gi, xi in zip(g, x):
+            kk += (gi + 2.0 * lam * xi) ** 2
+        diag.final_gap = lam * (norm_bound - uu) + 2.0 * math.sqrt(norm_bound) * math.sqrt(kk)
         if diag.final_gap <= gap_target or centered:
             break
         # the model at u in the next point v: (grad - hess u) . v + v^T hess v / 2
@@ -172,18 +185,16 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
                                                        norm_bound), norm_bound) - u
         slope = float(grad @ step)     # -(Newton decrement^2)
         centered = -slope / 2.0 <= options.newton_tol
-        scale = 1.0
+        scale, trial, trial_value = 1.0, u + step, None
         while -slope > 1e-6:
-            trial = u + scale * step
-            trial_value = objective.value(trial)
-            if tilt is not None:
-                trial_value += float(tilt @ trial)
+            trial_value = tilted(trial)
             if not trial_value > value + options.armijo * scale * slope:
                 break
             scale *= options.backtrack
             if scale < 1e-14:
                 return SolverResult(u, value, diag), grad
-        u = u + scale * step
+            trial = u + scale * step
+        u, value = trial, trial_value
         diag.newton_steps += 1
     else:
         raise SolverConvergenceError("trust-region Newton did not converge within "
@@ -220,20 +231,24 @@ def _path_rate(direction, u, grad, evals, evecs, norm_bound):
     diag(evals) evecs^T the loss's Hessian at u. Inside the ball u' = -s H^+ x,
     so phi' = grad L . u' = s x^T H^+ x; on its boundary u' is confined to
     u . u' = 0 and H gains the ball's 2 lam I, which shifts its eigenvalues.
-    The pseudo-inverse drops flat directions, where the path has no rate."""
+    The pseudo-inverse drops flat directions, where the path has no rate. As d
+    is small, both forms are sums over d Python floats in the eigenbasis."""
     on_ball = float(u @ u) >= norm_bound * _ON_BALL
+    evals = evals.tolist()
     if on_ball:
-        evals = evals + max(0.0, -float(grad @ u) / norm_bound)
+        shift = max(0.0, -float(grad @ u) / norm_bound)
+        evals = [e + shift for e in evals]
     if not evals[-1] > 0.0:
         return 0.0
-    inverse = np.divide(1.0, evals, out=np.zeros_like(evals), where=evals > _FLAT * evals[-1])
-    a = evecs.T @ direction
-    rate = float(a @ (inverse * a))
+    flat = _FLAT * evals[-1]
+    inverse = [1.0 / e if e > flat else 0.0 for e in evals]
+    a = (direction @ evecs).tolist()
+    rate = sum(ai * (w * ai) for ai, w in zip(a, inverse))
     if on_ball:
-        c = evecs.T @ u
-        cc = float(c @ (inverse * c))
+        c = (u @ evecs).tolist()
+        cc = sum(ci * (w * ci) for ci, w in zip(c, inverse))
         if cc > 0.0:
-            rate -= float(c @ (inverse * a)) ** 2 / cc
+            rate -= sum(ci * (w * ai) for ci, w, ai in zip(c, inverse, a)) ** 2 / cc
     return 0.5 * rate
 
 

@@ -339,9 +339,7 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
             break
         # children numbered in the order of their parents' ids
         parents = ids[split]
-        taken = np.zeros(n_nodes, dtype=bool)
-        taken[parents] = True
-        left_ids = n_nodes + 2 * (np.cumsum(taken) - 1)[parents]
+        left_ids = n_nodes + 2 * np.sort(parents).searchsorted(parents)
         splits.append((parents, feature[split], threshold[split], left_ids))
         # each row's side, by its node's threshold mask (unused for the rows
         # of a node without a split, whose feature -1 picks some value)

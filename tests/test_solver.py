@@ -857,3 +857,126 @@ def test_certificate_bounds_the_exact_optimum(kind, n, slack):
     assert tight.diagnostics.final_gap <= 1e-9
     assert result.value - result.diagnostics.final_gap <= tight.value
     assert result.value >= tight.value - tight.diagnostics.final_gap
+
+
+# Frozen copies of the model minimizer and the path rate as they ran on NumPy
+# arrays, before both moved to sums over Python floats in the eigenbasis. The
+# float sums accumulate in another order, so the two forms may differ by
+# rounding: 1e-12 relative on the minimizer, and on a stream the same coins,
+# the same work counts and p within 1e-12.
+def _frozen_array_ball_model_minimizer(c, evals, evecs, norm_bound):
+    evals = np.maximum(evals, 0.0)
+    a = evecs.T @ c
+    if not evals[0] > solver._FLAT * evals[-1]:
+        keep = ((evals > solver._FLAT * evals[-1])
+                | (np.abs(a) > solver._FLAT * math.sqrt(float(a @ a))))
+        if not keep.all():
+            evals, a, evecs = evals[keep], a[keep], evecs[:, keep]
+    mu = 0.0
+    if not (evals > 0.0).all() or float((a / evals) @ (a / evals)) > norm_bound:
+        radius = math.sqrt(norm_bound)
+        mu = max(0.0, float((np.abs(a) / radius - evals).max()))
+        for _ in range(60):
+            shifted = evals + mu
+            v = a / shifted
+            sq = float(v @ v)
+            step = sq * (math.sqrt(sq) / radius - 1.0) / float(v @ (v / shifted))
+            if not step > 1e-12 * mu:
+                break
+            mu += step
+    return -(evecs @ (a / (evals + mu)))
+
+
+def _frozen_array_path_rate(direction, u, grad, evals, evecs, norm_bound):
+    on_ball = float(u @ u) >= norm_bound * solver._ON_BALL
+    if on_ball:
+        evals = evals + max(0.0, -float(grad @ u) / norm_bound)
+    if not evals[-1] > 0.0:
+        return 0.0
+    inverse = np.divide(1.0, evals, out=np.zeros_like(evals),
+                        where=evals > solver._FLAT * evals[-1])
+    a = evecs.T @ direction
+    rate = float(a @ (inverse * a))
+    if on_ball:
+        c = evecs.T @ u
+        cc = float(c @ (inverse * c))
+        if cc > 0.0:
+            rate -= float(c @ (inverse * a)) ** 2 / cc
+    return 0.5 * rate
+
+
+@st.composite
+def _model_programs(draw):
+    """A PSD Hessian of rank 0 to d, a gradient from tiny to large and a ball.
+    In the hard case the gradient lies in the Hessian's range, so its flat
+    directions carry none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, dim))
+    factor = rng.normal(size=(rank, dim)) * draw(st.floats(0.01, 100.0))
+    c = rng.normal(size=dim)
+    if draw(st.booleans()):
+        c = factor.T @ rng.normal(size=rank)
+    if c.any():
+        c *= 10.0 ** draw(st.floats(-8.0, 4.0)) / np.linalg.norm(c)
+    return c, factor.T @ factor, draw(st.floats(0.25, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_programs())
+def test_ball_model_minimizer_meets_optimality_conditions(program):
+    c, hess, norm_bound = program
+    evals, evecs = np.linalg.eigh(hess)
+    v = solver._ball_model_minimizer(c, evals, evecs, norm_bound)
+    vv = float(v @ v)
+    assert vv <= norm_bound * (1.0 + 1e-9)
+    # KKT of the model over the ball: (H + mu I) v + c = 0, mu >= 0 and
+    # mu (B - ||v||^2) = 0, each in the size of the residual's terms; mu is
+    # the multiplier that fits v best
+    scale = float(np.linalg.norm(c)) + float(np.linalg.norm(hess, 2)) * math.sqrt(vv)
+    residual = hess @ v + c
+    if vv > 0.0:
+        mu = -float(v @ residual) / vv
+        residual = residual + mu * v
+        assert mu * math.sqrt(vv) >= -1e-9 * scale
+        assert mu * math.sqrt(vv) * (norm_bound - vv) <= 1e-9 * scale * norm_bound
+    assert float(np.linalg.norm(residual)) <= 1e-9 * scale
+    frozen = _frozen_array_ball_model_minimizer(c, evals, evecs, norm_bound)
+    assert np.linalg.norm(v - frozen) <= 1e-12 * np.linalg.norm(frozen)
+
+
+_MINIMIZE_WEIGHTED_LOSS = solver.minimize_weighted_loss
+
+
+def _run_counting_erm_steps(config):
+    """run_experiment, and the Newton steps of its ERM solves summed."""
+    steps = [0]
+
+    def counted(*args, **kwargs):
+        result = _MINIMIZE_WEIGHTED_LOSS(*args, **kwargs)
+        steps[0] += result.diagnostics.newton_steps
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "minimize_weighted_loss", counted)
+        return run_experiment(config), steps[0]
+
+
+@pytest.mark.parametrize(("kind", "seed"), (("logistic", 1), ("squared", 2)))
+def test_linear_stream_matches_frozen_array_kernel(kind, seed):
+    config = linear_stream_config(kind, seed)
+    new, new_erm_steps = _run_counting_erm_steps(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_ball_model_minimizer", _frozen_array_ball_model_minimizer)
+        patch.setattr(solver, "_path_rate", _frozen_array_path_rate)
+        frozen, frozen_erm_steps = _run_counting_erm_steps(config)
+    assert new.active.trace.q == frozen.active.trace.q
+    assert new.active.queries == frozen.active.queries
+    gaps = [abs(a - b) for a, b in zip(new.active.trace.p, frozen.active.trace.p)]
+    assert len(gaps) == 150 and max(gaps) <= 1e-12
+    assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-12
+    assert abs(new.passive.final_loss - frozen.passive.final_loss) <= 1e-12
+    for count in ("interval_solves", "interval_newton_steps", "interval_outer_steps",
+                  "erm_solves"):
+        assert new.active.diagnostics[count] == frozen.active.diagnostics[count]
+    assert new_erm_steps == frozen_erm_steps > 0

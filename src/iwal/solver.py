@@ -243,12 +243,12 @@ def _path_rate(direction, u, grad, evals, evecs, norm_bound):
     flat = _FLAT * evals[-1]
     inverse = [1.0 / e if e > flat else 0.0 for e in evals]
     a = (direction @ evecs).tolist()
-    rate = sum(ai * (w * ai) for ai, w in zip(a, inverse))
-    if on_ball:
-        c = (u @ evecs).tolist()
-        cc = sum(ci * (w * ci) for ci, w in zip(c, inverse))
-        if cc > 0.0:
-            rate -= sum(ci * (w * ai) for ci, w, ai in zip(c, inverse, a)) ** 2 / cc
+    c = (u @ evecs).tolist() if on_ball else [0.0] * len(a)
+    rate = ca = cc = 0.0
+    for ai, ci, w in zip(a, c, inverse):
+        rate, ca, cc = rate + ai * (w * ai), ca + ci * (w * ai), cc + ci * (w * ci)
+    if cc > 0.0:
+        rate -= ca ** 2 / cc
     return 0.5 * rate
 
 

@@ -25,9 +25,9 @@ convexity makes feasible. The search stops when P - D meets the gap target.
 The cap keeps its last point's derivatives and Hessian eigendecomposition,
 which the next step and the path rate both read (on the ball the rate shifts
 the eigenvalues by 2 lam), so each point is evaluated and factored once.
-As d is small, call overhead rather than arithmetic dominates the scalar work
-of a step: the model's secular iteration and the path rate run on d Python
-floats in the Hessian's eigenbasis, between one projection and one map back.
+d is small, so per-call overhead would dominate NumPy operations on d-vectors:
+the model's secular iteration and the path rate run on d Python floats in the
+Hessian's eigenbasis.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _path_rate(direction, u, grad, evals, evecs, norm_bound):
     so phi' = grad L . u' = s x^T H^+ x; on its boundary u' is confined to
     u . u' = 0 and H gains the ball's 2 lam I, which shifts its eigenvalues.
     The pseudo-inverse drops flat directions, where the path has no rate. As d
-    is small, both forms are sums over d Python floats in the eigenbasis."""
+    is small, the rate is summed over d Python floats in the eigenbasis."""
     on_ball = float(u @ u) >= norm_bound * _ON_BALL
     evals = evals.tolist()
     if on_ball:

@@ -4,8 +4,9 @@ Subcommands: `run` executes a configured experiment (with its paired passive
 twin) and writes curve/summary/trace files; `compare` does the same and
 prints an active-vs-passive table; `probe` exposes the theory probes
 (distance, disagreement coefficient, hard-instance generation, closed-form
-bounds) as JSON. Exit codes: 0 success, 1 configuration error, 2 runtime or
-solver error.
+bounds) as JSON. Exit codes: 0 success, 1 configuration error (a probe flag
+value that its objects reject is one), 2 runtime or solver error; argparse
+also exits 2 on a malformed command line, such as a flag outside its choices.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import numpy as np
 
 from . import theory
 from .errors import ConfigError, DatasetFormatError, IwalError
-from .harness import SLACK_MODES, ExperimentConfig, emit_curves, run_replicates
+from .harness import SLACK_MODES, ExperimentConfig, _built, emit_curves, run_replicates
 from .hypotheses import LinearPredictor
 from .instances import SphereInstance, lower_bound_instance
-from .losses import LossFunction
+from .losses import LOSS_KINDS, LossFunction
 
 
 def _apply_overrides(payload: dict, args) -> dict:
@@ -97,7 +98,14 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def cmd_probe_rho(args) -> int:
+def cmd_probe(args) -> int:
+    """Run the chosen probe and emit its JSON; the ValueError of an object
+    built from its flags is a config error."""
+    _emit_json(_built(f"probe {args.probe_command}", args.probe, args), args.out)
+    return 0
+
+
+def probe_rho(args) -> dict:
     rng = np.random.default_rng(args.seed)
     instance = SphereInstance(dim=args.dim, noise=args.noise)
     xs, _ = instance.sample(rng, args.mc)
@@ -107,18 +115,17 @@ def cmd_probe_rho(args) -> int:
     u /= np.linalg.norm(u)
     other = LinearPredictor(u, args.range_bound)
     mean, stderr = theory.loss_distance_mc(reference, other, loss, xs)
-    _emit_json({
+    return {
         "distance": mean,
         "stderr": stderr,
         "mc_budget": args.mc,
         "dim": args.dim,
         "loss": args.loss,
         "seed": args.seed,
-    }, args.out)
-    return 0
+    }
 
 
-def cmd_probe_theta(args) -> int:
+def probe_theta(args) -> dict:
     rng = np.random.default_rng(args.seed)
     instance = SphereInstance(dim=args.dim, noise=args.noise)
     xs, _ = instance.sample(rng, args.mc)
@@ -134,7 +141,7 @@ def cmd_probe_theta(args) -> int:
     grid = [float(r) for r in args.radii.split(",")]
     result = theory.disagreement_coefficient(reference, candidates, xs, loss, grid)
     bound = theory.sphere_coefficient_bound(loss, args.dim)
-    _emit_json({
+    return {
         "per_radius": result["per_radius"],
         "supremum": result["supremum"],
         "sphere_bound": bound,
@@ -143,14 +150,13 @@ def cmd_probe_theta(args) -> int:
         "mc_budget": args.mc,
         "samples": args.samples,
         "seed": args.seed,
-    }, args.out)
-    return 0
+    }
 
 
-def cmd_probe_lower_bound(args) -> int:
+def probe_lower_bound(args) -> dict:
     rng = np.random.default_rng(args.seed)
     hard = lower_bound_instance(args.atoms, args.eta, args.eps, rng)
-    _emit_json({
+    return {
         "atoms": hard.instance.points.tolist(),
         "masses": hard.instance.masses.tolist(),
         "label_values": hard.instance.label_values.tolist(),
@@ -160,11 +166,10 @@ def cmd_probe_lower_bound(args) -> int:
         "bits": hard.bits.tolist(),
         "optimal_error": hard.optimal_error,
         "seed": args.seed,
-    }, args.out)
-    return 0
+    }
 
 
-def cmd_probe_bounds(args) -> int:
+def probe_bounds(args) -> dict:
     payload = {
         "deviation_bound": theory.loss_deviation_bound(
             args.pmin, args.class_size, args.delta, args.steps),
@@ -178,8 +183,7 @@ def cmd_probe_bounds(args) -> int:
             "sublinear_term": sublinear,
             "note": "sublinear constant reported as 1 by convention",
         }
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     rho = probe_sub.add_parser("rho", help="hypothesis distance estimate")
     rho.add_argument("--dim", type=int, default=5)
     rho.add_argument("--noise", type=float, default=0.0)
-    rho.add_argument("--loss", default="logistic")
+    rho.add_argument("--loss", default="logistic", choices=LOSS_KINDS)
     rho.add_argument("--range-bound", type=float, default=1.0)
     rho.add_argument("--mc", type=int, default=10000)
     rho.add_argument("--seed", type=int, default=0)
     rho.add_argument("--out", default=None)
-    rho.set_defaults(fn=cmd_probe_rho)
+    rho.set_defaults(fn=cmd_probe, probe=probe_rho)
 
     theta = probe_sub.add_parser("theta", help="disagreement coefficient table")
     theta.add_argument("--dim", type=int, default=5)
     theta.add_argument("--noise", type=float, default=0.0)
-    theta.add_argument("--loss", default="logistic")
+    theta.add_argument("--loss", default="logistic", choices=LOSS_KINDS)
     theta.add_argument("--range-bound", type=float, default=1.0)
     theta.add_argument("--mc", type=int, default=10000)
     theta.add_argument("--samples", type=int, default=200)
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     theta.add_argument("--radii", default="0.05,0.1,0.2,0.4")
     theta.add_argument("--seed", type=int, default=0)
     theta.add_argument("--out", default=None)
-    theta.set_defaults(fn=cmd_probe_theta)
+    theta.set_defaults(fn=cmd_probe, probe=probe_theta)
 
     lb = probe_sub.add_parser("lower-bound-gen", help="emit a hard instance")
     lb.add_argument("--atoms", type=int, default=8)
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--eps", type=float, default=0.05)
     lb.add_argument("--seed", type=int, default=0)
     lb.add_argument("--out", default=None)
-    lb.set_defaults(fn=cmd_probe_lower_bound)
+    lb.set_defaults(fn=cmd_probe, probe=probe_lower_bound)
 
     bounds = probe_sub.add_parser("bounds", help="closed-form bound values")
     bounds.add_argument("--pmin", type=float, required=True)
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--asymmetry", type=float, default=None)
     bounds.add_argument("--best-loss", type=float, default=None)
     bounds.add_argument("--out", default=None)
-    bounds.set_defaults(fn=cmd_probe_bounds)
+    bounds.set_defaults(fn=cmd_probe, probe=probe_bounds)
 
     return parser
 

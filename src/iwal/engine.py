@@ -79,7 +79,8 @@ class Engine:
     called, at checkpoints and by the linear threshold: the argmin of the
     sums for a finite class, over the threshold's survivors when it keeps an
     `alive` mask; for the linear ball an ERM solve warm-started from the last
-    one, at most once per row count, counted in `erm_solves`.
+    one, at most once per row count, counted in `erm_solves`, its weighted
+    loss sum kept in `erm_sum`.
     """
 
     def __init__(self, loss: LossFunction, threshold, rng: np.random.Generator,
@@ -97,13 +98,13 @@ class Engine:
         self.sample = WeightedSample()
         self.member_sums = None
         self.trace = QueryTrace()
-        self._current = None
+        self._current = self.erm_sum = None
         self._fit_rows = 0            # sample rows the current ERM covers
         self.erm_solves = 0
         if isinstance(hypothesis_class, FiniteClass):
             self.member_sums = np.zeros(len(hypothesis_class.members))
         elif isinstance(hypothesis_class, LinearBall):
-            self._current = erm_weighted(hypothesis_class, self.sample, loss)
+            self._current, self.erm_sum = erm_weighted(hypothesis_class, self.sample, loss)
         threshold.attach(self)
 
     def step(self, x, oracle: Callable) -> None:
@@ -138,8 +139,8 @@ class Engine:
                 sums = np.where(alive, sums, np.inf)
             return self.hypothesis_class.members[int(np.argmin(sums))]
         if self.hypothesis_class is not None and self._fit_rows < len(self.sample):
-            self._current = erm_weighted(self.hypothesis_class, self.sample,
-                                         self.loss, start=self._current.weights)
+            self._current, self.erm_sum = erm_weighted(
+                self.hypothesis_class, self.sample, self.loss, start=self._current.weights)
             self._fit_rows = len(self.sample)
             self.erm_solves += 1
         return self._current

@@ -243,26 +243,28 @@ class LinearBall:
 
 def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
                  start=None):
-    """Importance-weighted empirical risk minimizer over the class.
+    """Importance-weighted empirical risk minimizer over the class, and its
+    weighted loss sum over the sample's rows: (minimizer, sum).
 
     Finite classes are scanned exhaustively; the first minimizer in member
     order wins ties. The linear ball delegates to the trust-region solver
-    (smooth losses only). An empty sample returns the canonical element:
-    member 0, or the zero vector.
+    (smooth losses only), whose objective value is the sum. An empty sample
+    returns the canonical element, member 0 or the zero vector, with sum 0.
     """
     if isinstance(hypothesis_class, FiniteClass):
         sums = np.zeros(len(hypothesis_class))
         Z = hypothesis_class.predict(sample.X) if len(sample) else ()
         for z, y, w in zip(Z, sample.y.tolist(), sample.w.tolist()):
             sums += w * loss.eval_many(z, y)
-        return hypothesis_class.members[int(np.argmin(sums))]
+        best = int(np.argmin(sums))
+        return hypothesis_class.members[best], float(sums[best])
     if isinstance(hypothesis_class, LinearBall):
         from . import solver  # deferred: solver imports losses
 
         if not len(sample):
-            return LinearPredictor(np.zeros(hypothesis_class.dim), loss.range_bound)
+            return LinearPredictor(np.zeros(hypothesis_class.dim), loss.range_bound), 0.0
         result = solver.minimize_weighted_loss(
             loss, sample.X, sample.y, sample.w, hypothesis_class.norm_bound,
             start=start)
-        return LinearPredictor(result.point, loss.range_bound)
+        return LinearPredictor(result.point, loss.range_bound), result.value
     raise TypeError(f"unsupported hypothesis class {type(hypothesis_class).__name__}")

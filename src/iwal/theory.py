@@ -38,6 +38,8 @@ def loss_distance_mc(f, g, loss: LossFunction, xs,
                      labels=DEFAULT_LABELS) -> tuple[float, float]:
     """Monte-Carlo estimate of the distance with its standard error."""
     xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise ValueError("a Monte-Carlo estimate needs at least one point")
     zf = predict_many(f, xs)
     zg = predict_many(g, xs)
     gaps = np.zeros(len(xs))
@@ -82,6 +84,8 @@ def disagreement_coefficient(reference, candidates, xs, loss: LossFunction,
         weights = instance.masses
         points = instance.points
     else:
+        if len(xs) == 0:
+            raise ValueError("a Monte-Carlo estimate needs at least one point")
         rho = np.array([loss_distance_mc(h, reference, loss, xs, labels)[0]
                         for h in cand])
         weights = np.full(len(xs), 1.0 / len(xs))

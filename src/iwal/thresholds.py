@@ -191,8 +191,9 @@ class LossWeightingLinear:
         return self.engine.refresh_hypothesis()
 
     def _retained_cap(self, seen: int):
-        """Most recent survivor constraint and the engine's ERM point that
-        sets its level, or (None, None) while the constraint is vacuous."""
+        """Most recent survivor constraint and the engine's ERM point, whose
+        loss sum sets its level, or (None, None) while the constraint is
+        vacuous."""
         slack = self.slack(seen)
         if seen < 1 or math.isinf(slack):
             return None, None
@@ -204,8 +205,7 @@ class LossWeightingLinear:
         if slack >= heaviest:
             return None, None
         point = self.minimizer().weights
-        best = solver.WeightedLossCap(self.loss, sample.X, sample.y, sample.w, 0.0)
-        best_avg = best.value(point) / seen
+        best_avg = self.engine.erm_sum / seen
         if best_avg + slack >= heaviest:
             return None, None
         return solver.WeightedLossCap(self.loss, sample.X, sample.y,

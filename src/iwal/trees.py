@@ -2,7 +2,7 @@
 
 Axis-aligned threshold splits chosen by entropy reduction, leaves labeled by
 majority vote with ties going to +1. A fitted tree is a set of flat node
-arrays; it serializes to plain nested dicts / JSON.
+arrays.
 
 Tie rule: a node's cuts are scanned in feature-major order (feature index,
 then position in the feature's stable sort). The first allowed cut is
@@ -91,9 +91,7 @@ rows, which bounds the per-depth arrays.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,58 +395,6 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
     return grown
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _flatten(root: dict, n_features: int):
-    """Node arrays and depth of a nested-dict tree, as `_grow` returns them.
-    Every node is checked; a bad one raises ValueError naming its path."""
-    feature, threshold, left, right, label = [], [], [], [], []
-    pending, depth = [(root, "root", 0)], 0
-    seen = set()
-    for i, (node, path, level) in enumerate(pending):   # pending grows as it is read
-        if not isinstance(node, dict):
-            raise ValueError(f"tree node {path} is not a dict")
-        depth = max(depth, level)
-        if "label" in node:
-            value = node["label"]
-            if not _is_real(value) or value not in (-1.0, 1.0):
-                raise ValueError(f"leaf {path} has label {value!r}, not +1 or -1")
-            feature.append(0)
-            threshold.append(0.0)
-            left.append(i)
-            right.append(i)
-            label.append(float(value))
-            continue
-        missing = [key for key in ("feature", "threshold", "left", "right") if key not in node]
-        if missing:
-            raise ValueError(f"split node {path} has no {', '.join(missing)}")
-        if id(node) in seen:
-            raise ValueError(f"split node {path} appears twice in the tree")
-        seen.add(id(node))
-        f, t = node["feature"], node["threshold"]
-        if not _is_int(f) or not 0 <= f < n_features:
-            raise ValueError(f"split node {path} has feature {f!r}, "
-                             f"not an index below {n_features}")
-        if not _is_real(t) or not math.isfinite(t):
-            raise ValueError(f"split node {path} has threshold {t!r}, not a finite number")
-        feature.append(int(f))
-        threshold.append(float(t))
-        left.append(len(pending))
-        right.append(len(pending) + 1)
-        label.append(0.0)
-        pending += [(node["left"], path + ".left", level + 1),
-                    (node["right"], path + ".right", level + 1)]
-    return (np.array(feature, dtype=np.intp), np.array(threshold),
-            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-            np.array(label), depth)
-
-
 def _checked(index: int, rows, n_rows: int) -> np.ndarray:
     """The index-th array of row indices; ValueError, naming the index,
     unless it is a nonempty, strictly increasing 1-D integer array of
@@ -468,20 +414,15 @@ def _checked(index: int, rows, n_rows: int) -> np.ndarray:
 class DecisionTree:
     """A fitted tree as parallel node arrays: node i splits on feature[i] at
     threshold[i] into left[i] and right[i]; a leaf is its own child and
-    carries label[i] (0 at split nodes). Node 0 is the root. Construct via
-    DecisionTree.fit, from_dict, or DecisionTree(root dict, n_features)."""
+    carries label[i] (0 at split nodes). Node 0 is the root, and depth is the
+    number of splits on the longest root-to-leaf path. Grown by
+    DecisionTree.fit or fit_many; DecisionTree.leaf is the one-node tree."""
 
-    def __init__(self, root: dict, n_features: int):
-        if not _is_int(n_features) or n_features < 0:
-            raise ValueError(f"n_features must be a nonnegative integer, got {n_features!r}")
-        self._set(int(n_features), *_flatten(root, n_features))
-
-    def _set(self, n_features, feature, threshold, left, right, label, depth):
+    def __init__(self, n_features, feature, threshold, left, right, label, depth):
         self.n_features = n_features
         self.feature, self.threshold = feature, threshold
         self.left, self.right, self.label = left, right, label
         self._depth = depth
-        return self
 
     @functools.cached_property
     def _walk(self):
@@ -508,7 +449,7 @@ class DecisionTree:
             raise ValueError(f"expected (rows, features) features and one label "
                              f"per row, got shapes {X.shape} and {y.shape}")
         if not np.isfinite(X).all():
-            # a fitted tree's thresholds are finite, as `_flatten` requires
+            # an infinite value would make an infinite or NaN midpoint threshold
             raise ValueError("cannot fit a tree on features that are not finite")
         # no feature: sort one constant column instead, which allows no cut
         XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
@@ -528,7 +469,7 @@ class DecisionTree:
             with np.errstate(divide="ignore", invalid="ignore"):
                 grown = _grow(XT.take(rows, axis=1), y.take(rows) > 0,
                               np.concatenate(roots, axis=1), sizes, params)
-            return [cls.__new__(cls)._set(X.shape[1], *arrays) for arrays in grown]
+            return [cls(X.shape[1], *arrays) for arrays in grown]
 
         fitted, forest = [], []
         for i, rows in enumerate(subsets):
@@ -543,7 +484,10 @@ class DecisionTree:
 
     @classmethod
     def leaf(cls, label: float, n_features: int) -> "DecisionTree":
-        return cls({"label": 1.0 if label > 0 else -1.0}, n_features)
+        """The one-node tree predicting +1 if label > 0, else -1."""
+        zero = np.zeros(1, dtype=np.intp)
+        return cls(n_features, zero, np.zeros(1), zero, zero,
+                   np.array([1.0 if label > 0 else -1.0]), 0)
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -574,29 +518,3 @@ class DecisionTree:
 
     def depth(self) -> int:
         return self._depth
-
-    @property
-    def root(self) -> dict:
-        """The tree as nested dicts, built from the node arrays."""
-        feature, threshold, left, right, label = self._walk
-
-        def node(i):
-            if left[i] == i:
-                return {"label": label[i]}
-            return {"feature": feature[i], "threshold": threshold[i],
-                    "left": node(left[i]), "right": node(right[i])}
-        return node(0)
-
-    def to_dict(self) -> dict:
-        return {"n_features": self.n_features, "root": self.root}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionTree":
-        return cls(payload["root"], payload["n_features"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        return cls.from_dict(json.loads(text))

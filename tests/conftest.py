@@ -52,3 +52,12 @@ def linear_stream_config(kind, seed):
         "strategy": "loss-weighting-linear", "loss_kind": kind,
         "slack_mode": "optimistic", "train_size": 150, "test_size": 200,
         "checkpoint_every": 50, "seed": seed})
+
+
+def assert_same_tree(tree, other):
+    """The two trees have equal node arrays (dtypes too), depth and width."""
+    assert tree.n_features == other.n_features
+    assert tree.depth() == other.depth()
+    for name in ("feature", "threshold", "left", "right", "label"):
+        a, b = getattr(tree, name), getattr(other, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -202,3 +202,36 @@ class TestProbe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["deviation_bound"] > 0
         assert payload["expected_query_bound"]["linear_term"] == 200.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rho", "--dim", "1"], "probe rho: dimension must be at least 2"),
+        (["rho", "--noise", "0.7"], "probe rho: noise rate must lie in [0, 0.5)"),
+        (["rho", "--mc", "0"], "probe rho: a Monte-Carlo estimate needs at least one point"),
+        (["theta", "--mc", "0", "--samples", "0"],
+         "probe theta: a Monte-Carlo estimate needs at least one point"),
+        (["lower-bound-gen", "--atoms", "1"], "probe lower-bound-gen: need at least 2 atoms"),
+        (["lower-bound-gen", "--eta", "0.5"],
+         "probe lower-bound-gen: parameters must satisfy 0 < 2*eps <= eta <= 1/4"),
+        (["bounds", "--pmin", "0", "--class-size", "8", "--delta", "0.2", "--steps", "500"],
+         "probe bounds: p_min must be positive"),
+        (["bounds", "--pmin", "0.5", "--class-size", "8", "--delta", "1.5", "--steps", "500"],
+         "probe bounds: confidence must lie in (0, 1)"),
+        (["theta", "--radii", "a,b", "--mc", "50", "--samples", "3"],
+         "probe theta: could not convert string to float: 'a'"),
+        (["theta", "--radii", "0.1,-0.2", "--mc", "50", "--samples", "3"],
+         "probe theta: radii must be positive"),
+    ])
+    def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
+        assert main(["probe"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("probe", ["rho", "theta"])
+    def test_unknown_loss_is_rejected_by_its_choices(self, capsys, probe):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["probe", probe, "--loss", "foo"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --loss: invalid choice: 'foo'" in err
+        assert "runtime error" not in err and "Traceback" not in err

@@ -237,7 +237,7 @@ class TestRunStream:
         oracle = ArrayOracle(rng.choice([-1.0, 1.0], size=80))
         for x in X:
             engine.step(x, oracle)
-        assert engine.refresh_hypothesis() is erm_weighted(cls, engine.sample, loss)
+        assert engine.refresh_hypothesis() is erm_weighted(cls, engine.sample, loss)[0]
 
 
 class TestLinearMinimizer:

@@ -173,12 +173,13 @@ class TestFiniteErm:
         cls = FiniteClass((ConstantPredictor(1.0), ConstantPredictor(-1.0)))
         loss = LossFunction("zero-one")
         sample = WeightedSample([(np.array([0.3]), 1.0, 2.0)])
-        assert erm_weighted(cls, sample, loss) is cls.members[0]
+        winner, total = erm_weighted(cls, sample, loss)
+        assert winner is cls.members[0] and total == 0.0
 
     def test_empty_sample_returns_first_member(self):
         cls = FiniteClass((ConstantPredictor(-1.0), ConstantPredictor(1.0)))
-        assert erm_weighted(cls, WeightedSample(),
-                            LossFunction("zero-one")) is cls.members[0]
+        winner, total = erm_weighted(cls, WeightedSample(), LossFunction("zero-one"))
+        assert winner is cls.members[0] and total == 0.0
 
     def test_matches_brute_force_on_random_instances(self, rng):
         loss = LossFunction("zero-one")
@@ -194,11 +195,12 @@ class TestFiniteErm:
                 sample.append(points[rng.integers(16)],
                               rng.choice([-1.0, 1.0]),
                               rng.uniform(1.0, 4.0))
-            winner = erm_weighted(cls, sample, loss)
+            winner, total = erm_weighted(cls, sample, loss)
             totals = [weighted_total_loss(h, sample, loss) for h in members]
             # first minimizer in member order
             expected = members[int(np.argmin(totals))]
             assert winner is expected
+            assert total == pytest.approx(min(totals))
 
     def test_weight_scaling_leaves_argmin_unchanged(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -206,7 +208,7 @@ class TestFiniteErm:
         cls = FiniteClass(members)
         sample = random_weighted_examples(rng, 20, 3)
         scaled = WeightedSample(zip(sample.X, sample.y, 7.5 * sample.w))
-        assert erm_weighted(cls, sample, loss) is erm_weighted(cls, scaled, loss)
+        assert erm_weighted(cls, sample, loss)[0] is erm_weighted(cls, scaled, loss)[0]
 
     def test_larger_brute_force_sweep(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -217,9 +219,10 @@ class TestFiniteErm:
             )
             cls = FiniteClass(members)
             sample = random_weighted_examples(rng, int(rng.integers(1, 64)), 2)
-            winner = erm_weighted(cls, sample, loss)
+            winner, total = erm_weighted(cls, sample, loss)
             best = min(weighted_total_loss(h, sample, loss) for h in members)
             assert weighted_total_loss(winner, sample, loss) == pytest.approx(best)
+            assert total == pytest.approx(best)
 
 
 def _members(rng, kind, size, dim):
@@ -279,7 +282,7 @@ class TestFiniteClassPredict:
             for x, y, w in zip(sample.X, sample.y.tolist(), sample.w.tolist()):
                 z = np.array([h.predict(x) for h in cls.members])
                 sums += w * loss.eval_many(z, y)
-            assert erm_weighted(cls, sample, loss) is cls.members[int(np.argmin(sums))]
+            assert erm_weighted(cls, sample, loss)[0] is cls.members[int(np.argmin(sums))]
 
 
 class TestLinearErm:
@@ -289,19 +292,19 @@ class TestLinearErm:
         ball = LinearBall(dim=2, norm_bound=25.0)
         sample = WeightedSample([(np.array([1.0, 0.0]), 1.0, 1.0),
                                  (np.array([0.0, 1.0]), -1.0, 1.0)])
-        h = erm_weighted(ball, sample, loss)
+        h, _ = erm_weighted(ball, sample, loss)
         assert h.weights == pytest.approx(np.array([1.0, -1.0]), abs=1e-4)
 
     def test_empty_sample_returns_zero_vector(self):
-        h = erm_weighted(LinearBall(3, 1.0), WeightedSample(),
-                         LossFunction("logistic", 1.0))
-        assert np.all(h.weights == 0.0)
+        h, total = erm_weighted(LinearBall(3, 1.0), WeightedSample(),
+                                LossFunction("logistic", 1.0))
+        assert np.all(h.weights == 0.0) and total == 0.0
 
     def test_objective_matches_grid_search(self, rng):
         loss = LossFunction("logistic", 1.0)
         ball = LinearBall(dim=2, norm_bound=1.0)
         sample = random_weighted_examples(rng, 12, 2)
-        h = erm_weighted(ball, sample, loss)
+        h, _ = erm_weighted(ball, sample, loss)
 
         def objective(u):
             total = 0.0

@@ -441,6 +441,45 @@ class TestOneErmPerArm:
         assert engine.erm_solves == len(rows)
         assert threshold.diagnostics()["erm_solves"] == len(rows)
 
+    def test_cap_level_is_the_loss_sum_of_the_engine_erm(self, rng, monkeypatch):
+        # the level comes from the sum the ERM solve returned: besides the
+        # solve's own objective, a probability call builds the cap alone
+        Cap, minimize_linear = solver.WeightedLossCap, solver.minimize_linear
+        built, extra, levels = [], [], []
+
+        class CountedCap(Cap):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        def checked_interval(direction, bound, cap, start):
+            if cap is not None:
+                seen, sample = threshold.t - 1, engine.sample
+                best = Cap(loss, sample.X, sample.y, sample.w, 0.0).value(start)
+                assert cap.bound == best / seen + threshold.slack(seen)
+                levels.append(seen)
+            return minimize_linear(direction, bound, cap, start)
+
+        monkeypatch.setattr(solver, "WeightedLossCap", CountedCap)
+        monkeypatch.setattr(solver, "minimize_linear", checked_interval)
+        loss = LossFunction("logistic", 1.0)
+        threshold = LossWeightingLinear(5, 1.0, loss, slack_mode="optimistic")
+        engine = Engine(loss, threshold, rng)
+        probability = threshold.probability
+
+        def counted(x):
+            caps, solves = len(built), engine.erm_solves
+            p = probability(x)
+            extra.append(len(built) - caps - (engine.erm_solves - solves))
+            return p
+
+        threshold.probability = counted
+        for _ in range(150):
+            engine.step(rng.normal(size=5),
+                        lambda i, x: 1.0 if x[0] - 0.3 * x[1] > 0 else -1.0)
+        assert len(extra) == 150 and max(extra) <= 1
+        assert len(levels) > 50
+
     def test_classless_engine_takes_the_threshold_ball(self, rng):
         loss = LossFunction("logistic", 1.0)
         threshold = LossWeightingLinear(3, 2.0, loss)

@@ -10,13 +10,15 @@ from iwal import trees
 from iwal.errors import DimensionMismatchError
 from iwal.trees import DecisionTree, TreeParams
 
+from conftest import assert_same_tree
+
 
 class TestFit:
     def test_pure_labels_give_single_leaf(self, rng):
         X = rng.normal(size=(30, 3))
         y = np.ones(30)
         tree = DecisionTree.fit(X, y)
-        assert tree.root == {"label": 1.0}
+        assert tree.label.tolist() == [1.0]
         assert tree.depth() == 0
 
     def test_xor_pattern_needs_depth_two(self):
@@ -45,21 +47,22 @@ class TestFit:
         tree = DecisionTree.fit(X, y, TreeParams(max_depth=8, min_leaf=5))
 
         def check(node, Xn):
-            if "label" in node:
+            if tree.left[node] == node:
                 assert len(Xn) >= 5
                 return
-            mask = Xn[:, node["feature"]] <= node["threshold"]
-            check(node["left"], Xn[mask])
-            check(node["right"], Xn[~mask])
+            mask = Xn[:, tree.feature[node]] <= tree.threshold[node]
+            check(tree.left[node], Xn[mask])
+            check(tree.right[node], Xn[~mask])
 
-        check(tree.root, X)
+        assert tree.depth() > 0
+        check(0, X)
 
     def test_deterministic_given_data(self, rng):
         X = rng.normal(size=(80, 3))
         y = rng.choice([-1.0, 1.0], size=80)
         a = DecisionTree.fit(X, y)
         b = DecisionTree.fit(X, y)
-        assert a.to_dict() == b.to_dict()
+        assert_same_tree(a, b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -85,17 +88,6 @@ class TestPredict:
         tree = DecisionTree.fit(X, y)
         out = tree.predict_many(rng.normal(size=(40, 3)))
         assert set(np.unique(out)) <= {-1.0, 1.0}
-
-
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        X = rng.normal(size=(60, 3))
-        y = rng.choice([-1.0, 1.0], size=60)
-        tree = DecisionTree.fit(X, y)
-        clone = DecisionTree.from_json(tree.to_json())
-        probe = rng.normal(size=(25, 3))
-        assert np.array_equal(tree.predict_many(probe), clone.predict_many(probe))
-        assert clone.to_json() == tree.to_json()
 
 
 # Frozen copy of the per-cut scalar search the vectorized one replaced: the
@@ -138,25 +130,39 @@ def _oracle_best_split(X, y, min_leaf):
     return best
 
 
-def _oracle_grow(X, y, depth, params):
-    if (depth >= params.max_depth or len(y) < 2 * params.min_leaf
-            or np.all(y > 0) or np.all(y <= 0)):
-        return {"label": _oracle_majority(y)}
-    split = _oracle_best_split(X, y, params.min_leaf)
-    if split is None:
-        return {"label": _oracle_majority(y)}
-    _, feature, threshold = split
-    mask = X[:, feature] <= threshold
-    return {
-        "feature": int(feature),
-        "threshold": float(threshold),
-        "left": _oracle_grow(X[mask], y[mask], depth + 1, params),
-        "right": _oracle_grow(X[~mask], y[~mask], depth + 1, params),
-    }
+def _oracle_tree(X, y, params):
+    """The scalar search's tree, its nodes numbered breadth first, each
+    node's left child before its right; a leaf is its own child."""
+    feature, threshold, left, right, label = [], [], [], [], []
+    pending, depth = [(X, y, 0)], 0
+    for i, (Xn, yn, level) in enumerate(pending):   # pending grows as it is read
+        depth = max(depth, level)
+        split = None
+        if not (level >= params.max_depth or len(yn) < 2 * params.min_leaf
+                or np.all(yn > 0) or np.all(yn <= 0)):
+            split = _oracle_best_split(Xn, yn, params.min_leaf)
+        if split is None:
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            label.append(_oracle_majority(yn))
+            continue
+        _, f, t = split
+        mask = Xn[:, f] <= t
+        feature.append(f)
+        threshold.append(t)
+        left.append(len(pending))
+        right.append(len(pending) + 1)
+        label.append(0.0)
+        pending += [(Xn[mask], yn[mask], level + 1), (Xn[~mask], yn[~mask], level + 1)]
+    return DecisionTree(X.shape[1], np.array(feature, dtype=np.intp), np.array(threshold),
+                        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                        np.array(label), depth)
 
 
-def _oracle_json(X, y, params):
-    return DecisionTree(_oracle_grow(X, y, 0, params), X.shape[1]).to_json()
+def _assert_oracle_tree(tree, X, y, params):
+    assert_same_tree(tree, _oracle_tree(X, y, params))
 
 
 def _sample(family, seed):
@@ -187,7 +193,7 @@ class TestAgainstScalarSearch:
     def test_same_tree_as_scalar_search(self, family):
         for seed in range(60):
             X, y, params = _sample(family, seed)
-            assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params), seed
+            _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
 
     def test_scalar_certification_path_gives_the_same_tree(self, monkeypatch):
         # a certification margin of 1 sends every node with a second
@@ -200,7 +206,7 @@ class TestAgainstScalarSearch:
         for family in FAMILIES:
             for seed in range(8):
                 X, y, params = _sample(family, seed)
-                assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params)
+                _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
         assert calls
 
     @pytest.mark.parametrize("seed", range(5))
@@ -233,15 +239,11 @@ class TestPredictMany:
             X, y, params = _sample(family, seed)
             tree = DecisionTree.fit(X, y, params)
             probes = [X, np.random.default_rng(seed).normal(size=(20, X.shape[1]))]
-            nodes = [tree.root]
-            while nodes:
-                node = nodes.pop()
-                if "label" not in node:
-                    # rows sitting exactly on a threshold go left
-                    on_cut = X.copy()
-                    on_cut[:, node["feature"]] = node["threshold"]
-                    probes.append(on_cut)
-                    nodes += [node["left"], node["right"]]
+            for node in np.flatnonzero(tree.left != np.arange(len(tree.left))):
+                # rows sitting exactly on a threshold go left
+                on_cut = X.copy()
+                on_cut[:, tree.feature[node]] = tree.threshold[node]
+                probes.append(on_cut)
             probe = np.vstack(probes)
             assert np.array_equal(tree.predict_many(probe),
                                   np.array([tree.predict(x) for x in probe]))
@@ -253,12 +255,11 @@ class TestPredictMany:
                     elements=st.floats(-1e6, 1e6, allow_nan=False)),
        labels=st.lists(st.sampled_from([-1.0, 1.0]), min_size=12, max_size=12),
        max_depth=st.integers(0, 6), min_leaf=st.integers(1, 3))
-def test_fitted_tree_survives_json_round_trip(X, labels, max_depth, min_leaf):
-    tree = DecisionTree.fit(X, np.array(labels[:len(X)]),
-                            TreeParams(max_depth=max_depth, min_leaf=min_leaf))
-    clone = DecisionTree.from_json(tree.to_json())
-    assert clone.to_json() == tree.to_json()
-    assert np.array_equal(clone.predict_many(X), tree.predict_many(X))
+def test_fitted_tree_on_wide_ranging_features_matches_the_scalar_search(
+        X, labels, max_depth, min_leaf):
+    y = np.array(labels[:len(X)])
+    params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+    _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
 
 
 class TestPresort:
@@ -272,16 +273,17 @@ class TestPresort:
         y = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
         params = TreeParams(max_depth=4, min_leaf=1)
         tree = DecisionTree.fit(X, y, params)
-        assert tree.to_json() == _oracle_json(X, y, params)
-        assert tree.root["threshold"] == b
+        _assert_oracle_tree(tree, X, y, params)
+        assert tree.threshold[0] == b
 
     def test_midpoint_at_the_largest_value_leaves_the_right_child_empty(self):
         X = np.array([[self.A], [self.B]])
         y = np.array([-1.0, 1.0])
         params = TreeParams(max_depth=3, min_leaf=1)
         tree = DecisionTree.fit(X, y, params)
-        assert tree.to_json() == _oracle_json(X, y, params)
-        assert tree.root["right"] == {"label": 1.0}
+        _assert_oracle_tree(tree, X, y, params)
+        right = tree.right[0]
+        assert tree.left[right] == right == tree.right[right] and tree.label[right] == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(codes=hnp.arrays(np.int64, st.tuples(st.integers(1, 25), st.integers(1, 4)),
@@ -298,7 +300,7 @@ class TestPresort:
         X = np.repeat(np.array(levels)[codes], copies, axis=0)
         y = np.array(signs[:len(X)])
         params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
-        assert DecisionTree.fit(X, y, params).to_json() == _oracle_json(X, y, params)
+        _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
 
     def test_every_tree_of_a_bootstrap_experiment_matches_the_scalar_search(
             self, monkeypatch):
@@ -311,7 +313,7 @@ class TestPresort:
             X, y = np.array(X, dtype=float), np.array(y, dtype=float)
             subsets = [np.array(rows) for rows in subsets]
             grown = fit_many(cls, X, y, subsets, params)
-            fitted.extend((X[rows], y[rows], params, tree.to_json())
+            fitted.extend((X[rows], y[rows], params, tree)
                           for rows, tree in zip(subsets, grown))
             return grown
 
@@ -329,7 +331,7 @@ class TestPresort:
         # the trees were grown as forests
         assert sum(forests) == len(fitted) > len(forests)
         for X, y, params, tree in fitted:
-            assert tree == _oracle_json(X, y, params)
+            _assert_oracle_tree(tree, X, y, params)
 
     def test_one_argsort_per_fit_whatever_the_depth(self, monkeypatch, rng):
         X = rng.normal(size=(400, 3))
@@ -344,7 +346,7 @@ class TestPresort:
 
     def test_no_feature_gives_the_majority_leaf(self):
         tree = DecisionTree.fit(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0]))
-        assert tree.root == {"label": 1.0} and tree.n_features == 0
+        assert tree.label.tolist() == [1.0] and tree.n_features == 0
 
 
 class TestDepthwiseSearch:
@@ -394,14 +396,15 @@ class TestDepthwiseSearch:
         assert tree.depth() == 8
         assert 1 <= len(calls) <= 8
 
-    def test_fitted_arrays_survive_the_dict_round_trip(self, rng):
-        # the nested dict is derived from the node arrays, and back
+    def test_fitted_arrays_are_numbered_breadth_first(self, rng):
+        # the forest's numbering cut down to one tree is the tree's own
+        # breadth-first numbering
         X = rng.normal(size=(150, 4))
         y = np.where(X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=150) > 0, 1.0, -1.0)
-        tree = DecisionTree.fit(X, y, TreeParams(max_depth=6, min_leaf=1))
-        clone = DecisionTree(tree.root, 4)
-        for name in ("feature", "threshold", "left", "right", "label"):
-            assert np.array_equal(getattr(tree, name), getattr(clone, name)), name
+        params = TreeParams(max_depth=6, min_leaf=1)
+        tree = DecisionTree.fit(X, y, params)
+        assert tree.depth() == 6
+        _assert_oracle_tree(tree, X, y, params)
         leaves = tree.left == np.arange(len(tree.left))
         assert np.array_equal(leaves, tree.right == np.arange(len(tree.right)))
         assert set(tree.label[leaves]) <= {-1.0, 1.0}
@@ -412,54 +415,19 @@ class TestDepthwiseSearch:
             DecisionTree.fit(X, np.array([1.0, -1.0, 1.0]))
 
 
-def _split(feature, threshold, left, right):
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+class TestConstructor:
+    @pytest.mark.parametrize("d", [0, 3])
+    @pytest.mark.parametrize("label", [-1.0, 1.0])
+    def test_leaf_is_the_tree_fit_on_a_pure_sample(self, d, label):
+        assert_same_tree(DecisionTree.leaf(label, d),
+                         DecisionTree.fit(np.zeros((4, d)), np.full(4, label)))
 
-
-class TestFromDictValidation:
-    LEAF, OTHER = {"label": 1.0}, {"label": -1.0}
-
-    @pytest.mark.parametrize("feature", [7, 5, -1, 1.0, True, "0"])
-    def test_feature_outside_the_features_rejected(self, feature):
-        payload = {"n_features": 5, "root": _split(feature, 0.0, self.LEAF, self.OTHER)}
-        with pytest.raises(ValueError, match="root has feature"):
-            DecisionTree.from_dict(payload)
-
-    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan, None, "0.5"])
-    def test_threshold_not_finite_rejected(self, threshold):
-        with pytest.raises(ValueError, match="root has threshold"):
-            DecisionTree(_split(0, threshold, self.LEAF, self.OTHER), 2)
-
-    def test_missing_child_rejected_with_its_path(self):
-        inner = {"feature": 1, "threshold": 0.5, "left": self.LEAF}
-        with pytest.raises(ValueError, match=r"root\.right has no right"):
-            DecisionTree(_split(0, 0.0, self.LEAF, inner), 2)
-
-    @pytest.mark.parametrize("label", [0.3, 0.0, 2, True, None, "1"])
-    def test_leaf_label_not_a_sign_rejected(self, label):
-        with pytest.raises(ValueError, match=r"root\.left\.right has label"):
-            DecisionTree(_split(0, 0.0, _split(1, 1.0, self.OTHER, {"label": label}),
-                                self.LEAF), 2)
-
-    def test_node_that_is_not_a_dict_rejected(self):
-        with pytest.raises(ValueError, match=r"root\.left is not a dict"):
-            DecisionTree(_split(0, 0.0, [1.0], self.LEAF), 2)
-
-    def test_cycle_rejected(self):
-        root = _split(0, 0.0, self.LEAF, None)
-        root["right"] = root
-        with pytest.raises(ValueError, match="appears twice"):
-            DecisionTree(root, 1)
-
-    def test_n_features_must_be_a_count(self):
-        for n_features in (-1, 2.0, None):
-            with pytest.raises(ValueError, match="n_features"):
-                DecisionTree(self.LEAF, n_features)
-
-    def test_valid_hand_made_tree_round_trips(self):
-        root = _split(1, -0.25, self.OTHER, _split(0, 2.0, self.LEAF, self.OTHER))
-        tree = DecisionTree.from_dict({"n_features": 2, "root": root})
-        assert tree.root == root and tree.depth() == 2
+    def test_hand_made_tree_predicts_by_its_arrays(self):
+        # root: x[1] <= -0.25 ? -1 : (x[0] <= 2.0 ? +1 : -1)
+        tree = DecisionTree(2, np.array([1, 0, 0, 0, 0]), np.array([-0.25, 0.0, 2.0, 0.0, 0.0]),
+                            np.array([1, 1, 3, 3, 4]), np.array([2, 1, 4, 3, 4]),
+                            np.array([0.0, -1.0, 0.0, 1.0, -1.0]), 2)
+        # the last row lies on the root's threshold and goes left
         X = np.array([[0.0, -1.0], [1.0, 0.0], [3.0, 0.0], [0.0, -0.25]])
         assert np.array_equal(tree.predict_many(X), [-1.0, 1.0, -1.0, -1.0])
         assert [tree.predict(x) for x in X] == [-1.0, 1.0, -1.0, -1.0]
@@ -637,7 +605,7 @@ class TestBoundaryCuts:
         params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
         grown = DecisionTree.fit_many(X, y, blocks, params)
         for block, tree in zip(blocks, grown):
-            assert tree.to_json() == _oracle_json(X[block], y[block], params)
+            _assert_oracle_tree(tree, X[block], y[block], params)
 
     def test_first_allowed_cut_after_a_blocked_min_leaf_edge_is_searched(self):
         # the cut leaving min_leaf = 2 rows on the left lies between equal
@@ -647,8 +615,8 @@ class TestBoundaryCuts:
         y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
         params = TreeParams(max_depth=1, min_leaf=2)
         tree = DecisionTree.fit(X, y, params)
-        assert tree.root["threshold"] == 2.5
-        assert tree.to_json() == _oracle_json(X, y, params)
+        assert tree.threshold[0] == 2.5
+        _assert_oracle_tree(tree, X, y, params)
 
     def test_node_size_bound_is_derived_from_the_band(self):
         # the least gap between a cut inside a stretch of one label and the
@@ -664,8 +632,7 @@ class TestBoundaryCuts:
         monkeypatch.setattr(trees, "_entropy_many", lambda n_pos, n:
                             sizes.append(n.size) or entropy(n_pos, n))
         params = TreeParams(max_depth=1, min_leaf=1)
-        tree = DecisionTree.fit(X, y, params)
-        assert tree.to_json() == _oracle_json(X, y, params)
+        _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
         return sizes[0]
 
     def test_a_node_above_the_bound_searches_every_allowed_cut(self, monkeypatch):

@@ -414,6 +414,12 @@ class TestDepthwiseSearch:
         with pytest.raises(ValueError, match="finite"):
             DecisionTree.fit(X, np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("value", [-np.inf, np.nan])
+    def test_negative_infinite_and_nan_features_rejected(self, value):
+        X = np.array([[0.0, 2.0], [1.0, value], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DecisionTree.fit(X, np.array([1.0, -1.0, 1.0]))
+
 
 class TestConstructor:
     @pytest.mark.parametrize("d", [0, 3])
@@ -421,6 +427,14 @@ class TestConstructor:
     def test_leaf_is_the_tree_fit_on_a_pure_sample(self, d, label):
         assert_same_tree(DecisionTree.leaf(label, d),
                          DecisionTree.fit(np.zeros((4, d)), np.full(4, label)))
+
+    @pytest.mark.parametrize("label, sign", [(-2.0, -1.0), (0.0, -1.0), (0.3, 1.0), (5, 1.0)])
+    def test_leaf_predicts_the_sign_of_its_label(self, label, sign, rng):
+        # +1 only for a positive label; zero gives -1
+        tree = DecisionTree.leaf(label, 2)
+        assert tree.label.tolist() == [sign]
+        assert tree.predict(np.zeros(2)) == sign
+        assert np.array_equal(tree.predict_many(rng.normal(size=(5, 2))), np.full(5, sign))
 
     def test_hand_made_tree_predicts_by_its_arrays(self):
         # root: x[1] <= -0.25 ? -1 : (x[0] <= 2.0 ? +1 : -1)

@@ -9,8 +9,7 @@ convex solvers behind the linear-class instantiation, enumerable
 synthetic instances, and probes for the theory that governs query counts.
 """
 
-from .bootstrap import (Committee, CommitteeThreshold, costing_resample,
-                        query_probability, train_committee, train_final)
+from .bootstrap import CommitteeThreshold, costing_resample, train_committee
 from .engine import ArrayOracle, Engine, QueryTrace, weighted_loss_estimate
 from .harness import (ExperimentConfig, RunReport, emit_curves,
                       run_experiment, run_replicates)

@@ -32,7 +32,7 @@ from .instances import (SphereInstance, lower_bound_instance,
 from .losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
 from .thresholds import (SLACK_MODES, ConstantThreshold, LossWeightingFinite,
                          LossWeightingLinear)
-from .trees import TreeParams
+from .trees import DecisionTree, TreeParams
 
 STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
               "bootstrap")
@@ -94,6 +94,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or not optional:
                 _require_number(name, value, kind)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         class_kind = self.class_spec.get("kind", "linear")
         if class_kind not in CLASS_KINDS:
             raise ConfigError(f"unknown class kind {class_kind!r}")
@@ -112,8 +114,7 @@ class ExperimentConfig:
             raise ConfigError("p_min must lie in [0, 1]")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
-        if not self.range_bound > 0:
-            raise ConfigError("range_bound must be positive")
+        _built("loss", LossFunction, self.loss_kind, self.range_bound)
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be positive")
         self.committee = _options(self.committee, "committee",
@@ -401,7 +402,8 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
     arm has collected (the prefix and the queried rows). No final tree feeds
     back into the stream, so after it, checkpoint i draws its costing
     resample from the first rows it collected, with its own
-    default_rng([costing seed, i]), and the final trees are grown together.
+    default_rng([costing seed, i]), and `DecisionTree.fit_many` grows the
+    final trees together; costing keeps a heaviest row, so none is empty.
     """
     committee_rng = np.random.default_rng(seeds[0])
     engine_rng = np.random.default_rng(seeds[1])
@@ -416,8 +418,8 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         threshold = ConstantThreshold(1.0)
     else:
         committee = bs.train_committee(X0, y0, committee_rng, size=opts["size"],
-                                       p_min=opts["p_min"], params=params)
-        threshold = bs.CommitteeThreshold(committee, loss, labels)
+                                       params=params)
+        threshold = bs.CommitteeThreshold(committee, loss, labels, opts["p_min"])
     engine = Engine(loss, threshold, engine_rng, p_min=config.p_min)
 
     def final_trees(counts):
@@ -426,8 +428,8 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
         resamples = (bs.costing_resample(collected.head(n),
                                          np.random.default_rng([costing_seed, i]))
                      for i, n in enumerate(counts))
-        return bs.train_finals(collected.X, collected.y, resamples, params,
-                               fallback=(X0, y0))
+        return DecisionTree.fit_many(collected.X, collected.y,
+                                     (r.rows for r in resamples), params)
 
     arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
                                lambda: prefix + len(engine.sample),

@@ -48,11 +48,15 @@ class LossFunction:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
-        if not self.range_bound > 0:
-            raise ValueError("range_bound must be positive")
+        if not 0 < self.range_bound < math.inf:
+            raise ValueError("range_bound must be positive and finite")
         # every loss peaks at the worst margin over Z x Y, -range_bound
         object.__setattr__(self, "normalizer",
                            self.raw_margin_loss(-self.range_bound))
+        # an infinite normalizer would make every normalized loss 0
+        if not math.isfinite(self.normalizer):
+            raise ValueError(f"range_bound {self.range_bound} overflows the "
+                             f"{self.kind} loss normalizer")
 
     # -- scalar evaluation ---------------------------------------------------
 

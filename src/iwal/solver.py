@@ -302,9 +302,11 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
                 step = 16.0 * r if r > 0.0 else (delta / (norm * math.sqrt(norm_bound))) ** 2
             else:
                 step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
-        r, last_phi, s = step, abs(phi), math.sqrt(step)
+        stalled, r, last_phi, s = step == r, step, abs(phi), math.sqrt(step)
         result, grad = _trust_region(loss_cap, norm_bound, u, 0.5 * s * options.gap_target,
                                      options, s * direction)
+        if stalled and np.array_equal(result.point, u):
+            break    # the bracket shut on inexact inner solves: rounds would repeat
         diag.outer_stages += 1
         diag.newton_steps += result.diagnostics.newton_steps
         u = result.point

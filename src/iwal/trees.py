@@ -416,7 +416,7 @@ class DecisionTree:
     threshold[i] into left[i] and right[i]; a leaf is its own child and
     carries label[i] (0 at split nodes). Node 0 is the root, and depth is the
     number of splits on the longest root-to-leaf path. Grown by
-    DecisionTree.fit or fit_many; DecisionTree.leaf is the one-node tree."""
+    DecisionTree.fit or fit_many."""
 
     def __init__(self, n_features, feature, threshold, left, right, label, depth):
         self.n_features = n_features
@@ -481,13 +481,6 @@ class DecisionTree:
         if forest:
             fitted += grow(forest)
         return fitted
-
-    @classmethod
-    def leaf(cls, label: float, n_features: int) -> "DecisionTree":
-        """The one-node tree predicting +1 if label > 0, else -1."""
-        zero = np.zeros(1, dtype=np.intp)
-        return cls(n_features, zero, np.zeros(1), zero, zero,
-                   np.array([1.0 if label > 0 else -1.0]), 0)
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)

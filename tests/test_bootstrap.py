@@ -3,14 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from iwal.bootstrap import (Committee, CommitteeThreshold, Resample,
-                            costing_resample, query_probability,
-                            train_committee, train_final,
-                            weighted_examples_from_arrays)
+from iwal.bootstrap import (CommitteeThreshold, costing_resample,
+                            train_committee, weighted_examples_from_arrays)
 from iwal.engine import Engine
 from iwal.hypotheses import FiniteClass, WeightedSample
 from iwal.losses import LossFunction
-from iwal.trees import TreeParams
+from iwal.trees import DecisionTree, TreeParams
 
 from conftest import assert_same_tree
 
@@ -52,9 +50,15 @@ class TestTrainCommittee:
         for tree, other in zip(a.members, b.members):
             assert_same_tree(tree, other)
 
-    def test_committee_validation(self):
-        with pytest.raises(ValueError):
-            Committee(members=("just-one",))
+    def test_committee_validation(self, rng):
+        loss = LossFunction("zero-one")
+        one = FiniteClass((DecisionTree.fit(np.zeros((2, 2)), np.ones(2)),))
+        with pytest.raises(ValueError, match="at least 2 members"):
+            CommitteeThreshold(one, loss)
+        pair = train_committee(np.zeros((2, 2)), np.ones(2), rng, size=2)
+        for p_min in (0.0, 1.5):
+            with pytest.raises(ValueError, match="p_min"):
+                CommitteeThreshold(pair, loss, p_min=p_min)
         with pytest.raises(ValueError):
             train_committee(np.zeros((0, 2)), np.zeros(0),
                             np.random.default_rng(0))
@@ -64,23 +68,25 @@ class TestQueryProbability:
     def test_full_agreement_hits_floor_exactly(self, rng):
         X = np.array([[0.2, -0.4]])
         y = np.array([1.0])
-        committee = train_committee(X, y, rng, size=8, p_min=0.1)
-        loss = LossFunction("zero-one")
-        assert query_probability(rng.normal(size=2), committee, loss) == 0.1
+        committee = train_committee(X, y, rng, size=8)
+        threshold = CommitteeThreshold(committee, LossFunction("zero-one"), p_min=0.1)
+        assert threshold.probability(rng.normal(size=2)) == 0.1
 
     def test_sign_split_reaches_one(self, rng):
-        from iwal.trees import DecisionTree
-
-        members = (DecisionTree.leaf(1.0, 2), DecisionTree.leaf(-1.0, 2))
-        committee = Committee(members, p_min=0.1)
-        loss = LossFunction("zero-one")
-        assert query_probability(rng.normal(size=2), committee, loss) == 1.0
+        # two one-node members, fit on a pure sample of each label
+        members = [DecisionTree.fit(np.zeros((3, 2)), np.full(3, label))
+                   for label in (1.0, -1.0)]
+        assert [tree.depth() for tree in members] == [0, 0]
+        threshold = CommitteeThreshold(FiniteClass(members), LossFunction("zero-one"),
+                                       p_min=0.1)
+        assert threshold.probability(rng.normal(size=2)) == 1.0
 
     def test_matches_triple_enumeration(self, rng):
         X, y = separable_prefix(rng, n=30)
-        committee = train_committee(X, y, rng, size=6, p_min=0.2,
+        committee = train_committee(X, y, rng, size=6,
                                     params=TreeParams(max_depth=2, min_leaf=1))
         loss = LossFunction("logistic", 1.0)
+        threshold = CommitteeThreshold(committee, loss, p_min=0.2)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=3)
             slow = 0.0
@@ -91,28 +97,30 @@ class TestQueryProbability:
                                - loss.eval(hj.predict(x), label))
                         slow = max(slow, gap)
             expected = 0.2 + 0.8 * slow
-            assert query_probability(x, committee, loss) == pytest.approx(expected)
+            assert threshold.probability(x) == pytest.approx(expected)
 
     def test_range_is_floor_to_one(self, rng):
         X, y = separable_prefix(rng)
-        committee = train_committee(X, y, rng, size=10, p_min=0.1)
+        committee = train_committee(X, y, rng, size=10)
         loss = LossFunction("zero-one")
-        threshold = CommitteeThreshold(committee, loss)
+        threshold = CommitteeThreshold(committee, loss, p_min=0.1)
         for _ in range(200):
             p = threshold.probability(rng.uniform(-1.5, 1.5, size=3))
             assert 0.1 <= p <= 1.0
 
     def test_committee_builds_its_finite_class_once(self, rng, monkeypatch):
+        # the committee is the FiniteClass built at training; p builds none
         X, y = separable_prefix(rng)
         committee = train_committee(X, y, rng, size=5)
-        assert committee.finite.members == committee.members
+        assert isinstance(committee, FiniteClass)
         built = []
         post_init = FiniteClass.__post_init__
         monkeypatch.setattr(FiniteClass, "__post_init__",
                             lambda self: built.append(1) or post_init(self))
         loss = LossFunction("logistic", 1.0)
+        threshold = CommitteeThreshold(committee, loss)
         probes = rng.uniform(-1.5, 1.5, size=(30, 3))
-        got = [query_probability(x, committee, loss) for x in probes]
+        got = [threshold.probability(x) for x in probes]
         assert not built
         spreads = [loss.spread_many(FiniteClass(committee.members).predict(x),
                                     (-1.0, 1.0)) for x in probes]
@@ -137,9 +145,9 @@ class TestQueryProbability:
         X = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 30)), dim))
         y = np.array([label(x) for x in X])
         loss = LossFunction(loss_kind, 1.0)
-        committee = train_committee(X, y, rng, size=size, p_min=p_min,
+        committee = train_committee(X, y, rng, size=size,
                                     params=TreeParams(max_depth=3, min_leaf=1))
-        threshold = CommitteeThreshold(committee, loss)
+        threshold = CommitteeThreshold(committee, loss, p_min=p_min)
         engine = Engine(loss, threshold, rng)
         for _ in range(40):
             x = rng.uniform(-1.5, 1.5, size=dim)
@@ -164,6 +172,21 @@ class TestCosting:
 
     def test_empty_input(self, rng):
         assert len(costing_resample(WeightedSample(), rng)) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(st.one_of(st.sampled_from([1.0, 3.5, 1e300]),
+                                      st.floats(0.0, 1e308, exclude_min=True)),
+                            min_size=1, max_size=50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_row_of_maximal_weight_is_kept(self, weights, seed):
+        # its acceptance ratio is exactly 1 and every uniform is below 1, so
+        # a nonempty sample never gives an empty resample
+        examples = weighted_examples_from_arrays(
+            np.zeros((len(weights), 1)), np.ones(len(weights)), weights)
+        kept = costing_resample(examples, np.random.default_rng(seed))
+        heaviest = np.flatnonzero(examples.w == max(weights))
+        assert np.isin(heaviest, kept.rows).all()
+        assert len(kept) >= len(heaviest) >= 1
 
     def test_kept_rows_index_the_sample(self, rng):
         # costing keeps row indices into the sample's columns, not copies
@@ -205,29 +228,3 @@ class TestCosting:
             totals[r] = max_w * sum(x[0] for x, _ in kept)
         stderr = totals.std() / np.sqrt(reps)
         assert abs(totals.mean() - target) <= 3 * stderr
-
-
-class TestTrainFinal:
-    def test_full_set_equals_passive_training(self, rng):
-        from iwal.trees import DecisionTree
-
-        X, y = separable_prefix(rng, n=50)
-        tree = train_final(Resample(X, y, np.arange(len(y))))
-        passive = DecisionTree.fit(X, y)
-        assert_same_tree(tree, passive)
-
-    def test_pure_labels_give_single_leaf(self, rng):
-        tree = train_final(Resample(rng.normal(size=(12, 2)), np.ones(12), np.arange(12)))
-        assert tree.label.tolist() == [1.0]
-
-    def test_xor_resample_zero_error(self):
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        y = np.array([-1.0, 1.0, 1.0, -1.0])
-        tree = train_final(Resample(X, y, np.arange(4)), TreeParams(max_depth=2, min_leaf=1))
-        assert np.array_equal(tree.predict_many(X), y)
-
-    def test_empty_resample_falls_back_to_majority_stump(self, rng):
-        X, y = separable_prefix(rng)
-        y[:] = -1.0
-        tree = train_final(Resample(X, y, np.arange(0)), fallback=(X, y))
-        assert np.all(tree.predict_many(rng.normal(size=(7, 3))) == -1.0)

@@ -55,6 +55,14 @@ class TestRun:
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", str(config), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be nonnegative, got -1\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("committee", [{"size": 1}, {"p_min": 0.0},
                                            {"p_min": 1.5}, {"max_depth": -1},
                                            {"min_leaf": 0}])
@@ -220,7 +228,10 @@ class TestProbe:
          "probe theta: could not convert string to float: 'a'"),
         (["theta", "--radii", "0.1,-0.2", "--mc", "50", "--samples", "3"],
          "probe theta: radii must be positive"),
+        (["theta", "--mc", "50", "--samples", "0"],
+         "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
     ])
+    @pytest.mark.filterwarnings("ignore:no sampled hypothesis within distance")
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
         assert main(["probe"] + argv) == 1
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
                           run_experiment, run_replicates)
 from iwal.losses import LossFunction
 from iwal.thresholds import ConstantThreshold
-from iwal.trees import TreeParams
+from iwal.trees import DecisionTree, TreeParams
 
 
 def base_config(**overrides):
@@ -63,6 +64,18 @@ class TestConfig:
     def test_checkpoint_default_cadence(self):
         config = base_config(train_size=1000)
         assert config.checkpoint_interval() == 10
+
+    @pytest.mark.parametrize("loss_kind, range_bound, message", [
+        ("squared", 1e200, "loss: range_bound 1e+200 overflows the squared loss normalizer"),
+        ("squared", math.inf, "loss: range_bound must be positive and finite"),
+        ("zero-one", math.inf, "loss: range_bound must be positive and finite"),
+    ])
+    def test_loss_normalizer_must_be_finite(self, loss_kind, range_bound, message):
+        # rejected when the config is built, before any data is drawn
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            base_config(strategy="bootstrap", loss_kind=loss_kind,
+                        range_bound=range_bound)
+        assert base_config(loss_kind="squared", range_bound=1e154).range_bound == 1e154
 
     def test_config_echo_round_trips(self):
         config = base_config()
@@ -222,9 +235,8 @@ def _eager_bootstrap_checkpoints(config, passive):
         threshold = ConstantThreshold(1.0)
     else:
         committee = bs.train_committee(X0, y0, np.random.default_rng(seeds[0]),
-                                       size=opts["size"], p_min=opts["p_min"],
-                                       params=params)
-        threshold = bs.CommitteeThreshold(committee, loss, support)
+                                       size=opts["size"], params=params)
+        threshold = bs.CommitteeThreshold(committee, loss, support, opts["p_min"])
     engine = Engine(loss, threshold, np.random.default_rng(seeds[1]),
                     p_min=config.p_min)
     oracle = ArrayOracle(y_train[prefix:])
@@ -240,7 +252,7 @@ def _eager_bootstrap_checkpoints(config, passive):
                      + engine.sample)
         resampled = bs.costing_resample(collected,
                                         np.random.default_rng([seeds[2], i]))
-        tree = bs.train_final(resampled, params, fallback=(X0, y0))
+        tree, = DecisionTree.fit_many(resampled.X, resampled.y, [resampled.rows], params)
         rows.append((t, prefix + oracle.calls,
                      evaluate_loss(tree, X_test, y_test, loss),
                      evaluate_error(tree, X_test, y_test)))
@@ -256,36 +268,18 @@ class TestBootstrapCheckpoints:
         assert report.active.checkpoints == _eager_bootstrap_checkpoints(config, False)
         assert report.passive.checkpoints == _eager_bootstrap_checkpoints(config, True)
 
-    def test_empty_resample_gets_the_leaf_at_its_own_checkpoint(self, monkeypatch):
-        # the 6th costing draw of each run keeps no row; the active arm's
-        # resamples are small enough to be grown as one forest around it
-        empty_at, calls, forests, models = 5, [], [], []
-        costing, grow, evaluate = bs.costing_resample, trees._grow, harness.evaluate_loss
-
-        def costing_with_one_empty(sample, rng):
-            calls.append(len(sample))
-            kept = costing(sample, rng)
-            if len(calls) == empty_at + 1:
-                return bs.Resample(kept.X, kept.y, kept.rows[:0])
-            return kept
-
-        monkeypatch.setattr(bs, "costing_resample", costing_with_one_empty)
+    def test_active_checkpoint_trees_grow_as_one_forest(self, monkeypatch):
+        # the active arm's resamples are small enough to be grown together
+        forests, grow = [], trees._grow
         config = base_config(strategy="bootstrap", train_size=300, test_size=60,
                              checkpoint_every=10, seed=3)
         reference = _eager_bootstrap_checkpoints(config, False)
-        calls.clear()
         monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, params:
                             forests.append(len(sizes)) or grow(X, pos, order, sizes, params))
-        monkeypatch.setattr(harness, "evaluate_loss", lambda h, *args:
-                            models.append(h) or evaluate(h, *args))
         report = run_experiment(config)
         assert report.active.checkpoints == reference
-        leaf = models[empty_at]
-        assert leaf.depth() == 0 and models[empty_at - 1].depth() > 0
-        assert models[empty_at + 1].depth() > 0
-        # one forest for the committee, one for every other active checkpoint
-        checkpoints = len(reference)
-        assert forests[:2] == [config.committee["size"], checkpoints - 1]
+        # one forest for the committee, one for every active checkpoint
+        assert forests[:2] == [config.committee["size"], len(reference)]
 
 
 class TestCheckpointEvaluation:

@@ -271,3 +271,18 @@ def test_interval_spread_monotone_under_inclusion_property(case):
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedLossError):
         LossFunction("huber", 1.0)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("range_bound", [math.inf, math.nan])
+def test_non_finite_range_bound_rejected(kind, range_bound):
+    with pytest.raises(ValueError, match="range_bound must be positive and finite"):
+        LossFunction(kind, range_bound)
+
+
+def test_overflowing_normalizer_rejected():
+    # (1 + b)^2 overflows for b = 1e200, which would make every squared loss 0
+    with pytest.raises(ValueError, match="overflows the squared loss normalizer"):
+        LossFunction("squared", 1e200)
+    assert math.isfinite(LossFunction("squared", 1e154).normalizer)
+    assert LossFunction("logistic", 1e200).normalizer == 1e200

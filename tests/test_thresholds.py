@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from iwal import harness, solver
 from iwal.engine import Engine
@@ -315,6 +315,9 @@ class TestLossWeightingLinear:
            norm_bound=st.sampled_from([0.25, 1.0, 4.0]),
            loss_kind=st.sampled_from(["logistic", "squared"]),
            noise=st.floats(0.0, 0.3))
+    # at step 6 the path search's bracket shuts on inexact inner solves
+    @example(seed=46, dim=1, slack_mode="paper", p_min=0.3, norm_bound=0.25,
+             loss_kind="logistic", noise=0.0)
     def test_stream_probabilities_lie_in_floor_to_one(
             self, seed, dim, slack_mode, p_min, norm_bound, loss_kind, noise):
         # the threshold's p lies in [0, 1], the engine's in [p_min, 1], and

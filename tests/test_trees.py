@@ -78,10 +78,6 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             tree.predict_many(np.zeros((4, 3)))
 
-    def test_leaf_tree_predicts_constant(self, rng):
-        tree = DecisionTree.leaf(-1.0, 4)
-        assert np.all(tree.predict_many(rng.normal(size=(9, 4))) == -1.0)
-
     def test_labels_are_signs(self, rng):
         X = rng.normal(size=(120, 3))
         y = rng.choice([-1.0, 1.0], size=120)
@@ -422,20 +418,6 @@ class TestDepthwiseSearch:
 
 
 class TestConstructor:
-    @pytest.mark.parametrize("d", [0, 3])
-    @pytest.mark.parametrize("label", [-1.0, 1.0])
-    def test_leaf_is_the_tree_fit_on_a_pure_sample(self, d, label):
-        assert_same_tree(DecisionTree.leaf(label, d),
-                         DecisionTree.fit(np.zeros((4, d)), np.full(4, label)))
-
-    @pytest.mark.parametrize("label, sign", [(-2.0, -1.0), (0.0, -1.0), (0.3, 1.0), (5, 1.0)])
-    def test_leaf_predicts_the_sign_of_its_label(self, label, sign, rng):
-        # +1 only for a positive label; zero gives -1
-        tree = DecisionTree.leaf(label, 2)
-        assert tree.label.tolist() == [sign]
-        assert tree.predict(np.zeros(2)) == sign
-        assert np.array_equal(tree.predict_many(rng.normal(size=(5, 2))), np.full(5, sign))
-
     def test_hand_made_tree_predicts_by_its_arrays(self):
         # root: x[1] <= -0.25 ? -1 : (x[0] <= 2.0 ? +1 : -1)
         tree = DecisionTree(2, np.array([1, 0, 0, 0, 0]), np.array([-0.25, 0.0, 2.0, 0.0, 0.0]),

@@ -140,8 +140,6 @@ def probe_theta(args) -> dict:
         candidates.append(LinearPredictor(u, args.range_bound))
     grid = [float(r) for r in args.radii.split(",")]
     result = theory.disagreement_coefficient(reference, candidates, xs, loss, grid)
-    if not result["per_radius"]:
-        raise ValueError("no sampled hypothesis lies within any radius, so no supremum to bound")
     bound = theory.sphere_coefficient_bound(loss, args.dim)
     return {
         "per_radius": result["per_radius"],

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import get_args, get_type_hints
 
@@ -26,10 +26,10 @@ from .datasets import load_dataset
 from .engine import ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
-                         ThresholdPredictor, predict_many)
+                         ThresholdPredictor)
 from .instances import (SphereInstance, lower_bound_instance,
                         point_mass_instance)
-from .losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
+from .losses import SMOOTH_KINDS, LossFunction
 from .thresholds import (SLACK_MODES, ConstantThreshold, LossWeightingFinite,
                          LossWeightingLinear)
 from .trees import DecisionTree, TreeParams
@@ -78,8 +78,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.slack_mode not in SLACK_MODES:
             raise ConfigError(f"unknown slack mode {self.slack_mode!r}")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
@@ -101,6 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown class kind {class_kind!r}")
         if self.strategy == "loss-weighting-linear" and class_kind != "linear":
             raise ConfigError("loss-weighting-linear needs a linear class spec")
+        _built("loss", LossFunction, self.loss_kind, self.range_bound)
         linear = (self.strategy in ("passive", "loss-weighting-linear")
                   and class_kind == "linear")
         if linear and self.loss_kind not in SMOOTH_KINDS:
@@ -114,7 +113,6 @@ class ExperimentConfig:
             raise ConfigError("p_min must lie in [0, 1]")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
-        _built("loss", LossFunction, self.loss_kind, self.range_bound)
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be positive")
         self.committee = _options(self.committee, "committee",
@@ -125,10 +123,8 @@ class ExperimentConfig:
             raise ConfigError("committee size must be at least 2")
         if not 0.0 < self.committee["p_min"] <= 1.0:
             raise ConfigError("committee p_min must lie in (0, 1]")
-        if self.committee["max_depth"] < 0:
-            raise ConfigError("committee max_depth must be nonnegative")
-        if self.committee["min_leaf"] < 1:
-            raise ConfigError("committee min_leaf must be at least 1")
+        _built("committee", TreeParams, max_depth=self.committee["max_depth"],
+               min_leaf=self.committee["min_leaf"])
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -212,7 +208,7 @@ class RunReport:
 def evaluate_loss(predictor, X, y, loss: LossFunction, z=None) -> float:
     """Mean normalized test loss, grouped by label value for vector evals;
     z, when given, is the predictor's predictions on X."""
-    z = predict_many(predictor, X) if z is None else z
+    z = predictor.predict_many(X) if z is None else z
     y = np.asarray(y, dtype=float)
     total = 0.0
     for value in np.unique(y):
@@ -227,7 +223,7 @@ def evaluate_error(predictor, X, y, z=None) -> float | None:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         return None
-    z = predict_many(predictor, X) if z is None else z
+    z = predictor.predict_many(X) if z is None else z
     signs = np.where(z >= 0, 1.0, -1.0)
     return float(np.mean(signs != y))
 
@@ -374,7 +370,7 @@ def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
         cum_queries.append(start + oracle.calls)
     checkpoints = []
     for t, cum, h in zip(schedule, cum_queries, models(states)):
-        z = predict_many(h, X_test)
+        z = h.predict_many(X_test)
         checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss, z),
                             evaluate_error(h, X_test, y_test, z)))
     _, queries, final_loss, final_error = checkpoints[-1]
@@ -475,10 +471,8 @@ def run_replicates(config: ExperimentConfig):
     """Run `replicates` seeded repetitions; returns (reports, aggregate)."""
     reports = []
     for i in range(config.replicates):
-        payload = config.to_dict()
-        payload["seed"] = config.seed + i
-        payload["replicates"] = 1
-        reports.append(run_experiment(ExperimentConfig.from_dict(payload)))
+        reports.append(run_experiment(replace(config, seed=config.seed + i,
+                                              replicates=1)))
     aggregate = aggregate_reports(reports)
     return reports, aggregate
 

@@ -111,11 +111,6 @@ class TablePredictor:
         return hash(frozenset(self.table.items()))
 
 
-def predict_many(predictor, X) -> np.ndarray:
-    """Batch predictions through the predictor's vectorized path, as floats."""
-    return np.asarray(predictor.predict_many(X), dtype=float)
-
-
 @dataclass(frozen=True)
 class WeightedExample:
     """A queried example carrying its importance weight (1/p at query time)."""

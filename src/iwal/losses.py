@@ -3,10 +3,19 @@
 Every loss is evaluated on a prediction z and a label y. Predictions live in
 Z = [-range_bound, +range_bound], except for the zero-one loss where
 Z = {-1, +1}. Labels are -1/+1 (the squared and absolute losses also accept
-intermediate real labels, which the point-mass instance needs). Raw values
-are divided by the exact supremum of the loss over Z x Y so that normalized
-values, and therefore query probabilities derived from loss spreads, stay in
-[0, 1].
+intermediate real labels, which the point-mass instance needs). Each kind
+has one formula, applied elementwise:
+
+    zero-one  [y z < 0]      hinge     max(0, 1 - y z)
+    logistic  log(1 + e^-yz) squared   (y - z)^2
+    absolute  |y - z|
+
+Raw values are divided by their supremum over Z x Y, the value at
+z = -range_bound, y = +1, so that normalized values, and therefore query
+probabilities derived from loss spreads, stay in [0, 1]. Every kind is
+quasi-convex in z with its least value at z = y (zero-one takes it on all
+of y's side, z = 0 included), so on an interval of predictions a loss is
+extreme at the ends or at y.
 """
 
 from __future__ import annotations
@@ -18,23 +27,21 @@ import numpy as np
 
 from .errors import PredictionDomainError, UnsupportedLossError
 
-LOSS_KINDS = ("zero-one", "hinge", "logistic", "squared", "absolute")
+# The unnormalized loss of predictions z against labels y, per kind.
+_RAW = {
+    "zero-one": lambda z, y: y * z < 0,
+    "hinge": lambda z, y: np.maximum(0.0, 1.0 - y * z),
+    "logistic": lambda z, y: np.logaddexp(0.0, -y * z),
+    "squared": lambda z, y: (y - z) ** 2,
+    "absolute": lambda z, y: np.abs(y - z),
+}
+
+LOSS_KINDS = tuple(_RAW)
 
 # Loss kinds with smooth convex surrogates usable by the convex solvers.
 SMOOTH_KINDS = ("logistic", "squared")
 
 _DOMAIN_TOL = 1e-9
-
-
-def _softplus(v: float) -> float:
-    # log(1 + e^v) without overflow
-    if v > 0:
-        return v + math.log1p(math.exp(-v))
-    return math.log1p(math.exp(v))
-
-
-def _softplus_arr(v: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, v)
 
 
 @dataclass(frozen=True)
@@ -50,31 +57,19 @@ class LossFunction:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
         if not 0 < self.range_bound < math.inf:
             raise ValueError("range_bound must be positive and finite")
-        # every loss peaks at the worst margin over Z x Y, -range_bound
-        object.__setattr__(self, "normalizer",
-                           self.raw_margin_loss(-self.range_bound))
+        # every loss peaks at the worst margin over Z x Y; the 1-element
+        # array squares as eval_many does (a float's ** 2 may round lower)
+        with np.errstate(over="ignore"):
+            peak = self._raw(np.array([-self.range_bound]), 1.0)[0]
+        object.__setattr__(self, "normalizer", float(peak))
         # an infinite normalizer would make every normalized loss 0
         if not math.isfinite(self.normalizer):
             raise ValueError(f"range_bound {self.range_bound} overflows the "
                              f"{self.kind} loss normalizer")
 
-    # -- scalar evaluation ---------------------------------------------------
-
-    def raw_margin_loss(self, v: float) -> float:
-        """Unnormalized loss as a function of the margin v = y*z."""
-        if self.kind == "zero-one":
-            return 1.0 if v < 0 else 0.0
-        if self.kind == "hinge":
-            return max(0.0, 1.0 - v)
-        if self.kind == "logistic":
-            return _softplus(-v)
-        if self.kind == "squared":
-            return (1.0 - v) * (1.0 - v)   # as eval_many squares; ** 2 may round lower
-        return abs(1.0 - v)
-
-    def margin_loss(self, v: float) -> float:
-        """Normalized loss at margin v, without domain checks."""
-        return self.raw_margin_loss(v) / self.normalizer
+    def _raw(self, z, y):
+        """Unnormalized loss, elementwise, without domain checks."""
+        return _RAW[self.kind](z, y)
 
     def _check_label(self, y: float) -> None:
         if self.kind in ("squared", "absolute"):
@@ -99,15 +94,7 @@ class LossFunction:
             raise PredictionDomainError(
                 f"prediction outside [-{self.range_bound}, {self.range_bound}]")
         self._check_label(y)
-        if self.kind == "zero-one":
-            return (y * z < 0).astype(float)
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 - y * z) / self.normalizer
-        if self.kind == "logistic":
-            return _softplus_arr(-y * z) / self.normalizer
-        if self.kind == "squared":
-            return (y - z) ** 2 / self.normalizer
-        return np.abs(y - z) / self.normalizer
+        return self._raw(z, y) / self.normalizer
 
     # -- smooth surrogate interface for the convex solver ---------------------
 
@@ -120,9 +107,7 @@ class LossFunction:
     def smooth_value_many(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Normalized loss on unclamped predictions (solver objective terms)."""
         self._require_smooth()
-        if self.kind == "logistic":
-            return _softplus_arr(-y * z) / self.normalizer
-        return (z - y) ** 2 / self.normalizer
+        return self._raw(z, y) / self.normalizer
 
     def smooth_derivatives_many(self, z: np.ndarray,
                                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,24 +168,6 @@ class LossFunction:
 
     # -- spreads over prediction intervals ------------------------------------
 
-    def _extremes_on_interval(self, lo: float, hi: float, y: float) -> tuple[float, float]:
-        """(min, max) of the normalized loss over predictions in [lo, hi]."""
-        if self.kind == "zero-one":
-            # step function of the sign of y*z
-            has_err = (y > 0 and lo < 0) or (y < 0 and hi > 0)
-            has_ok = (y > 0 and hi >= 0) or (y < 0 and lo <= 0)
-            return (0.0 if has_ok else 1.0), (1.0 if has_err else 0.0)
-        if self.kind in ("hinge", "logistic"):
-            # nonincreasing in the margin y*z
-            if y > 0:
-                return self.margin_loss(hi), self.margin_loss(lo)
-            return self.margin_loss(-lo), self.margin_loss(-hi)
-        # squared / absolute: convex in z with vertex at z = y
-        at_lo = self.eval(lo, y)
-        at_hi = self.eval(hi, y)
-        mn = 0.0 if lo <= y <= hi else min(at_lo, at_hi)
-        return mn, max(at_lo, at_hi)
-
     def interval_spread(self, lo: float, hi: float, labels=(-1.0, 1.0)) -> float:
         """Largest over labels of (max - min) normalized loss on [lo, hi].
 
@@ -214,8 +181,11 @@ class LossFunction:
             lo = hi
         spread = 0.0
         for y in labels:
-            mn, mx = self._extremes_on_interval(lo, hi, y)
-            spread = max(spread, mx - mn)
+            self._check_label(y)
+            # quasi-convex in z, least at z = y: the extremes lie among these
+            points = (lo, hi, y) if lo <= y <= hi else (lo, hi)
+            values = self._raw(np.array(points), y) / self.normalizer
+            spread = max(spread, float(values.max() - values.min()))
         return min(max(spread, 0.0), 1.0)
 
     def spread_many(self, z: np.ndarray, labels=(-1.0, 1.0)) -> float:

@@ -16,22 +16,25 @@ import warnings
 
 import numpy as np
 
-from .hypotheses import predict_many
 from .losses import LossFunction
 
 DEFAULT_LABELS = (-1.0, 1.0)
 
 
+def _loss_gaps(loss: LossFunction, z, z_ref, labels) -> np.ndarray:
+    """max over labels of |l(z, y) - l(z_ref, y)|, one per prediction pair."""
+    gaps = np.zeros(len(z))
+    for y in labels:
+        gaps = np.maximum(gaps, np.abs(loss.eval_many(z, y) - loss.eval_many(z_ref, y)))
+    return gaps
+
+
 def loss_distance_exact(f, g, loss: LossFunction, instance,
                         labels=DEFAULT_LABELS) -> float:
     """E_x max_y |l(f(x), y) - l(g(x), y)| by enumeration of the atoms."""
-    total = 0.0
-    for a in range(len(instance.masses)):
-        x = instance.points[a]
-        zf, zg = f.predict(x), g.predict(x)
-        gap = max(abs(loss.eval(zf, y) - loss.eval(zg, y)) for y in labels)
-        total += instance.masses[a] * gap
-    return total
+    points = instance.points
+    gaps = _loss_gaps(loss, f.predict_many(points), g.predict_many(points), labels)
+    return float(instance.masses @ gaps)
 
 
 def loss_distance_mc(f, g, loss: LossFunction, xs,
@@ -40,11 +43,7 @@ def loss_distance_mc(f, g, loss: LossFunction, xs,
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         raise ValueError("a Monte-Carlo estimate needs at least one point")
-    zf = predict_many(f, xs)
-    zg = predict_many(g, xs)
-    gaps = np.zeros(len(xs))
-    for y in labels:
-        gaps = np.maximum(gaps, np.abs(loss.eval_many(zf, y) - loss.eval_many(zg, y)))
+    gaps = _loss_gaps(loss, f.predict_many(xs), g.predict_many(xs), labels)
     mean = float(np.mean(gaps))
     stderr = float(np.std(gaps) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
     return mean, stderr
@@ -72,47 +71,40 @@ def disagreement_coefficient(reference, candidates, xs, loss: LossFunction,
     For each radius r, candidates within distance r of the reference form
     the ball; theta_hat(r) is the expected (over xs, or exactly over an
     enumerable instance) supremum over the ball of the max-label loss
-    deviation from the reference, divided by r. Radii whose ball catches no
-    candidate are skipped with a warning. Returns per-radius estimates and
-    their supremum.
+    deviation from the reference, divided by r; a candidate's distance is
+    the same deviation's expectation. Radii whose ball catches no candidate
+    are skipped with a warning, and ValueError is raised when every radius
+    is. Returns per-radius estimates and their supremum.
     """
-    xs = np.asarray(xs, dtype=float)
-    cand = list(candidates)
     if instance is not None:
-        rho = np.array([loss_distance_exact(h, reference, loss, instance, labels)
-                        for h in cand])
-        weights = instance.masses
-        points = instance.points
+        weights, points = instance.masses, instance.points
     else:
-        if len(xs) == 0:
+        points = np.asarray(xs, dtype=float)
+        if len(points) == 0:
             raise ValueError("a Monte-Carlo estimate needs at least one point")
-        rho = np.array([loss_distance_mc(h, reference, loss, xs, labels)[0]
-                        for h in cand])
-        weights = np.full(len(xs), 1.0 / len(xs))
-        points = xs
+        weights = np.full(len(points), 1.0 / len(points))
+    if any(r <= 0 for r in r_grid):
+        raise ValueError("radii must be positive")
 
-    z_ref = predict_many(reference, points)
+    z_ref = reference.predict_many(points)
+    cand = list(candidates)
     deviations = np.zeros((len(cand), len(points)))
     for i, h in enumerate(cand):
-        z = predict_many(h, points)
-        for y in labels:
-            deviations[i] = np.maximum(
-                deviations[i],
-                np.abs(loss.eval_many(z, y) - loss.eval_many(z_ref, y)),
-            )
+        deviations[i] = _loss_gaps(loss, h.predict_many(points), z_ref, labels)
+    rho = deviations @ weights
+    if not any(np.any(rho <= r) for r in r_grid):
+        raise ValueError("no sampled hypothesis lies within any radius, "
+                         "so no supremum to bound")
 
     per_radius = {}
     for r in r_grid:
-        if r <= 0:
-            raise ValueError("radii must be positive")
         in_ball = rho <= r
         if not np.any(in_ball):
             warnings.warn(f"no sampled hypothesis within distance {r}; skipping")
             continue
         sup_dev = deviations[in_ball].max(axis=0)
         per_radius[float(r)] = float(weights @ sup_dev) / r
-    supremum = max(per_radius.values()) if per_radius else 0.0
-    return {"per_radius": per_radius, "supremum": supremum}
+    return {"per_radius": per_radius, "supremum": max(per_radius.values())}
 
 
 def sphere_coefficient_bound(loss: LossFunction, dim: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -231,9 +232,11 @@ class TestProbe:
         (["theta", "--mc", "50", "--samples", "0"],
          "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
     ])
-    @pytest.mark.filterwarnings("ignore:no sampled hypothesis within distance")
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
-        assert main(["probe"] + argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["probe"] + argv) == 1
+        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""

@@ -12,6 +12,7 @@ from iwal.errors import ConfigError
 from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
                           emit_curves, evaluate_error, evaluate_loss,
                           run_experiment, run_replicates)
+from iwal.hypotheses import LinearPredictor
 from iwal.losses import LossFunction
 from iwal.thresholds import ConstantThreshold
 from iwal.trees import DecisionTree, TreeParams
@@ -287,9 +288,11 @@ class TestCheckpointEvaluation:
     def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
         # the loss and the error of a checkpoint read one routing of the test rows
         predictions, losses = [], []
-        predict, evaluate = harness.predict_many, harness.evaluate_loss
-        monkeypatch.setattr(harness, "predict_many", lambda h, X:
-                            predictions.append(len(X)) or predict(h, X))
+        for cls in (LinearPredictor, DecisionTree):
+            monkeypatch.setattr(cls, "predict_many",
+                                lambda h, X, predict=cls.predict_many:
+                                predictions.append(len(X)) or predict(h, X))
+        evaluate = harness.evaluate_loss
         monkeypatch.setattr(harness, "evaluate_loss", lambda *args:
                             losses.append(1) or evaluate(*args))
         report = run_experiment(base_config(strategy=strategy, train_size=200,

@@ -306,11 +306,13 @@ class TestLinearErm:
         sample = random_weighted_examples(rng, 12, 2)
         h, _ = erm_weighted(ball, sample, loss)
 
+        X = np.array([e.x for e in sample])
+        ys = np.array([e.y for e in sample])
+        ws = np.array([e.weight for e in sample])
+
         def objective(u):
-            total = 0.0
-            for e in sample:
-                total += e.weight * loss.margin_loss(e.y * float(u @ e.x))
-            return total
+            # the weighted logistic loss log(1 + e^{-y u.x}) on unclamped margins
+            return float(ws @ np.logaddexp(0.0, -ys * (X @ u))) / loss.normalizer
 
         # two-stage polar grid refinement, independent of the solver
         best = np.inf

@@ -161,8 +161,8 @@ class TestDerivativeBounds:
             if abs(z - zp) < 1e-9:
                 continue
             for y in (-1.0, 1.0):
-                ratio = abs(loss.raw_margin_loss(y * z)
-                            - loss.raw_margin_loss(y * zp)) / abs(z - zp)
+                at_z, at_zp = loss.eval_many(np.array([z, zp]), y) * loss.normalizer
+                ratio = abs(at_z - at_zp) / abs(z - zp)
                 assert c0 * (1 - tol) - 1e-12 <= ratio <= c1 * (1 + tol) + 1e-12
 
 
@@ -224,8 +224,9 @@ class TestIntervalSpread:
 
     def test_full_range_logistic_closed_form(self):
         loss = LossFunction("logistic", 1.0)
-        expected = (loss.raw_margin_loss(-1.0) - loss.raw_margin_loss(1.0)) / loss.normalizer
-        assert loss.interval_spread(-1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+        # log(1 + e) - log(1 + 1/e) = 1, over the normalizer log(1 + e)
+        assert loss.interval_spread(-1.0, 1.0) == pytest.approx(
+            1.0 / math.log1p(math.e), abs=1e-12)
 
     def test_interval_clamped_to_range(self):
         loss = LossFunction("logistic", 1.0)
@@ -235,6 +236,13 @@ class TestIntervalSpread:
     def test_degenerate_interval_is_zero(self):
         for kind in LOSS_KINDS:
             assert LossFunction(kind, 1.0).interval_spread(0.3, 0.3) == 0.0
+
+    @pytest.mark.parametrize("kind,label", [("squared", 2.0), ("absolute", -1.5),
+                                            ("logistic", 0.0), ("hinge", 2.0),
+                                            ("zero-one", 0.5)])
+    def test_label_outside_the_loss_domain_rejected(self, kind, label):
+        with pytest.raises(ValueError, match="label"):
+            LossFunction(kind, 1.0).interval_spread(-0.5, 0.5, labels=(1.0, label))
 
     def test_squared_with_zero_label(self):
         loss = LossFunction("squared", 1.0)
@@ -286,3 +294,124 @@ def test_overflowing_normalizer_rejected():
         LossFunction("squared", 1e200)
     assert math.isfinite(LossFunction("squared", 1e154).normalizer)
     assert LossFunction("logistic", 1e200).normalizer == 1e200
+
+
+# -- frozen scalar reference --------------------------------------------------
+# The scalar margin formulas and interval extremes the library once used, kept
+# verbatim in pure-Python floats so that the one elementwise formula per kind
+# is checked bit for bit against them.
+
+def _softplus(v: float) -> float:
+    # log(1 + e^v) without overflow
+    if v > 0:
+        return v + math.log1p(math.exp(-v))
+    return math.log1p(math.exp(v))
+
+
+def frozen_raw_margin_loss(kind: str, v: float) -> float:
+    """Unnormalized loss as a function of the margin v = y*z."""
+    if kind == "zero-one":
+        return 1.0 if v < 0 else 0.0
+    if kind == "hinge":
+        return max(0.0, 1.0 - v)
+    if kind == "logistic":
+        return _softplus(-v)
+    if kind == "squared":
+        return (1.0 - v) * (1.0 - v)
+    return abs(1.0 - v)
+
+
+def frozen_eval(kind: str, normalizer: float, z: float, y: float) -> float:
+    """The old per-kind eval: the margin formula, or (y - z)^2 and |y - z|
+    for the kinds that take real labels."""
+    if kind == "squared":
+        return (y - z) * (y - z) / normalizer
+    if kind == "absolute":
+        return abs(y - z) / normalizer
+    return frozen_raw_margin_loss(kind, y * z) / normalizer
+
+
+def frozen_extremes_on_interval(kind, normalizer, lo, hi, y):
+    """(min, max) of the normalized loss over predictions in [lo, hi]."""
+    def margin_loss(v):
+        return frozen_raw_margin_loss(kind, v) / normalizer
+    if kind == "zero-one":
+        # step function of the sign of y*z
+        has_err = (y > 0 and lo < 0) or (y < 0 and hi > 0)
+        has_ok = (y > 0 and hi >= 0) or (y < 0 and lo <= 0)
+        return (0.0 if has_ok else 1.0), (1.0 if has_err else 0.0)
+    if kind in ("hinge", "logistic"):
+        # nonincreasing in the margin y*z
+        if y > 0:
+            return margin_loss(hi), margin_loss(lo)
+        return margin_loss(-lo), margin_loss(-hi)
+    # squared / absolute: convex in z with vertex at z = y
+    at_lo = frozen_eval(kind, normalizer, lo, y)
+    at_hi = frozen_eval(kind, normalizer, hi, y)
+    mn = 0.0 if lo <= y <= hi else min(at_lo, at_hi)
+    return mn, max(at_lo, at_hi)
+
+
+def frozen_interval_spread(kind, b, lo, hi, labels):
+    normalizer = frozen_raw_margin_loss(kind, -b)
+    lo = min(max(lo, -b), b)
+    hi = min(max(hi, -b), b)
+    if lo > hi:
+        lo = hi
+    spread = 0.0
+    for y in labels:
+        mn, mx = frozen_extremes_on_interval(kind, normalizer, lo, hi, y)
+        spread = max(spread, mx - mn)
+    return min(max(spread, 0.0), 1.0)
+
+
+def _label_sets(kind):
+    if kind in ("squared", "absolute"):
+        return [(-1.0, 1.0), (0.0,), (-1.0, 0.0, 1.0), (0.37,)]
+    return [(-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.5])
+def test_one_formula_per_kind_equals_the_frozen_reference(kind, b):
+    loss = LossFunction(kind, b)
+    normalizer = frozen_raw_margin_loss(kind, -b)
+    assert loss.normalizer == normalizer
+    rng = np.random.default_rng(4952)
+    if kind == "zero-one":
+        zs = [-1.0, 1.0]
+    else:
+        zs = [0.0, b, -b] + [v for v in (1.0, -1.0) if abs(v) <= b]
+        zs += rng.uniform(-b, b, size=500).tolist()
+    for labels in _label_sets(kind):
+        for y in labels:
+            assert loss.eval_many(np.array(zs), y).tolist() == [
+                frozen_eval(kind, normalizer, z, y) for z in zs]
+        # ends on every special value, on random values past the range,
+        # reversed (clamped to one point) and equal
+        special = [0.0, 1.0, -1.0, b, -b, 2.0 * b, -2.0 * b]
+        ends = special + rng.uniform(-2.0 * b, 2.0 * b, size=13).tolist()
+        for lo in ends:
+            for hi in ends:
+                assert (loss.interval_spread(lo, hi, labels)
+                        == frozen_interval_spread(kind, b, lo, hi, labels))
+    if kind in SMOOTH_KINDS:
+        z = rng.normal(0.0, 5.0, size=500)
+        y = rng.choice([-1.0, 1.0], size=500)
+        assert loss.smooth_value_many(z, y).tolist() == [
+            frozen_eval(kind, normalizer, zi, yi) for zi, yi in zip(z.tolist(), y.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=nested_intervals())
+def test_interval_spread_equals_the_frozen_reference_property(case):
+    loss, labels, (a, lo, hi, c) = case
+    for ends in ((lo, hi), (hi, lo), (a, c), (lo, lo)):
+        assert (loss.interval_spread(*ends, labels)
+                == frozen_interval_spread(loss.kind, loss.range_bound, *ends, labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(LOSS_KINDS), b=st.floats(1e-300, 1e154))
+def test_normalizer_equals_the_frozen_reference_property(kind, b):
+    assert LossFunction(kind, b).normalizer == frozen_raw_margin_loss(kind, -b)

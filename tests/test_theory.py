@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,11 +115,26 @@ class TestDisagreementCoefficient:
             np.array([0.5, 0.5]))
         ref = TablePredictor({(0.0,): 1.0, (1.0,): 1.0})
         other = TablePredictor({(0.0,): -1.0, (1.0,): -1.0})  # distance 1.0
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="within distance 0.1; skipping"):
             result = disagreement_coefficient(ref, [other], instance.points,
-                                              loss, r_grid=[0.1],
+                                              loss, r_grid=[0.1, 1.0],
                                               instance=instance)
-        assert result["per_radius"] == {}
+        assert result["per_radius"] == {1.0: 1.0}
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_every_ball_empty_is_an_error_without_warnings(self, count):
+        loss = LossFunction("zero-one")
+        instance = DiscreteInstance.binary(
+            np.array([[0.0], [1.0]]), np.array([0.6, 0.4]),
+            np.array([0.5, 0.5]))
+        ref = TablePredictor({(0.0,): 1.0, (1.0,): 1.0})
+        other = TablePredictor({(0.0,): -1.0, (1.0,): -1.0})  # distance 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no sampled hypothesis lies within any radius"):
+                disagreement_coefficient(ref, [other] * count,
+                                         instance.points, loss, r_grid=[0.1, 0.5],
+                                         instance=instance)
 
     def test_sphere_bound_dominates_small_case(self, rng):
         dim = 3

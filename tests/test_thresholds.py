@@ -9,7 +9,7 @@ from iwal import harness, solver
 from iwal.engine import Engine
 from iwal.errors import ThresholdContractError, UnsupportedLossError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
-                             LinearPredictor, predict_many)
+                             LinearPredictor)
 from iwal.losses import LossFunction
 from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
                              LossWeightingLinear, dimension_slack,
@@ -279,8 +279,8 @@ class TestLossWeightingLinear:
         threshold = LossWeightingLinear(2, 4.0, loss)
         # predictions span the whole clamped range [-1, 1]
         p = threshold.probability(np.array([1.0, 0.0]))
-        expected = (loss.raw_margin_loss(-1.0) - loss.raw_margin_loss(1.0)) / loss.normalizer
-        assert p == pytest.approx(expected, abs=1e-9)
+        # log(1 + e) - log(1 + 1/e) = 1, over the normalizer log(1 + e)
+        assert p == pytest.approx(1.0 / math.log1p(math.e), abs=1e-9)
 
     def test_interval_extremes_against_cover_after_queries(self, rng):
         loss = LossFunction("logistic", 1.0)

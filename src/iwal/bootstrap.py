@@ -4,7 +4,10 @@ The committee is a FiniteClass of trees, each trained once on a bootstrap
 resample of an initial labeled prefix and never retrained. The query
 probability for a new point is a floor plus the committee's loss
 disagreement on it, so it never drops below p_min and the safety guarantees
-for floor-bounded sampling apply. After the stream, rejection sampling with
+for floor-bounded sampling apply. Every tree votes -1 or +1, so that
+probability takes two values, both worked out when the threshold is built:
+p_min where the votes agree, and p_min plus (1 - p_min) times the loss
+spread of {-1, +1} where they split. After the stream, rejection sampling with
 acceptance weight/max-weight turns the importance-weighted sample back into
 an unweighted one for a final learner. The heaviest row's acceptance ratio is
 exactly 1 and every uniform drawn is below 1, so costing always keeps that
@@ -19,7 +22,7 @@ import numpy as np
 
 from .hypotheses import FiniteClass, WeightedSample
 from .losses import LossFunction
-from .trees import DecisionTree, TreeParams
+from .trees import DecisionTree, TreeParams, leaf_label
 
 
 def train_committee(X, y, rng: np.random.Generator, size: int = 10,
@@ -36,7 +39,8 @@ def train_committee(X, y, rng: np.random.Generator, size: int = 10,
 
 class CommitteeThreshold:
     """Rejection threshold driven by committee disagreement: p_min plus
-    (1 - p_min) times the largest pairwise loss difference on x."""
+    (1 - p_min) times the largest pairwise loss difference on x, from one walk
+    of the members' trees that stops at the first vote differing from the first."""
 
     def __init__(self, committee: FiniteClass, loss: LossFunction,
                  labels=(-1.0, 1.0), p_min: float = 0.1):
@@ -44,17 +48,28 @@ class CommitteeThreshold:
             raise ValueError("a committee needs at least 2 members")
         if not 0.0 < p_min <= 1.0:
             raise ValueError("p_min must lie in (0, 1]")
+        if not all(isinstance(h, DecisionTree) for h in committee.members):
+            raise TypeError("committee members must be DecisionTrees")
+        if len({h.n_features for h in committee.members}) > 1:
+            raise ValueError("committee members must share one input width")
         self.committee = committee
         self.loss = loss
         self.labels = tuple(labels)
         self.p_min = p_min
+        # the p where the votes split: their spread is that of {-1, +1}
+        self._split = p_min + (1.0 - p_min) * loss.spread_many(
+            np.array([-1.0, 1.0]), self.labels)
+        self._walks = [h._walk for h in committee.members[1:]]
 
     def attach(self, engine) -> None:
         pass
 
     def probability(self, x) -> float:
-        return self.p_min + (1.0 - self.p_min) * self.loss.spread_many(
-            self.committee.predict(x), self.labels)
+        vote = self.committee.members[0].predict(x)    # checks x's shape
+        x = np.asarray(x, dtype=float).tolist()
+        if any(leaf_label(walk, x) != vote for walk in self._walks):
+            return self._split
+        return self.p_min
 
     def record(self, x, y, p, queried) -> None:
         pass

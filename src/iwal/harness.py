@@ -100,6 +100,10 @@ class ExperimentConfig:
         if self.strategy == "loss-weighting-linear" and class_kind != "linear":
             raise ConfigError("loss-weighting-linear needs a linear class spec")
         _built("loss", LossFunction, self.loss_kind, self.range_bound)
+        if (self.strategy == "bootstrap" and self.loss_kind != "zero-one"
+                and self.range_bound < 1.0):
+            raise ConfigError(f"bootstrap trees predict -1 and +1, so range_bound "
+                              f"must be at least 1, got {self.range_bound}")
         linear = (self.strategy in ("passive", "loss-weighting-linear")
                   and class_kind == "linear")
         if linear and self.loss_kind not in SMOOTH_KINDS:

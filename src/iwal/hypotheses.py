@@ -111,6 +111,13 @@ class TablePredictor:
         return hash(frozenset(self.table.items()))
 
 
+def _check_weighted(y, weight) -> None:
+    if not 0 < weight < np.inf:
+        raise ValueError(f"importance weight must be finite and positive, got {weight}")
+    if abs(y) > 1.0:
+        raise ValueError(f"label {y} outside [-1, 1]")
+
+
 @dataclass(frozen=True)
 class WeightedExample:
     """A queried example carrying its importance weight (1/p at query time)."""
@@ -121,10 +128,7 @@ class WeightedExample:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if not 0 < self.weight < np.inf:
-            raise ValueError(f"importance weight must be finite and positive, got {self.weight}")
-        if abs(self.y) > 1.0:
-            raise ValueError(f"label {self.y} outside [-1, 1]")
+        _check_weighted(self.y, self.weight)
 
 
 class WeightedSample:
@@ -145,19 +149,20 @@ class WeightedSample:
         self.X, self.y, self.w = self._X[:n], self._y[:n], self._w[:n]
 
     def append(self, x, y: float, weight: float) -> None:
-        row = WeightedExample(x, y, weight)
+        x = np.asarray(x, dtype=float)
+        _check_weighted(y, weight)
         n = len(self.w)
         if n == len(self._w):
             # np.resize keeps the first n rows of each column
-            width = self._X.shape[1] if n else row.x.size
+            width = self._X.shape[1] if n else x.size
             self._X = np.resize(self._X, (max(16, 2 * n), width))
             self._y = np.resize(self._y, len(self._X))
             self._w = np.resize(self._w, len(self._X))
-        if row.x.shape != self._X.shape[1:]:
+        if x.shape != self._X.shape[1:]:
             raise DimensionMismatchError(
-                f"expected rows of width {self._X.shape[1]}, got shape {row.x.shape}"
+                f"expected rows of width {self._X.shape[1]}, got shape {x.shape}"
             )
-        self._X[n], self._y[n], self._w[n] = row.x, row.y, row.weight
+        self._X[n], self._y[n], self._w[n] = x, y, weight
         self._show(n + 1)
 
     def __len__(self):

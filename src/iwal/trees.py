@@ -84,8 +84,13 @@ tree it would be alone; the forest only shares each depth's NumPy calls,
 which small trees are bound by. Nodes are numbered breadth first across
 the forest, each depth's children in the order of their parents, so a
 tree's nodes in forest order are in its own breadth-first order, and its
-arrays are cut out of the forest's. A forest holds at most _FOREST_ROWS
-rows, which bounds the per-depth arrays.
+arrays are cut out of the forest's.
+
+Forest size. A depth's arrays grow with the forest's rows x features, its
+NumPy calls do not, so a forest holds the datasets that fit in _FOREST_CELLS
+feature values; a larger one is grown alone. The bound is the knee of a sweep
+on the 5-feature bootstrap benchmark (BENCH_21.json): run time fell up to
+40,960 (8,192 rows) and stayed within noise above, while peak memory rose.
 """
 
 from __future__ import annotations
@@ -103,8 +108,8 @@ _MIN_GAIN = 1e-12
 _CERTIFY = 1e-14
 # cuts this close to a node's best gain tie with it (_NEAR + _CERTIFY < _MIN_GAIN)
 _NEAR = 1e-13
-# rows of the datasets `fit_many` grows together in one forest
-_FOREST_ROWS = 2048
+# feature values (rows x features) of the datasets grown together in a forest
+_FOREST_CELLS = 40960
 # largest node whose cuts inside a stretch of one label are far below its
 # best gain, derived from the band (module docstring)
 _BOUNDARY_ROWS = int((2 * math.log(2) * (_MIN_GAIN + _NEAR + 2 * _CERTIFY)) ** (-1 / 3))
@@ -135,10 +140,10 @@ def _entropy_many(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     exactly where `_entropy` returns 0: n = 0, n_pos = 0 or n_pos = n."""
     q = n_pos / n
     r = 1 - q
-    # -(q * log2(q) + r * log2(r)), in place
+    # -(q * log2(q) + r * log2(r)), in place; r * log2(r) goes into q's array
     h = np.log2(q)
     h *= q
-    s = np.log2(r)
+    s = np.log2(r, out=q)
     s *= r
     h += s
     np.negative(h, out=h)
@@ -252,9 +257,12 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     """
     d, n_rows = X.shape
     m = order.shape[1]
-    values = X.ravel().take(order + np.arange(0, d * n_rows, n_rows)[:, None])
+    # (features, m) arrays bound a forest's memory: each is dropped once read
+    offsets = np.arange(0, d * n_rows, n_rows)[:, None]
+    values = X.ravel().take(order + offsets)
     blocked = np.ones((d, m), dtype=bool)        # cuts that are not allowed
     np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
+    del values
     flags = pos.take(order)
     # a cut after a column leaves the segment's columns up to it on the left
     n = sizes.take(node).astype(float)
@@ -272,31 +280,38 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     cells = np.flatnonzero(candidate)
     column = cells - cells // m * m
     cut_node = node.take(column)
-    n, n_left = n.take(column), n_left.take(column)
-    n_right = n - n_left
+    n_left = n_left.take(column)
+    n_right = n.take(column) - n_left
     # positives before each flat index; a cut's left side holds those up to
-    # it less those before its segment
+    # it less those before its segment, whose flat start replaces its column
     cum = np.zeros(d * m + 1, dtype=np.intp)
     np.cumsum(flags.ravel(), out=cum[1:])
-    pos_left = cum.take(cells + 1) - cum.take(cells - column + starts.take(cut_node))
+    np.subtract(cells, column, out=column)
+    column += starts.take(cut_node)
+    pos_left = cum.take(cells + 1)
+    pos_left -= cum.take(column)
+    del cum, column
     parent = np.array([_entropy(p, s) for p, s in zip(n_pos.tolist(), sizes.tolist())])
     # `_best_split`'s gain formula and operation order, elementwise and in
     # place (one child at a time, to hold fewer temporaries):
     # parent - (n_left * h_left + n_right * h_right) / n
     gains = _entropy_many(pos_left, n_left)
     gains *= n_left
-    h = _entropy_many(n_pos.take(cut_node) - pos_left, n_right)
+    # the right side's positives go into pos_left's array
+    h = _entropy_many(np.subtract(n_pos.take(cut_node), pos_left, out=pos_left), n_right)
     h *= n_right
     gains += h
-    gains /= n
+    # n_left + n_right is the node's row count exactly (integers below 2**53)
+    gains /= n_left + n_right
     np.subtract(parent.take(cut_node), gains, out=gains)
 
     feature, column, exact = _select(cells, gains, cut_node, len(sizes), m)
-    threshold = 0.5 * (values[feature, column] + values[feature, column + 1])
+    threshold = 0.5 * (X[feature, order[feature, column]]
+                       + X[feature, order[feature, column + 1]])
     for k in np.flatnonzero(exact).tolist():
         seg = slice(starts[k], starts[k] + sizes[k])
-        feature[k], threshold[k] = _best_split(values[:, seg], flags[:, seg],
-                                               int(n_pos[k]), min_leaf)
+        feature[k], threshold[k] = _best_split(X.ravel().take(order[:, seg] + offsets),
+                                               flags[:, seg], int(n_pos[k]), min_leaf)
     return feature, threshold
 
 
@@ -341,7 +356,7 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
         splits.append((parents, feature[split], threshold[split], left_ids))
         # each row's side, by its node's threshold mask (unused for the rows
         # of a node without a split, whose feature -1 picks some value)
-        rows = order[0]
+        rows = order[0].copy()            # a view would pin this depth's order
         goes_left = X.ravel().take(feature[node] * n_rows + rows) <= threshold[node]
         left_sizes = np.add.reduceat(goes_left, starts)[split]
         left_pos = np.add.reduceat(goes_left & pos[rows], starts)[split]
@@ -395,6 +410,16 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
     return grown
 
 
+def leaf_label(walk, x: list) -> float:
+    """The label of the leaf that x, a list of features, reaches in the tree
+    whose node lists are `walk` (DecisionTree._walk)."""
+    feature, threshold, left, right, label = walk
+    node = 0
+    while left[node] != node:
+        node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+    return label[node]
+
+
 def _checked(index: int, rows, n_rows: int) -> np.ndarray:
     """The index-th array of row indices; ValueError, naming the index,
     unless it is a nonempty, strictly increasing 1-D integer array of
@@ -440,10 +465,11 @@ class DecisionTree:
         """One tree per array of row indices into (X, y) in `subsets`, in
         order, each the tree `fit` grows on those rows. Every feature is
         sorted once, over all rows. The iterable is read lazily: consecutive
-        subsets are grown together, in forests of at most _FOREST_ROWS rows,
-        and a larger subset is grown alone. ValueError unless X is a finite
-        (rows, features) array with one label per row, or, naming its index,
-        unless a subset is nonempty, strictly increasing and in range."""
+        subsets are grown together, in forests of at most _FOREST_CELLS
+        feature values, and a larger subset is grown alone. ValueError unless
+        X is a finite (rows, features) array with one label per row, or,
+        naming its index, unless a subset is nonempty, strictly increasing
+        and in range."""
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
         if X.ndim != 2 or y.shape != X.shape[:1]:
             raise ValueError(f"expected (rows, features) features and one label "
@@ -455,26 +481,30 @@ class DecisionTree:
         XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
         order = np.argsort(XT, axis=1, kind="stable")
 
+        slot = np.full(len(X), -1)
+
+        def root(start, rows):
+            # a tree's root: the shared order filtered to its rows, renumbered as
+            # forest rows; one tree at a time, to hold one (features, rows) array
+            slot[rows] = np.arange(start, start + len(rows))
+            kept = slot.take(order)
+            slot[rows] = -1
+            return kept[kept >= 0].reshape(len(order), -1)
+
         def grow(forest):
-            # each tree's root: the shared order filtered to its rows, renumbered
-            # as forest rows; one tree at a time, to hold one (features, rows) array
             sizes = np.array([len(rows) for rows in forest])
-            slot, roots = np.full(len(X), -1), []
-            for start, rows in zip(sizes.cumsum() - sizes, forest):
-                slot[rows] = np.arange(start, start + len(rows))
-                root = slot.take(order)
-                roots.append(root[root >= 0].reshape(len(order), -1))
-                slot[rows] = -1
             rows = np.concatenate(forest)
+            # the roots are joined in the call, so _grow holds their only copy
             with np.errstate(divide="ignore", invalid="ignore"):
-                grown = _grow(XT.take(rows, axis=1), y.take(rows) > 0,
-                              np.concatenate(roots, axis=1), sizes, params)
+                grown = _grow(XT.take(rows, axis=1), y.take(rows) > 0, np.concatenate(
+                    [root(*tree) for tree in zip(sizes.cumsum() - sizes, forest)], axis=1),
+                    sizes, params)
             return [cls(X.shape[1], *arrays) for arrays in grown]
 
         fitted, forest = [], []
         for i, rows in enumerate(subsets):
             rows = _checked(i, rows, len(X))
-            if forest and sum(map(len, forest)) + len(rows) > _FOREST_ROWS:
+            if forest and (sum(map(len, forest)) + len(rows)) * len(XT) > _FOREST_CELLS:
                 fitted += grow(forest)
                 forest = []
             forest.append(rows)
@@ -488,11 +518,7 @@ class DecisionTree:
             raise DimensionMismatchError(
                 f"expected dimension {self.n_features}, got {x.shape}"
             )
-        feature, threshold, left, right, label = self._walk
-        node = 0
-        while left[node] != node:
-            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
-        return label[node]
+        return leaf_label(self._walk, x.tolist())
 
     def predict_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -1,13 +1,18 @@
+import hashlib
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from iwal import harness
 from iwal.bootstrap import (CommitteeThreshold, costing_resample,
                             train_committee, weighted_examples_from_arrays)
 from iwal.engine import Engine
-from iwal.hypotheses import FiniteClass, WeightedSample
-from iwal.losses import LossFunction
+from iwal.errors import DimensionMismatchError
+from iwal.hypotheses import FiniteClass, LinearPredictor, WeightedSample
+from iwal.losses import LOSS_KINDS, LossFunction
 from iwal.trees import DecisionTree, TreeParams
 
 from conftest import assert_same_tree
@@ -156,6 +161,102 @@ class TestQueryProbability:
             p, queried = engine.trace.p[-1], engine.trace.q[-1]
             assert p_min <= p <= 1.0
             assert p > 0.0 or not queried
+
+
+# the label sets each loss kind accepts: every kind takes -1 and +1; the
+# squared and absolute kinds also take any label in [-1, 1]
+SIGN_LABELS = [(-1.0, 1.0), (1.0, -1.0), (1.0,), (-1.0,)]
+LABEL_SETS = {kind: SIGN_LABELS + ([(0.37,), (-1.0, 0.0, 1.0)]
+                                   if kind in ("squared", "absolute") else [])
+              for kind in LOSS_KINDS}
+
+
+class TestTwoValuedProbability:
+    """p is p_min + (1 - p_min) times the loss spread of every member's vote,
+    worked out from one walk of the members' trees."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           size=st.integers(2, 8), loss_kind=st.sampled_from(LOSS_KINDS),
+           range_bound=st.one_of(st.sampled_from([1.0, 1.7, 3.0]), st.floats(1.0, 50.0)),
+           p_min=st.one_of(st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+                           st.floats(0.0, 1.0, exclude_min=True)))
+    def test_equals_the_spread_of_every_vote(self, data, seed, dim, size, loss_kind,
+                                             range_bound, p_min):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 40)), dim))
+        y = np.where(X[:, 0] + rng.normal(scale=0.5, size=len(X)) > 0, 1.0, -1.0)
+        committee = train_committee(X, y, rng, size=size,
+                                    params=TreeParams(max_depth=3, min_leaf=1))
+        labels = data.draw(st.sampled_from(LABEL_SETS[loss_kind]))
+        loss = LossFunction(loss_kind, range_bound)
+        threshold = CommitteeThreshold(committee, loss, labels, p_min)
+        probes = list(rng.uniform(-1.5, 1.5, size=(10, dim)))
+        # a coordinate exactly on each split of each member: `<=` sends it left
+        for tree in committee.members:
+            for node in np.flatnonzero(tree.left != np.arange(len(tree.left))).tolist():
+                x = rng.uniform(-1.5, 1.5, size=dim)
+                x[tree.feature[node]] = tree.threshold[node]
+                probes.append(x)
+        for x in probes:
+            votes = FiniteClass(committee.members).predict(x)
+            expected = p_min + (1 - p_min) * loss.spread_many(votes, labels)
+            assert threshold.probability(x) == expected
+
+    def test_both_values_reached_on_a_stream(self, rng):
+        X, y = separable_prefix(rng, n=30)
+        y[::4] *= -1.0
+        committee = train_committee(X, y, rng, size=6,
+                                    params=TreeParams(max_depth=3, min_leaf=1))
+        loss = LossFunction("logistic", 1.0)
+        threshold = CommitteeThreshold(committee, loss, p_min=0.1)
+        split = 0.1 + 0.9 * loss.spread_many(np.array([-1.0, 1.0]), (-1.0, 1.0))
+        got = {threshold.probability(x) for x in rng.uniform(-1.0, 1.0, size=(200, 3))}
+        assert got == {0.1, split}
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), 0.5])
+    def test_wrong_shaped_input_rejected(self, rng, x):
+        X, y = separable_prefix(rng)
+        threshold = CommitteeThreshold(train_committee(X, y, rng, size=3),
+                                       LossFunction("logistic"))
+        with pytest.raises(DimensionMismatchError, match=r"expected dimension 3, got"):
+            threshold.probability(x)
+
+    def test_members_must_be_trees_of_one_width(self, rng):
+        tree = DecisionTree.fit(rng.normal(size=(10, 2)), rng.choice([-1.0, 1.0], size=10))
+        linear = LinearPredictor(np.array([0.6, 0.8]))
+        loss = LossFunction("logistic")
+        for members in ((linear, linear), (tree, linear), (linear, tree)):
+            with pytest.raises(TypeError, match="DecisionTree"):
+                CommitteeThreshold(FiniteClass(members), loss)
+        # x fits no committee of two widths, so every p would be an error
+        wider = DecisionTree.fit(rng.normal(size=(10, 3)), rng.choice([-1.0, 1.0], size=10))
+        with pytest.raises(ValueError, match="one input width"):
+            CommitteeThreshold(FiniteClass((tree, wider)), loss)
+
+
+class TestPinnedFingerprint:
+    # Trace SHA-256, query count and both final test losses of two short
+    # bootstrap runs, recorded at commit db06a75. A change meant to keep
+    # bootstrap behaviour must reproduce them bit for bit.
+    PINNED = {
+        1: ("ef58849992259f6900469a04520587f8f75232e28b92eb44769b6c83d8faf54f",
+            137, 0.42128822669285837, 0.3984443409044186),
+        2: ("05743da06e488eddb4ef98088f4d4a042adfcddbf4b6685f99239775543ca114",
+            70, 0.35275656932753896, 0.39082971230827196),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_short_run_reproduces_the_pinned_fingerprint(self, seed, tmp_path):
+        config = harness.ExperimentConfig.from_dict({
+            "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
+            "strategy": "bootstrap", "loss_kind": "logistic",
+            "train_size": 300, "test_size": 100, "seed": seed})
+        report = harness.run_experiment(config)
+        trace = harness.emit_curves(report, tmp_path)["trace"]
+        digest = hashlib.sha256(Path(trace).read_bytes()).hexdigest()
+        assert (digest, report.active.queries, report.active.final_loss,
+                report.passive.final_loss) == self.PINNED[seed]
 
 
 class TestCosting:

@@ -78,6 +78,23 @@ class TestConfig:
                         range_bound=range_bound)
         assert base_config(loss_kind="squared", range_bound=1e154).range_bound == 1e154
 
+    @pytest.mark.parametrize("loss_kind", ["logistic", "hinge", "squared", "absolute"])
+    def test_bootstrap_range_below_the_tree_votes_rejected(self, loss_kind):
+        # trees predict -1 and +1, outside [-b, b] for b < 1: rejected when
+        # the config is built, not partway into the stream
+        with pytest.raises(ConfigError, match=r"^bootstrap trees predict -1 and \+1, "
+                                              r"so range_bound must be at least 1, got 0\.5$"):
+            base_config(strategy="bootstrap", loss_kind=loss_kind, range_bound=0.5)
+        assert base_config(strategy="bootstrap", loss_kind=loss_kind,
+                           range_bound=1.0).range_bound == 1.0
+
+    def test_zero_one_bootstrap_reads_no_range_bound(self):
+        # zero-one predictions are -1 or +1 whatever the range bound
+        report = run_experiment(base_config(strategy="bootstrap", loss_kind="zero-one",
+                                            range_bound=0.5, train_size=60,
+                                            test_size=20))
+        assert 0.0 <= report.active.final_loss <= 1.0
+
     def test_config_echo_round_trips(self):
         config = base_config()
         clone = ExperimentConfig.from_dict(config.to_dict())

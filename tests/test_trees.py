@@ -480,9 +480,10 @@ class TestFitMany:
         rng = np.random.default_rng(seed)
         datasets = [_dataset(kind, n, d, rng) for kind, n in shapes]
         if large_at is not None:
-            # one dataset above the forest bound, grown alone
-            datasets.insert(min(large_at, len(datasets)),
-                            _dataset("random", trees._FOREST_ROWS + 37, d, rng))
+            # one dataset above the forest bound, grown alone (a dataset
+            # without features is sorted as one constant column)
+            datasets.insert(min(large_at, len(datasets)), _dataset(
+                "random", trees._FOREST_CELLS // max(d, 1) + 37, d, rng))
         # the datasets as consecutive blocks of one shared (X, y), then nested
         # prefixes and costing-style subsets of the prefixes, as the bootstrap
         # arms pass them
@@ -505,10 +506,16 @@ class TestFitMany:
                 a, b = getattr(tree, name), getattr(alone, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
-    def test_each_forest_holds_at_most_the_row_bound(self, monkeypatch, rng):
-        sizes = [1, 700, 900, 400, 3000, 5, 2048, 2047, 1, 1200, 900, 60]
-        X, y = rng.normal(size=(3000, 3)), rng.choice([-1.0, 1.0], size=3000)
-        subsets = [np.sort(rng.choice(3000, size=n, replace=False)) for n in sizes]
+    def test_each_forest_holds_at_most_the_cell_bound(self, monkeypatch, rng):
+        # the bound counts rows times features; with 3 features it allows
+        # `cap` rows
+        d = 3
+        cap = trees._FOREST_CELLS // d
+        sizes = [1, cap // 3, cap // 3, cap // 4, cap + 952, 5, cap, cap - 1, 1,
+                 cap * 3 // 5, cap * 9 // 20, 60]
+        n = max(sizes)
+        X, y = rng.normal(size=(n, d)), rng.choice([-1.0, 1.0], size=n)
+        subsets = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
         read, forests = [], []
         grow = trees._grow
 
@@ -526,11 +533,14 @@ class TestFitMany:
         assert len(grown) == len(subsets)
         for rows, roots, _ in forests:
             assert rows == sum(roots)
-            assert rows <= trees._FOREST_ROWS or len(roots) == 1
-        # consecutive subsets, in order, greedily packed
-        assert [n for _, roots, _ in forests for n in roots] == sizes
+            assert rows * d <= trees._FOREST_CELLS or len(roots) == 1
+        # consecutive subsets, in order, greedily packed; only the subset
+        # above the bound forms a forest over it
+        assert [k for _, roots, _ in forests for k in roots] == sizes
         assert [roots for _, roots, _ in forests] == [
-            [1, 700, 900, 400], [3000], [5], [2048], [2047, 1], [1200], [900, 60]]
+            sizes[0:4], [cap + 952], [5], [cap], [cap - 1, 1], [cap * 3 // 5],
+            [cap * 9 // 20, 60]]
+        assert [rows > cap for rows, *_ in forests].count(True) == 1
         # a forest is grown once the next subset would overflow it: read lazily
         assert [seen for *_, seen in forests] == [5, 6, 7, 8, 10, 11, 12]
 
@@ -563,16 +573,20 @@ class TestFitMany:
     def test_one_argsort_per_call_whatever_the_forests(self, monkeypatch, rng):
         # every feature is sorted once over the shared rows; each tree's root
         # order is that order filtered to its rows
-        X, y = rng.normal(size=(1500, 4)), rng.choice([-1.0, 1.0], size=1500)
+        X = rng.normal(size=(trees._FOREST_CELLS // 4, 4))
+        y = rng.choice([-1.0, 1.0], size=len(X))
         calls, forests = [], []
         argsort, grow = np.argsort, trees._grow
         monkeypatch.setattr(np, "argsort",
                             lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
         monkeypatch.setattr(trees, "_grow", lambda *args:
                             forests.append(1) or grow(*args))
-        grown = DecisionTree.fit_many(X, y, (np.arange(n) for n in range(100, 1501, 100)),
+        # eighths of the rows a forest of 4 features holds: six forests
+        cap = trees._FOREST_CELLS // 4
+        grown = DecisionTree.fit_many(X, y, (np.arange(n) for n in
+                                             range(cap // 8, cap + 1, cap // 8)),
                                       TreeParams(max_depth=8, min_leaf=1))
-        assert len(grown) == 15 and len(forests) > 5
+        assert len(grown) == 8 and len(forests) == 6
         assert max(tree.depth() for tree in grown) == 8
         assert len(calls) == 1
 

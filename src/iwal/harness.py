@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError("train and test sizes must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must lie in (0, 1)")
+        if not 0.0 < self.slack_constant < math.inf:
+            raise ConfigError(f"slack_constant must be positive and finite, got "
+                              f"{self.slack_constant}")
         if not 0.0 <= self.p_min <= 1.0:
             raise ConfigError("p_min must lie in [0, 1]")
         if self.replicates < 1:

@@ -15,16 +15,32 @@ trust-region loop along the tilted path u(s) = argmin over the ball of
 L(u) + s x . u, each point warm from the last. The cap's own minimizer u(0)
 anchors the path, and phi(s) = L(u(s)) - b rises with s to a root s* at which
 u(s*) is optimal, 1/s* being the cap's Lagrange multiplier (Boyd &
-Vandenberghe, Convex Optimization, ch. 5). phi is quadratic in s near 0, so
-the root is found by Newton's method in r = s^2, with d phi / dr from the KKT
-system, safeguarded by a bracket that is bisected geometrically. Weak duality
-makes every s a certificate: x . u(s) + (phi(s) - eps) / s is a lower bound D
-on the optimum, eps the inner solve's KKT gap. The primal bound P is x . u at
-u(s) when it meets the cap, and else at its blend with u(0) that the cap's
-convexity makes feasible. The search stops when P - D meets the gap target.
+Vandenberghe, Convex Optimization, ch. 5). In r = s^2, psi = phi + delta,
+delta = -phi(0), rises linearly from 0 and levels off as u(s) nears the ball
+optimum, so it is modelled as a r / (1 + k r), the rational model of More &
+Sorensen's secular equation. The first step is Newton's in r from r = 0; each
+later one is Newton's in t = 1/r on 1/psi - 1/delta, which that model makes
+linear in t, so the step is exact on it. d phi / dr comes from the KKT
+system, and a bracket that is bisected geometrically safeguards each step.
+The inner solve of a Newton step is inexact (Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 1982): it stops at a gap of a tenth of the last
+|phi|, never below the tight gap s * gap_target / 2, and its point is kept
+once it has moved and its gap eps is at most a tenth of its own |phi|; else,
+and for every bisection step, the solve goes on to the tight gap. A tight
+point brackets the root at its r. A loose one, which may lie on the wrong
+side of a root close by, places it only within (1 -+ eps/|phi|)^-2 r: the
+dual x . u + mu (L(u) - b), minimized over the ball, is concave in mu = 1/s,
+and an eps-optimal u(s) gives a line above it, off by at most eps/s at mu,
+whose slope is phi. Weak duality makes every s a certificate, whatever the
+inner gap: x . u(s) + (phi(s) - eps) / s is a lower bound D on the optimum.
+The primal bound P is x . u at u(s) when it meets the cap, and else at its
+blend with u(0) that the cap's convexity makes feasible. The search stops
+when P - D meets the gap target.
 The cap keeps its last point's derivatives and Hessian eigendecomposition,
 which the next step and the path rate both read (on the ball the rate shifts
-the eigenvalues by 2 lam), so each point is evaluated and factored once.
+the eigenvalues by 2 lam), so each point is evaluated and factored once. It
+also keeps u(0) and its facts, so the two ends of a prediction interval,
+which minimize over one cap from one start, solve and factor the anchor once.
 d is small, so per-call overhead would dominate NumPy operations on d-vectors:
 the model's secular iteration and the path rate run on d Python floats in the
 Hessian's eigenbasis.
@@ -43,6 +59,7 @@ from .losses import LossFunction
 _INSIDE = 1.0 - 1e-12      # ||u||^2 / B that keeps iterates strictly inside
 _ON_BALL = 1.0 - 1e-9      # ||u||^2 / B from which the path runs on the ball
 _FLAT = 1e-12              # relative curvature or gradient taken as zero
+_INEXACT = 0.1             # a loose tilted solve's gap as a share of |phi|
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,8 @@ class WeightedLossCap:
     """sum_i w_i * loss(u . x_i, y_i) - bound <= 0, losses normalized.
 
     It keeps the last point's margins, value and, once asked for, read-only
-    gradient, Hessian and Hessian eigendecomposition."""
+    gradient, Hessian and Hessian eigendecomposition; the same for its
+    minimizer over the ball once `anchor` has solved it."""
 
     def __init__(self, loss: LossFunction, xs, ys, ws, bound: float):
         self.loss = loss
@@ -85,14 +103,31 @@ class WeightedLossCap:
         self.ws = np.asarray(ws, dtype=float)
         self.bound = float(bound)
         self._key, self._known = None, {}    # u's bytes, and what is known at u
+        self._anchor, self._anchor_at = None, (None, None)   # see anchor()
 
     def _at(self, u):
         key = u.tobytes()
         if key != self._key:
-            z = self.xs @ u
-            f = float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
-            self._key, self._known = key, {"margins": z, "value": f}
+            if key == self._anchor_at[0]:
+                self._key, self._known = self._anchor_at
+            else:
+                z = self.xs @ u
+                f = float(self.ws @ self.loss.smooth_value_many(z, self.ys)) - self.bound
+                self._key, self._known = key, {"margins": z, "value": f}
         return self._known
+
+    def anchor(self, norm_bound, start, options):
+        """(the cap's trust-region minimizer over the ball from `start`, the
+        Newton steps this call took). It is solved once per start, ball and
+        options, so a repeat call takes 0 steps, and what is known at its
+        point is kept beside the last point's."""
+        key = (start.tobytes(), norm_bound, options)
+        if self._anchor is None or self._anchor[0] != key:
+            result = _trust_region(self, norm_bound, start, options.gap_target, options)[0]
+            self._anchor = key, result
+            self._anchor_at = result.point.tobytes(), self._at(result.point)
+            return result, result.diagnostics.newton_steps
+        return self._anchor[1], 0
 
     def value(self, u):
         return self._at(u)["value"]
@@ -259,14 +294,18 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
     Without an active cap the ball optimum -sqrt(norm_bound) * x/||x|| is
     analytic. Otherwise the cap's minimizer u0 over the ball, warm from
     `start`, anchors the tilted path u(s) = argmin L(u) + s x . u, and a
-    safeguarded Newton search in r = s^2 walks it to the root of
-    phi(s) = cap(u(s)). Every s gives the dual bound x . u(s) + (phi - eps)/s
-    below the optimum, eps the inner solve's gap; the returned point is the
-    best feasible one met, u(s) or its blend with u0 toward the cap, pulled
-    slightly further toward u0 so the cap holds strictly. `value` minus
-    `final_gap` is the best dual bound, so [value - final_gap, value] holds
-    the exact optimum. `outer_stages` counts level-set iterations and
-    `newton_steps` all trust-region steps, the anchor's included.
+    safeguarded Newton search walks it to the root of phi(s) = cap(u(s)):
+    from r = s^2 = 0 in r, then in t = 1/r on 1/(phi + delta) - 1/delta,
+    delta = -phi(0). The inner solves of Newton steps stop at a tenth of the
+    last |phi| (see the module docstring). Every s gives the dual bound
+    x . u(s) + (phi - eps)/s below the optimum, eps the inner solve's gap;
+    the returned point is the best feasible one met, u(s) or its blend with
+    u0 toward the cap, pulled slightly further toward u0 so the cap holds
+    strictly. `value` minus `final_gap` is the best dual bound, so
+    [value - final_gap, value] holds the exact optimum. `outer_stages` counts
+    level-set iterations and `newton_steps` all trust-region steps. The cap
+    solves u0 once per start, ball and options, so over the two ends of an
+    interval the anchor's steps count once, in the end that solved it.
     """
     options = options or DEFAULT_OPTIONS
     direction = np.asarray(direction, dtype=float)
@@ -280,39 +319,64 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(ball_opt, float(direction @ ball_opt), diag)
     u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
-    anchor, grad = _trust_region(loss_cap, norm_bound, u, options.gap_target, options)
+    anchor, anchor_steps = loss_cap.anchor(norm_bound, u, options)
     u0, delta = anchor.point, -anchor.value
     if not delta > 0.0:
         raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
-    diag = SolverDiagnostics(newton_steps=anchor.diagnostics.newton_steps)
+    diag = SolverDiagnostics(newton_steps=anchor_steps)
     anchor_value = float(direction @ u0)
     best = (anchor_value, 1.0, u0)       # (primal bound, weight on u0, u(s))
     lower = -math.inf
-    lo, hi = 0.0, math.inf               # r = s^2 with phi(lo) < 0 <= phi(hi)
-    r, phi, last_phi, u = 0.0, -delta, math.inf, u0
+    lo, hi = 0.0, math.inf               # r = s^2 bracketing the root
+    r, phi, margin, last_phi, u = 0.0, -delta, 0.0, math.inf, u0
+    grad = loss_cap.derivatives(u0)[0]
     rate = _path_rate(direction, u0, grad, *loss_cap.eigh(u0), norm_bound)
     for _ in range(options.max_newton):
+        # the point at r places the root within (1 -+ margin)^-2 r; a tight
+        # one has margin 0
         if phi < 0.0:
-            lo = r
-        else:
-            hi = r
-        step = r - phi / rate if rate > 0.0 else math.nan
-        if not lo < step < hi or abs(phi) > 0.5 * last_phi:
+            lo = max(lo, r / (1.0 + margin) ** 2)
+        elif margin < 1.0:
+            hi = min(hi, r / (1.0 - margin) ** 2)
+        step = math.nan
+        if rate > 0.0 and r == 0.0:
+            step = -phi / rate      # Newton in r from the anchor
+        elif rate > 0.0 and phi + delta > 0.0:
+            # Newton in t = 1/r on 1/psi - 1/delta, psi = phi + delta
+            turn = 1.0 + phi * (phi + delta) / (delta * rate * r)
+            if turn > 0.0:
+                step = r / turn
+        newton = lo < step < hi and abs(phi) <= 0.5 * last_phi
+        if not newton:
             if math.isinf(hi):
                 step = 16.0 * r if r > 0.0 else (delta / (norm * math.sqrt(norm_bound))) ** 2
             else:
                 step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
         stalled, r, last_phi, s = step == r, step, abs(phi), math.sqrt(step)
-        result, grad = _trust_region(loss_cap, norm_bound, u, 0.5 * s * options.gap_target,
+        tight = 0.5 * s * options.gap_target
+        result, grad = _trust_region(loss_cap, norm_bound, u,
+                                     max(tight, _INEXACT * last_phi) if newton else tight,
                                      options, s * direction)
+        steps, phi, eps = (result.diagnostics.newton_steps, loss_cap.value(result.point),
+                           result.diagnostics.final_gap)
+        if eps > tight and not (steps > 0 and eps <= _INEXACT * abs(phi)):
+            # an unmoved loose point tells nothing new, and one near the root
+            # brackets it loosely: solve on to the tight gap
+            result, grad = _trust_region(loss_cap, norm_bound, result.point, tight,
+                                         options, s * direction)
+            steps, phi, eps = (steps + result.diagnostics.newton_steps,
+                               loss_cap.value(result.point), result.diagnostics.final_gap)
+        if eps <= tight:
+            margin = 0.0
+        else:
+            margin = eps / abs(phi) if phi else math.inf
         if stalled and np.array_equal(result.point, u):
             break    # the bracket shut on inexact inner solves: rounds would repeat
         diag.outer_stages += 1
-        diag.newton_steps += result.diagnostics.newton_steps
+        diag.newton_steps += steps
         u = result.point
-        phi = loss_cap.value(u)
         value = float(direction @ u)
-        lower = max(lower, value + (phi - result.diagnostics.final_gap) / s)
+        lower = max(lower, value + (phi - eps) / s)
         # the cap is convex, so this blend with u0 meets it
         weight = 1.0 - delta / (max(phi, 0.0) + delta) * _INSIDE
         upper = weight * anchor_value + (1.0 - weight) * value

@@ -40,6 +40,8 @@ def slack_width(t: int, class_size: int, confidence: float,
         raise ValueError("class size must be at least 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    if not 0.0 < constant < math.inf:
+        raise ValueError("slack constant must be positive and finite")
     if t == 0:
         return math.inf
     return math.sqrt(
@@ -174,6 +176,7 @@ class LossWeightingLinear:
         self.solve_count = 0
         self.interval_newton_steps = 0
         self.interval_outer_steps = 0
+        self.interval_shortcuts = 0
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
@@ -214,7 +217,8 @@ class LossWeightingLinear:
     def prediction_interval(self, x) -> tuple[float, float]:
         """[min, max] of u . x over the ball under the retained constraint,
         each end widened by its certified gap: one linear minimization per
-        end, analytic while the cap is inactive."""
+        end, analytic while the cap is inactive. Both ends share one cap,
+        which solves its minimizer over the ball, the anchor, once."""
         x = np.asarray(x, dtype=float)
         if float(np.linalg.norm(x)) == 0.0:
             return 0.0, 0.0
@@ -226,6 +230,7 @@ class LossWeightingLinear:
         for end in (low.diagnostics, high.diagnostics):
             self.interval_newton_steps += end.newton_steps
             self.interval_outer_steps += end.outer_stages
+            self.interval_shortcuts += end.used_shortcut
         lo = low.value - low.diagnostics.final_gap
         hi = -high.value + high.diagnostics.final_gap
         if lo > hi:
@@ -246,6 +251,7 @@ class LossWeightingLinear:
             "erm_solves": self.engine.erm_solves,
             "interval_newton_steps": self.interval_newton_steps,
             "interval_outer_steps": self.interval_outer_steps,
+            "interval_shortcuts": self.interval_shortcuts,
         }
 
 

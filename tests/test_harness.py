@@ -7,6 +7,7 @@ import pytest
 
 from iwal import bootstrap as bs
 from iwal import harness, solver, trees
+from iwal.cli import main
 from iwal.engine import ArrayOracle, Engine
 from iwal.errors import ConfigError
 from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
@@ -53,6 +54,21 @@ class TestConfig:
             base_config(confidence=0.0)
         with pytest.raises(ConfigError):
             base_config(p_min=1.5)
+
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan, math.inf])
+    def test_slack_constant_must_be_positive_and_finite(self, constant):
+        # each once built and died mid-stream, or ran with p stuck at 0
+        with pytest.raises(ConfigError, match="slack_constant must be positive and finite"):
+            base_config(strategy="loss-weighting-finite", slack_constant=constant)
+
+    def test_bad_slack_constant_exits_1_from_the_cli(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": {"kind": "sphere", "dim": 3}, "strategy": "loss-weighting-finite",
+            "train_size": 60, "test_size": 40, "seed": 3, "slack_constant": -1.0}))
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: slack_constant must be positive and finite, got -1.0\n"
 
     def test_removed_erm_every_key_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown config keys \['erm_every'\]"):
@@ -189,6 +205,26 @@ class TestRunExperiment:
             assert diagnostics[key] > 0, key
         # the passive twin queries every row: one solve per checkpoint
         assert diagnostics["erm_solves"] == len(solves) - len(report.passive.checkpoints)
+
+    def test_interval_shortcuts_reach_the_summary(self, tmp_path, monkeypatch):
+        shortcuts = []
+        solve = solver.minimize_linear
+
+        def counted(*args):
+            result = solve(*args)
+            shortcuts.append(result.diagnostics.used_shortcut)
+            return result
+
+        monkeypatch.setattr(solver, "minimize_linear", counted)
+        config = base_config(strategy="loss-weighting-linear",
+                             slack_mode="optimistic", train_size=60,
+                             test_size=40)
+        report = run_experiment(config)
+        paths = emit_curves(report, tmp_path)
+        with open(paths["summary"]) as fh:
+            diagnostics = json.load(fh)["active"]["diagnostics"]
+        assert diagnostics["interval_solves"] == len(shortcuts)
+        assert 0 < diagnostics["interval_shortcuts"] == sum(shortcuts) < len(shortcuts)
 
     def test_bootstrap_pipeline(self):
         config = base_config(strategy="bootstrap", loss_kind="zero-one",

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from iwal import solver
+from iwal.engine import Engine
 from iwal.errors import InfeasibleStartError, SolverConvergenceError
 from iwal.harness import run_experiment
 from iwal.losses import LossFunction
 from iwal.solver import (SolverDiagnostics, SolverOptions, SolverResult,
                          WeightedLossCap, minimize_linear, minimize_weighted_loss)
+from iwal.thresholds import LossWeightingLinear
 
 from conftest import linear_stream_config
 
@@ -665,14 +667,112 @@ def test_linear_stream_p_rounds_up_from_barrier_interval(kind, seed):
     assert min(rises) >= -1e-12 and max(rises) <= P_TOLERANCE
 
 
+# A frozen copy of the path search as it ran before the saturating root model
+# and the inexact inner solves: Newton's method in r = s^2, every tilted solve
+# to 0.5 s gap_target, and each end solving its own anchor. Both searches stop
+# at the same certified gap, so the interval ends agree to the gap target and
+# p to P_TOLERANCE: the coins and the query count must not change, and the
+# final losses move by rounding-sized amounts.
+def _frozen_r_newton_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
+                                     options=None):
+    options = options or solver.DEFAULT_OPTIONS
+    direction = np.asarray(direction, dtype=float)
+    dim = len(direction)
+    norm = math.sqrt(float(direction @ direction))
+    if norm == 0.0:
+        diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
+        return SolverResult(np.zeros(dim), 0.0, diag)
+    ball_opt = -math.sqrt(norm_bound) * direction / norm
+    if loss_cap is None or loss_cap.value(ball_opt) <= 0.0:
+        diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
+        return SolverResult(ball_opt, float(direction @ ball_opt), diag)
+    u = np.zeros(dim) if start is None else solver._shrink_into_ball(start, norm_bound)
+    anchor, grad = solver._trust_region(loss_cap, norm_bound, u, options.gap_target, options)
+    u0, delta = anchor.point, -anchor.value
+    if not delta > 0.0:
+        raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
+    diag = SolverDiagnostics(newton_steps=anchor.diagnostics.newton_steps)
+    anchor_value = float(direction @ u0)
+    best = (anchor_value, 1.0, u0)
+    lower = -math.inf
+    lo, hi = 0.0, math.inf
+    r, phi, last_phi, u = 0.0, -delta, math.inf, u0
+    rate = solver._path_rate(direction, u0, grad, *loss_cap.eigh(u0), norm_bound)
+    for _ in range(options.max_newton):
+        if phi < 0.0:
+            lo = r
+        else:
+            hi = r
+        step = r - phi / rate if rate > 0.0 else math.nan
+        if not lo < step < hi or abs(phi) > 0.5 * last_phi:
+            if math.isinf(hi):
+                step = 16.0 * r if r > 0.0 else (delta / (norm * math.sqrt(norm_bound))) ** 2
+            else:
+                step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
+        stalled, r, last_phi, s = step == r, step, abs(phi), math.sqrt(step)
+        result, grad = solver._trust_region(loss_cap, norm_bound, u,
+                                            0.5 * s * options.gap_target, options,
+                                            s * direction)
+        if stalled and np.array_equal(result.point, u):
+            break
+        diag.outer_stages += 1
+        diag.newton_steps += result.diagnostics.newton_steps
+        u = result.point
+        phi = loss_cap.value(u)
+        value = float(direction @ u)
+        lower = max(lower, value + (phi - result.diagnostics.final_gap) / s)
+        weight = 1.0 - delta / (max(phi, 0.0) + delta) * solver._INSIDE
+        upper = weight * anchor_value + (1.0 - weight) * value
+        if upper < best[0]:
+            best = (upper, weight, u)
+        if best[0] - lower <= options.gap_target:
+            break
+        rate = solver._path_rate(direction, u, grad, *loss_cap.eigh(u), norm_bound)
+    else:
+        raise SolverConvergenceError("the tilted path search did not converge within "
+                                     "the iteration cap", iterate=u, diagnostics=diag)
+    _, weight, u = best
+    point, pull = weight * u0 + (1.0 - weight) * u, 1e-12
+    while not loss_cap.value(point) < 0.0:
+        pull = min(1.0, 64.0 * pull)
+        weight = 1.0 - (1.0 - weight) * (1.0 - pull)
+        point = weight * u0 + (1.0 - weight) * u
+    value = float(direction @ point)
+    diag.final_gap = max(0.0, value - lower)
+    return SolverResult(point=point, value=value, diagnostics=diag)
+
+
+@pytest.mark.parametrize("kind", ("logistic", "squared"))
+def test_linear_stream_within_declared_tolerance_of_r_newton_search(kind):
+    config = linear_stream_config(kind, 1)
+    new = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "minimize_linear", _frozen_r_newton_minimize_linear)
+        frozen = run_experiment(config)
+    assert new.active.trace.q == frozen.active.trace.q
+    assert new.active.queries == frozen.active.queries
+    gaps = [abs(a - b) for a, b in zip(new.active.trace.p, frozen.active.trace.p)]
+    assert len(gaps) == 150 and max(gaps) <= P_TOLERANCE
+    assert abs(new.active.final_loss - frozen.active.final_loss) <= 1e-9
+    assert abs(new.passive.final_loss - frozen.passive.final_loss) <= 1e-9
+    # the point of the change: fewer trust-region steps on the same intervals
+    assert (new.active.diagnostics["interval_newton_steps"]
+            < frozen.active.diagnostics["interval_newton_steps"])
+
+
 # One factorization and one derivative pass per point. Each tilted solve
 # starts where the last ended and the path rate reads the Hessian there, so a
 # capped solve factors each point it steps from or takes the rate at once.
+# The two ends of an interval share the cap's anchor, solved and factored
+# once and its steps counted in the end that solved it, so the pair too
+# factors each point once.
 @contextlib.contextmanager
 def _counting_work():
-    """Counts of `np.linalg.eigh` and `smooth_derivatives_many` calls."""
-    counts = {"eigh": 0, "derivatives": 0}
+    """Counts of `np.linalg.eigh` and `smooth_derivatives_many` calls, and of
+    untilted `_trust_region` solves (anchors)."""
+    counts = {"eigh": 0, "derivatives": 0, "anchors": 0}
     eigh, derivatives = np.linalg.eigh, LossFunction.smooth_derivatives_many
+    trust_region = solver._trust_region
 
     def counted_eigh(*args, **kwargs):
         counts["eigh"] += 1
@@ -682,18 +782,31 @@ def _counting_work():
         counts["derivatives"] += 1
         return derivatives(*args, **kwargs)
 
+    def counted_trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
+        counts["anchors"] += tilt is None
+        return trust_region(objective, norm_bound, u, gap_target, options, tilt)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigh", counted_eigh)
         patch.setattr(LossFunction, "smooth_derivatives_many", counted_derivatives)
+        patch.setattr(solver, "_trust_region", counted_trust_region)
         yield counts
 
 
 def _assert_one_factorization_per_point(direction, norm_bound, cap, start):
+    """Both ends, x and -x, over one cap: each point is factored once, the
+    first end's alone and the pair's, and the anchor is solved once."""
     with _counting_work() as counts:
         result = minimize_linear(direction, norm_bound, cap, start)
-    steps = result.diagnostics.newton_steps
+        steps = result.diagnostics.newton_steps
+        assert counts["eigh"] <= steps + 1
+        assert counts["derivatives"] <= steps + 1
+        other = minimize_linear(-direction, norm_bound, cap, start)
+    steps += other.diagnostics.newton_steps
     assert counts["eigh"] <= steps + 1
     assert counts["derivatives"] <= steps + 1
+    shortcuts = result.diagnostics.used_shortcut + other.diagnostics.used_shortcut
+    assert counts["anchors"] == (shortcuts < 2)
     return result
 
 
@@ -731,6 +844,34 @@ class TestWorkPerPoint:
             direction = rng.normal(size=xs.shape[1])
         _assert_one_factorization_per_point(direction, norm_bound, cap,
                                             base.point if warm else None)
+
+
+def test_one_anchor_per_prediction_interval(rng):
+    # a 5-d stream whose cap binds: each interval solves the anchor once and
+    # factors each point of its two ends once
+    loss = LossFunction("logistic", 1.0)
+    threshold = LossWeightingLinear(5, 1.0, loss, slack_mode="optimistic")
+    engine = Engine(loss, threshold, rng)
+    for _ in range(60):
+        engine.step(rng.normal(size=5), lambda i, x: 1.0 if x[0] - 0.3 * x[1] > 0 else -1.0)
+    threshold.minimizer()       # the ERM is fresh: the intervals run no ERM solve
+    threshold.t += 1
+    minimize, binding = solver.minimize_linear, 0
+    for _ in range(20):
+        ends = []
+        with _counting_work() as counts, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "minimize_linear",
+                          lambda *args: ends.append(minimize(*args)) or ends[-1])
+            threshold.prediction_interval(rng.normal(size=5))
+        low, high = (end.diagnostics for end in ends)
+        if low.used_shortcut and high.used_shortcut:
+            continue
+        binding += 1
+        steps = low.newton_steps + high.newton_steps
+        assert counts["anchors"] == 1
+        assert counts["eigh"] <= steps + 1
+        assert counts["derivatives"] <= steps + 1
+    assert binding >= 5
 
 
 class TestCapCache:

@@ -47,6 +47,11 @@ class TestSlack:
         with pytest.raises(ValueError):
             slack_width(5, 8, 1.5)
 
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, math.nan, math.inf])
+    def test_constant_must_be_positive_and_finite(self, constant):
+        with pytest.raises(ValueError, match="slack constant must be positive and finite"):
+            slack_width(5, 8, 0.1, constant=constant)
+
     def test_configurable_constant(self):
         assert slack_width(10, 4, 0.1, constant=2.0) == pytest.approx(
             slack_width(10, 4, 0.1) / 2.0)

@@ -5,7 +5,8 @@ twin) and writes curve/summary/trace files; `compare` does the same and
 prints an active-vs-passive table; `probe` exposes the theory probes
 (distance, disagreement coefficient, hard-instance generation, closed-form
 bounds) as JSON. Exit codes: 0 success, 1 configuration error (a probe flag
-value that its objects reject is one), 2 runtime or solver error; argparse
+value that its objects reject is one, as is an --out that cannot be made or
+written, checked before an experiment runs), 2 runtime or solver error; argparse
 also exits 2 on a malformed command line, such as a flag outside its choices.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -45,6 +47,15 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_apply_overrides(payload, args))
 
 
+def _make_out_dir(out: str) -> None:
+    """Make the output directory before the experiment runs, so that an
+    unusable --out is a config error up front."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from None
+
+
 def _emit_all(reports, out) -> list:
     """Each report's output paths; file names carry the seed when replicated."""
     return [emit_curves(r, out, f"seed{r.seed}" if len(reports) > 1 else "")
@@ -52,7 +63,9 @@ def _emit_all(reports, out) -> list:
 
 
 def cmd_run(args) -> int:
-    reports, aggregate = run_replicates(_load_config(args))
+    config = _load_config(args)
+    _make_out_dir(args.out)
+    reports, aggregate = run_replicates(config)
     for report, paths in zip(reports, _emit_all(reports, args.out)):
         print(f"seed {report.seed}: queries {report.active.queries}"
               f"/{report.steps} ({report.query_fraction():.1%}),"
@@ -68,7 +81,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports, aggregate = run_replicates(_load_config(args))
+    config = _load_config(args)
+    if args.out:
+        _make_out_dir(args.out)
+    reports, aggregate = run_replicates(config)
     if args.out:
         _emit_all(reports, args.out)
     header = f"{'seed':>6} {'queries':>9} {'fraction':>9} {'active':>10} {'passive':>10}"
@@ -91,8 +107,11 @@ def cmd_compare(args) -> int:
 def _emit_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from None
         print(f"wrote {out}")
     else:
         print(text)

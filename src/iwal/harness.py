@@ -279,7 +279,10 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         if not isinstance(opts["path"], (str, os.PathLike)):
             raise ConfigError(f"dataset path must be a string, got "
                               f"{type(opts['path']).__name__} {opts['path']!r}")
-        X, y = load_dataset(opts["path"], opts["format"])
+        try:
+            X, y = load_dataset(opts["path"], opts["format"])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read dataset {opts['path']}: {exc}") from None
         if len(X) < n:
             raise ConfigError(
                 f"dataset has {len(X)} rows, need {n} for the requested split"
@@ -452,6 +455,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     if config.standardize:
         X_train, X_test = _standardize(X_train, X_test)
     loss = LossFunction(config.loss_kind, config.range_bound)
+    for label in support:
+        _built(f"{config.loss_kind} loss", loss.check_label, label)
     dim = X_train.shape[1]
 
     if config.strategy == "bootstrap":

@@ -12,6 +12,7 @@ ERM reads directly; a finite class predicts all its members in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,8 +238,9 @@ class LinearBall:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if not self.norm_bound > 0:
-            raise ValueError("norm_bound must be positive")
+        if not 0 < self.norm_bound < math.inf:
+            raise ValueError(f"norm_bound must be positive and finite, got "
+                             f"{self.norm_bound}")
 
 
 def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,

@@ -71,7 +71,8 @@ class LossFunction:
         """Unnormalized loss, elementwise, without domain checks."""
         return _RAW[self.kind](z, y)
 
-    def _check_label(self, y: float) -> None:
+    def check_label(self, y: float) -> None:
+        """ValueError unless y is a label this kind accepts."""
         if self.kind in ("squared", "absolute"):
             if abs(y) > 1.0 + _DOMAIN_TOL:
                 raise ValueError(f"label {y} outside [-1, 1]")
@@ -93,7 +94,7 @@ class LossFunction:
         elif z.size and np.abs(z).max() > self.range_bound + _DOMAIN_TOL:
             raise PredictionDomainError(
                 f"prediction outside [-{self.range_bound}, {self.range_bound}]")
-        self._check_label(y)
+        self.check_label(y)
         return self._raw(z, y) / self.normalizer
 
     # -- smooth surrogate interface for the convex solver ---------------------
@@ -181,7 +182,7 @@ class LossFunction:
             lo = hi
         spread = 0.0
         for y in labels:
-            self._check_label(y)
+            self.check_label(y)
             # quasi-convex in z, least at z = y: the extremes lie among these
             points = (lo, hi, y) if lo <= y <= hi else (lo, hi)
             values = self._raw(np.array(points), y) / self.normalizer

@@ -15,17 +15,15 @@ over scalar gains grows.
 Selection by band. Let M be a node's largest vector gain and j* the first
 cut in scan order whose gain is at least M - _NEAR (1e-13). `fit` keeps j*
 unless some gain lies in the band [M - (_MIN_GAIN + _NEAR + _CERTIFY),
-M - _NEAR). Such a node goes to `_best_split`, which replays the rule and,
-when a comparison lies within _CERTIFY of its margin, recomputes the gains
-with the scalar `_entropy` and replays again. Outside the band every gain is
-near (>= M - _NEAR) or far (< M - _MIN_GAIN - _NEAR - _CERTIFY). With the
-vector-scalar gap below _CERTIFY / 2, on vector and on scalar gains alike:
+M - _NEAR). Such a node goes to `_best_split`, the exact path, which runs
+the sequential scan over scalar gains itself. Outside the band every gain
+is near (>= M - _NEAR) or far (< M - _MIN_GAIN - _NEAR - _CERTIFY). With
+the vector-scalar gap below _CERTIFY / 2, on scalar gains:
   - every cut before j* is far, so the cut kept when the scan reaches j* is
     below j* by more than _MIN_GAIN, and j* replaces it;
-  - every later gain is at most M, above j* by less than _MIN_GAIN, so
-    nothing replaces j*.
-So the replay, its scalar certification and the sequential scan over scalar
-gains all keep j*.
+  - every later gain is at most M + _CERTIFY / 2, above j* by less than
+    _MIN_GAIN, so nothing replaces j*.
+So the sequential scan over scalar gains keeps j*.
 
 Candidate cuts. A depth computes gains only at candidate cuts: allowed cuts
 with a label change across them (the rows on their two sides differ in
@@ -151,73 +149,32 @@ def _entropy_many(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return h
 
 
-def _entropy_exact(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """`_entropy` called once per element, for certifying near-ties."""
-    return np.frompyfunc(_entropy, 2, 1)(n_pos, n).astype(float)
-
-
-def _scan(gains: np.ndarray):
-    """Replay the tie rule over gains in scan order (-inf marks a cut that is
-    not allowed). Returns (kept index or None, whether any comparison of the
-    replay lies within _CERTIFY of its margin)."""
-    before = np.maximum.accumulate(np.concatenate(([-np.inf], gains)))[:-1]
-    rising = np.flatnonzero(gains > before)
-    if rising.size == 0:
-        return None, False
-    # Only a new running maximum can replace the kept cut, since the kept
-    # gain is never below the running maximum by more than _MIN_GAIN. One
-    # that tops the running maximum by more than _MIN_GAIN always does.
-    sure = gains[rising] > before[rising] + _MIN_GAIN
-    chain = rising[sure]
-    unsure = rising[~sure]
-    if unsure.size:
-        taken = []
-        for j, last_sure in zip(unsure.tolist(),
-                                chain[np.searchsorted(chain, unsure) - 1].tolist()):
-            kept = max(last_sure, taken[-1]) if taken else last_sure
-            if gains[j] > gains[kept] + _MIN_GAIN:
-                taken.append(j)
-        chain = np.union1d(chain, np.array(taken, dtype=chain.dtype))
-    # the kept cut at the time each later cut is compared against it
-    marks = np.full(gains.size, -1)
-    marks[chain] = chain
-    kept_before = np.maximum.accumulate(marks)[:-1]
-    margin = np.where(kept_before >= 0, gains[kept_before], np.inf) + _MIN_GAIN
-    close = bool(np.any(np.abs(gains[1:] - margin) <= _CERTIFY))
-    return int(chain[-1]), close
-
-
 def _best_split(values: np.ndarray, flags: np.ndarray, pos_total: int,
                 min_leaf: int):
-    """(feature, threshold) of one node's best entropy split, or None: the
-    exact replay of the tie rule, with scalar certification.
+    """(feature, threshold) of one node's best entropy split: the tie rule's
+    sequential scan over scalar `_entropy` gains, for a node with an allowed
+    cut.
 
     values and flags (label > 0) hold one row per feature, in that feature's
     sorted order. A cut after sorted position i leaves i + 1 points on the
-    left; min_leaf allows lo <= i < hi.
+    left; min_leaf allows min_leaf - 1 <= i < n - min_leaf.
     """
     n = values.shape[1]
-    lo, hi = min_leaf - 1, n - min_leaf
-    pos_left = np.cumsum(flags, axis=1)[:, lo:hi]
-    n_left = np.arange(lo + 1, hi + 1)
-    counts = np.array((pos_left, pos_total - pos_left))
-    sizes = np.array((n_left, n - n_left))[:, None]
-    allowed = values[:, lo:hi] != values[:, lo + 1:hi + 1]
     parent = _entropy(pos_total, n)
-
-    def gains(entropy):
-        h = entropy(counts, sizes)
-        child = (n_left * h[0] + sizes[1] * h[1]) / n
-        return np.where(allowed, parent - child, -np.inf).ravel()
-
-    best, close = _scan(gains(_entropy_many))
-    if close:
-        best, _ = _scan(gains(_entropy_exact))
-    if best is None:
-        return None
-    feature, i = divmod(best, hi - lo)
-    i += lo
-    return feature, 0.5 * (values[feature, i] + values[feature, i + 1])
+    values = values.tolist()
+    best = None
+    for feature, pos_left in enumerate(np.cumsum(flags, axis=1).tolist()):
+        row = values[feature]
+        for i in range(min_leaf - 1, n - min_leaf):
+            if row[i] == row[i + 1]:
+                continue
+            n_left, n_right = i + 1, n - i - 1
+            gain = parent - (n_left * _entropy(pos_left[i], n_left)
+                             + n_right * _entropy(pos_total - pos_left[i], n_right)) / n
+            if best is None or gain > best[0] + _MIN_GAIN:
+                best = gain, feature, i
+    _, feature, i = best
+    return feature, 0.5 * (values[feature][i] + values[feature][i + 1])
 
 
 def _select(cells: np.ndarray, gains: np.ndarray, node: np.ndarray,

@@ -133,6 +133,12 @@ class TestRun:
          "class_spec: norm_bound must be positive"),
         ({"strategy": "passive", "class_spec": {"kind": "linear", "norm_bound": -1.0}},
          "class_spec: norm_bound must be positive"),
+        # json writes and reads back the non-finite floats as Infinity and NaN
+        ({"strategy": "loss-weighting-linear",
+          "class_spec": {"kind": "linear", "norm_bound": float("inf")}},
+         "class_spec: norm_bound must be positive and finite, got inf"),
+        ({"class_spec": {"kind": "finite", "norm_bound": float("nan")}},
+         "class_spec: norm_bound must be positive and finite, got nan"),
         ({"dataset": {"kind": "file", "path": 5}},
          "dataset path must be a string, got int 5"),
     ])
@@ -168,6 +174,64 @@ class TestRun:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("name, message", [
+        ("nope.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unreadable_dataset_file_is_a_config_error(self, tmp_path, capsys,
+                                                       name, message):
+        path = tmp_path / name
+        config = write_config(tmp_path, dataset={"kind": "file", "path": str(path)})
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read dataset {path}: ")
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_that_is_a_file_fails_before_the_experiment(
+            self, tmp_path, capsys, monkeypatch, command):
+        import iwal.cli
+
+        def no_run(*args):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        monkeypatch.setattr(iwal.cli, "run_replicates", no_run)
+        config = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main([command, str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {out}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("loss_kind", ["logistic", "hinge", "zero-one"])
+    @pytest.mark.parametrize("strategy", ["loss-weighting-finite", "bootstrap"])
+    def test_labels_outside_the_loss_domain_are_a_config_error(
+            self, tmp_path, capsys, monkeypatch, loss_kind, strategy):
+        import iwal.harness
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the stream started before the labels were checked")
+
+        monkeypatch.setattr(iwal.harness, "_run_arm", no_stream)
+        config = write_config(tmp_path, strategy=strategy, loss_kind=loss_kind,
+                              dataset={"kind": "point-mass", "binary_labels": False},
+                              class_spec={"kind": "finite"})
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {loss_kind} loss: label must be -1 or +1, got 0.0\n"
+
+    @pytest.mark.parametrize("loss_kind", ["squared", "absolute"])
+    def test_real_labels_run_under_squared_and_absolute_loss(self, tmp_path, loss_kind):
+        config = write_config(tmp_path, loss_kind=loss_kind,
+                              dataset={"kind": "point-mass", "binary_labels": False},
+                              class_spec={"kind": "finite"})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["active"]["queries"] > 0
 
 
 class TestCompare:
@@ -239,6 +303,16 @@ class TestProbe:
         assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    def test_out_in_a_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["probe", "bounds", "--pmin", "0.5", "--class-size", "8",
+                     "--delta", "0.2", "--steps", "500", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert "No such file or directory" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("probe", ["rho", "theta"])

@@ -1,3 +1,5 @@
+import math
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -283,6 +285,13 @@ class TestFiniteClassPredict:
                 z = np.array([h.predict(x) for h in cls.members])
                 sums += w * loss.eval_many(z, y)
             assert erm_weighted(cls, sample, loss)[0] is cls.members[int(np.argmin(sums))]
+
+
+class TestLinearBall:
+    @pytest.mark.parametrize("norm_bound", [0.0, -1.0, math.inf, math.nan])
+    def test_norm_bound_must_be_positive_and_finite(self, norm_bound):
+        with pytest.raises(ValueError, match="norm_bound must be positive and finite"):
+            LinearBall(2, norm_bound)
 
 
 class TestLinearErm:

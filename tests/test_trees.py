@@ -193,39 +193,17 @@ class TestAgainstScalarSearch:
 
     def test_scalar_certification_path_gives_the_same_tree(self, monkeypatch):
         # a certification margin of 1 sends every node with a second
-        # allowed cut through the scalar recomputation
+        # allowed cut through the exact path, the scalar scan
         calls = []
-        exact = trees._entropy_exact
+        exact = trees._best_split
         monkeypatch.setattr(trees, "_CERTIFY", 1.0)
-        monkeypatch.setattr(trees, "_entropy_exact",
+        monkeypatch.setattr(trees, "_best_split",
                             lambda *args: calls.append(1) or exact(*args))
         for family in FAMILIES:
             for seed in range(8):
                 X, y, params = _sample(family, seed)
                 _assert_oracle_tree(DecisionTree.fit(X, y, params), X, y, params)
         assert calls
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_tie_rule_replay_matches_sequential_scan(self, seed):
-        # gains on a grid of 0.5e-12, so that comparisons fall inside the
-        # 1e-12 margin and right at it; -inf marks cuts that are not allowed
-        rng = np.random.default_rng(seed)
-        seen_close = False
-        for _ in range(200):
-            size = int(rng.integers(0, 40))
-            gains = rng.integers(0, 12, size=size) * 0.5e-12 + 0.3
-            gains[rng.random(size) < 0.3] = -np.inf
-            kept, close = None, False
-            for j, g in enumerate(gains.tolist()):
-                if g == -np.inf:
-                    continue
-                if kept is not None:
-                    close |= abs(g - (gains[kept] + 1e-12)) <= 1e-14
-                if kept is None or g > gains[kept] + 1e-12:
-                    kept = j
-            assert trees._scan(gains) == (kept, close)
-            seen_close |= close
-        assert seen_close
 
 
 class TestPredictMany:
@@ -348,8 +326,10 @@ class TestPresort:
 class TestDepthwiseSearch:
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_selection_matches_sequential_scan(self, seed):
-        # the gain grid of the replay test, many nodes packed side by side as
-        # column segments of one (features, columns) matrix
+        # gains on a grid of 0.5e-12, so that comparisons fall inside the
+        # 1e-12 margin and right at it (-inf marks cuts that are not allowed),
+        # many nodes packed side by side as column segments of one
+        # (features, columns) matrix
         rng = np.random.default_rng(seed)
         picked = flagged = 0
         for _ in range(20):

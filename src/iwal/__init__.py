@@ -20,8 +20,7 @@ from .instances import (DiscreteInstance, SphereInstance,
                         lower_bound_instance, point_mass_instance,
                         random_discrete_instance)
 from .losses import LossFunction
-from .solver import (SolverOptions, SolverResult, minimize_linear,
-                     minimize_weighted_loss)
+from .solver import SolverResult, minimize_linear, minimize_weighted_loss
 from .theory import (disagreement_coefficient, expected_query_bound,
                      loss_deviation_bound, loss_distance_exact,
                      loss_distance_mc, sphere_coefficient_bound)

@@ -1,13 +1,13 @@
 """Predictors, hypothesis classes, the weighted sample, and weighted ERM.
 
 Two class representations are supported: an explicit finite set of predictors
-(scanned exhaustively) and the ball of linear predictors with a squared-norm
-bound (handed to the ball solver). Linear predictions are clamped
-into the loss's prediction range so that normalized losses stay in [0, 1]
-even when the raw inner product exceeds the range.
+and the ball of linear predictors with a squared-norm bound. Linear
+predictions are clamped into the loss's prediction range so that normalized
+losses stay in [0, 1] even when the raw inner product exceeds the range.
 
-Each arm keeps its queried examples in one columnar `WeightedSample`, which
-ERM reads directly; a finite class predicts all its members in one call.
+Each arm keeps its queried examples in one columnar `WeightedSample`. A finite
+class predicts all its members on a point in one call; the engine's running
+member loss sums are its ERM. `erm_weighted` is the ball's, by the ball solver.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solver
 from .errors import DimensionMismatchError
 from .losses import LossFunction
 
@@ -210,18 +211,16 @@ class FiniteClass:
         return len(self.members)
 
     def predict(self, x) -> np.ndarray:
-        """Every member's prediction on x (each row of a 2-D x), in member order.
-        Linear members with one range bound, or threshold members, form a weight
+        """Every member's prediction on the point x, in member order. Linear
+        members with one range bound, or threshold members, form a weight
         matrix; each (1 x d)(d x 1) item of its batched matmul is the BLAS ddot
         of the member's `w @ x`, bit for bit, as long as x is used as given."""
         x, W = np.asarray(x, dtype=float), self._weights
-        if W is None and x.ndim > 1:
-            return np.array([self.predict(r) for r in x]).reshape(len(x), len(self))
         if W is None:
             return np.fromiter((h.predict(x) for h in self.members), float, len(self))
-        if x.shape[-1:] != W.shape[2:]:
+        if x.shape != W.shape[2:]:
             raise DimensionMismatchError(f"expected dimension {W.shape[2]}, got {x.shape}")
-        z = np.matmul(W, x[..., None, :, None])[..., 0, 0]
+        z = np.matmul(W, x[None, :, None])[:, 0, 0]
         if isinstance(self.members[0], ThresholdPredictor):
             return np.where(z >= 0, 1.0, -1.0)
         b = self.members[0].range_bound
@@ -243,30 +242,15 @@ class LinearBall:
                              f"{self.norm_bound}")
 
 
-def erm_weighted(hypothesis_class, sample: WeightedSample, loss: LossFunction,
+def erm_weighted(ball: LinearBall, sample: WeightedSample, loss: LossFunction,
                  start=None):
-    """Importance-weighted empirical risk minimizer over the class, and its
-    weighted loss sum over the sample's rows: (minimizer, sum).
-
-    Finite classes are scanned exhaustively; the first minimizer in member
-    order wins ties. The linear ball delegates to the trust-region solver
-    (smooth losses only), whose objective value is the sum. An empty sample
-    returns the canonical element, member 0 or the zero vector, with sum 0.
+    """The importance-weighted empirical risk minimizer over the linear ball
+    and its weighted loss sum over the sample's rows, (minimizer, sum), from
+    the trust-region solver (smooth losses only) warm from `start`. An empty
+    sample returns the zero vector with sum 0.
     """
-    if isinstance(hypothesis_class, FiniteClass):
-        sums = np.zeros(len(hypothesis_class))
-        Z = hypothesis_class.predict(sample.X) if len(sample) else ()
-        for z, y, w in zip(Z, sample.y.tolist(), sample.w.tolist()):
-            sums += w * loss.eval_many(z, y)
-        best = int(np.argmin(sums))
-        return hypothesis_class.members[best], float(sums[best])
-    if isinstance(hypothesis_class, LinearBall):
-        from . import solver  # deferred: solver imports losses
-
-        if not len(sample):
-            return LinearPredictor(np.zeros(hypothesis_class.dim), loss.range_bound), 0.0
-        result = solver.minimize_weighted_loss(
-            loss, sample.X, sample.y, sample.w, hypothesis_class.norm_bound,
-            start=start)
-        return LinearPredictor(result.point, loss.range_bound), result.value
-    raise TypeError(f"unsupported hypothesis class {type(hypothesis_class).__name__}")
+    if not len(sample):
+        return LinearPredictor(np.zeros(ball.dim), loss.range_bound), 0.0
+    result = solver.minimize_weighted_loss(
+        loss, sample.X, sample.y, sample.w, ball.norm_bound, start=start)
+    return LinearPredictor(result.point, loss.range_bound), result.value

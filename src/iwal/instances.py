@@ -33,7 +33,6 @@ class DiscreteInstance:
     label_values: np.ndarray
     label_probs: np.ndarray
     best: Optional[object] = None
-    best_loss: Optional[float] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -131,8 +130,7 @@ def lower_bound_instance(num_atoms: int, eta: float, eps: float,
     for i in range(1, num_atoms):
         table[tuple(points[i])] = float(bits[i - 1])
     best = TablePredictor(table)
-    inst = DiscreteInstance.binary(points, masses, p_plus, best=best,
-                                   best_loss=beta * (0.5 - gamma))
+    inst = DiscreteInstance.binary(points, masses, p_plus, best=best)
     return HardQueryInstance(inst, beta, gamma, bits, beta * (0.5 - gamma))
 
 

@@ -158,11 +158,9 @@ class LossFunction:
             return 1.0
         if self.kind == "hinge":
             return math.inf
-        if self.kind == "logistic":
+        if self.kind in ("logistic", "squared"):
             c0, c1 = self.derivative_bounds()
-            return c1 / c0
-        if self.kind == "squared":
-            return math.inf if b >= 1.0 else (1.0 + b) / (1.0 - b)
+            return c1 / c0 if c0 > 0.0 else math.inf
         # absolute: slope magnitude is 1 on both sides of the kink, but once
         # the kink is interior to Z the defining ratio degenerates
         return 1.0 if b <= 1.0 else math.inf

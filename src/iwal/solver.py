@@ -60,18 +60,11 @@ _INSIDE = 1.0 - 1e-12      # ||u||^2 / B that keeps iterates strictly inside
 _ON_BALL = 1.0 - 1e-9      # ||u||^2 / B from which the path runs on the ball
 _FLAT = 1e-12              # relative curvature or gradient taken as zero
 _INEXACT = 0.1             # a loose tilted solve's gap as a share of |phi|
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    gap_target: float = 1e-6
-    newton_tol: float = 1e-10      # stop after the step at decrement^2/2 below this
-    max_newton: int = 200          # per trust-region solve and per level-set search
-    armijo: float = 0.25
-    backtrack: float = 0.5
-
-
-DEFAULT_OPTIONS = SolverOptions()
+_GAP_TARGET = 1e-6         # certified suboptimality at which a solve stops
+_NEWTON_TOL = 1e-10        # stop after the step at decrement^2/2 below this
+_MAX_NEWTON = 200          # per trust-region solve and per level-set search
+_ARMIJO = 0.25             # sufficient-decrease share of the Newton slope
+_BACKTRACK = 0.5           # step scale per failed Armijo test
 
 
 @dataclass
@@ -116,14 +109,14 @@ class WeightedLossCap:
                 self._key, self._known = key, {"margins": z, "value": f}
         return self._known
 
-    def anchor(self, norm_bound, start, options):
+    def anchor(self, norm_bound, start):
         """(the cap's trust-region minimizer over the ball from `start`, the
-        Newton steps this call took). It is solved once per start, ball and
-        options, so a repeat call takes 0 steps, and what is known at its
-        point is kept beside the last point's."""
-        key = (start.tobytes(), norm_bound, options)
+        Newton steps this call took). It is solved once per start and ball,
+        so a repeat call takes 0 steps, and what is known at its point is
+        kept beside the last point's."""
+        key = (start.tobytes(), norm_bound)
         if self._anchor is None or self._anchor[0] != key:
-            result = _trust_region(self, norm_bound, start, options.gap_target, options)[0]
+            result = _trust_region(self, norm_bound, start, _GAP_TARGET)[0]
             self._anchor = key, result
             self._anchor_at = result.point.tobytes(), self._at(result.point)
             return result, result.diagnostics.newton_steps
@@ -189,7 +182,7 @@ def _ball_model_minimizer(c, evals, evecs, norm_bound):
     return evecs.dot([-ai / (e + mu) for ai, e in zip(a, evals)])
 
 
-def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
+def _trust_region(objective, norm_bound, u, gap_target, tilt=None):
     """Trust-region Newton on objective(v) + tilt . v over the ball, from u
     strictly inside it; returns the result and the gradient of the tilted
     objective at its point."""
@@ -199,7 +192,7 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
         return objective.value(v) if tilt is None else objective.value(v) + float(tilt @ v)
 
     centered, value = False, None      # value: tilted(u), once known
-    for _ in range(options.max_newton):
+    for _ in range(_MAX_NEWTON):
         if value is None:
             value = tilted(u)
         grad, hess = objective.derivatives(u)
@@ -219,13 +212,13 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
         step = _shrink_into_ball(_ball_model_minimizer(grad - hess @ u, *objective.eigh(u),
                                                        norm_bound), norm_bound) - u
         slope = float(grad @ step)     # -(Newton decrement^2)
-        centered = -slope / 2.0 <= options.newton_tol
+        centered = -slope / 2.0 <= _NEWTON_TOL
         scale, trial, trial_value = 1.0, u + step, None
         while -slope > 1e-6:
             trial_value = tilted(trial)
-            if not trial_value > value + options.armijo * scale * slope:
+            if not trial_value > value + _ARMIJO * scale * slope:
                 break
-            scale *= options.backtrack
+            scale *= _BACKTRACK
             if scale < 1e-14:
                 return SolverResult(u, value, diag), grad
             trial = u + scale * step
@@ -237,28 +230,26 @@ def _trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
     return SolverResult(point=u, value=value, diagnostics=diag), grad
 
 
-def minimize_weighted_loss(loss, xs, ys, ws, norm_bound,
-                           start=None, options=None) -> SolverResult:
+def minimize_weighted_loss(loss, xs, ys, ws, norm_bound, start=None) -> SolverResult:
     """Minimize the importance-weighted normalized loss over the norm ball.
 
     Trust-region Newton from `start` (the origin when None); every iterate is
     strictly inside the ball, and each lowers the loss up to rounding. Steps
     at a Newton decrement^2 <= 1e-6 skip the Armijo test, which float rounding
-    of the loss can defeat there; the one at decrement^2 / 2 <= `newton_tol`
+    of the loss can defeat there; the one at decrement^2 / 2 <= `_NEWTON_TOL`
     is the last, whatever the certificate (`final_gap`) then reads.
 
     The objective is evaluated on unclamped inner products, which is the
     convex program actually solved; clamping applies only when predictions
     are fed back through the normalized loss.
     """
-    options = options or DEFAULT_OPTIONS
     xs = np.asarray(xs, dtype=float)
     dim = xs.shape[1]
     if xs.shape[0] == 0:
         return SolverResult(np.zeros(dim), 0.0, SolverDiagnostics(used_shortcut=True))
     objective = WeightedLossCap(loss, xs, ys, ws, 0.0)   # bound 0: value() is the sum
     u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
-    return _trust_region(objective, norm_bound, u, options.gap_target, options)[0]
+    return _trust_region(objective, norm_bound, u, _GAP_TARGET)[0]
 
 
 def _path_rate(direction, u, grad, evals, evecs, norm_bound):
@@ -283,12 +274,15 @@ def _path_rate(direction, u, grad, evals, evecs, norm_bound):
     for ai, ci, w in zip(a, c, inverse):
         rate, ca, cc = rate + ai * (w * ai), ca + ci * (w * ai), cc + ci * (w * ci)
     if cc > 0.0:
-        rate -= ca ** 2 / cc
+        try:
+            rate -= ca ** 2 / cc
+        except OverflowError:    # ca ** 2 past the float range: no usable rate, so bisect
+            return -math.inf
     return 0.5 * rate
 
 
 def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = None,
-                    start=None, options=None) -> SolverResult:
+                    start=None) -> SolverResult:
     """Minimize x . u over the ball, x = `direction`, plus an optional loss cap.
 
     Without an active cap the ball optimum -sqrt(norm_bound) * x/||x|| is
@@ -304,10 +298,9 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
     strictly. `value` minus `final_gap` is the best dual bound, so
     [value - final_gap, value] holds the exact optimum. `outer_stages` counts
     level-set iterations and `newton_steps` all trust-region steps. The cap
-    solves u0 once per start, ball and options, so over the two ends of an
-    interval the anchor's steps count once, in the end that solved it.
+    solves u0 once per start and ball, so over the two ends of an interval
+    the anchor's steps count once, in the end that solved it.
     """
-    options = options or DEFAULT_OPTIONS
     direction = np.asarray(direction, dtype=float)
     dim = len(direction)
     norm = math.sqrt(float(direction @ direction))
@@ -319,7 +312,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(ball_opt, float(direction @ ball_opt), diag)
     u = np.zeros(dim) if start is None else _shrink_into_ball(start, norm_bound)
-    anchor, anchor_steps = loss_cap.anchor(norm_bound, u, options)
+    anchor, anchor_steps = loss_cap.anchor(norm_bound, u)
     u0, delta = anchor.point, -anchor.value
     if not delta > 0.0:
         raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
@@ -331,7 +324,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
     r, phi, margin, last_phi, u = 0.0, -delta, 0.0, math.inf, u0
     grad = loss_cap.derivatives(u0)[0]
     rate = _path_rate(direction, u0, grad, *loss_cap.eigh(u0), norm_bound)
-    for _ in range(options.max_newton):
+    for _ in range(_MAX_NEWTON):
         # the point at r places the root within (1 -+ margin)^-2 r; a tight
         # one has margin 0
         if phi < 0.0:
@@ -353,17 +346,17 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
             else:
                 step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
         stalled, r, last_phi, s = step == r, step, abs(phi), math.sqrt(step)
-        tight = 0.5 * s * options.gap_target
+        tight = 0.5 * s * _GAP_TARGET
         result, grad = _trust_region(loss_cap, norm_bound, u,
                                      max(tight, _INEXACT * last_phi) if newton else tight,
-                                     options, s * direction)
+                                     s * direction)
         steps, phi, eps = (result.diagnostics.newton_steps, loss_cap.value(result.point),
                            result.diagnostics.final_gap)
         if eps > tight and not (steps > 0 and eps <= _INEXACT * abs(phi)):
             # an unmoved loose point tells nothing new, and one near the root
             # brackets it loosely: solve on to the tight gap
             result, grad = _trust_region(loss_cap, norm_bound, result.point, tight,
-                                         options, s * direction)
+                                         s * direction)
             steps, phi, eps = (steps + result.diagnostics.newton_steps,
                                loss_cap.value(result.point), result.diagnostics.final_gap)
         if eps <= tight:
@@ -382,7 +375,7 @@ def minimize_linear(direction, norm_bound, loss_cap: WeightedLossCap | None = No
         upper = weight * anchor_value + (1.0 - weight) * value
         if upper < best[0]:
             best = (upper, weight, u)
-        if best[0] - lower <= options.gap_target:
+        if best[0] - lower <= _GAP_TARGET:
             break
         rate = _path_rate(direction, u, grad, *loss_cap.eigh(u), norm_bound)
     else:

@@ -83,8 +83,8 @@ def disagreement_coefficient(reference, candidates, xs, loss: LossFunction,
         if len(points) == 0:
             raise ValueError("a Monte-Carlo estimate needs at least one point")
         weights = np.full(len(points), 1.0 / len(points))
-    if any(r <= 0 for r in r_grid):
-        raise ValueError("radii must be positive")
+    if not all(0 < r < math.inf for r in r_grid):
+        raise ValueError(f"radii must be positive and finite, got {list(r_grid)}")
 
     z_ref = reference.predict_many(points)
     cand = list(candidates)
@@ -144,8 +144,14 @@ def expected_query_bound(theta: float, slope_asymmetry: float, best_loss: float,
     sublinear term's unspecified constant is reported as 1, which callers
     must treat as a convention rather than a guarantee.
     """
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if math.isinf(slope_asymmetry):
         raise ValueError("query bound is vacuous for infinite slope asymmetry")
+    if not slope_asymmetry >= 1.0:
+        raise ValueError(f"slope asymmetry must be at least 1, got {slope_asymmetry}")
+    if not 0.0 <= best_loss <= 1.0:
+        raise ValueError(f"best loss must lie in [0, 1], got {best_loss}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     front = 4.0 * theta * slope_asymmetry

@@ -172,6 +172,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("norm_bound", [1e200, 1e300])
+    def test_huge_norm_bound_is_a_runtime_error(self, tmp_path, capsys, norm_bound):
+        config = write_config(tmp_path, strategy="loss-weighting-linear",
+                              class_spec={"kind": "linear", "norm_bound": norm_bound})
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "did not converge" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
@@ -243,6 +252,12 @@ class TestCompare:
         assert "query fraction" in out
 
 
+# a bounds probe with every flag of the expected-query bound; argparse keeps
+# the last value of a repeated flag
+BOUNDS = ["bounds", "--pmin", "0.5", "--class-size", "8", "--delta", "0.2", "--steps", "500",
+          "--theta", "1.0", "--asymmetry", "1.0", "--best-loss", "0.1"]
+
+
 class TestProbe:
     def test_rho_json(self, capsys):
         assert main(["probe", "rho", "--dim", "3", "--mc", "2000",
@@ -268,10 +283,7 @@ class TestProbe:
         assert payload["optimal_error"] == pytest.approx(0.2)
 
     def test_bounds_json(self, capsys):
-        assert main(["probe", "bounds", "--pmin", "0.5", "--class-size", "8",
-                     "--delta", "0.2", "--steps", "500",
-                     "--theta", "1.0", "--asymmetry", "1.0",
-                     "--best-loss", "0.1"]) == 0
+        assert main(["probe"] + BOUNDS) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["deviation_bound"] > 0
         assert payload["expected_query_bound"]["linear_term"] == 200.0
@@ -292,9 +304,22 @@ class TestProbe:
         (["theta", "--radii", "a,b", "--mc", "50", "--samples", "3"],
          "probe theta: could not convert string to float: 'a'"),
         (["theta", "--radii", "0.1,-0.2", "--mc", "50", "--samples", "3"],
-         "probe theta: radii must be positive"),
+         "probe theta: radii must be positive and finite, got [0.1, -0.2]"),
         (["theta", "--mc", "50", "--samples", "0"],
          "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
+        (["theta", "--radii", "nan,0.1", "--mc", "50", "--samples", "3"],
+         "probe theta: radii must be positive and finite, got [nan, 0.1]"),
+        (["theta", "--radii", "inf", "--mc", "50", "--samples", "3"],
+         "probe theta: radii must be positive and finite, got [inf]"),
+        (BOUNDS + ["--theta", "nan"], "probe bounds: theta must be finite and nonnegative, got nan"),
+        (BOUNDS + ["--theta", "inf"], "probe bounds: theta must be finite and nonnegative, got inf"),
+        (BOUNDS + ["--theta", "-1"], "probe bounds: theta must be finite and nonnegative, got -1.0"),
+        (BOUNDS + ["--asymmetry", "nan"],
+         "probe bounds: slope asymmetry must be at least 1, got nan"),
+        (BOUNDS + ["--asymmetry", "0.5"],
+         "probe bounds: slope asymmetry must be at least 1, got 0.5"),
+        (BOUNDS + ["--best-loss", "-3"], "probe bounds: best loss must lie in [0, 1], got -3.0"),
+        (BOUNDS + ["--best-loss", "nan"], "probe bounds: best loss must lie in [0, 1], got nan"),
     ])
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:

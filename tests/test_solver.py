@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,7 +13,7 @@ from iwal.engine import Engine
 from iwal.errors import InfeasibleStartError, SolverConvergenceError
 from iwal.harness import run_experiment
 from iwal.losses import LossFunction
-from iwal.solver import (SolverDiagnostics, SolverOptions, SolverResult,
+from iwal.solver import (SolverDiagnostics, SolverResult,
                          WeightedLossCap, minimize_linear, minimize_weighted_loss)
 from iwal.thresholds import LossWeightingLinear
 
@@ -98,15 +99,15 @@ class TestWeightedLossProgram:
                 result = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
                 assert float(result.point @ result.point) <= 1.0 + 1e-9
 
-    def test_monotone_descent_across_stages(self, rng):
+    def test_monotone_descent_across_stages(self, rng, monkeypatch):
         # the k-th iterate is the point a solve capped at k steps stops on
         loss, xs, ys, ws = random_program(rng)
         objective = WeightedLossCap(loss, xs, ys, ws, 0.0)
         values = [objective.value(np.zeros(xs.shape[1]))]
         for k in itertools.count(1):
+            monkeypatch.setattr(solver, "_MAX_NEWTON", k)
             try:
-                result = minimize_weighted_loss(loss, xs, ys, ws, 1.0,
-                                                options=SolverOptions(max_newton=k))
+                result = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
             except SolverConvergenceError as err:
                 values.append(objective.value(err.iterate))
             else:
@@ -144,11 +145,11 @@ class TestWeightedLossProgram:
                                       start=np.array([0.9, -0.3]))
         assert warm.value == pytest.approx(cold.value, abs=1e-5)
 
-    def test_tight_gap_option(self, rng):
+    def test_tight_gap_option(self, rng, monkeypatch):
         loss, xs, ys, ws = random_program(rng)
-        tight = minimize_weighted_loss(
-            loss, xs, ys, ws, 1.0, options=SolverOptions(gap_target=1e-8))
         loose = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
+        monkeypatch.setattr(solver, "_GAP_TARGET", 1e-8)
+        tight = minimize_weighted_loss(loss, xs, ys, ws, 1.0)
         assert tight.value <= loose.value + 1e-7
         assert tight.diagnostics.final_gap <= 1e-8
 
@@ -248,6 +249,11 @@ class _FrozenLinear:
         return np.zeros((len(u), len(u)))
 
 
+# the settings the frozen solvers below ran with
+_FROZEN_OPTIONS = types.SimpleNamespace(gap_target=1e-6, newton_tol=1e-10, max_newton=200,
+                                        armijo=0.25, backtrack=0.5)
+
+
 def _strictly_feasible(u, constraints, margin=1e-12):
     return all(c.value(u) < -margin for c in constraints)
 
@@ -335,12 +341,10 @@ def _frozen_shrink(u, norm_bound, factor=1.0 - 1e-9):
     return u * math.sqrt(limit / sq) if sq >= limit else u
 
 
-def _frozen_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
-                            options=None):
+def _frozen_minimize_linear(direction, norm_bound, loss_cap=None, start=None):
     """The barrier interval solver: the analytic shortcut, then the barrier
     from the start or else the origin, each pulled into the ball as deep as
     the cap allows, and else from the cap minimizer (phase I)."""
-    options = options or solver.DEFAULT_OPTIONS
     direction = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(direction))
     if norm == 0.0 or loss_cap is None or loss_cap.value(
@@ -351,18 +355,17 @@ def _frozen_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
     for candidate in ([] if start is None else [start]) + [np.zeros(len(direction)), None]:
         if candidate is None:    # phase I: the cap minimizer
             candidate = minimize_weighted_loss(loss_cap.loss, loss_cap.xs, loss_cap.ys,
-                                               loss_cap.ws, norm_bound, options=options).point
+                                               loss_cap.ws, norm_bound).point
         for factor in (0.96, 0.999, 1.0 - 1e-6, 1.0 - 1e-9):
             u0 = _frozen_shrink(candidate, norm_bound, factor)
             if _strictly_feasible(u0, constraints):
-                return _frozen_barrier_minimize(objective, constraints, u0, options)
+                return _frozen_barrier_minimize(objective, constraints, u0, _FROZEN_OPTIONS)
     raise InfeasibleStartError("no strictly feasible start for the capped linear program")
 
 
-def _frozen_erm(loss, xs, ys, ws, norm_bound, start=None, options=None):
+def _frozen_erm(loss, xs, ys, ws, norm_bound, start=None):
     """The barrier ERM that the trust-region solver replaced: its start rule,
     then the barrier over the ball alone."""
-    options = options or solver.DEFAULT_OPTIONS
     if len(xs) == 0:
         return minimize_weighted_loss(loss, xs, ys, ws, norm_bound)
     constraints = [_FrozenBall(norm_bound)]
@@ -372,7 +375,7 @@ def _frozen_erm(loss, xs, ys, ws, norm_bound, start=None, options=None):
         if not _strictly_feasible(u0, constraints):
             u0 = np.zeros(xs.shape[1])
     objective = _FrozenCap(WeightedLossCap(loss, xs, ys, ws, 0.0))
-    return _frozen_barrier_minimize(objective, constraints, u0, options)
+    return _frozen_barrier_minimize(objective, constraints, u0, _FROZEN_OPTIONS)
 
 
 @contextlib.contextmanager
@@ -391,7 +394,7 @@ def _assert_certified(result, direction, norm_bound, cap, start=None):
     assert not result.diagnostics.used_shortcut
     assert float(result.point @ result.point) < norm_bound
     assert cap.value(result.point) < 0
-    assert 0.0 <= result.diagnostics.final_gap <= solver.DEFAULT_OPTIONS.gap_target
+    assert 0.0 <= result.diagnostics.final_gap <= solver._GAP_TARGET
     try:
         frozen = _frozen_minimize_linear(direction, norm_bound, cap, start)
     except SolverConvergenceError:
@@ -452,7 +455,7 @@ class TestAgainstFrozenNewtonStep:
         assert float(new.point @ new.point) < 1.0
         assert new.value <= frozen.value + 1e-9
         assert frozen.value - new.value <= frozen.diagnostics.final_gap
-        assert new.diagnostics.final_gap <= solver.DEFAULT_OPTIONS.gap_target
+        assert new.diagnostics.final_gap <= solver._GAP_TARGET
 
     @pytest.mark.parametrize("kind", ("logistic", "squared"))
     @pytest.mark.parametrize("n", (1, 10, 300))
@@ -673,9 +676,8 @@ def test_linear_stream_p_rounds_up_from_barrier_interval(kind, seed):
 # at the same certified gap, so the interval ends agree to the gap target and
 # p to P_TOLERANCE: the coins and the query count must not change, and the
 # final losses move by rounding-sized amounts.
-def _frozen_r_newton_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
-                                     options=None):
-    options = options or solver.DEFAULT_OPTIONS
+def _frozen_r_newton_minimize_linear(direction, norm_bound, loss_cap=None, start=None):
+    options = _FROZEN_OPTIONS
     direction = np.asarray(direction, dtype=float)
     dim = len(direction)
     norm = math.sqrt(float(direction @ direction))
@@ -687,7 +689,7 @@ def _frozen_r_newton_minimize_linear(direction, norm_bound, loss_cap=None, start
         diag = SolverDiagnostics(used_shortcut=True, final_gap=0.0)
         return SolverResult(ball_opt, float(direction @ ball_opt), diag)
     u = np.zeros(dim) if start is None else solver._shrink_into_ball(start, norm_bound)
-    anchor, grad = solver._trust_region(loss_cap, norm_bound, u, options.gap_target, options)
+    anchor, grad = solver._trust_region(loss_cap, norm_bound, u, options.gap_target)
     u0, delta = anchor.point, -anchor.value
     if not delta > 0.0:
         raise InfeasibleStartError("the loss cap lies below its minimum over the ball")
@@ -711,8 +713,7 @@ def _frozen_r_newton_minimize_linear(direction, norm_bound, loss_cap=None, start
                 step = math.sqrt(lo * hi) if lo > 0.0 else 0.25 * hi
         stalled, r, last_phi, s = step == r, step, abs(phi), math.sqrt(step)
         result, grad = solver._trust_region(loss_cap, norm_bound, u,
-                                            0.5 * s * options.gap_target, options,
-                                            s * direction)
+                                            0.5 * s * options.gap_target, s * direction)
         if stalled and np.array_equal(result.point, u):
             break
         diag.outer_stages += 1
@@ -782,9 +783,9 @@ def _counting_work():
         counts["derivatives"] += 1
         return derivatives(*args, **kwargs)
 
-    def counted_trust_region(objective, norm_bound, u, gap_target, options, tilt=None):
+    def counted_trust_region(objective, norm_bound, u, gap_target, tilt=None):
         counts["anchors"] += tilt is None
-        return trust_region(objective, norm_bound, u, gap_target, options, tilt)
+        return trust_region(objective, norm_bound, u, gap_target, tilt)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigh", counted_eigh)
@@ -924,15 +925,14 @@ def _frozen_path_rate(direction, u, grad, hess, norm_bound):
 _MINIMIZE_LINEAR = solver.minimize_linear
 
 
-def _fresh_rate_minimize_linear(direction, norm_bound, loss_cap=None, start=None,
-                                options=None):
+def _fresh_rate_minimize_linear(direction, norm_bound, loss_cap=None, start=None):
     """`minimize_linear` with every path rate from the frozen fresh eigh."""
     def fresh_rate(x, u, grad, evals, evecs, bound):
         return _frozen_path_rate(x, u, grad, loss_cap.derivatives(u)[1], bound)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_path_rate", fresh_rate)
-        return _MINIMIZE_LINEAR(direction, norm_bound, loss_cap, start, options)
+        return _MINIMIZE_LINEAR(direction, norm_bound, loss_cap, start)
 
 
 @pytest.mark.parametrize(("kind", "seed"), (("logistic", 1), ("squared", 2)))
@@ -987,14 +987,16 @@ def test_shifted_rate_matches_fresh_rate(point):
 @pytest.mark.parametrize("kind", ("logistic", "squared"))
 @pytest.mark.parametrize("n", (1, 10, 300))
 @pytest.mark.parametrize("slack", (0.5, 1e-3))
-def test_certificate_bounds_the_exact_optimum(kind, n, slack):
+def test_certificate_bounds_the_exact_optimum(kind, n, slack, monkeypatch):
     # [value - final_gap, value] must hold the optimum, which a tight solve
-    # with the frozen rate brackets to 1e-9
+    # with the frozen rate brackets to 1e-9; it gets a cap of its own, as a
+    # cap keeps the anchor it solved at the gap target then in force
     _, loss, xs, ys, ws = _differential_program(kind, n, seed=n)
     _, cap, direction = _active_cap(loss, xs, ys, ws, slack)
     result = minimize_linear(direction, 1.0, cap)
-    tight = _fresh_rate_minimize_linear(direction, 1.0, cap,
-                                        options=SolverOptions(gap_target=1e-9))
+    monkeypatch.setattr(solver, "_GAP_TARGET", 1e-9)
+    tight = _fresh_rate_minimize_linear(direction, 1.0,
+                                        WeightedLossCap(loss, xs, ys, ws, cap.bound))
     assert tight.diagnostics.final_gap <= 1e-9
     assert result.value - result.diagnostics.final_gap <= tight.value
     assert result.value >= tight.value - tight.diagnostics.final_gap

@@ -136,6 +136,19 @@ class TestDisagreementCoefficient:
                                          instance.points, loss, r_grid=[0.1, 0.5],
                                          instance=instance)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.2, math.nan, math.inf])
+    def test_radii_must_be_positive_and_finite(self, radius):
+        instance = DiscreteInstance.binary(
+            np.array([[0.0], [1.0]]), np.array([0.6, 0.4]),
+            np.array([0.5, 0.5]))
+        ref = TablePredictor({(0.0,): 1.0, (1.0,): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="radii must be positive and finite"):
+                disagreement_coefficient(ref, [ref], instance.points,
+                                         LossFunction("zero-one"), r_grid=[radius, 0.5],
+                                         instance=instance)
+
     def test_sphere_bound_dominates_small_case(self, rng):
         dim = 3
         loss = LossFunction("logistic", 1.0)
@@ -188,6 +201,25 @@ class TestBoundFormulas:
     def test_query_bound_rejects_infinite_asymmetry(self):
         with pytest.raises(ValueError):
             expected_query_bound(1.0, math.inf, 0.1, 100, 4, 0.1)
+
+    @pytest.mark.parametrize("theta, asymmetry, best_loss, message", [
+        (math.nan, 1.0, 0.1, "theta must be finite and nonnegative, got nan"),
+        (math.inf, 1.0, 0.1, "theta must be finite and nonnegative, got inf"),
+        (-1.0, 1.0, 0.1, "theta must be finite and nonnegative, got -1.0"),
+        (1.0, math.nan, 0.1, "slope asymmetry must be at least 1, got nan"),
+        (1.0, 0.5, 0.1, "slope asymmetry must be at least 1, got 0.5"),
+        (1.0, 1.0, -3.0, r"best loss must lie in \[0, 1\], got -3.0"),
+        (1.0, 1.0, 1.5, r"best loss must lie in \[0, 1\], got 1.5"),
+        (1.0, 1.0, math.nan, r"best loss must lie in \[0, 1\], got nan"),
+    ])
+    def test_query_bound_rejects_values_outside_its_domain(self, theta, asymmetry,
+                                                           best_loss, message):
+        with pytest.raises(ValueError, match=message):
+            expected_query_bound(theta, asymmetry, best_loss, 100, 4, 0.1)
+
+    def test_query_bound_accepts_the_ends_of_its_domain(self):
+        assert expected_query_bound(0.0, 1.0, 1.0, 100, 4, 0.1) == (0.0, 0.0)
+        assert expected_query_bound(1.0, 1.0, 1.0, 100, 4, 0.1)[0] == 400.0
 
 
 class TestRealizedQueriesAgainstBound:

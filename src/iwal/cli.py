@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -105,7 +106,7 @@ def cmd_compare(args) -> int:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         try:
             with open(out, "w") as fh:
@@ -115,6 +116,11 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(f"wrote {out}")
     else:
         print(text)
+
+
+def _finite(bound: float) -> float | None:
+    """A bound as JSON: null (None) when it has no finite value."""
+    return bound if math.isfinite(bound) else None
 
 
 def cmd_probe(args) -> int:
@@ -145,6 +151,8 @@ def probe_rho(args) -> dict:
 
 
 def probe_theta(args) -> dict:
+    if not 0.0 <= args.spread < math.inf:
+        raise ValueError(f"spread must be finite and nonnegative, got {args.spread}")
     rng = np.random.default_rng(args.seed)
     instance = SphereInstance(dim=args.dim, noise=args.noise)
     xs, _ = instance.sample(rng, args.mc)
@@ -163,7 +171,7 @@ def probe_theta(args) -> dict:
     return {
         "per_radius": result["per_radius"],
         "supremum": result["supremum"],
-        "sphere_bound": bound,
+        "sphere_bound": _finite(bound),
         "within_bound": result["supremum"] <= bound,
         "dim": args.dim,
         "mc_budget": args.mc,
@@ -190,16 +198,16 @@ def probe_lower_bound(args) -> dict:
 
 def probe_bounds(args) -> dict:
     payload = {
-        "deviation_bound": theory.loss_deviation_bound(
-            args.pmin, args.class_size, args.delta, args.steps),
+        "deviation_bound": _finite(theory.loss_deviation_bound(
+            args.pmin, args.class_size, args.delta, args.steps)),
     }
     if args.theta is not None and args.asymmetry is not None and args.best_loss is not None:
         linear, sublinear = theory.expected_query_bound(
             args.theta, args.asymmetry, args.best_loss, args.steps,
             args.class_size, args.delta)
         payload["expected_query_bound"] = {
-            "linear_term": linear,
-            "sublinear_term": sublinear,
+            "linear_term": _finite(linear),
+            "sublinear_term": _finite(sublinear),
             "note": "sublinear constant reported as 1 by convention",
         }
     return payload

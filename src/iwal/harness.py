@@ -32,7 +32,7 @@ from .instances import (SphereInstance, lower_bound_instance,
 from .losses import SMOOTH_KINDS, LossFunction
 from .thresholds import (SLACK_MODES, ConstantThreshold, LossWeightingFinite,
                          LossWeightingLinear)
-from .trees import DecisionTree, TreeParams
+from .trees import DecisionTree, TreeParams, predict_forest
 
 STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
               "bootstrap")
@@ -212,27 +212,27 @@ class RunReport:
         }
 
 
-def evaluate_loss(predictor, X, y, loss: LossFunction, z=None) -> float:
+def evaluate_loss(predictor, X, y, loss: LossFunction, z=None):
     """Mean normalized test loss, grouped by label value for vector evals;
-    z, when given, is the predictor's predictions on X."""
-    z = predictor.predict_many(X) if z is None else z
+    z, when given, is the predictor's predictions on X, or a 2-D z one
+    model's predictions per row, which gives a list of their losses."""
+    z = predictor.predict_many(X) if z is None else np.asarray(z)
     y = np.asarray(y, dtype=float)
     total = 0.0
     for value in np.unique(y):
-        mask = y == value
-        total += float(np.sum(loss.eval_many(z[mask], float(value))))
-    return total / len(y)
+        # compress keeps a 2-D z's rows C-ordered, so each sums as a 1-D z does
+        total += np.sum(loss.eval_many(z.compress(y == value, -1), float(value)), -1)
+    return (total / len(y)).tolist()
 
 
-def evaluate_error(predictor, X, y, z=None) -> float | None:
+def evaluate_error(predictor, X, y, z=None):
     """Sign-agreement error; None when labels are not all -1/+1. z, when
-    given, is the predictor's predictions on X."""
+    given, is the predictor's predictions on X; a 2-D z gives a list."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
-        return None
-    z = predictor.predict_many(X) if z is None else z
-    signs = np.where(z >= 0, 1.0, -1.0)
-    return float(np.mean(signs != y))
+        return None if z is None or np.ndim(z) < 2 else [None] * len(z)
+    z = predictor.predict_many(X) if z is None else np.asarray(z)
+    return np.mean(np.where(z >= 0, 1.0, -1.0) != y, axis=-1).tolist()
 
 
 def _options(spec: dict, what: str, defaults: dict) -> dict:
@@ -355,16 +355,18 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
                                labels), cls
 
 
-def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
-             start: int = 0, models=list):
+def _run_arm(config, engine, oracle, state, X_train, X_test, y_test, start: int = 0,
+             models=list, predict=lambda hs, X: np.array([h.predict_many(X) for h in hs])):
     """Stream rows start..T-1 of X_train through the engine, then evaluate.
 
     Two phases. While streaming, state() records the arm at each checkpoint:
     every multiple of the checkpoint interval from `start` on, and T. After
     the stream, models(states) gives the learner's output at each checkpoint,
-    in order; each is evaluated on the test set, and the last gives the final
-    loss and error. Queries count the `start` labels taken before the stream
-    plus the oracle calls. Returns (ArmResult, final model).
+    in order, predict(models, X_test) one row of test predictions for each,
+    and one evaluate_loss and one evaluate_error call score all the rows; the
+    last gives the final loss and error. Queries count the `start` labels
+    taken before the stream plus the oracle calls. Returns (ArmResult, final
+    model).
     """
     T = len(X_train)
     interval = config.checkpoint_interval()
@@ -378,14 +380,14 @@ def _run_arm(config, engine, oracle, state, X_train, X_test, y_test,
         done = t
         states.append(state())
         cum_queries.append(start + oracle.calls)
-    checkpoints = []
-    for t, cum, h in zip(schedule, cum_queries, models(states)):
-        z = h.predict_many(X_test)
-        checkpoints.append((t, cum, evaluate_loss(h, X_test, y_test, engine.loss, z),
-                            evaluate_error(h, X_test, y_test, z)))
+    hs = models(states)
+    Z = predict(hs, X_test)
+    checkpoints = list(zip(schedule, cum_queries,
+                           evaluate_loss(hs[-1], X_test, y_test, engine.loss, Z),
+                           evaluate_error(hs[-1], X_test, y_test, Z)))
     _, queries, final_loss, final_error = checkpoints[-1]
     return ArmResult(checkpoints, final_loss, final_error, queries,
-                     engine.trace, {"oracle_calls": oracle.calls}), h
+                     engine.trace, {"oracle_calls": oracle.calls}), hs[-1]
 
 
 def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
@@ -408,8 +410,9 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
     arm has collected (the prefix and the queried rows). No final tree feeds
     back into the stream, so after it, checkpoint i draws its costing
     resample from the first rows it collected, with its own
-    default_rng([costing seed, i]), and `DecisionTree.fit_many` grows the
-    final trees together; costing keeps a heaviest row, so none is empty.
+    default_rng([costing seed, i]), `DecisionTree.fit_many` grows the final
+    trees together, and `predict_forest` routes the test rows through them
+    in one walk; costing keeps a heaviest row, so none is empty.
     """
     committee_rng = np.random.default_rng(seeds[0])
     engine_rng = np.random.default_rng(seeds[1])
@@ -440,7 +443,7 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
     arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
                                lambda: prefix + len(engine.sample),
                                X_train, X_test, y_test, start=prefix,
-                               models=final_trees)
+                               models=final_trees, predict=predict_forest)
     arm.diagnostics.update(prefix=prefix, final_tree_depth=final_tree.depth())
     return arm
 

@@ -22,6 +22,13 @@ from .errors import DimensionMismatchError
 from .losses import LossFunction
 
 
+def _point(x, dim) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"expected dimension {dim}, got {x.shape}")
+    return x
+
+
 def _rows(X, dim) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != dim:
@@ -40,11 +47,7 @@ class LinearPredictor:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.weights.shape:
-            raise DimensionMismatchError(
-                f"expected dimension {self.weights.shape[0]}, got {x.shape}"
-            )
+        x = _point(x, self.weights.shape[0])
         b = self.range_bound
         return float(min(max(float(self.weights @ x), -b), b))
 
@@ -63,11 +66,7 @@ class ThresholdPredictor:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.weights.shape:
-            raise DimensionMismatchError(
-                f"expected dimension {self.weights.shape[0]}, got {x.shape}"
-            )
+        x = _point(x, self.weights.shape[0])
         return 1.0 if float(self.weights @ x) >= 0 else -1.0
 
     def predict_many(self, X) -> np.ndarray:
@@ -215,11 +214,11 @@ class FiniteClass:
         members with one range bound, or threshold members, form a weight
         matrix; each (1 x d)(d x 1) item of its batched matmul is the BLAS ddot
         of the member's `w @ x`, bit for bit, as long as x is used as given."""
-        x, W = np.asarray(x, dtype=float), self._weights
+        W = self._weights
         if W is None:
+            x = np.asarray(x, dtype=float)
             return np.fromiter((h.predict(x) for h in self.members), float, len(self))
-        if x.shape != W.shape[2:]:
-            raise DimensionMismatchError(f"expected dimension {W.shape[2]}, got {x.shape}")
+        x = _point(x, W.shape[2])
         z = np.matmul(W, x[None, :, None])[:, 0, 0]
         if isinstance(self.members[0], ThresholdPredictor):
             return np.where(z >= 0, 1.0, -1.0)

@@ -139,7 +139,11 @@ class LossFunction:
         """
         b = self.range_bound
         if self.kind == "logistic":
-            return 1.0 / (1.0 + math.exp(b)), 1.0 / (1.0 + math.exp(-b))
+            try:
+                low = 1.0 / (1.0 + math.exp(b))
+            except OverflowError:
+                low = math.exp(-b)     # 1 / (1 + e^b) to within rounding
+            return low, 1.0 / (1.0 + math.exp(-b))
         if self.kind == "squared":
             low = 2.0 * (1.0 - b) if b < 1.0 else 0.0
             return low, 2.0 * (1.0 + b)

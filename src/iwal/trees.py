@@ -89,6 +89,11 @@ NumPy calls do not, so a forest holds the datasets that fit in _FOREST_CELLS
 feature values; a larger one is grown alone. The bound is the knee of a sweep
 on the 5-feature bootstrap benchmark (BENCH_21.json): run time fell up to
 40,960 (8,192 rows) and stayed within noise above, while peak memory rose.
+
+Prediction. `predict_forest` stacks many trees' node arrays, child ids
+offset per tree, and steps a (trees, rows) node matrix the deepest tree's
+depth once; a leaf is its own child, so a shallower tree's rows wait at
+their leaves. `predict_many` is its one-tree case.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .hypotheses import _point, _rows
 
 _MIN_GAIN = 1e-12
 # far above the gap between vector and scalar gains, far below _MIN_GAIN
@@ -393,6 +398,24 @@ def _checked(index: int, rows, n_rows: int) -> np.ndarray:
     return rows
 
 
+def predict_forest(trees, X) -> np.ndarray:
+    """Each tree's predictions on the rows of X, one row per tree, in one walk
+    (module docstring); DimensionMismatchError unless X's rows have every tree's width."""
+    for tree in trees:
+        X = _rows(X, tree.n_features)
+    offsets = np.cumsum([0] + [len(tree.label) for tree in trees])[:-1]
+    feature, threshold, left, right, label = (np.concatenate(arrays) for arrays in zip(
+        *((t.feature, t.threshold, t.left + k, t.right + k, t.label)
+          for t, k in zip(trees, offsets.tolist()))))
+    node = np.repeat(offsets[:, None], len(X), axis=1)
+    # X[i, feature[node[k, i]]] as one flat take
+    flat, rows = X.ravel(), np.arange(len(X)) * X.shape[1]
+    for _ in range(max(tree.depth() for tree in trees)):
+        node = np.where(flat.take(rows + feature.take(node)) <= threshold.take(node),
+                        left.take(node), right.take(node))
+    return label.take(node)
+
+
 class DecisionTree:
     """A fitted tree as parallel node arrays: node i splits on feature[i] at
     threshold[i] into left[i] and right[i]; a leaf is its own child and
@@ -470,27 +493,10 @@ class DecisionTree:
         return fitted
 
     def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise DimensionMismatchError(
-                f"expected dimension {self.n_features}, got {x.shape}"
-            )
-        return leaf_label(self._walk, x.tolist())
+        return leaf_label(self._walk, _point(x, self.n_features).tolist())
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatchError(
-                f"expected rows of dimension {self.n_features}, got shape {X.shape}"
-            )
-        node = np.zeros(len(X), dtype=np.intp)
-        # X[i, feature[node[i]]] as one flat take
-        flat, rows = X.ravel(), np.arange(len(X)) * self.n_features
-        for _ in range(self._depth):
-            node = np.where(flat.take(rows + self.feature.take(node))
-                            <= self.threshold.take(node),
-                            self.left.take(node), self.right.take(node))
-        return self.label.take(node)
+        return predict_forest([self], X)[0]
 
     def depth(self) -> int:
         return self._depth

@@ -273,6 +273,20 @@ class TestProbe:
         assert payload["within_bound"] is True
         assert payload["supremum"] <= payload["sphere_bound"]
 
+    @pytest.mark.parametrize("argv, key", [
+        (["theta", "--range-bound", "800", "--mc", "50", "--samples", "3"], "sphere_bound"),
+        (["theta", "--loss", "squared", "--range-bound", "2", "--mc", "50",
+          "--samples", "3"], "sphere_bound"),
+        (["bounds", "--pmin", "1e-320", "--class-size", "8", "--delta", "0.2",
+          "--steps", "500"], "deviation_bound"),
+    ])
+    def test_bound_with_no_finite_value_is_null(self, capsys, argv, key):
+        assert main(["probe"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=pytest.fail)
+        assert payload[key] is None
+
     def test_lower_bound_gen_json(self, tmp_path):
         out = tmp_path / "hard.json"
         assert main(["probe", "lower-bound-gen", "--atoms", "5",
@@ -314,6 +328,12 @@ class TestProbe:
         (BOUNDS + ["--theta", "nan"], "probe bounds: theta must be finite and nonnegative, got nan"),
         (BOUNDS + ["--theta", "inf"], "probe bounds: theta must be finite and nonnegative, got inf"),
         (BOUNDS + ["--theta", "-1"], "probe bounds: theta must be finite and nonnegative, got -1.0"),
+        (["theta", "--spread", "inf", "--mc", "50", "--samples", "3"],
+         "probe theta: spread must be finite and nonnegative, got inf"),
+        (["theta", "--spread", "nan", "--mc", "50", "--samples", "3"],
+         "probe theta: spread must be finite and nonnegative, got nan"),
+        (["theta", "--spread", "-1", "--mc", "50", "--samples", "3"],
+         "probe theta: spread must be finite and nonnegative, got -1.0"),
         (BOUNDS + ["--asymmetry", "nan"],
          "probe bounds: slope asymmetry must be at least 1, got nan"),
         (BOUNDS + ["--asymmetry", "0.5"],

@@ -336,24 +336,106 @@ class TestBootstrapCheckpoints:
         assert forests[:2] == [config.committee["size"], len(reference)]
 
 
+def _eager_engine_checkpoints(config, passive):
+    """Reference for an engine arm's checkpoint rows: each checkpoint's
+    hypothesis scored right away by the 1-D evaluate_loss and
+    evaluate_error, as the stream loop did before it scored every
+    checkpoint in one batch after the stream."""
+    states = np.random.SeedSequence(config.seed).generate_state(7)
+    data_seed, active_seed, passive_seed, aux_a, *_ = map(int, states)
+    X_train, y_train, X_test, y_test, support = build_data(
+        config, np.random.default_rng(data_seed))
+    loss = LossFunction(config.loss_kind, config.range_bound)
+    threshold, cls = harness._make_threshold(config, loss, X_train.shape[1], support,
+                                             np.random.default_rng(aux_a))
+    if passive:
+        threshold = ConstantThreshold(1.0)
+    engine = Engine(loss, threshold,
+                    np.random.default_rng(passive_seed if passive else active_seed),
+                    hypothesis_class=cls, p_min=config.p_min)
+    oracle = ArrayOracle(y_train)
+    T, interval = len(X_train), config.checkpoint_interval()
+    rows, done = [], 0
+    for t in sorted(set(range(interval, T + 1, interval)) | {T}):
+        for row in range(done, t):
+            engine.step(X_train[row], oracle)
+        done = t
+        h = engine.refresh_hypothesis()
+        rows.append((t, oracle.calls, evaluate_loss(h, X_test, y_test, loss),
+                     evaluate_error(h, X_test, y_test)))
+    return rows
+
+
+class TestEngineCheckpoints:
+    @pytest.mark.parametrize("strategy, extra", [
+        ("passive", {}),
+        ("loss-weighting-finite", {"class_spec": {"kind": "finite", "size": 16},
+                                   "slack_mode": "optimistic"}),
+        ("loss-weighting-linear", {"slack_mode": "optimistic"}),
+    ])
+    def test_rows_match_the_eager_reference(self, strategy, extra):
+        config = base_config(strategy=strategy, train_size=150, test_size=60,
+                             checkpoint_every=10, seed=5, **extra)
+        report = run_experiment(config)
+        assert report.active.checkpoints == _eager_engine_checkpoints(config, False)
+        assert report.passive.checkpoints == _eager_engine_checkpoints(config, True)
+
+
 class TestCheckpointEvaluation:
     @pytest.mark.parametrize("strategy", ("passive", "loss-weighting-finite", "bootstrap"))
     def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
-        # the loss and the error of a checkpoint read one routing of the test rows
-        predictions, losses = [], []
+        # an engine arm predicts once per checkpoint and a bootstrap arm walks
+        # its checkpoint trees once; either way one loss and one error call
+        # score every checkpoint of the arm
+        predictions, walks, calls = [], [], []
         for cls in (LinearPredictor, DecisionTree):
             monkeypatch.setattr(cls, "predict_many",
                                 lambda h, X, predict=cls.predict_many:
                                 predictions.append(len(X)) or predict(h, X))
-        evaluate = harness.evaluate_loss
-        monkeypatch.setattr(harness, "evaluate_loss", lambda *args:
-                            losses.append(1) or evaluate(*args))
+        monkeypatch.setattr(harness, "predict_forest",
+                            lambda forest, X, walk=harness.predict_forest:
+                            walks.append((len(forest), len(X))) or walk(forest, X))
+        for name in ("evaluate_loss", "evaluate_error"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, name=name, score=getattr(harness, name):
+                                calls.append(name) or score(*args))
         report = run_experiment(base_config(strategy=strategy, train_size=200,
                                             test_size=30, checkpoint_every=20))
         arms = {id(report.active): report.active, id(report.passive): report.passive}
-        checkpoints = sum(len(arm.checkpoints) for arm in arms.values())
-        assert len(predictions) == len(losses) == checkpoints
-        assert set(predictions) == {30}
+        checkpoints = [len(arm.checkpoints) for arm in arms.values()]
+        assert sorted(calls) == (["evaluate_error"] * len(arms)
+                                 + ["evaluate_loss"] * len(arms))
+        if strategy == "bootstrap":
+            assert predictions == [] and walks == [(n, 30) for n in checkpoints]
+        else:
+            assert walks == [] and predictions == [30] * sum(checkpoints)
+
+    def test_prediction_matrix_scores_each_row_as_its_own_call(self, rng):
+        # a label's columns Z[:, mask] would be F-ordered, and their row sums
+        # differ from the 1-D sums in the last bit on this draw
+        Z = rng.uniform(-1.0, 1.0, size=(7, 400))
+        y = rng.choice([-1.0, 1.0], size=400)
+        loss = LossFunction("logistic", 1.0)
+        f_ordered = loss.eval_many(Z[:, y == 1.0], 1.0)
+        assert f_ordered.flags.f_contiguous
+        assert (f_ordered.sum(axis=1) != [np.sum(row) for row in f_ordered]).any()
+        assert evaluate_loss(None, None, y, loss, Z) == [
+            evaluate_loss(None, None, y, loss, z) for z in Z]
+        assert evaluate_error(None, None, y, Z) == [
+            evaluate_error(None, None, y, z) for z in Z]
+
+    def test_real_labels_give_one_loss_and_no_error_per_row(self, rng):
+        config = base_config(dataset={"kind": "point-mass", "beta": 0.3,
+                                      "binary_labels": False},
+                             loss_kind="squared", test_size=300)
+        y = build_data(config, rng)[3]
+        assert not set(y.tolist()) <= {-1.0, 1.0}
+        Z = rng.uniform(-1.0, 1.0, size=(5, len(y)))
+        loss = LossFunction("squared", 1.0)
+        assert evaluate_loss(None, None, y, loss, Z) == [
+            evaluate_loss(None, None, y, loss, z) for z in Z]
+        assert evaluate_error(None, None, y, Z) == [None] * 5
+        assert evaluate_error(None, None, y, Z[0]) is None
 
     def test_given_predictions_give_the_same_loss_and_error(self, rng):
         X, y = rng.normal(size=(50, 3)), rng.choice([-1.0, 1.0], size=50)

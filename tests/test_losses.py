@@ -145,6 +145,17 @@ class TestDerivativeBounds:
         assert c0 == pytest.approx(0.5, abs=1e-9)
         assert c1 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("b", [709.0, 709.782712893384, 709.7827128933841, 720.0, 800.0])
+    def test_logistic_lower_bound_past_the_exponential_overflow(self, b):
+        # 1 / (1 + e^b) where e^b is finite, e^-b (subnormal, then 0) past it
+        try:
+            expected = 1.0 / (1.0 + math.exp(b))
+        except OverflowError:
+            expected = math.exp(-b)
+        c0, c1 = LossFunction("logistic", b).derivative_bounds()
+        assert (c0, c1) == (expected, 1.0)
+        assert c0 == pytest.approx(math.exp(-b), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("kind", ["zero-one", "hinge"])
     def test_nondifferentiable_rejected(self, kind):
         with pytest.raises(UnsupportedLossError):

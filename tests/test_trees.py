@@ -409,6 +409,30 @@ class TestConstructor:
         assert [tree.predict(x) for x in X] == [-1.0, 1.0, -1.0, -1.0]
 
 
+class TestForestWalk:
+    def test_each_row_is_its_trees_predictions(self, rng):
+        X = rng.normal(size=(120, 4))
+        y = np.where(X[:, 0] * X[:, 1] > 0, 1.0, -1.0)
+        forest = [DecisionTree.fit(X[:n], y[:n], TreeParams(max_depth=depth))
+                  for n, depth in ((120, 6), (40, 1), (120, 3), (30, 0))]
+        forest.append(DecisionTree.fit(X[:10], np.ones(10)))
+        assert [tree.depth() for tree in forest][-2:] == [0, 0]
+        assert len({tree.depth() for tree in forest}) == 4
+        probe = rng.normal(size=(50, 4))
+        Z = trees.predict_forest(forest, probe)
+        assert Z.shape == (len(forest), 50)
+        for tree, row in zip(forest, Z):
+            assert np.array_equal(row, tree.predict_many(probe))
+            assert row.tolist() == [tree.predict(x) for x in probe]
+
+    @pytest.mark.parametrize("shape", ((3, 5), (3, 3), (4,), ()))
+    def test_rows_of_another_dimension_rejected(self, rng, shape):
+        X, y = rng.normal(size=(30, 4)), rng.choice([-1.0, 1.0], size=30)
+        forest = [DecisionTree.fit(X, y), DecisionTree.fit(X[:10], y[:10])]
+        with pytest.raises(DimensionMismatchError):
+            trees.predict_forest(forest, np.zeros(shape))
+
+
 class TestEmptyPredictMany:
     def test_empty_rows_of_the_wrong_width_rejected(self, rng):
         tree = DecisionTree.fit(rng.normal(size=(20, 5)), rng.choice([-1.0, 1.0], size=20))

@@ -153,6 +153,8 @@ def probe_rho(args) -> dict:
 def probe_theta(args) -> dict:
     if not 0.0 <= args.spread < math.inf:
         raise ValueError(f"spread must be finite and nonnegative, got {args.spread}")
+    if args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     instance = SphereInstance(dim=args.dim, noise=args.noise)
     xs, _ = instance.sample(rng, args.mc)

@@ -1,12 +1,14 @@
 """Experiment orchestration: streams, paired runs, curves, and summaries.
 
 Every experiment runs the configured strategy over a training stream and a
-passive twin (the same learner with every label queried) over the identical
-stream order, evaluating both on a held-out test set at fixed checkpoints.
-All four arm kinds go through one stream loop, `_run_arm`; an arm differs
-only in its engine and in the model it reads at each checkpoint. Training
-labels reach the learner only through a counting oracle, so the reported
-query totals are exactly the number of label requests.
+passive twin (the same learner with every label taken) over the identical
+row order, evaluating both on a held-out test set at fixed checkpoints.
+An active arm streams its rows through an engine in `_run_arm`, and its
+training labels reach the learner only through a counting oracle, so the
+reported query totals are exactly the number of label requests. The passive
+twin, which is also the `passive` strategy's only arm, streams nothing:
+`_passive_arm` builds each checkpoint's learner from the first t rows. Both
+kinds score their checkpoints through one tail, `_scored_arm`.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from .datasets import load_dataset
 from .engine import ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
-                         ThresholdPredictor)
+                         ThresholdPredictor, erm_weighted)
 from .instances import (SphereInstance, lower_bound_instance,
                         point_mass_instance)
 from .losses import SMOOTH_KINDS, LossFunction
-from .thresholds import (SLACK_MODES, ConstantThreshold, LossWeightingFinite,
-                         LossWeightingLinear)
+from .thresholds import SLACK_MODES, LossWeightingFinite, LossWeightingLinear
 from .trees import DecisionTree, TreeParams, predict_forest
 
 STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
@@ -39,6 +40,9 @@ STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
 _COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
                        "max_depth": 8, "min_leaf": 2}
 CLASS_KINDS = ("linear", "finite")
+# training rows whose (rows x members) losses the finite passive twin holds at
+# once; one table for a whole 1,000-row stream adds about 4 MB of peak memory
+_BLOCK_ROWS = 100
 
 
 def _require_number(name: str, value, kind) -> None:
@@ -130,8 +134,7 @@ class ExperimentConfig:
             raise ConfigError("committee size must be at least 2")
         if not 0.0 < self.committee["p_min"] <= 1.0:
             raise ConfigError("committee p_min must lie in (0, 1]")
-        _built("committee", TreeParams, max_depth=self.committee["max_depth"],
-               min_leaf=self.committee["min_leaf"])
+        _built("committee", _tree_params, self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -333,8 +336,10 @@ def _finite_members(size: int, dim: int, norm_bound: float, range_bound: float,
     return FiniteClass(tuple(members))
 
 
-def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
-    """(threshold, hypothesis_class) for the engine-based strategies."""
+def _make_class(config: ExperimentConfig, dim: int, rng):
+    """The hypothesis class of the engine-based strategies and the passive
+    strategy: the class spec's finite class, always for
+    loss-weighting-finite, or else its linear ball."""
     spec = dict(config.class_spec)
     kind = spec.pop("kind", "linear")
     opts = _options(spec, "class", {"norm_bound": 1.0, "size": 16})
@@ -345,33 +350,68 @@ def _make_threshold(config: ExperimentConfig, loss, dim, labels, rng):
     if config.strategy == "loss-weighting-finite" or kind == "finite":
         cls = _built("class_spec", _finite_members, size, dim, norm_bound,
                      config.range_bound, config.loss_kind, rng)
-    if config.strategy == "passive":
-        return ConstantThreshold(1.0), cls
+    return cls
+
+
+def _make_threshold(config: ExperimentConfig, loss, cls, labels):
+    """The rejection threshold of a loss-weighting strategy over cls."""
     if config.strategy == "loss-weighting-finite":
         return LossWeightingFinite(cls, loss, config.confidence,
                                    config.slack_mode, config.slack_constant,
-                                   labels), cls
-    return LossWeightingLinear(dim, norm_bound, loss, config.slack_mode,
-                               labels), cls
+                                   labels)
+    return LossWeightingLinear(cls.dim, cls.norm_bound, loss, config.slack_mode,
+                               labels)
+
+
+def _schedule(config: ExperimentConfig, T: int, start: int = 0) -> list:
+    """The checkpoint row counts: every multiple of the checkpoint interval
+    from `start` on, and T."""
+    interval = config.checkpoint_interval()
+    return sorted({t for t in range(interval, T + 1, interval) if t >= start}
+                  | {T})
+
+
+def _bootstrap_prefix(config: ExperimentConfig, T: int) -> int:
+    """The labelled rows a bootstrap arm takes before its stream."""
+    return min(T, max(2, math.ceil(config.committee["initial_fraction"] * T)))
+
+
+def _tree_params(config: ExperimentConfig) -> TreeParams:
+    return TreeParams(max_depth=config.committee["max_depth"],
+                      min_leaf=config.committee["min_leaf"])
+
+
+def _predict_each(hs, X):
+    """One row of predictions on X per model, by its own predict_many."""
+    return np.array([h.predict_many(X) for h in hs])
+
+
+def _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test, loss,
+                trace, diagnostics) -> ArmResult:
+    """The arm whose model after schedule[i] rows and cum_queries[i] labels
+    is hs[i]. predict(hs, X_test) gives one row of test predictions per
+    model, and one evaluate_loss and one evaluate_error call score all the
+    rows; the last gives the final loss and error."""
+    Z = predict(hs, X_test)
+    checkpoints = list(zip(schedule, cum_queries,
+                           evaluate_loss(hs[-1], X_test, y_test, loss, Z),
+                           evaluate_error(hs[-1], X_test, y_test, Z)))
+    _, queries, final_loss, final_error = checkpoints[-1]
+    return ArmResult(checkpoints, final_loss, final_error, queries, trace,
+                     diagnostics)
 
 
 def _run_arm(config, engine, oracle, state, X_train, X_test, y_test, start: int = 0,
-             models=list, predict=lambda hs, X: np.array([h.predict_many(X) for h in hs])):
+             models=list, predict=_predict_each):
     """Stream rows start..T-1 of X_train through the engine, then evaluate.
 
-    Two phases. While streaming, state() records the arm at each checkpoint:
-    every multiple of the checkpoint interval from `start` on, and T. After
-    the stream, models(states) gives the learner's output at each checkpoint,
-    in order, predict(models, X_test) one row of test predictions for each,
-    and one evaluate_loss and one evaluate_error call score all the rows; the
-    last gives the final loss and error. Queries count the `start` labels
-    taken before the stream plus the oracle calls. Returns (ArmResult, final
-    model).
+    Two phases. While streaming, state() records the arm at each checkpoint
+    of `_schedule`. After the stream, models(states) gives the learner's
+    output at each checkpoint, in order, and `_scored_arm` scores them with
+    `predict`. Queries count the `start` labels taken before the stream plus
+    the oracle calls. Returns (ArmResult, final model).
     """
-    T = len(X_train)
-    interval = config.checkpoint_interval()
-    schedule = sorted({t for t in range(interval, T + 1, interval) if t >= start}
-                      | {T})
+    schedule = _schedule(config, len(X_train), start)
     states, cum_queries = [], []
     done = start
     for t in schedule:
@@ -381,13 +421,9 @@ def _run_arm(config, engine, oracle, state, X_train, X_test, y_test, start: int 
         states.append(state())
         cum_queries.append(start + oracle.calls)
     hs = models(states)
-    Z = predict(hs, X_test)
-    checkpoints = list(zip(schedule, cum_queries,
-                           evaluate_loss(hs[-1], X_test, y_test, engine.loss, Z),
-                           evaluate_error(hs[-1], X_test, y_test, Z)))
-    _, queries, final_loss, final_error = checkpoints[-1]
-    return ArmResult(checkpoints, final_loss, final_error, queries,
-                     engine.trace, {"oracle_calls": oracle.calls}), hs[-1]
+    return _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test,
+                       engine.loss, engine.trace,
+                       {"oracle_calls": oracle.calls}), hs[-1]
 
 
 def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
@@ -403,8 +439,8 @@ def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
 
 
 def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
-                   seeds, passive: bool) -> ArmResult:
-    """Committee pipeline; with passive=True every post-prefix label is taken.
+                   seeds) -> ArmResult:
+    """The bootstrap committee's active arm.
 
     Two phases. While streaming, each checkpoint records how many rows the
     arm has collected (the prefix and the queried rows). No final tree feeds
@@ -417,18 +453,13 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
     committee_rng = np.random.default_rng(seeds[0])
     engine_rng = np.random.default_rng(seeds[1])
     costing_seed = seeds[2]
-    opts = config.committee
-    T = len(X_train)
-    prefix = max(2, math.ceil(opts["initial_fraction"] * T))
-    prefix = min(prefix, T)
-    params = TreeParams(max_depth=opts["max_depth"], min_leaf=opts["min_leaf"])
+    prefix = _bootstrap_prefix(config, len(X_train))
+    params = _tree_params(config)
     X0, y0 = X_train[:prefix], y_train[:prefix]
-    if passive:
-        threshold = ConstantThreshold(1.0)
-    else:
-        committee = bs.train_committee(X0, y0, committee_rng, size=opts["size"],
-                                       params=params)
-        threshold = bs.CommitteeThreshold(committee, loss, labels, opts["p_min"])
+    committee = bs.train_committee(X0, y0, committee_rng,
+                                   size=config.committee["size"], params=params)
+    threshold = bs.CommitteeThreshold(committee, loss, labels,
+                                      config.committee["p_min"])
     engine = Engine(loss, threshold, engine_rng, p_min=config.p_min)
 
     def final_trees(counts):
@@ -448,11 +479,86 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
     return arm
 
 
+def _finite_prefix_sums(cls: FiniteClass, loss, X, y, schedule) -> np.ndarray:
+    """The members' loss sums over rows 0..t-1, one row for each t in schedule.
+
+    The sums run down (rows x members) loss tables of _BLOCK_ROWS rows, one
+    label's rows scored by one eval_many call. Each table's first row takes
+    the last table's sums, and a cumsum down the rows adds one row at a
+    time, as the engine's `member_sums += 1.0 * losses` does; a pairwise
+    sum would round differently.
+    """
+    T = schedule[-1]
+    marked, sums = [], np.zeros(len(cls))
+    for first in range(0, T, _BLOCK_ROWS):
+        stop = min(first + _BLOCK_ROWS, T)
+        Z, labels = cls.predict_many(X[first:stop]), y[first:stop]
+        losses = np.empty_like(Z)
+        for value in np.unique(labels):
+            rows = labels == value
+            losses[rows] = loss.eval_many(Z[rows], float(value))
+        losses[0] += sums
+        sums = np.cumsum(losses, axis=0, out=losses)[-1]
+        marked.append(losses[[t - 1 - first for t in schedule if first < t <= stop]])
+    return np.concatenate(marked)
+
+
+def _ball_prefix_minimizers(ball: LinearBall, loss, X, y, schedule) -> list:
+    """For each t in schedule, the unit-weight ERM over rows 0..t-1, each
+    solve warm from the last and the first from the zero vector, as the
+    engine's `refresh_hypothesis` solves them."""
+    sample = bs.weighted_examples_from_arrays(X, y, np.ones(len(X)))
+    hs, start = [], np.zeros(ball.dim)
+    for t in schedule:
+        h, _ = erm_weighted(ball, sample.head(t), loss, start=start)
+        hs.append(h)
+        start = h.weights
+    return hs
+
+
+def _passive_arm(config, loss, X_train, y_train, X_test, y_test,
+                 cls) -> ArmResult:
+    """The passive twin: the learner of class cls, or the bootstrap final
+    tree when cls is None, trained on every label, with no stream.
+
+    Streamed at p = 1, every coin comes up heads (a uniform draw is below
+    1), every weight 1/p is 1 and the oracle returns the next label, so the
+    learner after t rows depends on rows 0..t-1 alone, and each checkpoint's
+    is built from that prefix: a finite class's least running member loss
+    sum, the linear ball's unit-weight ERM, warm from the last checkpoint's,
+    or a tree grown on every row, as costing keeps every row of equal weight.
+    The bootstrap twin's checkpoints start at the committee prefix, as the
+    active arm's do. The trace is p = 1.0, q = 1 for each row after it.
+    """
+    T = len(X_train)
+    start = _bootstrap_prefix(config, T) if cls is None else 0
+    schedule = _schedule(config, T, start)
+    predict = _predict_each
+    if cls is None:
+        hs = DecisionTree.fit_many(X_train, y_train,
+                                   (np.arange(t) for t in schedule),
+                                   _tree_params(config))
+        predict = predict_forest
+    elif isinstance(cls, FiniteClass):
+        sums = _finite_prefix_sums(cls, loss, X_train, y_train, schedule)
+        hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
+    else:
+        hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
+    n = T - start
+    arm = _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss,
+                      QueryTrace([1.0] * n, [1] * n), {"oracle_calls": n})
+    if cls is None:
+        arm.diagnostics.update(prefix=start, final_tree_depth=hs[-1].depth())
+    return arm
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """One seeded paired run: the configured strategy plus its passive twin."""
     ss = np.random.SeedSequence(config.seed)
-    (data_seed, active_seed, passive_seed,
-     aux_a, aux_b, aux_c, aux_d) = (int(s) for s in ss.generate_state(7))
+    # the passive twin flips no coin, so its three seeds go unused; they are
+    # still drawn, so that the other seeds stay where they are
+    data_seed, active_seed, _, aux_a, aux_b, _, _ = (
+        int(s) for s in ss.generate_state(7))
     data_rng = np.random.default_rng(data_seed)
     X_train, y_train, X_test, y_test, support = build_data(config, data_rng)
     if config.standardize:
@@ -460,24 +566,18 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     loss = LossFunction(config.loss_kind, config.range_bound)
     for label in support:
         _built(f"{config.loss_kind} loss", loss.check_label, label)
-    dim = X_train.shape[1]
+    data = (X_train, y_train, X_test, y_test)
 
     if config.strategy == "bootstrap":
-        active = _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test,
-                                support, (aux_a, active_seed, aux_b), passive=False)
-        passive = _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test,
-                                 support, (aux_c, passive_seed, aux_d), passive=True)
+        active = _bootstrap_arm(config, loss, *data, support,
+                                (aux_a, active_seed, aux_b))
+        passive = _passive_arm(config, loss, *data, None)
     else:
-        class_rng = np.random.default_rng(aux_a)
-        threshold, cls = _make_threshold(config, loss, dim, support, class_rng)
-        active = _engine_arm(config, loss, X_train, y_train, X_test, y_test,
-                             threshold, cls, np.random.default_rng(active_seed))
-        if config.strategy == "passive":
-            passive = active
-        else:
-            passive = _engine_arm(config, loss, X_train, y_train, X_test, y_test,
-                                  ConstantThreshold(1.0), cls,
-                                  np.random.default_rng(passive_seed))
+        cls = _make_class(config, X_train.shape[1], np.random.default_rng(aux_a))
+        passive = _passive_arm(config, loss, *data, cls)
+        active = passive if config.strategy == "passive" else _engine_arm(
+            config, loss, *data, _make_threshold(config, loss, cls, support),
+            cls, np.random.default_rng(active_seed))
     return RunReport(config=config.to_dict(), seed=config.seed,
                      steps=config.train_size, active=active, passive=passive)
 

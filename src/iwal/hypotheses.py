@@ -6,8 +6,9 @@ predictions are clamped into the loss's prediction range so that normalized
 losses stay in [0, 1] even when the raw inner product exceeds the range.
 
 Each arm keeps its queried examples in one columnar `WeightedSample`. A finite
-class predicts all its members on a point in one call; the engine's running
-member loss sums are its ERM. `erm_weighted` is the ball's, by the ball solver.
+class predicts all its members on a point, or on a block of rows, in one
+call; the engine's running member loss sums are its ERM. `erm_weighted` is
+the ball's, by the ball solver.
 """
 
 from __future__ import annotations
@@ -219,7 +220,21 @@ class FiniteClass:
             x = np.asarray(x, dtype=float)
             return np.fromiter((h.predict(x) for h in self.members), float, len(self))
         x = _point(x, W.shape[2])
-        z = np.matmul(W, x[None, :, None])[:, 0, 0]
+        return self._finish(np.matmul(W, x[None, :, None])[:, 0, 0])
+
+    def predict_many(self, X) -> np.ndarray:
+        """Every member's prediction on each row of X, (rows, members); row i
+        is predict(X[i]) bit for bit. The weight matrix's batched matmul runs
+        the same ddot for each (row, member) item; other members predict row
+        by row."""
+        W = self._weights
+        if W is None:
+            return np.array([self.predict(x) for x in X]).reshape(len(X), len(self))
+        X = _rows(X, W.shape[2])
+        return self._finish(np.matmul(W[None], X[:, None, :, None])[..., 0, 0])
+
+    def _finish(self, z):
+        """Stacked members' predictions from their raw inner products z."""
         if isinstance(self.members[0], ThresholdPredictor):
             return np.where(z >= 0, 1.0, -1.0)
         b = self.members[0].range_bound

@@ -306,7 +306,7 @@ class TestProbe:
         (["rho", "--dim", "1"], "probe rho: dimension must be at least 2"),
         (["rho", "--noise", "0.7"], "probe rho: noise rate must lie in [0, 0.5)"),
         (["rho", "--mc", "0"], "probe rho: a Monte-Carlo estimate needs at least one point"),
-        (["theta", "--mc", "0", "--samples", "0"],
+        (["theta", "--mc", "0", "--samples", "3"],
          "probe theta: a Monte-Carlo estimate needs at least one point"),
         (["lower-bound-gen", "--atoms", "1"], "probe lower-bound-gen: need at least 2 atoms"),
         (["lower-bound-gen", "--eta", "0.5"],
@@ -319,8 +319,9 @@ class TestProbe:
          "probe theta: could not convert string to float: 'a'"),
         (["theta", "--radii", "0.1,-0.2", "--mc", "50", "--samples", "3"],
          "probe theta: radii must be positive and finite, got [0.1, -0.2]"),
-        (["theta", "--mc", "50", "--samples", "0"],
-         "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
+        # with no candidate, this once ended in "no sampled hypothesis lies
+        # within any radius"
+        (["theta", "--mc", "50", "--samples", "0"], "probe theta: samples must be at least 1, got 0"),
         (["theta", "--radii", "nan,0.1", "--mc", "50", "--samples", "3"],
          "probe theta: radii must be positive and finite, got [nan, 0.1]"),
         (["theta", "--radii", "inf", "--mc", "50", "--samples", "3"],
@@ -340,6 +341,10 @@ class TestProbe:
          "probe bounds: slope asymmetry must be at least 1, got 0.5"),
         (BOUNDS + ["--best-loss", "-3"], "probe bounds: best loss must lie in [0, 1], got -3.0"),
         (BOUNDS + ["--best-loss", "nan"], "probe bounds: best loss must lie in [0, 1], got nan"),
+        (["theta", "--mc", "50", "--samples", "-1"], "probe theta: samples must be at least 1, got -1"),
+        (["theta", "--mc", "0", "--samples", "0"], "probe theta: samples must be at least 1, got 0"),
+        (["theta", "--mc", "50", "--samples", "3", "--radii", "1e-9"],
+         "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
     ])
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:

@@ -13,7 +13,7 @@ from iwal.errors import ConfigError
 from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
                           emit_curves, evaluate_error, evaluate_loss,
                           run_experiment, run_replicates)
-from iwal.hypotheses import LinearPredictor
+from iwal.hypotheses import FiniteClass, LinearPredictor
 from iwal.losses import LossFunction
 from iwal.thresholds import ConstantThreshold
 from iwal.trees import DecisionTree, TreeParams
@@ -346,10 +346,11 @@ def _eager_engine_checkpoints(config, passive):
     X_train, y_train, X_test, y_test, support = build_data(
         config, np.random.default_rng(data_seed))
     loss = LossFunction(config.loss_kind, config.range_bound)
-    threshold, cls = harness._make_threshold(config, loss, X_train.shape[1], support,
-                                             np.random.default_rng(aux_a))
-    if passive:
+    cls = harness._make_class(config, X_train.shape[1], np.random.default_rng(aux_a))
+    if passive or config.strategy == "passive":
         threshold = ConstantThreshold(1.0)
+    else:
+        threshold = harness._make_threshold(config, loss, cls, support)
     engine = Engine(loss, threshold,
                     np.random.default_rng(passive_seed if passive else active_seed),
                     hypothesis_class=cls, p_min=config.p_min)
@@ -366,19 +367,80 @@ def _eager_engine_checkpoints(config, passive):
     return rows
 
 
+def _unstacked_members(size, dim, norm_bound, range_bound, loss_kind, rng,
+                       members=harness._finite_members):
+    """The configured finite class with every other member's range bound
+    halved, so that its members form no weight matrix."""
+    cls = members(size, dim, norm_bound, range_bound, loss_kind, rng)
+    return FiniteClass(tuple(LinearPredictor(h.weights, h.range_bound / (1 + i % 2))
+                             for i, h in enumerate(cls.members)))
+
+
+FINITE = {"class_spec": {"kind": "finite", "size": 16}}
+
+
 class TestEngineCheckpoints:
-    @pytest.mark.parametrize("strategy, extra", [
-        ("passive", {}),
-        ("loss-weighting-finite", {"class_spec": {"kind": "finite", "size": 16},
-                                   "slack_mode": "optimistic"}),
-        ("loss-weighting-linear", {"slack_mode": "optimistic"}),
+    @pytest.mark.parametrize("strategy, extra, unstacked", [
+        pytest.param("passive", {}, False, id="passive-extra0"),
+        pytest.param("passive", FINITE, False, id="passive-finite"),
+        pytest.param("loss-weighting-finite", {**FINITE, "slack_mode": "optimistic"}, False,
+                     id="loss-weighting-finite-extra1"),
+        pytest.param("loss-weighting-finite", {**FINITE, "loss_kind": "zero-one"}, False,
+                     id="finite-zero-one"),
+        pytest.param("loss-weighting-finite", {**FINITE, "loss_kind": "squared", "dataset": {
+            "kind": "point-mass", "beta": 0.3, "binary_labels": False}}, False,
+                     id="finite-point-mass-real-labels"),
+        # checkpoints on both sides of each loss table's first row
+        pytest.param("loss-weighting-finite", {**FINITE, "train_size": 350,
+                                               "checkpoint_every": 30}, False,
+                     id="finite-table-edges"),
+        pytest.param("loss-weighting-finite", {**FINITE, "slack_mode": "optimistic"}, True,
+                     id="finite-unstacked"),
+        pytest.param("loss-weighting-linear", {"slack_mode": "optimistic"}, False,
+                     id="loss-weighting-linear-extra2"),
     ])
-    def test_rows_match_the_eager_reference(self, strategy, extra):
-        config = base_config(strategy=strategy, train_size=150, test_size=60,
-                             checkpoint_every=10, seed=5, **extra)
+    def test_rows_match_the_eager_reference(self, monkeypatch, strategy, extra, unstacked):
+        if unstacked:
+            monkeypatch.setattr(harness, "_finite_members", _unstacked_members)
+        config = base_config(**{"strategy": strategy, "train_size": 150, "test_size": 60,
+                                "checkpoint_every": 10, "seed": 5, **extra})
         report = run_experiment(config)
         assert report.active.checkpoints == _eager_engine_checkpoints(config, False)
         assert report.passive.checkpoints == _eager_engine_checkpoints(config, True)
+
+    @pytest.mark.parametrize("loss_kind", ("logistic", "zero-one"))
+    @pytest.mark.parametrize("block", (harness._BLOCK_ROWS, 7, 1))
+    def test_prefix_sums_are_the_streamed_member_sums(self, monkeypatch, rng, loss_kind,
+                                                      block):
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
+        X = rng.normal(size=(230, 4))
+        y = np.where(rng.random(230) < 0.5, -1.0, 1.0)
+        loss = LossFunction(loss_kind)
+        cls = harness._finite_members(32, 4, 1.0, 1.0, loss_kind, rng)
+        schedule = [1, 6, 7, 8, 99, 100, 101, 150, 230]
+        engine = Engine(loss, ConstantThreshold(1.0), rng, hypothesis_class=cls)
+        oracle, streamed, done = ArrayOracle(y), [], 0
+        for t in schedule:
+            for row in range(done, t):
+                engine.step(X[row], oracle)
+            done = t
+            streamed.append(engine.member_sums.copy())
+        sums = harness._finite_prefix_sums(cls, loss, X, y, schedule)
+        assert sums.tobytes() == np.array(streamed).tobytes()
+
+    @pytest.mark.parametrize("p_min", (0.0, 1))
+    def test_passive_trace_is_the_streamed_engine_trace(self, tmp_path, p_min):
+        config = base_config(train_size=90, test_size=20, p_min=p_min)
+        paths = emit_curves(run_experiment(config), tmp_path)
+        data_seed = int(np.random.SeedSequence(config.seed).generate_state(7)[0])
+        X_train, y_train, *_ = build_data(config, np.random.default_rng(data_seed))
+        engine = Engine(LossFunction("logistic"), ConstantThreshold(1.0),
+                        np.random.default_rng(0), p_min=config.p_min)
+        oracle = ArrayOracle(y_train)
+        for x in X_train:
+            engine.step(x, oracle)
+        engine.trace.write_csv(tmp_path / "streamed.csv")
+        assert open(paths["trace"], "rb").read() == open(tmp_path / "streamed.csv", "rb").read()
 
 
 class TestCheckpointEvaluation:

@@ -289,6 +289,30 @@ class TestFiniteClassPredict:
             got = np.array([cls.predict(x) for x in rows])
             assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["linear", "threshold", "mixed"]),
+           dim=st.integers(1, 20), size=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_rows_match_predict_bit_for_bit(self, kind, dim, size, seed):
+        rng = np.random.default_rng(seed)
+        members = _members(rng, "linear" if kind == "mixed" else kind, size, dim)
+        if kind == "mixed":
+            # a second range bound: no weight matrix, one predict per row
+            members += (LinearPredictor(rng.normal(size=dim), 2.0),)
+        cls = FiniteClass(members)
+        X = rng.normal(size=(24, dim))
+        for rows in (X, np.asfortranarray(X), X[3:17], X[::2]):
+            got = cls.predict_many(rows)
+            assert got.shape == (len(rows), len(members))
+            assert got.tobytes() == np.array([cls.predict(x) for x in rows]).tobytes()
+        assert cls.predict_many(X[:0]).shape == (0, len(members))
+
+    def test_batched_rows_reject_a_wrong_width(self, rng):
+        cls = FiniteClass(_members(rng, "linear", 5, 3))
+        for bad in (np.ones(3), np.ones((4, 4)), np.ones((2, 4, 3))):
+            with pytest.raises(DimensionMismatchError):
+                cls.predict_many(bad)
+
     def test_matrix_only_for_one_member_kind_and_range(self, rng):
         linear = _members(rng, "linear", 4, 3)
         assert FiniteClass(linear)._weights.flags.c_contiguous

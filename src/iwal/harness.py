@@ -3,12 +3,13 @@
 Every experiment runs the configured strategy over a training stream and a
 passive twin (the same learner with every label taken) over the identical
 row order, evaluating both on a held-out test set at fixed checkpoints.
-An active arm streams its rows through an engine in `_run_arm`, and its
-training labels reach the learner only through a counting oracle, so the
-reported query totals are exactly the number of label requests. The passive
-twin, which is also the `passive` strategy's only arm, streams nothing:
-`_passive_arm` builds each checkpoint's learner from the first t rows. Both
-kinds score their checkpoints through one tail, `_scored_arm`.
+An active arm steps its engine through `_stream`, which yields each
+checkpoint's row and label counts, and its training labels reach the
+learner only through a counting oracle, so the reported query totals are
+exactly the number of label requests. The passive twin, which is also the
+`passive` strategy's only arm, streams nothing: `_passive_arm` builds each
+checkpoint's learner from the first t rows. Both kinds score their
+checkpoints through one tail, `_scored_arm`.
 """
 
 from __future__ import annotations
@@ -188,11 +189,10 @@ class RunReport:
         return self.active.queries / self.steps
 
     def curve_rows(self):
-        passive_by_t = {t: loss for t, _, loss, _ in self.passive.checkpoints}
-        rows = []
-        for t, cum, loss, _ in self.active.checkpoints:
-            rows.append((t, cum, loss, passive_by_t.get(t, math.nan)))
-        return rows
+        """(t, cum_queries, active loss, passive loss) at each checkpoint;
+        both arms are scored on one schedule."""
+        return [(t, cum, loss, passive[2]) for (t, cum, loss, _), passive
+                in zip(self.active.checkpoints, self.passive.checkpoints)]
 
     def summary_dict(self) -> dict:
         return {
@@ -401,82 +401,67 @@ def _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test, loss,
                      diagnostics)
 
 
-def _run_arm(config, engine, oracle, state, X_train, X_test, y_test, start: int = 0,
-             models=list, predict=_predict_each):
-    """Stream rows start..T-1 of X_train through the engine, then evaluate.
-
-    Two phases. While streaming, state() records the arm at each checkpoint
-    of `_schedule`. After the stream, models(states) gives the learner's
-    output at each checkpoint, in order, and `_scored_arm` scores them with
-    `predict`. Queries count the `start` labels taken before the stream plus
-    the oracle calls. Returns (ArmResult, final model).
-    """
-    schedule = _schedule(config, len(X_train), start)
-    states, cum_queries = [], []
+def _stream(config, engine, oracle, X_train, start: int = 0):
+    """Step the engine over rows start..T-1 of X_train, yielding (t, labels
+    taken) at each checkpoint of `_schedule`: the `start` labels taken before
+    the stream plus the oracle's calls."""
     done = start
-    for t in schedule:
+    for t in _schedule(config, len(X_train), start):
         for row in range(done, t):
             engine.step(X_train[row], oracle)
         done = t
-        states.append(state())
-        cum_queries.append(start + oracle.calls)
-    hs = models(states)
-    return _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test,
-                       engine.loss, engine.trace,
-                       {"oracle_calls": oracle.calls}), hs[-1]
+        yield t, start + oracle.calls
 
 
 def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
                 cls, rng) -> ArmResult:
     engine = Engine(loss, threshold, rng, hypothesis_class=cls,
                     p_min=config.p_min)
-    arm, _ = _run_arm(config, engine, ArrayOracle(y_train),
-                      engine.refresh_hypothesis, X_train, X_test, y_test)
-    extra = getattr(threshold, "diagnostics", None)
-    if callable(extra):
-        arm.diagnostics.update(extra())
-    return arm
+    oracle = ArrayOracle(y_train)
+    schedule, cum_queries, hs = zip(*(
+        (t, labels, engine.refresh_hypothesis())
+        for t, labels in _stream(config, engine, oracle, X_train)))
+    extra = getattr(threshold, "diagnostics", dict)
+    return _scored_arm(schedule, cum_queries, hs, _predict_each, X_test, y_test,
+                       loss, engine.trace, {"oracle_calls": oracle.calls, **extra()})
 
 
 def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
                    seeds) -> ArmResult:
     """The bootstrap committee's active arm.
 
-    Two phases. While streaming, each checkpoint records how many rows the
-    arm has collected (the prefix and the queried rows). No final tree feeds
-    back into the stream, so after it, checkpoint i draws its costing
-    resample from the first rows it collected, with its own
-    default_rng([costing seed, i]), `DecisionTree.fit_many` grows the final
-    trees together, and `predict_forest` routes the test rows through them
-    in one walk; costing keeps a heaviest row, so none is empty.
+    Every label taken adds one collected row, so the label count `_stream`
+    yields at a checkpoint is the number of rows the arm has collected there
+    (the prefix and the queried rows). No final tree feeds back into the
+    stream, so after it, checkpoint i draws its costing resample from the
+    first rows it collected, with its own default_rng([costing seed, i]),
+    `DecisionTree.fit_many` grows the final trees together, and
+    `predict_forest` routes the test rows through them in one walk; costing
+    keeps a heaviest row, so none is empty.
     """
-    committee_rng = np.random.default_rng(seeds[0])
-    engine_rng = np.random.default_rng(seeds[1])
-    costing_seed = seeds[2]
+    committee_seed, engine_seed, costing_seed = seeds
     prefix = _bootstrap_prefix(config, len(X_train))
     params = _tree_params(config)
     X0, y0 = X_train[:prefix], y_train[:prefix]
-    committee = bs.train_committee(X0, y0, committee_rng,
+    committee = bs.train_committee(X0, y0, np.random.default_rng(committee_seed),
                                    size=config.committee["size"], params=params)
     threshold = bs.CommitteeThreshold(committee, loss, labels,
                                       config.committee["p_min"])
-    engine = Engine(loss, threshold, engine_rng, p_min=config.p_min)
-
-    def final_trees(counts):
-        collected = (bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
-                     + engine.sample)
-        resamples = (bs.costing_resample(collected.head(n),
-                                         np.random.default_rng([costing_seed, i]))
-                     for i, n in enumerate(counts))
-        return DecisionTree.fit_many(collected.X, collected.y,
-                                     (r.rows for r in resamples), params)
-
-    arm, final_tree = _run_arm(config, engine, ArrayOracle(y_train[prefix:]),
-                               lambda: prefix + len(engine.sample),
-                               X_train, X_test, y_test, start=prefix,
-                               models=final_trees, predict=predict_forest)
-    arm.diagnostics.update(prefix=prefix, final_tree_depth=final_tree.depth())
-    return arm
+    engine = Engine(loss, threshold, np.random.default_rng(engine_seed),
+                    p_min=config.p_min)
+    oracle = ArrayOracle(y_train[prefix:])
+    schedule, counts = zip(*_stream(config, engine, oracle, X_train, start=prefix))
+    collected = (bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
+                 + engine.sample)
+    resamples = (bs.costing_resample(collected.head(n),
+                                     np.random.default_rng([costing_seed, i]))
+                 for i, n in enumerate(counts))
+    trees = DecisionTree.fit_many(collected.X, collected.y,
+                                  (r.rows for r in resamples), params)
+    return _scored_arm(schedule, counts, trees, predict_forest, X_test, y_test,
+                       loss, engine.trace,
+                       {"oracle_calls": oracle.calls, "prefix": prefix,
+                        "final_tree_depth": trees[-1].depth()})
 
 
 def _finite_prefix_sums(cls: FiniteClass, loss, X, y, schedule) -> np.ndarray:
@@ -531,25 +516,25 @@ def _passive_arm(config, loss, X_train, y_train, X_test, y_test,
     active arm's do. The trace is p = 1.0, q = 1 for each row after it.
     """
     T = len(X_train)
-    start = _bootstrap_prefix(config, T) if cls is None else 0
-    schedule = _schedule(config, T, start)
-    predict = _predict_each
     if cls is None:
-        hs = DecisionTree.fit_many(X_train, y_train,
-                                   (np.arange(t) for t in schedule),
+        start = _bootstrap_prefix(config, T)
+        schedule = _schedule(config, T, start)
+        hs = DecisionTree.fit_many(X_train, y_train, (np.arange(t) for t in schedule),
                                    _tree_params(config))
         predict = predict_forest
-    elif isinstance(cls, FiniteClass):
-        sums = _finite_prefix_sums(cls, loss, X_train, y_train, schedule)
-        hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
+        extra = {"prefix": start, "final_tree_depth": hs[-1].depth()}
     else:
-        hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
+        start, predict, extra = 0, _predict_each, {}
+        schedule = _schedule(config, T)
+        if isinstance(cls, FiniteClass):
+            sums = _finite_prefix_sums(cls, loss, X_train, y_train, schedule)
+            hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
+        else:
+            hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
     n = T - start
-    arm = _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss,
-                      QueryTrace([1.0] * n, [1] * n), {"oracle_calls": n})
-    if cls is None:
-        arm.diagnostics.update(prefix=start, final_tree_depth=hs[-1].depth())
-    return arm
+    return _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss,
+                       QueryTrace([1.0] * n, [1] * n),
+                       {"oracle_calls": n, **extra})
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

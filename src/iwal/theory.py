@@ -124,6 +124,8 @@ def loss_deviation_bound(p_min: float, class_size: int, confidence: float,
     """
     if not p_min > 0:
         raise ValueError("p_min must be positive")
+    if not p_min <= 1.0:
+        raise ValueError(f"p_min must be at most 1, got {p_min}")
     if class_size < 1:
         raise ValueError("class size must be at least 1")
     if not 0.0 < confidence < 1.0:

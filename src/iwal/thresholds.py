@@ -63,6 +63,14 @@ def dimension_slack(t: int, dim: int) -> float:
     return math.inf if t == 0 else math.sqrt(dim / t)
 
 
+def _checked_labels(loss: LossFunction, labels) -> tuple:
+    """labels as a tuple; ValueError unless the loss takes each of them."""
+    labels = tuple(labels)
+    for y in labels:
+        loss.check_label(y)
+    return labels
+
+
 def shrink_survivors(avg_losses: np.ndarray, alive: np.ndarray,
                      slack: float) -> np.ndarray:
     """Keep the alive members within slack of the alive minimum.
@@ -109,12 +117,14 @@ class LossWeightingFinite:
                  slack_constant: float = 8.0, labels=(-1.0, 1.0)):
         if slack_mode not in SLACK_MODES:
             raise ValueError(f"unknown slack mode {slack_mode!r}")
+        # the range checks of every later slack_width call, before any step
+        slack_width(0, len(hypothesis_class), confidence, slack_constant)
         self.hypothesis_class = hypothesis_class
         self.loss = loss
         self.confidence = confidence
         self.slack_mode = slack_mode
         self.slack_constant = slack_constant
-        self.labels = tuple(labels)
+        self.labels = _checked_labels(loss, labels)
         self.t = 0
         self.loss_sums = None
         self.alive = np.ones(len(hypothesis_class), dtype=bool)
@@ -170,7 +180,7 @@ class LossWeightingLinear:
         self.hypothesis_class = LinearBall(dim, float(norm_bound))
         self.loss = loss
         self.slack_mode = slack_mode
-        self.labels = tuple(labels)
+        self.labels = _checked_labels(loss, labels)
         self.t = 0
         self.engine = None
         self.solve_count = 0

@@ -224,7 +224,7 @@ class TestRun:
         def no_stream(*args, **kwargs):
             raise AssertionError("the stream started before the labels were checked")
 
-        monkeypatch.setattr(iwal.harness, "_run_arm", no_stream)
+        monkeypatch.setattr(iwal.harness, "_stream", no_stream)
         config = write_config(tmp_path, strategy=strategy, loss_kind=loss_kind,
                               dataset={"kind": "point-mass", "binary_labels": False},
                               class_spec={"kind": "finite"})
@@ -345,6 +345,10 @@ class TestProbe:
         (["theta", "--mc", "0", "--samples", "0"], "probe theta: samples must be at least 1, got 0"),
         (["theta", "--mc", "50", "--samples", "3", "--radii", "1e-9"],
          "probe theta: no sampled hypothesis lies within any radius, so no supremum to bound"),
+        (["bounds", "--pmin", "1.5", "--class-size", "8", "--delta", "0.2", "--steps", "500"],
+         "probe bounds: p_min must be at most 1, got 1.5"),
+        (["bounds", "--pmin", "inf", "--class-size", "8", "--delta", "0.2", "--steps", "500"],
+         "probe bounds: p_min must be at most 1, got inf"),
     ])
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:

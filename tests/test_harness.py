@@ -167,13 +167,19 @@ class TestRunExperiment:
         assert a.summary_dict() == b.summary_dict()
         assert a.curve_rows() == b.curve_rows()
 
-    def test_checkpoints_are_paired(self):
-        report = run_experiment(base_config(strategy="loss-weighting-finite"))
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    def test_checkpoints_are_paired(self, strategy):
+        report = run_experiment(base_config(strategy=strategy))
         active_ts = [t for t, *_ in report.active.checkpoints]
         passive_ts = [t for t, *_ in report.passive.checkpoints]
         assert active_ts == passive_ts
+        # a bootstrap arm's checkpoints, the twin's too, start at the
+        # committee prefix
+        first = 12 if strategy == "bootstrap" else 1
+        assert active_ts == list(range(first, 121))
         rows = report.curve_rows()
-        assert not any(math.isnan(row[3]) for row in rows)
+        assert [row[:3] for row in rows] == [c[:3] for c in report.active.checkpoints]
+        assert [row[3] for row in rows] == [c[2] for c in report.passive.checkpoints]
 
     def test_cumulative_queries_monotone(self):
         report = run_experiment(base_config(strategy="loss-weighting-finite"))

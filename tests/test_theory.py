@@ -181,6 +181,13 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             loss_deviation_bound(0.0, 8, 0.1, 100)
 
+    @pytest.mark.parametrize("p_min", [1.5, math.inf])
+    def test_deviation_bound_rejects_p_min_above_one(self, p_min):
+        # a larger p_min would only shrink the bound below its value at 1
+        with pytest.raises(ValueError, match="p_min must be at most 1"):
+            loss_deviation_bound(p_min, 8, 0.1, 100)
+        assert loss_deviation_bound(1.0, 8, 0.1, 100) > 0.0
+
     def test_query_bound_realizable_case(self):
         linear, sublinear = expected_query_bound(2.0, 1.0, 0.0, 1000, 8, 0.1)
         assert linear == 0.0

@@ -136,6 +136,17 @@ def _member_index(cls, member):
 
 
 class TestLossWeightingFinite:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"confidence": 2.0}, r"confidence must lie in \(0, 1\)"),
+        ({"slack_constant": -1.0}, "slack constant must be positive and finite"),
+        ({"slack_constant": math.nan}, "slack constant must be positive and finite"),
+        ({"labels": (0.0, 1.0)}, r"label must be -1 or \+1, got 0\.0"),
+    ])
+    def test_bad_inputs_fail_before_any_step(self, rng, kwargs, message):
+        cls = FiniteClass(tuple(random_linear_predictors(rng, 4, 2)))
+        with pytest.raises(ValueError, match=message):
+            LossWeightingFinite(cls, LossFunction("logistic", 1.0), **kwargs)
+
     def _drive(self, rng, members, loss, steps, confidence=0.1):
         """Run the threshold under an engine, returning the recorded history."""
         cls = FiniteClass(tuple(members))
@@ -268,6 +279,11 @@ class TestLossWeightingLinear:
         lo, hi = threshold.prediction_interval(x)
         assert lo == pytest.approx(-5.0)
         assert hi == pytest.approx(5.0)
+
+    def test_labels_outside_the_loss_domain_fail_before_any_step(self):
+        with pytest.raises(ValueError, match=r"label must be -1 or \+1, got 0\.0"):
+            LossWeightingLinear(2, 1.0, LossFunction("logistic", 1.0),
+                                labels=(0.0, 1.0))
 
     @pytest.mark.parametrize("kind", ["zero-one", "hinge", "absolute"])
     def test_rejects_losses_the_solver_cannot_take(self, kind):

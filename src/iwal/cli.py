@@ -199,11 +199,19 @@ def probe_lower_bound(args) -> dict:
 
 
 def probe_bounds(args) -> dict:
+    """The deviation bound, and the query bound when --theta, --asymmetry
+    and --best-loss are all given; ValueError when only some of them are."""
+    query_flags = {"--theta": args.theta, "--asymmetry": args.asymmetry,
+                   "--best-loss": args.best_loss}
+    missing = [flag for flag, value in query_flags.items() if value is None]
+    if 0 < len(missing) < len(query_flags):
+        raise ValueError(f"the query bound needs {', '.join(query_flags)}; "
+                         f"missing {', '.join(missing)}")
     payload = {
         "deviation_bound": _finite(theory.loss_deviation_bound(
             args.pmin, args.class_size, args.delta, args.steps)),
     }
-    if args.theta is not None and args.asymmetry is not None and args.best_loss is not None:
+    if not missing:
         linear, sublinear = theory.expected_query_bound(
             args.theta, args.asymmetry, args.best_loss, args.steps,
             args.class_size, args.delta)

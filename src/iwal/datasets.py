@@ -1,11 +1,12 @@
 """Dataset ingestion: dense CSV and sparse svmlight-style files.
 
 CSV rows are `label,feature,feature,...`; svmlight rows are
-`label index:value ...` with 1-based indices. Labels are mapped to -1/+1 by
-sign (nonpositive raw labels become -1); a NaN label has no sign and is
-rejected. Features must be finite: NaN and infinite values are rejected.
-Parse failures report the 1-based line number, as does an svmlight file
-whose dense matrix would exceed `_MAX_DENSE_CELLS`.
+`label index:value ...` with 1-based indices, in any order, none repeated
+on a line. Labels are mapped to -1/+1 by sign (nonpositive raw labels
+become -1); a NaN label has no sign and is rejected. Features must be
+finite: NaN and infinite values are rejected. Parse failures report the
+1-based line number, as does an svmlight file whose dense matrix would
+exceed `_MAX_DENSE_CELLS`.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ def _load_svmlight(lines) -> tuple[np.ndarray, np.ndarray]:
             if not math.isfinite(value):
                 raise DatasetFormatError(
                     f"line {number}: non-finite feature {token!r}", number
+                )
+            if index - 1 in row:
+                raise DatasetFormatError(
+                    f"line {number}: feature index {index} repeated", number
                 )
             row[index - 1] = value
             if index > max_index:

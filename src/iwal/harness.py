@@ -25,7 +25,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import bootstrap as bs
-from .datasets import load_dataset
+from .datasets import FORMATS, load_dataset
 from .engine import ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
@@ -41,6 +41,15 @@ STRATEGIES = ("passive", "loss-weighting-finite", "loss-weighting-linear",
 _COMMITTEE_DEFAULTS = {"size": 10, "p_min": 0.1, "initial_fraction": 0.1,
                        "max_depth": 8, "min_leaf": 2}
 CLASS_KINDS = ("linear", "finite")
+# each dataset kind's options and their defaults
+_DATASET_DEFAULTS = {
+    "file": {"path": None, "format": "csv"},
+    "sphere": {"dim": 5, "noise": 0.0},
+    "point-mass": {"beta": 0.1, "dim": 2, "binary_labels": True},
+    "lower-bound": {"atoms": 8, "eta": 0.2, "eps": 0.05},
+}
+# a class spec's options besides its kind, and their defaults
+_CLASS_DEFAULTS = {"norm_bound": 1.0, "size": 16}
 # training rows whose (rows x members) losses the finite passive twin holds at
 # once; one table for a whole 1,000-row stream adds about 4 MB of peak memory
 _BLOCK_ROWS = 100
@@ -87,6 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown slack mode {self.slack_mode!r}")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' entry")
+        _dataset_options(self.dataset)
         if not isinstance(self.class_spec, dict):
             raise ConfigError("class_spec must be a dict")
         if not isinstance(self.committee, dict):
@@ -99,7 +109,7 @@ class ExperimentConfig:
                 _require_number(name, value, kind)
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        class_kind = self.class_spec.get("kind", "linear")
+        class_kind, _ = _class_options(self.class_spec)
         if class_kind not in CLASS_KINDS:
             raise ConfigError(f"unknown class kind {class_kind!r}")
         if self.strategy == "loss-weighting-linear" and class_kind != "linear":
@@ -261,6 +271,34 @@ def _options(spec: dict, what: str, defaults: dict) -> dict:
     return options
 
 
+def _dataset_options(dataset: dict) -> tuple:
+    """(kind, options with defaults filled in) of a dataset spec; ConfigError
+    for an unknown kind, an unknown or mistyped option, or a file dataset
+    without a string path or with an unknown format."""
+    spec = dict(dataset)
+    kind = spec.pop("kind")
+    if not isinstance(kind, str) or kind not in _DATASET_DEFAULTS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    opts = _options(spec, "dataset", _DATASET_DEFAULTS[kind])
+    if kind == "file":
+        if opts["path"] is None:
+            raise ConfigError("file datasets need a 'path'")
+        if not isinstance(opts["path"], (str, os.PathLike)):
+            raise ConfigError(f"dataset path must be a string, got "
+                              f"{type(opts['path']).__name__} {opts['path']!r}")
+        if opts["format"] not in FORMATS:
+            raise ConfigError(f"unknown dataset format {opts['format']!r}")
+    return kind, opts
+
+
+def _class_options(class_spec: dict) -> tuple:
+    """(kind, options with defaults filled in) of a class spec; ConfigError
+    for an unknown or mistyped option."""
+    spec = dict(class_spec)
+    kind = spec.pop("kind", "linear")
+    return kind, _options(spec, "class", _CLASS_DEFAULTS)
+
+
 def _built(what: str, build, *args, **kwargs):
     """build(*args, **kwargs), with the ValueError of its range checks turned
     into a ConfigError that names `what`."""
@@ -272,16 +310,9 @@ def _built(what: str, build, *args, **kwargs):
 
 def build_data(config: ExperimentConfig, rng: np.random.Generator):
     """(X_train, y_train, X_test, y_test, label_support) for the config."""
-    spec = dict(config.dataset)
-    kind = spec.pop("kind")
+    kind, opts = _dataset_options(config.dataset)
     n = config.train_size + config.test_size
     if kind == "file":
-        opts = _options(spec, "dataset", {"path": None, "format": "csv"})
-        if opts["path"] is None:
-            raise ConfigError("file datasets need a 'path'")
-        if not isinstance(opts["path"], (str, os.PathLike)):
-            raise ConfigError(f"dataset path must be a string, got "
-                              f"{type(opts['path']).__name__} {opts['path']!r}")
         try:
             X, y = load_dataset(opts["path"], opts["format"])
         except (OSError, UnicodeDecodeError) as exc:
@@ -294,24 +325,19 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         X, y = X[order], y[order]
         support = (-1.0, 1.0)
     elif kind == "sphere":
-        instance = _built("dataset sphere", SphereInstance,
-                          **_options(spec, "dataset", {"dim": 5, "noise": 0.0}))
+        instance = _built("dataset sphere", SphereInstance, **opts)
         X, y = instance.sample(rng, n)
         support = (-1.0, 1.0)
     elif kind == "point-mass":
-        instance = _built("dataset point-mass", point_mass_instance, **_options(
-            spec, "dataset", {"beta": 0.1, "dim": 2, "binary_labels": True}))
+        instance = _built("dataset point-mass", point_mass_instance, **opts)
         X, y = instance.sample(rng, n)
         support = instance.label_support()
-    elif kind == "lower-bound":
-        opts = _options(spec, "dataset", {"atoms": 8, "eta": 0.2, "eps": 0.05})
+    else:
         hard = _built("dataset lower-bound", lower_bound_instance,
                       num_atoms=opts["atoms"], eta=opts["eta"], eps=opts["eps"],
                       rng=rng)
         X, y = hard.instance.sample(rng, n)
         support = (-1.0, 1.0)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
     split = config.train_size
     return X[:split], y[:split], X[split:], y[split:], support
 
@@ -340,9 +366,7 @@ def _make_class(config: ExperimentConfig, dim: int, rng):
     """The hypothesis class of the engine-based strategies and the passive
     strategy: the class spec's finite class, always for
     loss-weighting-finite, or else its linear ball."""
-    spec = dict(config.class_spec)
-    kind = spec.pop("kind", "linear")
-    opts = _options(spec, "class", {"norm_bound": 1.0, "size": 16})
+    kind, opts = _class_options(config.class_spec)
     norm_bound, size = opts["norm_bound"], opts["size"]
     # the ball checks norm_bound for finite classes too, whose members lie
     # on its boundary

@@ -5,25 +5,12 @@ majority vote with ties going to +1. A fitted tree is a set of flat node
 arrays.
 
 Tie rule: a node's cuts are scanned in feature-major order (feature index,
-then position in the feature's stable sort). The first allowed cut is
-kept, and a later one replaces the kept cut only if its gain exceeds the kept
-gain by more than _MIN_GAIN (1e-12). Vector gains use np.log2, which can
-differ from math.log2 in the last bit, so a gain can differ from the scalar
-`_entropy` form by about 1e-16; the tree must be the one the sequential scan
-over scalar gains grows.
-
-Selection by band. Let M be a node's largest vector gain and j* the first
-cut in scan order whose gain is at least M - _NEAR (1e-13). `fit` keeps j*
-unless some gain lies in the band [M - (_MIN_GAIN + _NEAR + _CERTIFY),
-M - _NEAR). Such a node goes to `_best_split`, the exact path, which runs
-the sequential scan over scalar gains itself. Outside the band every gain
-is near (>= M - _NEAR) or far (< M - _MIN_GAIN - _NEAR - _CERTIFY). With
-the vector-scalar gap below _CERTIFY / 2, on scalar gains:
-  - every cut before j* is far, so the cut kept when the scan reaches j* is
-    below j* by more than _MIN_GAIN, and j* replaces it;
-  - every later gain is at most M + _CERTIFY / 2, above j* by less than
-    _MIN_GAIN, so nothing replaces j*.
-So the sequential scan over scalar gains keeps j*.
+then position in the feature's stable sort). Let M be the node's best gain;
+the node keeps the first allowed cut in scan order whose gain is within
+_MIN_GAIN (1e-12) of M. Gains that are equal in exact arithmetic can differ
+in the last bits once computed (the mirror cut of a symmetric split takes
+each child's entropy from the other label's count), and the allowance lets
+such a tie keep the first cut.
 
 Candidate cuts. A depth computes gains only at candidate cuts: allowed cuts
 with a label change across them (the rows on their two sides differ in
@@ -31,9 +18,8 @@ label), or next to a blocked cut (one between equal values, one leaving
 fewer than min_leaf rows on a side, or the segment edge before a node's
 first column). In a node of more than _BOUNDARY_ROWS rows every allowed cut
 is a candidate. After Fayyad & Irani (Machine Learning 8, 1992), no other
-cut can be near or in the band, so `_select` over the candidates picks the
-cut it would pick over every allowed cut, and the band proof above holds.
-`_best_split`, the exact path, still reads every cut of its node.
+cut can be within _MIN_GAIN of M, so the tie rule over the candidates picks
+the cut it would pick over every allowed cut.
   Proof. Take a searched node of n rows, P of them positive; it is impure.
 Let cut i leave the first i rows of a feature's order on the left and
 W(i) = i H(left) + (n - i) H(right), so its gain is G(i) = H(P/n) - W(i)/n.
@@ -49,11 +35,11 @@ and a neighbour of i has a gain above G(i) + delta. Walk from i that way:
 while the cut reached is not a candidate the same argument applies there,
 so the gain keeps rising, and the walk ends at a candidate (a node's first
 and last allowed cuts are candidates) whose gain exceeds G(i) + delta. The
-vector and scalar gains each lie within _CERTIFY / 2 of the exact ones
-(their rounding is about 1e-16), so on both cut i is below that candidate
-by more than delta - _CERTIFY. _BOUNDARY_ROWS is the largest n with
-delta = 1 / (2 ln2 n^3) > _MIN_GAIN + _NEAR + 2 _CERTIFY: up to it, cut i
-is far, and dropping it moves neither M, nor j*, nor the band test.
+computed gains lie within _CERTIFY / 2 of the exact ones (their rounding is
+about 1e-16), so cut i is below that candidate by more than
+delta - _CERTIFY. _BOUNDARY_ROWS is the largest n with
+delta = 1 / (2 ln2 n^3) > _MIN_GAIN + 2 _CERTIFY: up to it, cut i is more
+than _MIN_GAIN below M, and dropping it moves neither M nor the kept cut.
 
 Shared presort. `fit_many` takes one (X, y) and, per tree, a strictly
 increasing array of row indices into it. Every feature gets one stable
@@ -106,16 +92,15 @@ import numpy as np
 
 from .hypotheses import _point, _rows
 
+# cuts this close to a node's best gain tie with it
 _MIN_GAIN = 1e-12
-# far above the gap between vector and scalar gains, far below _MIN_GAIN
+# far above the rounding of a computed gain, far below _MIN_GAIN
 _CERTIFY = 1e-14
-# cuts this close to a node's best gain tie with it (_NEAR + _CERTIFY < _MIN_GAIN)
-_NEAR = 1e-13
 # feature values (rows x features) of the datasets grown together in a forest
 _FOREST_CELLS = 40960
 # largest node whose cuts inside a stretch of one label are far below its
-# best gain, derived from the band (module docstring)
-_BOUNDARY_ROWS = int((2 * math.log(2) * (_MIN_GAIN + _NEAR + 2 * _CERTIFY)) ** (-1 / 3))
+# best gain, derived from the tie allowance (module docstring)
+_BOUNDARY_ROWS = int((2 * math.log(2) * (_MIN_GAIN + 2 * _CERTIFY)) ** (-1 / 3))
 
 
 @dataclass(frozen=True)
@@ -154,56 +139,22 @@ def _entropy_many(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return h
 
 
-def _best_split(values: np.ndarray, flags: np.ndarray, pos_total: int,
-                min_leaf: int):
-    """(feature, threshold) of one node's best entropy split: the tie rule's
-    sequential scan over scalar `_entropy` gains, for a node with an allowed
-    cut.
-
-    values and flags (label > 0) hold one row per feature, in that feature's
-    sorted order. A cut after sorted position i leaves i + 1 points on the
-    left; min_leaf allows min_leaf - 1 <= i < n - min_leaf.
-    """
-    n = values.shape[1]
-    parent = _entropy(pos_total, n)
-    values = values.tolist()
-    best = None
-    for feature, pos_left in enumerate(np.cumsum(flags, axis=1).tolist()):
-        row = values[feature]
-        for i in range(min_leaf - 1, n - min_leaf):
-            if row[i] == row[i + 1]:
-                continue
-            n_left, n_right = i + 1, n - i - 1
-            gain = parent - (n_left * _entropy(pos_left[i], n_left)
-                             + n_right * _entropy(pos_total - pos_left[i], n_right)) / n
-            if best is None or gain > best[0] + _MIN_GAIN:
-                best = gain, feature, i
-    _, feature, i = best
-    return feature, 0.5 * (values[feature][i] + values[feature][i + 1])
-
-
 def _select(cells: np.ndarray, gains: np.ndarray, node: np.ndarray,
             n_nodes: int, m: int):
-    """The batched tie rule over one depth's searched cuts: their flat
-    indices into a (features, m) matrix of node column segments (ascending,
-    so in scan order within each node), their gains and their nodes. Per
-    node: the feature and column of the first cut in scan order within
-    _NEAR of its best gain M (feature -1, column 0 when no cut is
-    searched), and whether a gain lies in the band [M - (_MIN_GAIN + _NEAR
-    + _CERTIFY), M - _NEAR), which `_best_split` must settle. See the module
-    docstring."""
+    """The tie rule over one depth's searched cuts: their flat indices into a
+    (features, m) matrix of node column segments (ascending, so in scan
+    order within each node), their gains and their nodes. Per node, the
+    feature and column of the first cut in scan order within _MIN_GAIN of
+    its best gain (feature -1, column 0 when no cut is searched)."""
     best = np.full(n_nodes, -np.inf)
     np.maximum.at(best, node, gains)
-    floor = best.take(node)
-    near = gains >= floor - _NEAR
+    near = gains >= best.take(node) - _MIN_GAIN
     # column 0 where no cut is searched
     first = np.full(n_nodes, np.iinfo(np.intp).max // m * m)
     np.minimum.at(first, node[near], cells[near])
-    band = (gains >= floor - (_MIN_GAIN + _NEAR + _CERTIFY)) & ~near
-    exact = np.bincount(node[band], minlength=n_nodes) > 0
     feature, column = np.divmod(first, m)
     feature[best == -np.inf] = -1
-    return feature, column, exact
+    return feature, column
 
 
 def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
@@ -220,8 +171,7 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     d, n_rows = X.shape
     m = order.shape[1]
     # (features, m) arrays bound a forest's memory: each is dropped once read
-    offsets = np.arange(0, d * n_rows, n_rows)[:, None]
-    values = X.ravel().take(order + offsets)
+    values = X.ravel().take(order + np.arange(0, d * n_rows, n_rows)[:, None])
     blocked = np.ones((d, m), dtype=bool)        # cuts that are not allowed
     np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
     del values
@@ -253,10 +203,11 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     pos_left = cum.take(cells + 1)
     pos_left -= cum.take(column)
     del cum, column
+    # parent entropies by math.log2 (`_entropy`), as the tests' frozen oracle
+    # computes them; np.log2 may differ in the last bit
     parent = np.array([_entropy(p, s) for p, s in zip(n_pos.tolist(), sizes.tolist())])
-    # `_best_split`'s gain formula and operation order, elementwise and in
-    # place (one child at a time, to hold fewer temporaries):
-    # parent - (n_left * h_left + n_right * h_right) / n
+    # each cut's gain, elementwise and in place (one child at a time, to hold
+    # fewer temporaries): parent - (n_left * h_left + n_right * h_right) / n
     gains = _entropy_many(pos_left, n_left)
     gains *= n_left
     # the right side's positives go into pos_left's array
@@ -267,13 +218,9 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     gains /= n_left + n_right
     np.subtract(parent.take(cut_node), gains, out=gains)
 
-    feature, column, exact = _select(cells, gains, cut_node, len(sizes), m)
+    feature, column = _select(cells, gains, cut_node, len(sizes), m)
     threshold = 0.5 * (X[feature, order[feature, column]]
                        + X[feature, order[feature, column + 1]])
-    for k in np.flatnonzero(exact).tolist():
-        seg = slice(starts[k], starts[k] + sizes[k])
-        feature[k], threshold[k] = _best_split(X.ravel().take(order[:, seg] + offsets),
-                                               flags[:, seg], int(n_pos[k]), min_leaf)
     return feature, threshold
 
 

@@ -106,6 +106,26 @@ class TestRun:
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dataset": {"kind": "bogus"}}, "unknown dataset kind 'bogus'"),
+        ({"dataset": {"kind": "sphere", "dimm": 3}}, "unknown dataset options ['dimm']"),
+        ({"dataset": {"kind": "file"}}, "file datasets need a 'path'"),
+        ({"dataset": {"kind": "file", "path": 3}}, "dataset path must be a string, got int 3"),
+        ({"dataset": {"kind": "file", "path": "d.txt", "format": "xml"}},
+         "unknown dataset format 'xml'"),
+        ({"class_spec": {"kind": "finite", "sise": 4}}, "unknown class options ['sise']"),
+        ({"strategy": "bootstrap", "class_spec": {"sise": 4}},
+         "unknown class options ['sise']"),
+    ])
+    def test_bad_nested_spec_fails_before_out_is_made(self, tmp_path, capsys,
+                                                      overrides, message):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["passive", "loss-weighting-linear"])
     @pytest.mark.parametrize("loss_kind", ["hinge", "zero-one", "absolute"])
@@ -349,6 +369,10 @@ class TestProbe:
          "probe bounds: p_min must be at most 1, got 1.5"),
         (["bounds", "--pmin", "inf", "--class-size", "8", "--delta", "0.2", "--steps", "500"],
          "probe bounds: p_min must be at most 1, got inf"),
+        (BOUNDS[:-4], "probe bounds: the query bound needs --theta, --asymmetry, "
+                      "--best-loss; missing --asymmetry, --best-loss"),
+        (BOUNDS[:9] + ["--best-loss", "0.1"], "probe bounds: the query bound needs "
+         "--theta, --asymmetry, --best-loss; missing --theta, --asymmetry"),
     ])
     def test_out_of_range_flag_is_a_config_error(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:

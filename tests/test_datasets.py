@@ -103,6 +103,20 @@ class TestSvmlight:
             load_dataset(path, fmt="svmlight")
         assert info.value.line_number == 2
 
+    def test_repeated_index_reports_line(self, tmp_path):
+        path = tmp_path / "data.svm"
+        path.write_text("+1 2:0.5\n1 1:2 1:3\n")
+        with pytest.raises(DatasetFormatError,
+                           match="line 2: feature index 1 repeated") as info:
+            load_dataset(path, fmt="svmlight")
+        assert info.value.line_number == 2
+
+    def test_unsorted_indices_accepted(self, tmp_path):
+        path = tmp_path / "data.svm"
+        path.write_text("+1 3:-0.2 1:0.5\n")
+        X, _ = load_dataset(path, fmt="svmlight")
+        assert X.tolist() == [[0.5, 0.0, -0.2]]
+
     def test_zero_index_rejected(self, tmp_path):
         path = tmp_path / "data.svm"
         path.write_text("+1 0:0.5\n")

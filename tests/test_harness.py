@@ -148,10 +148,9 @@ class TestBuildData:
         with pytest.raises(ConfigError, match="rows"):
             build_data(config, rng)
 
-    def test_unknown_dataset_options_rejected(self, rng):
-        config = base_config(dataset={"kind": "sphere", "wobble": 1})
+    def test_unknown_dataset_options_rejected_when_the_config_is_built(self):
         with pytest.raises(ConfigError, match="unknown dataset options"):
-            build_data(config, rng)
+            base_config(dataset={"kind": "sphere", "wobble": 1})
 
 
 class TestRunExperiment:

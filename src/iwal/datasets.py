@@ -96,6 +96,8 @@ def _load_svmlight(lines) -> tuple[np.ndarray, np.ndarray]:
             if index > max_index:
                 max_index, widest = index, number
         entries.append(row)
+    if max_index == 0:
+        raise DatasetFormatError("no line has a feature")
     if len(entries) * max_index > _MAX_DENSE_CELLS:
         raise DatasetFormatError(
             f"line {widest}: feature index {max_index} needs a dense {len(entries)} x "

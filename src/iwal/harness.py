@@ -20,6 +20,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
+from operator import attrgetter
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -30,8 +31,8 @@ from .engine import ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
                          ThresholdPredictor, erm_weighted)
-from .instances import (SphereInstance, lower_bound_instance,
-                        point_mass_instance)
+from .instances import (SphereInstance, check_lower_bound,
+                        lower_bound_instance, point_mass_instance)
 from .losses import SMOOTH_KINDS, LossFunction
 from .thresholds import SLACK_MODES, LossWeightingFinite, LossWeightingLinear
 from .trees import DecisionTree, TreeParams, predict_forest
@@ -55,11 +56,16 @@ _CLASS_DEFAULTS = {"norm_bound": 1.0, "size": 16}
 _BLOCK_ROWS = 100
 
 
-def _require_number(name: str, value, kind) -> None:
-    """ConfigError unless value is an integer (kind Integral) or a real
-    number (kind Real); bool is neither here."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if kind is Integral else "a number"
+# the kind a value of type bool, int or float must be, and its name
+_KINDS = {bool: (bool, "a bool"), int: (Integral, "an integer"),
+          float: (Real, "a number")}
+
+
+def _require_type(name: str, value, base: type) -> None:
+    """ConfigError unless value is of base's kind in _KINDS; a bool is only
+    a bool here."""
+    kind, expected = _KINDS[base]
+    if (base is bool) != isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{name} must be {expected}, got "
                           f"{type(value).__name__} {value!r}")
 
@@ -96,22 +102,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown slack mode {self.slack_mode!r}")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' entry")
-        _dataset_options(self.dataset)
-        if not isinstance(self.class_spec, dict):
-            raise ConfigError("class_spec must be a dict")
-        if not isinstance(self.committee, dict):
-            raise ConfigError("committee must be a dict")
+        dataset_kind, dataset_options = _dataset_options(self.dataset)
+        if dataset_kind != "file":
+            _instance(dataset_kind, dataset_options)
+        for name in ("class_spec", "committee"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a dict")
         if self.seed is None:
             raise ConfigError("a seed is required; unseeded runs are not allowed")
-        for name, (kind, optional) in _NUMBER_TYPES.items():
+        for name, (base, optional) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if value is not None or not optional:
-                _require_number(name, value, kind)
+                _require_type(name, value, base)
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        class_kind, _ = _class_options(self.class_spec)
+        class_kind, class_options = _class_options(self.class_spec)
         if class_kind not in CLASS_KINDS:
             raise ConfigError(f"unknown class kind {class_kind!r}")
+        # a finite class's members lie on the ball's boundary
+        _built("class_spec", LinearBall, 1, class_options["norm_bound"])
+        if class_options["size"] < 1:
+            raise ConfigError("class_spec: a finite hypothesis class must be nonempty")
         if self.strategy == "loss-weighting-linear" and class_kind != "linear":
             raise ConfigError("loss-weighting-linear needs a linear class spec")
         _built("loss", LossFunction, self.loss_kind, self.range_bound)
@@ -165,35 +176,33 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def checkpoint_interval(self) -> int:
-        if self.checkpoint_every is not None:
-            return self.checkpoint_every
-        return max(1, self.train_size // 100)
+        return self.checkpoint_every or max(1, self.train_size // 100)
 
 
-# {name: (Integral or Real, None allowed)} of each int, float or `| None` field
-_NUMBER_TYPES = {name: (kind, type(None) in get_args(hint))
-                 for name, hint in get_type_hints(ExperimentConfig).items()
-                 for base, kind in ((int, Integral), (float, Real))
-                 if hint in (base, base | None)}
+# {name: (bool, int or float, None allowed)} of each such or `| None` field
+_FIELD_TYPES = {name: (base, type(None) in get_args(hint))
+                for name, hint in get_type_hints(ExperimentConfig).items()
+                for base in _KINDS if hint in (base, base | None)}
 
 
 @dataclass
 class ArmResult:
     checkpoints: list          # (t, cum_queries, test_loss, test_error)
-    final_loss: float
-    final_error: float | None
-    queries: int
     trace: QueryTrace
     diagnostics: dict = field(default_factory=dict)
+    # the last checkpoint's labels taken, test loss and test error
+    queries = property(lambda self: self.checkpoints[-1][1])
+    final_loss = property(lambda self: self.checkpoints[-1][2])
+    final_error = property(lambda self: self.checkpoints[-1][3])
 
 
 @dataclass
 class RunReport:
-    config: dict
-    seed: int
-    steps: int
+    config: dict               # ExperimentConfig.to_dict() of the run
     active: ArmResult
     passive: ArmResult
+    seed = property(lambda self: self.config["seed"])
+    steps = property(lambda self: self.config["train_size"])
 
     def query_fraction(self) -> float:
         return self.active.queries / self.steps
@@ -259,15 +268,9 @@ def _options(spec: dict, what: str, defaults: dict) -> dict:
         raise ConfigError(f"unknown {what} options {sorted(unknown)}")
     options = {**defaults, **spec}
     for name, default in defaults.items():
-        value = options[name]
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{what} {name} must be a bool, got "
-                                  f"{type(value).__name__} {value!r}")
-        elif isinstance(default, (int, float)):
-            kind = Integral if isinstance(default, int) else Real
-            _require_number(f"{what} {name}", value, kind)
-            options[name] = type(default)(value)
+        if type(default) in _KINDS:
+            _require_type(f"{what} {name}", options[name], type(default))
+            options[name] = type(default)(options[name])
     return options
 
 
@@ -308,6 +311,20 @@ def _built(what: str, build, *args, **kwargs):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def _instance(kind: str, opts: dict, rng: np.random.Generator | None = None):
+    """The instance a generated dataset of this kind samples, ConfigError for
+    an out-of-range option. A lower-bound instance's hidden bits come from
+    rng; with no rng, its options are only checked."""
+    what = f"dataset {kind}"
+    if kind != "lower-bound":
+        build = SphereInstance if kind == "sphere" else point_mass_instance
+        return _built(what, build, **opts)
+    args = opts["atoms"], opts["eta"], opts["eps"]
+    if rng is None:
+        return _built(what, check_lower_bound, *args)
+    return _built(what, lower_bound_instance, *args, rng).instance
+
+
 def build_data(config: ExperimentConfig, rng: np.random.Generator):
     """(X_train, y_train, X_test, y_test, label_support) for the config."""
     kind, opts = _dataset_options(config.dataset)
@@ -324,20 +341,10 @@ def build_data(config: ExperimentConfig, rng: np.random.Generator):
         order = rng.permutation(len(X))[:n]
         X, y = X[order], y[order]
         support = (-1.0, 1.0)
-    elif kind == "sphere":
-        instance = _built("dataset sphere", SphereInstance, **opts)
-        X, y = instance.sample(rng, n)
-        support = (-1.0, 1.0)
-    elif kind == "point-mass":
-        instance = _built("dataset point-mass", point_mass_instance, **opts)
+    else:
+        instance = _instance(kind, opts, rng)
         X, y = instance.sample(rng, n)
         support = instance.label_support()
-    else:
-        hard = _built("dataset lower-bound", lower_bound_instance,
-                      num_atoms=opts["atoms"], eta=opts["eta"], eps=opts["eps"],
-                      rng=rng)
-        X, y = hard.instance.sample(rng, n)
-        support = (-1.0, 1.0)
     split = config.train_size
     return X[:split], y[:split], X[split:], y[split:], support
 
@@ -365,16 +372,13 @@ def _finite_members(size: int, dim: int, norm_bound: float, range_bound: float,
 def _make_class(config: ExperimentConfig, dim: int, rng):
     """The hypothesis class of the engine-based strategies and the passive
     strategy: the class spec's finite class, always for
-    loss-weighting-finite, or else its linear ball."""
+    loss-weighting-finite, or else its linear ball. The config has checked
+    the spec's options."""
     kind, opts = _class_options(config.class_spec)
-    norm_bound, size = opts["norm_bound"], opts["size"]
-    # the ball checks norm_bound for finite classes too, whose members lie
-    # on its boundary
-    cls = _built("class_spec", LinearBall, dim, norm_bound)
     if config.strategy == "loss-weighting-finite" or kind == "finite":
-        cls = _built("class_spec", _finite_members, size, dim, norm_bound,
-                     config.range_bound, config.loss_kind, rng)
-    return cls
+        return _finite_members(opts["size"], dim, opts["norm_bound"],
+                               config.range_bound, config.loss_kind, rng)
+    return LinearBall(dim, opts["norm_bound"])
 
 
 def _make_threshold(config: ExperimentConfig, loss, cls, labels):
@@ -420,9 +424,7 @@ def _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test, loss,
     checkpoints = list(zip(schedule, cum_queries,
                            evaluate_loss(hs[-1], X_test, y_test, loss, Z),
                            evaluate_error(hs[-1], X_test, y_test, Z)))
-    _, queries, final_loss, final_error = checkpoints[-1]
-    return ArmResult(checkpoints, final_loss, final_error, queries, trace,
-                     diagnostics)
+    return ArmResult(checkpoints, trace, diagnostics)
 
 
 def _stream(config, engine, oracle, X_train, start: int = 0):
@@ -587,47 +589,36 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         active = passive if config.strategy == "passive" else _engine_arm(
             config, loss, *data, _make_threshold(config, loss, cls, support),
             cls, np.random.default_rng(active_seed))
-    return RunReport(config=config.to_dict(), seed=config.seed,
-                     steps=config.train_size, active=active, passive=passive)
+    return RunReport(config.to_dict(), active, passive)
 
 
 def run_replicates(config: ExperimentConfig):
     """Run `replicates` seeded repetitions; returns (reports, aggregate)."""
-    reports = []
-    for i in range(config.replicates):
-        reports.append(run_experiment(replace(config, seed=config.seed + i,
-                                              replicates=1)))
-    aggregate = aggregate_reports(reports)
-    return reports, aggregate
+    reports = [run_experiment(replace(config, seed=config.seed + i, replicates=1))
+               for i in range(config.replicates)]
+    return reports, aggregate_reports(reports)
 
 
-def _mean_std(values):
-    values = [v for v in values if v is not None]
-    if not values:
-        return None, None
-    return float(np.mean(values)), float(np.std(values))
+# the quantities aggregate_reports averages, by name
+_AGGREGATED = {
+    "active_final_loss": attrgetter("active.final_loss"),
+    "passive_final_loss": attrgetter("passive.final_loss"),
+    "active_final_error": attrgetter("active.final_error"),
+    "passive_final_error": attrgetter("passive.final_error"),
+    "query_fraction": RunReport.query_fraction,
+}
 
 
 def aggregate_reports(reports) -> dict:
-    active_loss = _mean_std([r.active.final_loss for r in reports])
-    passive_loss = _mean_std([r.passive.final_loss for r in reports])
-    active_err = _mean_std([r.active.final_error for r in reports])
-    passive_err = _mean_std([r.passive.final_error for r in reports])
-    fraction = _mean_std([r.query_fraction() for r in reports])
-    return {
-        "replicates": len(reports),
-        "seeds": [r.seed for r in reports],
-        "active_final_loss_mean": active_loss[0],
-        "active_final_loss_std": active_loss[1],
-        "passive_final_loss_mean": passive_loss[0],
-        "passive_final_loss_std": passive_loss[1],
-        "active_final_error_mean": active_err[0],
-        "active_final_error_std": active_err[1],
-        "passive_final_error_mean": passive_err[0],
-        "passive_final_error_std": passive_err[1],
-        "query_fraction_mean": fraction[0],
-        "query_fraction_std": fraction[1],
-    }
+    """Each quantity's mean and standard deviation over the reports where it
+    is not None, both None where it is None in every report."""
+    aggregate = {"replicates": len(reports), "seeds": [r.seed for r in reports]}
+    for name, quantity in _AGGREGATED.items():
+        values = [v for v in map(quantity, reports) if v is not None]
+        aggregate[f"{name}_mean"], aggregate[f"{name}_std"] = (
+            (float(np.mean(values)), float(np.std(values))) if values
+            else (None, None))
+    return aggregate
 
 
 def emit_curves(report: RunReport, out_dir, stem: str = "") -> dict:

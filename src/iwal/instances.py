@@ -3,7 +3,8 @@
 Discrete instances carry a finite atom support with per-atom label
 distributions, so true losses are exact sums; they back the estimator,
 concentration, and survivor-consistency checks. The sphere instance is
-generative: uniform directions labeled by a hidden vector with label noise.
+generative: uniform directions labeled by their first coordinate's sign,
+with label noise.
 """
 
 from __future__ import annotations
@@ -109,16 +110,19 @@ class HardQueryInstance:
     optimal_error: float
 
 
-def lower_bound_instance(num_atoms: int, eta: float, eps: float,
-                         rng: np.random.Generator) -> HardQueryInstance:
-    """Build the hard distribution for the query lower bound.
-
-    Requires 2 * eps <= eta <= 1/4 and at least two atoms.
-    """
+def check_lower_bound(num_atoms: int, eta: float, eps: float) -> None:
+    """ValueError unless 2 * eps <= eta <= 1/4 and there are two atoms or more."""
     if num_atoms < 2:
         raise ValueError("need at least 2 atoms")
     if not (0 < eps and 2 * eps <= eta <= 0.25):
         raise ValueError("parameters must satisfy 0 < 2*eps <= eta <= 1/4")
+
+
+def lower_bound_instance(num_atoms: int, eta: float, eps: float,
+                         rng: np.random.Generator) -> HardQueryInstance:
+    """Build the hard distribution for the query lower bound; its arguments
+    must pass `check_lower_bound`."""
+    check_lower_bound(num_atoms, eta, eps)
     beta = 2.0 * (eta + 2.0 * eps)
     gamma = 2.0 * eps / beta
     bits = np.where(rng.random(num_atoms - 1) < 0.5, -1.0, 1.0)
@@ -174,36 +178,31 @@ def random_discrete_instance(num_atoms: int, dim: int,
 
 @dataclass
 class SphereInstance:
-    """Uniform directions on the unit sphere, labels from a hidden vector.
+    """Uniform directions on the unit sphere, labeled by the first axis.
 
-    Labels are sign(direction . x) with independent flips at the noise rate.
+    Labels are sign(x_1) with independent flips at the noise rate.
     """
 
     dim: int
     noise: float = 0.0
-    direction: np.ndarray = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if not 0.0 <= self.noise < 0.5:
             raise ValueError("noise rate must lie in [0, 0.5)")
-        if self.direction is None:
-            d = np.zeros(self.dim)
-            d[0] = 1.0
-            self.direction = d
-        else:
-            self.direction = np.asarray(self.direction, dtype=float)
-            self.direction = self.direction / np.linalg.norm(self.direction)
+
+    def label_support(self) -> tuple:
+        return (-1.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int):
         X = rng.normal(size=(size, self.dim))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        y = np.where(X @ self.direction >= 0, 1.0, -1.0)
+        y = np.where(X[:, 0] >= 0, 1.0, -1.0)
         flips = rng.random(size) < self.noise
         y[flips] = -y[flips]
         return X, y
 
     def linear_reference(self, scale: float = 1.0,
                          range_bound: float = 1.0) -> LinearPredictor:
-        return LinearPredictor(scale * self.direction, range_bound)
+        return LinearPredictor(scale * np.eye(self.dim)[0], range_bound)

@@ -57,14 +57,21 @@ class LossFunction:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
         if not 0 < self.range_bound < math.inf:
             raise ValueError("range_bound must be positive and finite")
-        # every loss peaks at the worst margin over Z x Y; the 1-element
-        # array squares as eval_many does (a float's ** 2 may round lower)
+        # every loss peaks at the worst margin b over Z x Y, but np.logaddexp
+        # is not monotone in its last bit: a margin up to two ulps of the peak
+        # (at most b + log 2) below b can compute one ulp more. The normalizer
+        # is the largest raw loss, squared as eval_many squares, over every
+        # float in [b - 3 ulp(b + log 2), b], or, for b below about 1e-3, over
+        # 1,025 evenly spaced ones, which can miss it.
+        b = self.range_bound
+        start = max(b - 3 * np.spacing(b + math.log(2)), 0.0)
+        lo, hi = np.array([start, b]).view(np.int64)
+        margins = np.arange(hi, lo - 1, -max(1, (hi - lo) // 1024)).view(np.float64)
         with np.errstate(over="ignore"):
-            peak = self._raw(np.array([-self.range_bound]), 1.0)[0]
-        object.__setattr__(self, "normalizer", float(peak))
+            object.__setattr__(self, "normalizer", float(self._raw(-margins, 1.0).max()))
         # an infinite normalizer would make every normalized loss 0
         if not math.isfinite(self.normalizer):
-            raise ValueError(f"range_bound {self.range_bound} overflows the "
+            raise ValueError(f"range_bound {b} overflows the "
                              f"{self.kind} loss normalizer")
 
     def _raw(self, z, y):

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from iwal.cli import main
+from iwal.harness import ExperimentConfig, run_replicates
 
 
 def write_config(tmp_path, **overrides):
@@ -97,6 +98,11 @@ class TestRun:
          "class size must be an integer, got str 'ten'"),
         ({"dataset": {"kind": "point-mass", "binary_labels": "false"}},
          "dataset binary_labels must be a bool, got str 'false'"),
+        # each once passed, and a truthy string standardized the run
+        ({"standardize": "no"}, "standardize must be a bool, got str 'no'"),
+        ({"standardize": 0}, "standardize must be a bool, got int 0"),
+        ({"standardize": None}, "standardize must be a bool, got NoneType None"),
+        ({"standardize": 1.5}, "standardize must be a bool, got float 1.5"),
     ])
     def test_wrong_option_type_is_a_config_error(self, tmp_path, capsys,
                                                  overrides, message):
@@ -143,10 +149,14 @@ class TestRun:
          "dataset sphere: dimension must be at least 2"),
         ({"dataset": {"kind": "sphere", "noise": -1.0}},
          "dataset sphere: noise rate must lie in [0, 0.5)"),
+        ({"dataset": {"kind": "sphere", "noise": 2.0}},
+         "dataset sphere: noise rate must lie in [0, 0.5)"),
         ({"dataset": {"kind": "point-mass", "beta": 2.0}},
          "dataset point-mass: beta must lie in (0, 1)"),
         ({"dataset": {"kind": "lower-bound", "atoms": 0}},
          "dataset lower-bound: need at least 2 atoms"),
+        ({"dataset": {"kind": "lower-bound", "eta": 0.3}},
+         "dataset lower-bound: parameters must satisfy 0 < 2*eps <= eta <= 1/4"),
         ({"class_spec": {"kind": "finite", "size": 0}},
          "class_spec: a finite hypothesis class must be nonempty"),
         ({"class_spec": {"kind": "finite", "norm_bound": -1.0}},
@@ -164,12 +174,43 @@ class TestRun:
     ])
     def test_out_of_range_option_is_a_config_error(self, tmp_path, capsys,
                                                    overrides, message):
+        # checked when the config is built, so --out is never made
         config = write_config(tmp_path, **overrides)
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert message in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"slack_mode": "lazy"}, "unknown slack mode 'lazy'"),
+        ({"dataset": ["sphere"]}, "dataset must be a dict with a 'kind' entry"),
+        ({"dataset": {"dim": 3}}, "dataset must be a dict with a 'kind' entry"),
+        ({"class_spec": "linear"}, "class_spec must be a dict"),
+        ({"committee": 10}, "committee must be a dict"),
+        ({"seed": None}, "a seed is required; unseeded runs are not allowed"),
+        ({"train_size": 0}, "train and test sizes must be positive"),
+        ({"test_size": -1}, "train and test sizes must be positive"),
+        ({"replicates": 0}, "replicates must be at least 1"),
+        ({"strategy": "bootstrap", "committee": {"initial_fraction": 0.0}},
+         "committee initial_fraction must lie in (0, 1)"),
+        ({"strategy": "bootstrap", "committee": {"initial_fraction": 1.0}},
+         "committee initial_fraction must lie in (0, 1)"),
+    ])
+    def test_config_rejection_message(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides, message", [
         ({"class_spec": {"kind": "quadratic"}}, "unknown class kind 'quadratic'"),
@@ -270,6 +311,24 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "passive" in out
         assert "query fraction" in out
+
+    def test_mean_losses_stand_in_for_errors_of_real_labels(self, tmp_path, capsys):
+        # labels of 0 have no sign error, so the table shows mean test losses
+        config = write_config(tmp_path, loss_kind="squared", replicates=2,
+                              dataset={"kind": "point-mass", "binary_labels": False},
+                              class_spec={"kind": "finite"})
+        assert main(["compare", str(config)]) == 0
+        reports, aggregate = run_replicates(
+            ExperimentConfig.from_dict(json.loads(config.read_text())))
+        assert aggregate["active_final_error_mean"] is None
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(reports) + 2
+        for report, line in zip(reports, lines[1:]):
+            assert line.split()[-2:] == [f"{report.active.final_loss:.4f}",
+                                         f"{report.passive.final_loss:.4f}"]
+        assert lines[-1].startswith(
+            f"mean active {aggregate['active_final_loss_mean']:.4f} vs passive "
+            f"{aggregate['passive_final_loss_mean']:.4f}, ")
 
 
 # a bounds probe with every flag of the expected-query bound; argparse keeps

@@ -146,6 +146,14 @@ class TestSvmlight:
         assert info.value.line_number == 2
 
 
+def test_svmlight_without_features_rejected(tmp_path):
+    # its zero-width X once reached the learners, and a finite class ran on it
+    path = tmp_path / "d.svm"
+    path.write_text("+1\n-1\n")
+    with pytest.raises(DatasetFormatError, match="^no line has a feature$"):
+        load_dataset(path, fmt="svmlight")
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "x", fmt="parquet")

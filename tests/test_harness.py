@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,3 +545,64 @@ class TestReplicatesAndEmission:
         b = emit_curves(report, tmp_path / "b")
         assert open(a["curve"]).read() == open(b["curve"]).read()
         assert open(a["summary"]).read() == open(b["summary"]).read()
+
+
+class TestPinnedFingerprints:
+    # Query count, both final test losses and the SHA-256 of curve.csv,
+    # summary.json and trace.csv of short runs of each strategy but bootstrap
+    # (pinned in test_bootstrap.py) and of the lower-bound and point-mass
+    # datasets, recorded at commit 45a14dc. A change meant to keep behaviour
+    # must reproduce them bit for bit.
+    SPHERE = {"kind": "sphere", "dim": 5, "noise": 0.1}
+    CONFIGS = {
+        "passive": {"dataset": SPHERE, "strategy": "passive", "train_size": 300,
+                    "seed": 1},
+        "loss-weighting-finite": {
+            "dataset": SPHERE, "strategy": "loss-weighting-finite",
+            "slack_mode": "optimistic", "class_spec": {"kind": "finite", "size": 32},
+            "train_size": 300, "seed": 1},
+        "loss-weighting-linear": {
+            "dataset": SPHERE, "strategy": "loss-weighting-linear",
+            "slack_mode": "optimistic", "train_size": 150, "seed": 1},
+        "lower-bound": {
+            "dataset": {"kind": "lower-bound"}, "strategy": "loss-weighting-finite",
+            "loss_kind": "zero-one", "slack_mode": "optimistic",
+            "class_spec": {"kind": "finite", "size": 16}, "train_size": 300,
+            "seed": 2},
+        "point-mass": {
+            "dataset": {"kind": "point-mass", "beta": 0.2, "binary_labels": False},
+            "strategy": "loss-weighting-linear", "loss_kind": "squared",
+            "slack_mode": "optimistic", "train_size": 150, "seed": 3},
+    }
+    PINNED = {
+        "passive": (300, 0.45114628490331327, 0.45114628490331327,
+            "22a14fe84f9e909ac2cde9e192fbbf6033914f1c42c2ab2eef406b65f9b72b06",
+            "ed9fcc0f298f1620ac4c8f57570e9dbb23b8e709433068fc9f77542b4516f5f4",
+            "3f2ba2092f90aee40853249d45d376a50f65ff693ea04642ae72563c3de45e79"),
+        "loss-weighting-finite": (143, 0.45031650486938446, 0.45031650486938446,
+            "f0dc8b2c3c5c5a9b5c59ea321094ea2a6f15af9ee62ad1460c3095ac3a0e9bf8",
+            "0be9f7a946ad92688d0d6c5b4f65abd82e9d624637ef1d3b7ca4f4be0193f74f",
+            "cda7ef1cb9f8d7f93f06d133aa7057ecfb0bcce0b7dd754c6bb32153dcb0e3d8"),
+        "loss-weighting-linear": (103, 0.42534599412165136, 0.4251104093076707,
+            "61f79af0576747b59880dc093bc78fb735b700845e780a7f50de6f70e555a2ce",
+            "7ede434bd960da679a0d562e8c0839fa97172331b9765351b448e012a831ef3d",
+            "1a1473f6fa3e24cc5a3f004d9be86e87b4864afc8f59a89049ee1b24f77cda59"),
+        "lower-bound": (104, 0.22, 0.22,
+            "3fefce93abf0d38ecf159853307ac5e9950465d17f3b45d3adc7754f62638de7",
+            "0fd9efe44237d1e8e3d449c0b573ea75e39689b1827359587703723525282e88",
+            "c6fd5633c00e3559fe55a43d585c2b8769f7728ed62de8197b07a9a1853b2a61"),
+        "point-mass": (31, 0.21774983143856852, 0.21775234131113422,
+            "72f9e0672c087e67a83848395c57524f295325b8dac60d16e346972a2cc42545",
+            "81e3a0c7bf51540756f60a51451803163b04d176c0a7bb54e266994411efa162",
+            "b3734879a95c1bcd9a34683af8198351d1fd2f41931e0eda6a91260d88150521"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_short_run_reproduces_the_pinned_fingerprint(self, name, tmp_path):
+        config = ExperimentConfig.from_dict({**self.CONFIGS[name], "test_size": 100})
+        report = run_experiment(config)
+        paths = emit_curves(report, tmp_path)
+        digests = tuple(hashlib.sha256(Path(paths[kind]).read_bytes()).hexdigest()
+                        for kind in ("curve", "summary", "trace"))
+        assert (report.active.queries, report.active.final_loss,
+                report.passive.final_loss, *digests) == self.PINNED[name]

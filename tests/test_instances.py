@@ -124,9 +124,12 @@ class TestSphereInstance:
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
 
     def test_zero_noise_is_realizable(self, rng):
+        # the labels are the signs of the linear reference's predictions
         instance = SphereInstance(dim=3, noise=0.0)
         X, y = instance.sample(rng, 500)
-        assert np.all(np.where(X @ instance.direction >= 0, 1.0, -1.0) == y)
+        assert instance.label_support() == (-1.0, 1.0)
+        z = instance.linear_reference().predict_many(X)
+        assert np.all(np.where(z >= 0, 1.0, -1.0) == y)
 
     def test_componentwise_mean_near_zero(self, rng):
         instance = SphereInstance(dim=5)
@@ -138,6 +141,7 @@ class TestSphereInstance:
     def test_noise_rate_flips(self, rng):
         instance = SphereInstance(dim=3, noise=0.2)
         X, y = instance.sample(rng, 50000)
-        clean = np.where(X @ instance.direction >= 0, 1.0, -1.0)
+        z = instance.linear_reference().predict_many(X)
+        clean = np.where(z >= 0, 1.0, -1.0)
         rate = np.mean(clean != y)
         assert abs(rate - 0.2) <= 4 * np.sqrt(0.2 * 0.8 / 50000)

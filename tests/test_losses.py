@@ -120,6 +120,10 @@ def test_eval_many_equals_eval_property(batch):
 @given(batch=loss_batches(st.floats(0.0, 4.0, exclude_min=True)))
 @example(batch=(LossFunction("squared", 0.18050664525484791), 1.0,
                 [-0.18050664525484791]))
+# np.logaddexp(0, z) computed one ulp above np.logaddexp(0, b) here, so the
+# logistic loss at z just below b was 1 + 2^-52
+@example(batch=(LossFunction("logistic", 0.15815122498004278), -1.0,
+                [0.15815122498004275]))
 def test_normalized_losses_lie_in_unit_interval(batch):
     loss, y, zs = batch
     z = np.array(zs)

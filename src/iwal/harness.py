@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
 from operator import attrgetter
@@ -188,7 +189,8 @@ _FIELD_TYPES = {name: (base, type(None) in get_args(hint))
 @dataclass
 class ArmResult:
     checkpoints: list          # (t, cum_queries, test_loss, test_error)
-    trace: QueryTrace
+    # a streamed arm's sampling decisions and counters; the passive twin has none
+    trace: QueryTrace | None = None
     diagnostics: dict = field(default_factory=dict)
     # the last checkpoint's labels taken, test loss and test error
     queries = property(lambda self: self.checkpoints[-1][1])
@@ -415,16 +417,17 @@ def _predict_each(hs, X):
 
 
 def _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test, loss,
-                trace, diagnostics) -> ArmResult:
+                trace=None, diagnostics=None) -> ArmResult:
     """The arm whose model after schedule[i] rows and cum_queries[i] labels
-    is hs[i]. predict(hs, X_test) gives one row of test predictions per
-    model, and one evaluate_loss and one evaluate_error call score all the
-    rows; the last gives the final loss and error."""
+    is hs[i], with its trace and diagnostics when it streamed.
+    predict(hs, X_test) gives one row of test predictions per model, and one
+    evaluate_loss and one evaluate_error call score all the rows; the last
+    gives the final loss and error."""
     Z = predict(hs, X_test)
     checkpoints = list(zip(schedule, cum_queries,
                            evaluate_loss(hs[-1], X_test, y_test, loss, Z),
                            evaluate_error(hs[-1], X_test, y_test, Z)))
-    return ArmResult(checkpoints, trace, diagnostics)
+    return ArmResult(checkpoints, trace, diagnostics or {})
 
 
 def _stream(config, engine, oracle, X_train, start: int = 0):
@@ -539,28 +542,22 @@ def _passive_arm(config, loss, X_train, y_train, X_test, y_test,
     sum, the linear ball's unit-weight ERM, warm from the last checkpoint's,
     or a tree grown on every row, as costing keeps every row of equal weight.
     The bootstrap twin's checkpoints start at the committee prefix, as the
-    active arm's do. The trace is p = 1.0, q = 1 for each row after it.
+    active arm's do.
     """
     T = len(X_train)
     if cls is None:
-        start = _bootstrap_prefix(config, T)
-        schedule = _schedule(config, T, start)
+        schedule = _schedule(config, T, _bootstrap_prefix(config, T))
         hs = DecisionTree.fit_many(X_train, y_train, (np.arange(t) for t in schedule),
                                    _tree_params(config))
         predict = predict_forest
-        extra = {"prefix": start, "final_tree_depth": hs[-1].depth()}
     else:
-        start, predict, extra = 0, _predict_each, {}
-        schedule = _schedule(config, T)
+        predict, schedule = _predict_each, _schedule(config, T)
         if isinstance(cls, FiniteClass):
             sums = _finite_prefix_sums(cls, loss, X_train, y_train, schedule)
             hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
         else:
             hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
-    n = T - start
-    return _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss,
-                       QueryTrace([1.0] * n, [1] * n),
-                       {"oracle_calls": n, **extra})
+    return _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -586,9 +583,17 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     else:
         cls = _make_class(config, X_train.shape[1], np.random.default_rng(aux_a))
         passive = _passive_arm(config, loss, *data, cls)
-        active = passive if config.strategy == "passive" else _engine_arm(
-            config, loss, *data, _make_threshold(config, loss, cls, support),
-            cls, np.random.default_rng(active_seed))
+        if config.strategy == "passive":
+            # the twin is also this strategy's streamed arm: p = 1 and a
+            # query at every row
+            T = config.train_size
+            passive.trace = QueryTrace([1.0] * T, [1] * T)
+            passive.diagnostics = {"oracle_calls": T}
+            active = passive
+        else:
+            active = _engine_arm(config, loss, *data,
+                                 _make_threshold(config, loss, cls, support),
+                                 cls, np.random.default_rng(active_seed))
     return RunReport(config.to_dict(), active, passive)
 
 
@@ -625,17 +630,29 @@ def emit_curves(report: RunReport, out_dir, stem: str = "") -> dict:
     """Write curve CSV, summary JSON, and the query trace; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     suffix = f"_{stem}" if stem else ""
-    curve_path = os.path.join(out_dir, f"curve{suffix}.csv")
-    summary_path = os.path.join(out_dir, f"summary{suffix}.json")
-    trace_path = os.path.join(out_dir, f"trace{suffix}.csv")
-    with open(curve_path, "w", newline="") as fh:
+    paths = {kind: os.path.join(out_dir, f"{kind}{suffix}.{ext}") for kind, ext
+             in (("curve", "csv"), ("summary", "json"), ("trace", "csv"))}
+    with open(paths["curve"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "cum_queries", "active_test_loss",
                          "passive_test_loss"])
         for t, cum, active_loss, passive_loss in report.curve_rows():
             writer.writerow([t, cum, repr(active_loss), repr(passive_loss)])
-    with open(summary_path, "w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    report.active.trace.write_csv(trace_path)
-    return {"curve": curve_path, "summary": summary_path, "trace": trace_path}
+    write_json(report.summary_dict(), paths["summary"])
+    report.active.trace.write_csv(paths["trace"])
+    return paths
+
+
+def write_json(payload: dict, path: str | None = None) -> None:
+    """Write payload as strict JSON, indented and key-sorted, and a newline,
+    to path or, with no path, to stdout; ConfigError when path cannot be
+    written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -329,6 +330,102 @@ class TestCompare:
         assert lines[-1].startswith(
             f"mean active {aggregate['active_final_loss_mean']:.4f} vs passive "
             f"{aggregate['passive_final_loss_mean']:.4f}, ")
+
+
+def late_failure(tmp_path, case):
+    """A config whose run fails only after --out is made, since its data is
+    built when the run starts, and the error's message."""
+    few, bare, missing = tmp_path / "few.csv", tmp_path / "bare.svm", tmp_path / "nope.csv"
+    few.write_text("1,0.5\n-1,0.2\n1,0.3\n")
+    bare.write_text("1\n-1\n")
+    dataset, message = {
+        "missing file": ({"kind": "file", "path": str(missing)},
+                         f"cannot read dataset {missing}: [Errno 2] No such file "
+                         f"or directory: '{missing}'"),
+        "too few rows": ({"kind": "file", "path": str(few)},
+                         "dataset has 3 rows, need 100 for the requested split"),
+        "no feature": ({"kind": "file", "path": str(bare), "format": "svmlight"},
+                       "no line has a feature"),
+        "label outside the loss's domain": (
+            {"kind": "point-mass", "binary_labels": False},
+            "logistic loss: label must be -1 or +1, got 0.0"),
+    }[case]
+    return write_config(tmp_path, dataset=dataset, class_spec={"kind": "finite"}), message
+
+
+LATE_FAILURES = ["missing file", "too few rows", "no feature",
+                 "label outside the loss's domain"]
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize("out", ["out", "made/out"])
+    @pytest.mark.parametrize("case", LATE_FAILURES)
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_late_failure_leaves_no_out(self, tmp_path, capsys, command, case, out):
+        config, message = late_failure(tmp_path, case)
+        assert main([command, str(config), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / out.split("/")[0]).exists()
+
+    @pytest.mark.parametrize("existing, out", [("out", "out"), ("kept", "kept/out")])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_failed_run_keeps_a_directory_that_existed(self, tmp_path, capsys,
+                                                        command, existing, out):
+        (tmp_path / existing).mkdir()
+        config, message = late_failure(tmp_path, "no feature")
+        assert main([command, str(config), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list((tmp_path / existing).iterdir()) == []
+
+    def test_runtime_error_leaves_no_out(self, tmp_path, capsys):
+        config = write_config(tmp_path, strategy="loss-weighting-linear",
+                              class_spec={"kind": "linear", "norm_bound": 1e300})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert not out.exists()
+
+
+class TestPinnedOutput:
+    # The stdout of `run` and `compare` and the SHA-256 of each file in --out
+    # for a 2-replicate config, recorded at commit 388fc91 (where `compare
+    # --out` wrote every file but aggregate.json); a change to how the CLI is
+    # wired must reproduce them bit for bit.
+    FILES = {
+        "aggregate.json": "4171f69dab10e59c237731e12d5206c169bc3ec9759a1e756d01745535de2c93",
+        "curve_seed3.csv": "426cba5fd23448cdeac55375b3f6ed8820b0621f4601ffa5be7e076f75591b4b",
+        "curve_seed4.csv": "29637cb6159cb510acb9bfaffab83f89d35e53b0b1d2ac1becab48711265e974",
+        "summary_seed3.json": "e99b17cd606f8e57dfe8e1b68a961a908887b399d361c663d9ca8f970a9044d6",
+        "summary_seed4.json": "52f509121a70b4ec82704166565bf4bce81b099f2186d6f42eb367e4968e761d",
+        "trace_seed3.csv": "d84533eba51744c16835761120aec6c259f719f6d7f362b52777d51760da717b",
+        "trace_seed4.csv": "c6d580dfcf6f9be28cd8c4cb48c433def1eec15cfb811f3b23372b8cf592c6ea",
+    }
+    STDOUT = {
+        "run": ("seed 3: queries 30/40 (75.0%), final test loss 0.4060 -> <out>/summary_seed3.json\n"
+                "seed 4: queries 24/40 (60.0%), final test loss 0.5476 -> <out>/summary_seed4.json\n"
+                "aggregate -> <out>/aggregate.json\n"),
+        "compare": ("  seed   queries  fraction     active    passive\n"
+                    "     3        30     75.0%     0.1000     0.1000\n"
+                    "     4        24     60.0%     0.5000     0.0500\n"
+                    "mean active 0.3000 vs passive 0.0750, query fraction 67.5%\n"),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_replicated_run_reproduces_the_pinned_output(self, tmp_path, capsys,
+                                                         command):
+        config = write_config(tmp_path, replicates=2, train_size=40, test_size=20)
+        out = tmp_path / "out"
+        assert main([command, str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.replace(str(out), "<out>") == self.STDOUT[command]
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == self.FILES
+
+    def test_compare_without_out_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, replicates=2, train_size=40, test_size=20)
+        assert main(["compare", str(config)]) == 0
+        assert capsys.readouterr().out == self.STDOUT["compare"]
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 # a bounds probe with every flag of the expected-query bound; argparse keeps

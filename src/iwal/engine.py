@@ -9,10 +9,10 @@ is unbiased for the true loss of any fixed hypothesis.
 The engine is the only writer of its arm's store: the `WeightedSample` of
 queried examples, for a finite class the member loss sums, and for the
 linear ball the running ERM. It hands itself to the threshold once, when
-built, and the threshold reads from it.
-The `QueryTrace` holds the per-step facts as two columns, the query
-probability p and the coin q, with the step t given by the position; the x
-and y of a queried step live only in the sample.
+built, and the threshold reads from it. A finite class predicts a block of
+rows at once. The `QueryTrace` holds the per-step facts as two columns, the
+query probability p and the coin q, with the step t given by the position;
+the x and y of a queried step live only in the sample.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import numpy as np
 from .hypotheses import FiniteClass, LinearBall, WeightedSample, erm_weighted
 from .losses import LossFunction
 from .thresholds import validate_probability
+
+# rows whose (rows x members) predictions or losses a finite class holds at
+# once; one table for a whole 1,000-row stream adds about 4 MB of peak memory
+BLOCK_ROWS = 100
 
 
 @dataclass
@@ -74,7 +78,8 @@ class Engine:
     Without a `hypothesis_class` the engine takes its threshold's, if the
     threshold has one; it stays None when only the query trace matters.
     Finite classes keep incremental per-member weighted loss sums in
-    `member_sums` (None otherwise), from one batched prediction per query.
+    `member_sums` (None otherwise), from one batched prediction per block
+    of rows that `steps` takes.
     The running minimizer is computed only when `refresh_hypothesis` is
     called, at checkpoints and by the linear threshold: the argmin of the
     sums for a finite class, over the threshold's survivors when it keeps an
@@ -107,14 +112,28 @@ class Engine:
             self._current, self.erm_sum = erm_weighted(hypothesis_class, self.sample, loss)
         threshold.attach(self)
 
-    def step(self, x, oracle: Callable) -> None:
+    def steps(self, X, oracle: Callable) -> None:
+        """Process the rows of X in order, each by `step`. A finite class
+        predicts each block of up to BLOCK_ROWS rows in one `predict_many`
+        call, whose row for x is `predict(x)` bit for bit, and hands each
+        row's step its predictions."""
+        for first in range(0, len(X), BLOCK_ROWS):
+            block = X[first:first + BLOCK_ROWS]
+            Z = ([None] * len(block) if self.member_sums is None
+                 else self.hypothesis_class.predict_many(block))
+            for x, z in zip(block, Z):
+                self.step(x, oracle, z)
+
+    def step(self, x, oracle: Callable, z=None) -> None:
         """Process one unlabeled point.
 
         oracle(i, x) is called only on a query, with i the 0-based position
-        of x in this engine's stream.
+        of x in this engine's stream. z, for a finite class only, is its
+        `predict(x)`, which the threshold and the member-sum update then take.
         """
         self.t += 1
-        raw = self.threshold.probability(x)
+        raw = (self.threshold.probability(x) if z is None
+               else self.threshold.probability(x, z))
         p = validate_probability(raw)
         p = max(p, self.p_min)
         queried = 1 if self.rng.random() < p else 0
@@ -124,8 +143,8 @@ class Engine:
             weight = 1.0 / p
             self.sample.append(x, y, weight)
             if self.member_sums is not None:
-                self.member_sums += weight * self.loss.eval_many(
-                    self.hypothesis_class.predict(x), y)
+                z = self.hypothesis_class.predict(x) if z is None else z
+                self.member_sums += weight * self.loss.eval_many(z, y)
         self.threshold.record(x, y, p, queried)
         self.trace.append(p, queried)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bootstrap as bs
 from .datasets import FORMATS, load_dataset
-from .engine import ArrayOracle, Engine, QueryTrace
+from .engine import BLOCK_ROWS, ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
                          ThresholdPredictor, erm_weighted)
@@ -52,9 +52,6 @@ _DATASET_DEFAULTS = {
 }
 # a class spec's options besides its kind, and their defaults
 _CLASS_DEFAULTS = {"norm_bound": 1.0, "size": 16}
-# training rows whose (rows x members) losses the finite passive twin holds at
-# once; one table for a whole 1,000-row stream adds about 4 MB of peak memory
-_BLOCK_ROWS = 100
 
 
 # the kind a value of type bool, int or float must be, and its name
@@ -436,8 +433,7 @@ def _stream(config, engine, oracle, X_train, start: int = 0):
     the stream plus the oracle's calls."""
     done = start
     for t in _schedule(config, len(X_train), start):
-        for row in range(done, t):
-            engine.step(X_train[row], oracle)
+        engine.steps(X_train[done:t], oracle)
         done = t
         yield t, start + oracle.calls
 
@@ -496,7 +492,7 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
 def _finite_prefix_sums(cls: FiniteClass, loss, X, y, schedule) -> np.ndarray:
     """The members' loss sums over rows 0..t-1, one row for each t in schedule.
 
-    The sums run down (rows x members) loss tables of _BLOCK_ROWS rows, one
+    The sums run down (rows x members) loss tables of BLOCK_ROWS rows, one
     label's rows scored by one eval_many call. Each table's first row takes
     the last table's sums, and a cumsum down the rows adds one row at a
     time, as the engine's `member_sums += 1.0 * losses` does; a pairwise
@@ -504,8 +500,8 @@ def _finite_prefix_sums(cls: FiniteClass, loss, X, y, schedule) -> np.ndarray:
     """
     T = schedule[-1]
     marked, sums = [], np.zeros(len(cls))
-    for first in range(0, T, _BLOCK_ROWS):
-        stop = min(first + _BLOCK_ROWS, T)
+    for first in range(0, T, BLOCK_ROWS):
+        stop = min(first + BLOCK_ROWS, T)
         Z, labels = cls.predict_many(X[first:stop]), y[first:stop]
         losses = np.empty_like(Z)
         for value in np.unique(labels):

@@ -94,6 +94,12 @@ class LossFunction:
 
     def eval_many(self, z: np.ndarray, y: float) -> np.ndarray:
         """Vectorized eval for a fixed label; one domain check on the batch."""
+        z = self._checked_predictions(z)
+        self.check_label(y)
+        return self._raw(z, y) / self.normalizer
+
+    def _checked_predictions(self, z) -> np.ndarray:
+        """z as a float array; PredictionDomainError unless it lies in Z."""
         z = np.asarray(z, dtype=float)
         if self.kind == "zero-one":
             if not np.all(np.isin(z, (-1.0, 1.0))):
@@ -101,8 +107,7 @@ class LossFunction:
         elif z.size and np.abs(z).max() > self.range_bound + _DOMAIN_TOL:
             raise PredictionDomainError(
                 f"prediction outside [-{self.range_bound}, {self.range_bound}]")
-        self.check_label(y)
-        return self._raw(z, y) / self.normalizer
+        return z
 
     # -- smooth surrogate interface for the convex solver ---------------------
 
@@ -199,8 +204,15 @@ class LossFunction:
         return min(max(spread, 0.0), 1.0)
 
     def spread_many(self, z: np.ndarray, labels=(-1.0, 1.0)) -> float:
-        """Largest over labels of (max - min) normalized loss over predictions z."""
-        spread = 0.0
-        for values in (self.eval_many(z, y) for y in labels):
-            spread = max(spread, float(values.max() - values.min()))
+        """Largest over labels of (max - min) normalized loss over predictions z:
+        eval_many's checks and values, bit for bit, from one loss pass."""
+        labels = tuple(labels)
+        if not labels:
+            return 0.0
+        z = self._checked_predictions(z)
+        for y in labels:
+            self.check_label(y)
+        values = self._raw(z, np.array(labels, dtype=float)[:, None]) / self.normalizer
+        # by Python's max, under which a NaN spread (of a NaN z) never wins
+        spread = max([0.0, *(values.max(axis=1) - values.min(axis=1)).tolist()])
         return min(max(spread, 0.0), 1.0)

@@ -96,7 +96,7 @@ class ConstantThreshold:
     def attach(self, engine) -> None:
         pass
 
-    def probability(self, x) -> float:
+    def probability(self, x, z=None) -> float:
         return self.p
 
     def record(self, x, y, p, queried) -> None:
@@ -110,6 +110,8 @@ class LossWeightingFinite:
     losses accumulated so far, then returns the survivors' loss spread on the
     incoming point. The cumulative weighted losses are the engine's running
     member sums (`loss_sums` after `attach`), which also give its minimizer.
+    `probability(x, z)` takes z, every member's prediction on x in member
+    order as the class's `predict(x)` gives it; without z it predicts x.
     """
 
     def __init__(self, hypothesis_class: FiniteClass, loss: LossFunction,
@@ -142,13 +144,14 @@ class LossWeightingFinite:
         return slack_width(t, len(self.hypothesis_class), self.confidence,
                            self.slack_constant)
 
-    def probability(self, x) -> float:
+    def probability(self, x, z=None) -> float:
         self.t += 1
         seen = self.t - 1
         if seen >= 1:
             averages = self.loss_sums / seen
             self.alive = shrink_survivors(averages, self.alive, self.slack(seen))
-        return self.loss.spread_many(self.hypothesis_class.predict(x)[self.alive], self.labels)
+        z = self.hypothesis_class.predict(x) if z is None else z
+        return self.loss.spread_many(z[self.alive], self.labels)
 
     def record(self, x, y, p, queried) -> None:
         pass

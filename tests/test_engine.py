@@ -1,15 +1,19 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from iwal.engine import ArrayOracle, Engine, weighted_loss_estimate
+from iwal import bootstrap
+from iwal.engine import BLOCK_ROWS, ArrayOracle, Engine, weighted_loss_estimate
 from iwal.errors import ThresholdContractError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
-                             WeightedSample)
+                             ThresholdPredictor, WeightedSample)
 from iwal.instances import random_discrete_instance
 from iwal.losses import LossFunction
-from iwal.thresholds import ConstantThreshold, LossWeightingFinite
+from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
+                             LossWeightingLinear)
 
 from conftest import random_linear_predictors, weighted_total_loss
 
@@ -281,3 +285,76 @@ def test_trace_csv_round_trip(tmp_path, rng):
     cums = [int(r.split(",")[3]) for r in rows[1:]]
     assert cums == sorted(cums)
     assert cums[-1] == engine.trace.query_count()
+
+
+STREAM_ROWS = BLOCK_ROWS + 30     # so a whole-stream block splits in two
+
+
+def _stream_engine(kind):
+    """A fresh engine of `kind` and its stream (X, labels), every one seeded
+    alike, so two engines of one kind take the same steps."""
+    rng = np.random.default_rng(4952)
+    X = rng.normal(size=(STREAM_ROWS, 3))
+    y = np.where(X @ np.array([1.0, -0.5, 0.25]) + 0.3 * rng.normal(size=STREAM_ROWS)
+                 >= 0, 1.0, -1.0)
+    logistic = LossFunction("logistic", 1.0)
+    if kind == "linear":
+        # every interval is two solves, so the linear stream is shorter
+        threshold = LossWeightingLinear(3, 1.0, logistic, slack_mode="optimistic")
+        X, y = X[:30], y[:30]
+    elif kind == "committee":
+        committee = bootstrap.train_committee(X[:20], y[:20], rng, size=5)
+        threshold = bootstrap.CommitteeThreshold(committee, logistic)
+    else:
+        members = random_linear_predictors(rng, 24, 3)
+        if kind == "zero-one":
+            members = [ThresholdPredictor(h.weights) for h in members]
+        elif kind == "mixed":
+            members += [ConstantPredictor(0.5), ConstantPredictor(-1.0)]
+        loss = LossFunction(kind if kind == "zero-one" else "logistic", 1.0)
+        if kind == "passive":
+            return (Engine(loss, ConstantThreshold(0.5), np.random.default_rng(7),
+                           hypothesis_class=FiniteClass(members)), X, ArrayOracle(y))
+        threshold = LossWeightingFinite(FiniteClass(members), loss,
+                                        slack_mode="optimistic")
+    engine = Engine(threshold.loss, threshold, np.random.default_rng(7))
+    return engine, X, ArrayOracle(y)
+
+
+def _engine_state(engine):
+    """Every fact a step writes, as bytes: the trace, the member sums, the
+    survivors, the sample columns and the running minimizer."""
+    h = engine.refresh_hypothesis()
+    members = getattr(engine.hypothesis_class, "members", None)
+    chosen = (np.array([i for i, m in enumerate(members) if m is h]) if members
+              else getattr(h, "weights", np.array([])))
+    arrays = [np.array(engine.trace.p), np.array(engine.trace.q), engine.sample.X,
+              engine.sample.y, engine.sample.w, chosen]
+    for owner, name in ((engine, "member_sums"), (engine.threshold, "alive")):
+        if getattr(owner, name, None) is not None:
+            arrays.append(getattr(owner, name))
+    return [a.tobytes() for a in arrays]
+
+
+class TestBlockSteps:
+    """`Engine.steps` over any partition of the stream into blocks writes
+    what `Engine.step` row by row writes, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ("logistic", "zero-one", "mixed", "passive",
+                                      "committee", "linear"))
+    @settings(max_examples=15, deadline=None)
+    @given(cuts=st.sets(st.integers(1, STREAM_ROWS - 1)))
+    @example(cuts=set(range(1, STREAM_ROWS)))          # blocks of one row
+    @example(cuts=set(range(10, STREAM_ROWS, 10)))     # the checkpoint blocks
+    @example(cuts=set())                               # the whole stream
+    def test_blocks_match_rows_bit_for_bit(self, kind, cuts):
+        by_row, X, oracle = _stream_engine(kind)
+        for x in X:
+            by_row.step(x, oracle)
+        by_block, X, oracle = _stream_engine(kind)
+        bounds = [0, *sorted(c for c in cuts if c < len(X)), len(X)]
+        for first, stop in zip(bounds, bounds[1:]):
+            by_block.steps(X[first:stop], oracle)
+        assert by_block.t == by_row.t == len(X)
+        assert by_block.trace.query_count() > 0
+        assert _engine_state(by_block) == _engine_state(by_row)

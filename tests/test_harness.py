@@ -416,10 +416,10 @@ class TestEngineCheckpoints:
         assert report.passive.checkpoints == _eager_engine_checkpoints(config, True)
 
     @pytest.mark.parametrize("loss_kind", ("logistic", "zero-one"))
-    @pytest.mark.parametrize("block", (harness._BLOCK_ROWS, 7, 1))
+    @pytest.mark.parametrize("block", (harness.BLOCK_ROWS, 7, 1))
     def test_prefix_sums_are_the_streamed_member_sums(self, monkeypatch, rng, loss_kind,
                                                       block):
-        monkeypatch.setattr(harness, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block)
         X = rng.normal(size=(230, 4))
         y = np.where(rng.random(230) < 0.5, -1.0, 1.0)
         loss = LossFunction(loss_kind)

@@ -444,3 +444,59 @@ def test_normalizer_equals_the_frozen_reference_property(kind, b):
     allowed = ({frozen, float(np.nextafter(frozen, math.inf))}
                if kind == "logistic" else {frozen})
     assert LossFunction(kind, b).normalizer in allowed
+
+
+def frozen_spread_many(loss, z, labels):
+    """The finite-class spread as a loop over labels took it: the largest
+    (max - min) of eval_many's values, by Python's max, clamped to [0, 1]."""
+    spread = 0.0
+    for values in (loss.eval_many(z, y) for y in labels):
+        spread = max(spread, float(values.max() - values.min()))
+    return min(max(spread, 0.0), 1.0)
+
+
+def _outcome(spread, *args):
+    """spread(*args) as its bits, or as the type and message it raised."""
+    try:
+        return spread(*args).hex()
+    except Exception as error:       # the outcome under test
+        return type(error), str(error)
+
+
+@st.composite
+def spread_batches(draw):
+    """A loss, labels it accepts (intermediate ones for squared and
+    absolute), and predictions inside its range."""
+    loss, _, zs = draw(loss_batches())
+    if loss.kind in ("squared", "absolute"):
+        labels = st.floats(-1.0, 1.0)
+    else:
+        labels = st.sampled_from([-1.0, 1.0])
+    return loss, tuple(draw(st.lists(labels, min_size=1, max_size=4))), zs
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=spread_batches())
+def test_spread_many_equals_the_per_label_reference_property(batch):
+    loss, labels, zs = batch
+    z = np.array(zs)
+    assert loss.spread_many(z, labels).hex() == frozen_spread_many(loss, z, labels).hex()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_spread_many_fails_as_the_per_label_reference(kind):
+    loss = LossFunction(kind, 1.0)
+    inside = [-1.0, 1.0, 1.0] if kind == "zero-one" else [-0.5, 0.25, 1.0]
+    outside = [1.0, 0.5] if kind == "zero-one" else [0.5, 1.5]
+    label_sets = ((-1.0, 1.0), (1.0, 2.0), (2.0, -1.0), (0.5,), (1.0,), ())
+    for z in (inside, outside, [math.nan, 0.5], [math.nan]):
+        for labels in label_sets:
+            # a NaN prediction passes the range check; its loss is NaN
+            with np.errstate(invalid="ignore"):
+                assert (_outcome(loss.spread_many, np.array(z), labels)
+                        == _outcome(frozen_spread_many, loss, np.array(z), labels)), (z, labels)
+    # no predictions have no spread; the reference's message depends on
+    # whether a bad label comes first, which no survivor set reaches
+    for labels in label_sets[:-1]:
+        with pytest.raises(ValueError):
+            loss.spread_many(np.array([]), labels)

@@ -5,7 +5,8 @@ the original from `owner.__dict__`, and `perfbench/bench.py` builds its
 workloads with `ExperimentConfig.from_dict`. A refactor that moves or renames
 a wrapped function, or a config schema change that drops a workload key,
 fails here, in the plain test run, instead of in the benchmark. So does a
-library change that breaks `perfbench/micro.py`, run once with timing off.
+library change that breaks `perfbench/micro.py`, run once with timing off,
+or a stream that no longer calls a per-row function the benchmark counts.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import bench  # noqa: E402
 import spans  # noqa: E402
 
+from iwal import harness  # noqa: E402
 from iwal.harness import ExperimentConfig  # noqa: E402
 
 
@@ -47,3 +49,17 @@ def test_micro_benchmarks_run():
          "--benchmark-disable", "-p", "no:cacheprovider"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_finite_run_counts_one_step_and_one_probability_per_row():
+    # the benchmark's per-row layer metrics read its wrappers of Engine.step
+    # and LossWeightingFinite.probability; a stream that bypassed either
+    # would read 0 there, as a metric of an uncalled function does
+    workload = bench.WORKLOADS["finite-sphere"]
+    config = ExperimentConfig.from_dict({**workload.config, "seed": 1})
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.run_experiment(config)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["engine.steps"] == config.train_size
+    assert metrics["threshold.finite.probability_calls"] == config.train_size

@@ -9,10 +9,14 @@ is unbiased for the true loss of any fixed hypothesis.
 The engine is the only writer of its arm's store: the `WeightedSample` of
 queried examples, for a finite class the member loss sums, and for the
 linear ball the running ERM. It hands itself to the threshold once, when
-built, and the threshold reads from it. A finite class predicts a block of
-rows at once. The `QueryTrace` holds the per-step facts as two columns, the
-query probability p and the coin q, with the step t given by the position;
-the x and y of a queried step live only in the sample.
+built, and the threshold reads from it. A finite class's predictions reach
+each step as a row of a table predicted at once: a slice of the run's table
+of every training row, which it predicts once for both of its arms and
+drops before it scores them. A queried row adds its losses only to the sums
+of the members that are read again, the threshold's survivors when it has
+them. The `QueryTrace` holds the per-step facts as two columns, the query
+probability p and the coin q, with the step t given by the position; the x
+and y of a queried step live only in the sample.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ import numpy as np
 from .hypotheses import FiniteClass, LinearBall, WeightedSample, erm_weighted
 from .losses import LossFunction
 from .thresholds import validate_probability
-
-# rows whose (rows x members) predictions or losses a finite class holds at
-# once; one table for a whole 1,000-row stream adds about 4 MB of peak memory
-BLOCK_ROWS = 100
 
 
 @dataclass
@@ -78,14 +78,16 @@ class Engine:
     Without a `hypothesis_class` the engine takes its threshold's, if the
     threshold has one; it stays None when only the query trace matters.
     Finite classes keep incremental per-member weighted loss sums in
-    `member_sums` (None otherwise), from one batched prediction per block
-    of rows that `steps` takes.
+    `member_sums` (None otherwise), from batched predictions of the rows
+    that `steps` takes. Only the sums of the members a threshold's
+    `survivors()` names are read again, so a queried row adds to those only
+    and a removed member's sum stays where it was; under a threshold without
+    survivors every member is read.
     The running minimizer is computed only when `refresh_hypothesis` is
-    called, at checkpoints and by the linear threshold: the argmin of the
-    sums for a finite class, over the threshold's survivors when it keeps an
-    `alive` mask; for the linear ball an ERM solve warm-started from the last
-    one, at most once per row count, counted in `erm_solves`, its weighted
-    loss sum kept in `erm_sum`.
+    called, at checkpoints and by the linear threshold: for a finite class
+    the first least sum among those members; for the linear ball an ERM
+    solve warm-started from the last one, at most once per row count,
+    counted in `erm_solves`, its weighted loss sum kept in `erm_sum`.
     """
 
     def __init__(self, loss: LossFunction, threshold, rng: np.random.Generator,
@@ -108,28 +110,34 @@ class Engine:
         self.erm_solves = 0
         if isinstance(hypothesis_class, FiniteClass):
             self.member_sums = np.zeros(len(hypothesis_class.members))
+            every = np.arange(len(self.member_sums))
+            self._survivors = getattr(threshold, "survivors", lambda: every)
         elif isinstance(hypothesis_class, LinearBall):
             self._current, self.erm_sum = erm_weighted(hypothesis_class, self.sample, loss)
         threshold.attach(self)
 
-    def steps(self, X, oracle: Callable) -> None:
-        """Process the rows of X in order, each by `step`. A finite class
-        predicts each block of up to BLOCK_ROWS rows in one `predict_many`
-        call, whose row for x is `predict(x)` bit for bit, and hands each
-        row's step its predictions."""
-        for first in range(0, len(X), BLOCK_ROWS):
-            block = X[first:first + BLOCK_ROWS]
-            Z = ([None] * len(block) if self.member_sums is None
-                 else self.hypothesis_class.predict_many(block))
-            for x, z in zip(block, Z):
-                self.step(x, oracle, z)
+    def steps(self, X, oracle: Callable, Z=None) -> None:
+        """Process the rows of X in order, each by `step`. For a finite class
+        Z is the class's predictions on X, (rows, members), row i
+        `predict(X[i])` bit for bit, as `predict_many` gives them, and one
+        `predict_many` call makes them when Z is None. They are range-checked
+        once, here, and each row's step takes its row of them."""
+        if self.member_sums is None:
+            for x in X:
+                self.step(x, oracle)
+            return
+        if Z is None:
+            Z = self.hypothesis_class.predict_many(X)
+        for x, z in zip(X, self.loss.checked_predictions(Z)):
+            self.step(x, oracle, z)
 
     def step(self, x, oracle: Callable, z=None) -> None:
         """Process one unlabeled point.
 
         oracle(i, x) is called only on a query, with i the 0-based position
         of x in this engine's stream. z, for a finite class only, is its
-        `predict(x)`, which the threshold and the member-sum update then take.
+        `predict(x)` in the loss's prediction range, which the threshold and
+        the member-sum update then take; without z each predicts x itself.
         """
         self.t += 1
         raw = (self.threshold.probability(x) if z is None
@@ -143,20 +151,22 @@ class Engine:
             weight = 1.0 / p
             self.sample.append(x, y, weight)
             if self.member_sums is not None:
-                z = self.hypothesis_class.predict(x) if z is None else z
-                self.member_sums += weight * self.loss.eval_many(z, y)
+                if z is None:
+                    z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
+                self.loss.check_label(y)
+                read = self._survivors()
+                losses = self.loss.unchecked_values(z.take(read), y)
+                self.member_sums[read] += weight * losses
         self.threshold.record(x, y, p, queried)
         self.trace.append(p, queried)
 
     def refresh_hypothesis(self):
         """The running minimizer over every queried row (None without a class);
         for a finite class, the first least sum among the threshold's survivors."""
-        sums = self.member_sums
-        if sums is not None:
-            alive = getattr(self.threshold, "alive", None)
-            if alive is not None:
-                sums = np.where(alive, sums, np.inf)
-            return self.hypothesis_class.members[int(np.argmin(sums))]
+        if self.member_sums is not None:
+            read = self._survivors()
+            least = read[np.argmin(self.member_sums.take(read))]
+            return self.hypothesis_class.members[int(least)]
         if self.hypothesis_class is not None and self._fit_rows < len(self.sample):
             self._current, self.erm_sum = erm_weighted(
                 self.hypothesis_class, self.sample, self.loss, start=self._current.weights)

@@ -8,8 +8,9 @@ checkpoint's row and label counts, and its training labels reach the
 learner only through a counting oracle, so the reported query totals are
 exactly the number of label requests. The passive twin, which is also the
 `passive` strategy's only arm, streams nothing: `_passive_arm` builds each
-checkpoint's learner from the first t rows. Both kinds score their
-checkpoints through one tail, `_scored_arm`.
+checkpoint's learner from the first t rows. The arms see only the training
+rows; `run_experiment` then scores both kinds' checkpoints on the test rows
+through one tail, `_scored_arm`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
 from operator import attrgetter
-from typing import get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import bootstrap as bs
 from .datasets import FORMATS, load_dataset
-from .engine import BLOCK_ROWS, ArrayOracle, Engine, QueryTrace
+from .engine import ArrayOracle, Engine, QueryTrace
 from .errors import ConfigError
 from .hypotheses import (FiniteClass, LinearBall, LinearPredictor,
                          ThresholdPredictor, erm_weighted)
@@ -409,50 +410,68 @@ def _tree_params(config: ExperimentConfig) -> TreeParams:
 
 
 def _predict_each(hs, X):
-    """One row of predictions on X per model, by its own predict_many."""
-    return np.array([h.predict_many(X) for h in hs])
+    """One row of predictions on X per model, by its own predict_many, called
+    once for each distinct model: a finite arm's checkpoint models are class
+    members that repeat, and an ERM no new row changed is the same object."""
+    rows = {}
+    for h in hs:
+        if id(h) not in rows:
+            rows[id(h)] = h.predict_many(X)
+    return np.array([rows[id(h)] for h in hs])
 
 
-def _scored_arm(schedule, cum_queries, hs, predict, X_test, y_test, loss,
-                trace=None, diagnostics=None) -> ArmResult:
-    """The arm whose model after schedule[i] rows and cum_queries[i] labels
-    is hs[i], with its trace and diagnostics when it streamed.
-    predict(hs, X_test) gives one row of test predictions per model, and one
-    evaluate_loss and one evaluate_error call score all the rows; the last
-    gives the final loss and error."""
-    Z = predict(hs, X_test)
-    checkpoints = list(zip(schedule, cum_queries,
-                           evaluate_loss(hs[-1], X_test, y_test, loss, Z),
-                           evaluate_error(hs[-1], X_test, y_test, Z)))
-    return ArmResult(checkpoints, trace, diagnostics or {})
+class _Trained(NamedTuple):
+    """An arm before its test scoring: its model after schedule[i] rows and
+    labels[i] labels is models[i], predict(models, X) gives one row of
+    predictions per model, and a streamed arm has its trace and
+    diagnostics."""
+
+    schedule: tuple
+    labels: tuple
+    models: list
+    predict: Callable
+    trace: QueryTrace | None = None
+    diagnostics: dict | None = None
 
 
-def _stream(config, engine, oracle, X_train, start: int = 0):
+def _scored_arm(arm: _Trained, X_test, y_test, loss) -> ArmResult:
+    """The arm's checkpoints scored on the test rows: one predict call, and
+    one evaluate_loss and one evaluate_error call for all the models; the
+    last gives the final loss and error."""
+    Z = arm.predict(arm.models, X_test)
+    checkpoints = list(zip(arm.schedule, arm.labels,
+                           evaluate_loss(arm.models[-1], X_test, y_test, loss, Z),
+                           evaluate_error(arm.models[-1], X_test, y_test, Z)))
+    return ArmResult(checkpoints, arm.trace, arm.diagnostics or {})
+
+
+def _stream(config, engine, oracle, X_train, start: int = 0, Z_train=None):
     """Step the engine over rows start..T-1 of X_train, yielding (t, labels
     taken) at each checkpoint of `_schedule`: the `start` labels taken before
-    the stream plus the oracle's calls."""
+    the stream plus the oracle's calls. Z_train, a finite class's predictions
+    on X_train, hands each checkpoint's rows their predictions."""
     done = start
     for t in _schedule(config, len(X_train), start):
-        engine.steps(X_train[done:t], oracle)
+        engine.steps(X_train[done:t], oracle,
+                     None if Z_train is None else Z_train[done:t])
         done = t
         yield t, start + oracle.calls
 
 
-def _engine_arm(config, loss, X_train, y_train, X_test, y_test, threshold,
-                cls, rng) -> ArmResult:
+def _engine_arm(config, loss, X_train, y_train, threshold, cls, rng,
+                Z_train) -> _Trained:
     engine = Engine(loss, threshold, rng, hypothesis_class=cls,
                     p_min=config.p_min)
     oracle = ArrayOracle(y_train)
     schedule, cum_queries, hs = zip(*(
         (t, labels, engine.refresh_hypothesis())
-        for t, labels in _stream(config, engine, oracle, X_train)))
+        for t, labels in _stream(config, engine, oracle, X_train, Z_train=Z_train)))
     extra = getattr(threshold, "diagnostics", dict)
-    return _scored_arm(schedule, cum_queries, hs, _predict_each, X_test, y_test,
-                       loss, engine.trace, {"oracle_calls": oracle.calls, **extra()})
+    return _Trained(schedule, cum_queries, hs, _predict_each, engine.trace,
+                    {"oracle_calls": oracle.calls, **extra()})
 
 
-def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
-                   seeds) -> ArmResult:
+def _bootstrap_arm(config, loss, X_train, y_train, labels, seeds) -> _Trained:
     """The bootstrap committee's active arm.
 
     Every label taken adds one collected row, so the label count `_stream`
@@ -483,30 +502,37 @@ def _bootstrap_arm(config, loss, X_train, y_train, X_test, y_test, labels,
                  for i, n in enumerate(counts))
     trees = DecisionTree.fit_many(collected.X, collected.y,
                                   (r.rows for r in resamples), params)
-    return _scored_arm(schedule, counts, trees, predict_forest, X_test, y_test,
-                       loss, engine.trace,
-                       {"oracle_calls": oracle.calls, "prefix": prefix,
-                        "final_tree_depth": trees[-1].depth()})
+    return _Trained(schedule, counts, trees, predict_forest, engine.trace,
+                    {"oracle_calls": oracle.calls, "prefix": prefix,
+                     "final_tree_depth": trees[-1].depth()})
 
 
-def _finite_prefix_sums(cls: FiniteClass, loss, X, y, schedule) -> np.ndarray:
-    """The members' loss sums over rows 0..t-1, one row for each t in schedule.
+# rows of a finite class's (rows x members) losses the passive twin holds at
+# once. The run's prediction table of every training row takes 8 bytes per
+# (row, member): 2 MB for 1,000 rows x 256 members
+BLOCK_ROWS = 100
 
-    The sums run down (rows x members) loss tables of BLOCK_ROWS rows, one
-    label's rows scored by one eval_many call. Each table's first row takes
-    the last table's sums, and a cumsum down the rows adds one row at a
-    time, as the engine's `member_sums += 1.0 * losses` does; a pairwise
+
+def _finite_prefix_sums(loss, Z, y, schedule) -> np.ndarray:
+    """The members' loss sums over rows 0..t-1, one row for each t in
+    schedule, from Z, a finite class's (rows x members) predictions on the
+    rows, which the run predicts once for both of its arms.
+
+    The sums run down (rows x members) loss tables of BLOCK_ROWS rows of Z,
+    one label's rows scored by one eval_many call. Each table's first row
+    takes the last table's sums, and a cumsum down the rows adds one row at
+    a time, as the engine's `member_sums += 1.0 * losses` does; a pairwise
     sum would round differently.
     """
     T = schedule[-1]
-    marked, sums = [], np.zeros(len(cls))
+    marked, sums = [], np.zeros(Z.shape[1])
     for first in range(0, T, BLOCK_ROWS):
         stop = min(first + BLOCK_ROWS, T)
-        Z, labels = cls.predict_many(X[first:stop]), y[first:stop]
-        losses = np.empty_like(Z)
+        Z_block, labels = Z[first:stop], y[first:stop]
+        losses = np.empty_like(Z_block)
         for value in np.unique(labels):
             rows = labels == value
-            losses[rows] = loss.eval_many(Z[rows], float(value))
+            losses[rows] = loss.eval_many(Z_block[rows], float(value))
         losses[0] += sums
         sums = np.cumsum(losses, axis=0, out=losses)[-1]
         marked.append(losses[[t - 1 - first for t in schedule if first < t <= stop]])
@@ -526,10 +552,10 @@ def _ball_prefix_minimizers(ball: LinearBall, loss, X, y, schedule) -> list:
     return hs
 
 
-def _passive_arm(config, loss, X_train, y_train, X_test, y_test,
-                 cls) -> ArmResult:
+def _passive_arm(config, loss, X_train, y_train, cls, Z_train=None) -> _Trained:
     """The passive twin: the learner of class cls, or the bootstrap final
-    tree when cls is None, trained on every label, with no stream.
+    tree when cls is None, trained on every label, with no stream. Z_train
+    is a finite class's predictions on X_train.
 
     Streamed at p = 1, every coin comes up heads (a uniform draw is below
     1), every weight 1/p is 1 and the oracle returns the next label, so the
@@ -549,11 +575,11 @@ def _passive_arm(config, loss, X_train, y_train, X_test, y_test,
     else:
         predict, schedule = _predict_each, _schedule(config, T)
         if isinstance(cls, FiniteClass):
-            sums = _finite_prefix_sums(cls, loss, X_train, y_train, schedule)
+            sums = _finite_prefix_sums(loss, Z_train, y_train, schedule)
             hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
         else:
             hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
-    return _scored_arm(schedule, schedule, hs, predict, X_test, y_test, loss)
+    return _Trained(schedule, schedule, hs, predict)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -570,26 +596,33 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     loss = LossFunction(config.loss_kind, config.range_bound)
     for label in support:
         _built(f"{config.loss_kind} loss", loss.check_label, label)
-    data = (X_train, y_train, X_test, y_test)
+    train, test = (X_train, y_train), (X_test, y_test, loss)
 
     if config.strategy == "bootstrap":
-        active = _bootstrap_arm(config, loss, *data, support,
-                                (aux_a, active_seed, aux_b))
-        passive = _passive_arm(config, loss, *data, None)
+        active = _scored_arm(_bootstrap_arm(config, loss, *train, support,
+                                            (aux_a, active_seed, aux_b)), *test)
+        passive = _scored_arm(_passive_arm(config, loss, *train, None), *test)
     else:
         cls = _make_class(config, X_train.shape[1], np.random.default_rng(aux_a))
-        passive = _passive_arm(config, loss, *data, cls)
+        # a finite class predicts the training rows once, for both arms; the
+        # table goes once they have read it, before either is scored
+        Z_train = (cls.predict_many(X_train) if isinstance(cls, FiniteClass)
+                   else None)
+        passive = _passive_arm(config, loss, *train, cls, Z_train)
         if config.strategy == "passive":
             # the twin is also this strategy's streamed arm: p = 1 and a
             # query at every row
             T = config.train_size
-            passive.trace = QueryTrace([1.0] * T, [1] * T)
-            passive.diagnostics = {"oracle_calls": T}
-            active = passive
+            active = passive._replace(trace=QueryTrace([1.0] * T, [1] * T),
+                                      diagnostics={"oracle_calls": T})
         else:
-            active = _engine_arm(config, loss, *data,
+            active = _engine_arm(config, loss, *train,
                                  _make_threshold(config, loss, cls, support),
-                                 cls, np.random.default_rng(active_seed))
+                                 cls, np.random.default_rng(active_seed), Z_train)
+        del Z_train
+        active = _scored_arm(active, *test)
+        passive = (active if config.strategy == "passive"
+                   else _scored_arm(passive, *test))
     return RunReport(config.to_dict(), active, passive)
 
 

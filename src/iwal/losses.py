@@ -61,14 +61,20 @@ class LossFunction:
         # is not monotone in its last bit: a margin up to two ulps of the peak
         # (at most b + log 2) below b can compute one ulp more. The normalizer
         # is the largest raw loss, squared as eval_many squares, over every
-        # float in [b - 3 ulp(b + log 2), b], or, for b below about 1e-3, over
-        # 1,025 evenly spaced ones, which can miss it.
+        # float in [b - 3 ulp(b + log 2), b]. For b below about 1e-3 that
+        # window holds too many floats, and 1,025 evenly spaced ones can miss
+        # the high one, so the logistic normalizer is then at least one ulp
+        # above the loss at b.
         b = self.range_bound
         start = max(b - 3 * np.spacing(b + math.log(2)), 0.0)
         lo, hi = np.array([start, b]).view(np.int64)
-        margins = np.arange(hi, lo - 1, -max(1, (hi - lo) // 1024)).view(np.float64)
+        stride = max(1, (hi - lo) // 1024)
+        margins = np.arange(hi, lo - 1, -stride).view(np.float64)
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "normalizer", float(self._raw(-margins, 1.0).max()))
+            top = self._raw(-margins, 1.0).max()
+            if stride > 1 and self.kind == "logistic":
+                top = max(top, np.nextafter(self._raw(-b, 1.0), math.inf))
+        object.__setattr__(self, "normalizer", float(top))
         # an infinite normalizer would make every normalized loss 0
         if not math.isfinite(self.normalizer):
             raise ValueError(f"range_bound {b} overflows the "
@@ -94,11 +100,17 @@ class LossFunction:
 
     def eval_many(self, z: np.ndarray, y: float) -> np.ndarray:
         """Vectorized eval for a fixed label; one domain check on the batch."""
-        z = self._checked_predictions(z)
+        z = self.checked_predictions(z)
         self.check_label(y)
+        return self.unchecked_values(z, y)
+
+    def unchecked_values(self, z, y):
+        """eval_many's values without its checks: z must lie in Z and y, a
+        label or a column of labels broadcast against z, be labels
+        `check_label` takes."""
         return self._raw(z, y) / self.normalizer
 
-    def _checked_predictions(self, z) -> np.ndarray:
+    def checked_predictions(self, z) -> np.ndarray:
         """z as a float array; PredictionDomainError unless it lies in Z."""
         z = np.asarray(z, dtype=float)
         if self.kind == "zero-one":
@@ -120,7 +132,7 @@ class LossFunction:
     def smooth_value_many(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Normalized loss on unclamped predictions (solver objective terms)."""
         self._require_smooth()
-        return self._raw(z, y) / self.normalizer
+        return self.unchecked_values(z, y)
 
     def smooth_derivatives_many(self, z: np.ndarray,
                                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +221,16 @@ class LossFunction:
         labels = tuple(labels)
         if not labels:
             return 0.0
-        z = self._checked_predictions(z)
+        z = self.checked_predictions(z)
         for y in labels:
             self.check_label(y)
-        values = self._raw(z, np.array(labels, dtype=float)[:, None]) / self.normalizer
+        return self.unchecked_spread(z, np.array(labels, dtype=float)[:, None])
+
+    def unchecked_spread(self, z: np.ndarray, label_column: np.ndarray) -> float:
+        """spread_many's value without its checks: z, at least one prediction,
+        must lie in Z and label_column be the labels as a (labels, 1) array,
+        each one `check_label` takes."""
+        values = self.unchecked_values(z, label_column)
         # by Python's max, under which a NaN spread (of a NaN z) never wins
         spread = max([0.0, *(values.max(axis=1) - values.min(axis=1)).tolist()])
         return min(max(spread, 0.0), 1.0)

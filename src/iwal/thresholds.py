@@ -71,18 +71,14 @@ def _checked_labels(loss: LossFunction, labels) -> tuple:
     return labels
 
 
-def shrink_survivors(avg_losses: np.ndarray, alive: np.ndarray,
-                     slack: float) -> np.ndarray:
-    """Keep the alive members within slack of the alive minimum.
-
-    Returns a new mask, always a subset of the input and never empty (the
-    argmin trivially satisfies its own threshold).
+def shrink_survivors(averages: np.ndarray, slack: float) -> np.ndarray:
+    """Which survivors, given their average losses, lie within slack of the
+    least of them: a mask over `averages`, never all False (the argmin
+    trivially satisfies its own threshold), all True under infinite slack.
     """
-    alive = np.asarray(alive, dtype=bool)
     if math.isinf(slack):
-        return alive.copy()
-    best = np.min(avg_losses[alive])
-    return alive & (np.asarray(avg_losses) <= best + slack)
+        return np.ones(len(averages), dtype=bool)
+    return averages <= averages.min() + slack
 
 
 class ConstantThreshold:
@@ -111,7 +107,18 @@ class LossWeightingFinite:
     incoming point. The cumulative weighted losses are the engine's running
     member sums (`loss_sums` after `attach`), which also give its minimizer.
     `probability(x, z)` takes z, every member's prediction on x in member
-    order as the class's `predict(x)` gives it; without z it predicts x.
+    order as the class's `predict(x)` gives it, already range-checked by the
+    engine; without z it predicts and checks x itself.
+
+    The `alive` mask is the one record of the survivors, which `survivors()`
+    reads for this threshold and its engine alike, and it only shrinks, so
+    every step's work is survivor-sized: the shrink divides only the
+    survivors' sums by the rows seen and compares them with their least
+    quotient, and the spread scores only the survivors' predictions, for
+    every label in one pass with no per-step checks (the labels are checked
+    here, when the threshold is built). The engine adds a queried row's
+    losses to the survivors' sums only, so a removed member's sum stays at
+    its value when it was removed; nothing reads it again.
     """
 
     def __init__(self, hypothesis_class: FiniteClass, loss: LossFunction,
@@ -127,6 +134,7 @@ class LossWeightingFinite:
         self.slack_mode = slack_mode
         self.slack_constant = slack_constant
         self.labels = _checked_labels(loss, labels)
+        self._label_column = np.array(self.labels, dtype=float)[:, None]
         self.t = 0
         self.loss_sums = None
         self.alive = np.ones(len(hypothesis_class), dtype=bool)
@@ -144,14 +152,23 @@ class LossWeightingFinite:
         return slack_width(t, len(self.hypothesis_class), self.confidence,
                            self.slack_constant)
 
+    def survivors(self) -> np.ndarray:
+        """The indices of the surviving members, in member order: the only
+        members whose loss sums are read again."""
+        return self.alive.nonzero()[0]
+
     def probability(self, x, z=None) -> float:
         self.t += 1
         seen = self.t - 1
+        survivors = self.survivors()
         if seen >= 1:
-            averages = self.loss_sums / seen
-            self.alive = shrink_survivors(averages, self.alive, self.slack(seen))
-        z = self.hypothesis_class.predict(x) if z is None else z
-        return self.loss.spread_many(z[self.alive], self.labels)
+            keep = shrink_survivors(self.loss_sums.take(survivors) / seen,
+                                    self.slack(seen))
+            self.alive[survivors] = keep
+            survivors = survivors.compress(keep)
+        if z is None:
+            z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
+        return self.loss.unchecked_spread(z.take(survivors), self._label_column)
 
     def record(self, x, y, p, queried) -> None:
         pass

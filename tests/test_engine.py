@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from iwal import bootstrap
-from iwal.engine import BLOCK_ROWS, ArrayOracle, Engine, weighted_loss_estimate
-from iwal.errors import ThresholdContractError
+from iwal.engine import ArrayOracle, Engine, weighted_loss_estimate
+from iwal.errors import PredictionDomainError, ThresholdContractError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
                              ThresholdPredictor, WeightedSample)
 from iwal.instances import random_discrete_instance
@@ -287,7 +287,7 @@ def test_trace_csv_round_trip(tmp_path, rng):
     assert cums[-1] == engine.trace.query_count()
 
 
-STREAM_ROWS = BLOCK_ROWS + 30     # so a whole-stream block splits in two
+STREAM_ROWS = 130
 
 
 def _stream_engine(kind):
@@ -338,7 +338,9 @@ def _engine_state(engine):
 
 class TestBlockSteps:
     """`Engine.steps` over any partition of the stream into blocks writes
-    what `Engine.step` row by row writes, bit for bit."""
+    what `Engine.step` row by row writes, bit for bit. A finite class's
+    blocks take their slices of one table of its predictions on every row,
+    as a run hands them."""
 
     @pytest.mark.parametrize("kind", ("logistic", "zero-one", "mixed", "passive",
                                       "committee", "linear"))
@@ -352,9 +354,33 @@ class TestBlockSteps:
         for x in X:
             by_row.step(x, oracle)
         by_block, X, oracle = _stream_engine(kind)
+        finite = by_block.member_sums is not None
+        Z = by_block.hypothesis_class.predict_many(X) if finite else None
         bounds = [0, *sorted(c for c in cuts if c < len(X)), len(X)]
         for first, stop in zip(bounds, bounds[1:]):
-            by_block.steps(X[first:stop], oracle)
+            by_block.steps(X[first:stop], oracle,
+                           Z[first:stop] if finite else None)
         assert by_block.t == by_row.t == len(X)
         assert by_block.trace.query_count() > 0
         assert _engine_state(by_block) == _engine_state(by_row)
+
+    def test_a_block_without_a_table_is_predicted_once(self, monkeypatch):
+        by_row, X, oracle = _stream_engine("logistic")
+        for x in X:
+            by_row.step(x, oracle)
+        calls = []
+        monkeypatch.setattr(FiniteClass, "predict_many",
+                            lambda cls, X, predict=FiniteClass.predict_many:
+                            calls.append(len(X)) or predict(cls, X))
+        by_block, X, oracle = _stream_engine("logistic")
+        by_block.steps(X, oracle)
+        assert calls == [len(X)]
+        assert _engine_state(by_block) == _engine_state(by_row)
+
+    def test_out_of_range_table_fails_before_any_step(self):
+        engine, X, oracle = _stream_engine("logistic")
+        Z = engine.hypothesis_class.predict_many(X[:5])
+        Z[3, 0] = 1.5
+        with pytest.raises(PredictionDomainError):
+            engine.steps(X[:5], oracle, Z)
+        assert engine.t == 0

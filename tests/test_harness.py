@@ -432,8 +432,26 @@ class TestEngineCheckpoints:
                 engine.step(X[row], oracle)
             done = t
             streamed.append(engine.member_sums.copy())
-        sums = harness._finite_prefix_sums(cls, loss, X, y, schedule)
+        # from the table of the class's predictions on every row, as a run
+        # predicts it once for both arms
+        sums = harness._finite_prefix_sums(loss, cls.predict_many(X), y, schedule)
         assert sums.tobytes() == np.array(streamed).tobytes()
+
+    @pytest.mark.parametrize("strategy", ("loss-weighting-finite", "passive"))
+    def test_finite_run_predicts_the_training_rows_once(self, monkeypatch, strategy):
+        # both arms read one table of the class's predictions on every
+        # training row; nothing predicts a training row again
+        calls = []
+        for name in ("predict", "predict_many"):
+            monkeypatch.setattr(FiniteClass, name,
+                                lambda cls, X, name=name, predict=getattr(FiniteClass, name):
+                                calls.append((name, len(X))) or predict(cls, X))
+        config = base_config(strategy=strategy, train_size=250, test_size=30,
+                             checkpoint_every=20,
+                             class_spec={"kind": "finite", "size": 16})
+        report = run_experiment(config)
+        assert calls == [("predict_many", 250)]
+        assert report.active.queries > 0
 
     @pytest.mark.parametrize("p_min", (0.0, 1))
     def test_passive_trace_is_the_streamed_engine_trace(self, tmp_path, p_min):
@@ -453,14 +471,18 @@ class TestEngineCheckpoints:
 class TestCheckpointEvaluation:
     @pytest.mark.parametrize("strategy", ("passive", "loss-weighting-finite", "bootstrap"))
     def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
-        # an engine arm predicts once per checkpoint and a bootstrap arm walks
-        # its checkpoint trees once; either way one loss and one error call
-        # score every checkpoint of the arm
-        predictions, walks, calls = [], [], []
+        # an engine arm predicts once per distinct checkpoint model (a finite
+        # arm's models are class members that repeat) and a bootstrap arm
+        # walks its checkpoint trees once; either way one loss and one error
+        # call score every checkpoint of the arm
+        predictions, walks, calls, models = [], [], [], []
         for cls in (LinearPredictor, DecisionTree):
             monkeypatch.setattr(cls, "predict_many",
                                 lambda h, X, predict=cls.predict_many:
-                                predictions.append(len(X)) or predict(h, X))
+                                predictions.append((id(h), len(X))) or predict(h, X))
+        monkeypatch.setattr(harness, "_predict_each",
+                            lambda hs, X, predict=harness._predict_each:
+                            models.append(hs) or predict(hs, X))
         monkeypatch.setattr(harness, "predict_forest",
                             lambda forest, X, walk=harness.predict_forest:
                             walks.append((len(forest), len(X))) or walk(forest, X))
@@ -477,7 +499,11 @@ class TestCheckpointEvaluation:
         if strategy == "bootstrap":
             assert predictions == [] and walks == [(n, 30) for n in checkpoints]
         else:
-            assert walks == [] and predictions == [30] * sum(checkpoints)
+            assert [len(hs) for hs in models] == checkpoints
+            distinct = [key for hs in models for key in dict.fromkeys(map(id, hs))]
+            assert walks == [] and predictions == [(key, 30) for key in distinct]
+            if strategy == "loss-weighting-finite":
+                assert len(distinct) < sum(checkpoints)
 
     def test_prediction_matrix_scores_each_row_as_its_own_call(self, rng):
         # a label's columns Z[:, mask] would be F-ordered, and their row sums

@@ -446,6 +446,24 @@ def test_normalizer_equals_the_frozen_reference_property(kind, b):
     assert LossFunction(kind, b).normalizer in allowed
 
 
+# Below about 1e-3 the normalizer scans a sample of the margins in its window
+# below b, not all of them; margins drawn by these seeds once computed a
+# logistic loss of 1 + 2^-52 for these bounds
+@settings(max_examples=100, deadline=None)
+@given(b=st.floats(1e-12, 1e-3), seed=st.integers(0, 2**32 - 1))
+@example(b=6.196934132393821e-10, seed=0)
+@example(b=1.1906383885069087e-10, seed=0)
+@example(b=2.484119309168553e-10, seed=0)
+def test_tiny_logistic_bounds_keep_losses_at_most_one_property(b, seed):
+    # 4,000 margins from the floats within 3 ulps of b + log 2 below b
+    lo, hi = np.array([max(b - 3 * np.spacing(b + math.log(2)), 0.0), b]).view(np.int64)
+    margins = np.random.default_rng(seed).integers(lo, hi, 4000, endpoint=True)
+    margins = margins.view(np.float64)
+    loss = LossFunction("logistic", b)
+    assert loss.eval_many(-margins, 1.0).max() <= 1.0
+    assert loss.eval_many(margins, -1.0).max() <= 1.0
+
+
 def frozen_spread_many(loss, z, labels):
     """The finite-class spread as a loop over labels took it: the largest
     (max - min) of eval_many's values, by Python's max, clamped to [0, 1]."""

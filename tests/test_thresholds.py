@@ -58,14 +58,15 @@ class TestSlack:
 
 
 class TestShrink:
+    # shrink_survivors takes the survivors' averages only and returns which
+    # of them stay; the tests below keep the alive members' averages
     def test_infinite_slack_keeps_everyone(self):
-        alive = np.array([True, False, True])
-        out = shrink_survivors(np.array([0.5, 0.1, 0.9]), alive, math.inf)
-        assert np.array_equal(out, alive)
+        out = shrink_survivors(np.array([0.5, 0.9]), math.inf)
+        assert np.array_equal(out, [True, True])
 
     def test_threshold_at_min_plus_slack(self):
         losses = np.array([0.10, 0.20, 0.35])
-        out = shrink_survivors(losses, np.ones(3, dtype=bool), 0.12)
+        out = shrink_survivors(losses, 0.12)
         assert np.array_equal(out, [True, True, False])
 
     def test_subset_and_argmin_retained(self, rng):
@@ -73,11 +74,10 @@ class TestShrink:
             losses = rng.uniform(0.0, 1.0, size=20)
             alive = rng.random(20) < 0.8
             alive[rng.integers(20)] = True  # never fully dead
-            out = shrink_survivors(losses, alive, rng.uniform(0.0, 0.5))
-            assert np.all(~out | alive)        # subset
+            out = shrink_survivors(losses[alive], rng.uniform(0.0, 0.5))
+            assert out.shape == (alive.sum(),)
             assert out.sum() >= 1
-            masked = np.where(alive, losses, np.inf)
-            assert out[int(np.argmin(masked))]
+            assert out[int(np.argmin(losses[alive]))]
 
 
 class TestSpreadFinite:
@@ -253,6 +253,31 @@ class TestLossWeightingFinite:
             p, queried = engine.trace.p[-1], engine.trace.q[-1]
             assert p_min <= p <= 1.0
             assert p > 0.0 or not queried
+
+    @pytest.mark.parametrize("seed", (85, 3, 11))
+    def test_sums_scan_each_member_until_it_is_removed(self, seed):
+        # a queried row adds to the survivors' sums only: each member's sum
+        # is the weighted scan of the rows queried before the step that
+        # removed it, and a removed member's sum stays at its value then
+        cls, threshold, engine, steps = _survivor_stream(seed, 3, "optimistic",
+                                                         0.0, 0.2)
+        removed_at = np.full(len(cls), math.inf)
+        at_removal, queried = {}, []
+        for t, (x, oracle) in enumerate(steps, start=1):
+            before = engine.member_sums.copy()
+            engine.step(x, oracle)
+            for i in np.flatnonzero(~threshold.alive & np.isinf(removed_at)):
+                removed_at[i], at_removal[i] = t, before[i]
+            if engine.trace.q[-1]:
+                queried.append((t, x, engine.sample.y[-1], engine.sample.w[-1]))
+        assert 0 < len(at_removal) < len(cls)
+        for i, h in enumerate(cls.members):
+            scan = 0.0
+            for t, x, y, w in queried:
+                if t < removed_at[i]:
+                    scan += w * engine.loss.eval(h.predict(x), y)
+            assert engine.member_sums[i] == scan
+            assert engine.member_sums[i] == at_removal.get(i, scan)
 
     def test_minimizer_is_the_least_sum_among_survivors(self):
         # on this seeded optimistic-slack stream the argmin over all members

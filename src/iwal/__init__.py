@@ -17,8 +17,7 @@ from .hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
                          LinearPredictor, TablePredictor, ThresholdPredictor,
                          WeightedExample, WeightedSample, erm_weighted)
 from .instances import (DiscreteInstance, SphereInstance,
-                        lower_bound_instance, point_mass_instance,
-                        random_discrete_instance)
+                        lower_bound_instance, point_mass_instance)
 from .losses import LossFunction
 from .solver import SolverResult, minimize_linear, minimize_weighted_loss
 from .theory import (disagreement_coefficient, expected_query_bound,

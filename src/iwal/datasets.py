@@ -124,13 +124,3 @@ def load_dataset(path, fmt: str = "csv") -> tuple[np.ndarray, np.ndarray]:
     if fmt == "csv":
         return _load_csv(numbered)
     return _load_svmlight(numbered)
-
-
-def save_csv(path, X, y) -> None:
-    """Write (X, y) in the CSV layout that load_dataset reads back."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with open(path, "w") as fh:
-        for label, row in zip(y, X):
-            fh.write(",".join([repr(float(label))] + [repr(float(v)) for v in row]))
-            fh.write("\n")

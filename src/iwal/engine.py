@@ -46,9 +46,6 @@ class QueryTrace:
     def __len__(self):
         return len(self.p)
 
-    def query_count(self) -> int:
-        return sum(self.q)
-
     def write_csv(self, path) -> None:
         cum = 0
         with open(path, "w", newline="") as fh:

@@ -165,17 +165,6 @@ def point_mass_instance(beta: float, dim: int = 2,
     return DiscreteInstance(points, masses, label_values, label_probs)
 
 
-def random_discrete_instance(num_atoms: int, dim: int,
-                             rng: np.random.Generator,
-                             spread: float = 1.0) -> DiscreteInstance:
-    """A generic enumerable binary instance for estimator and survivor tests."""
-    points = rng.uniform(-spread, spread, size=(num_atoms, dim))
-    masses = rng.uniform(0.2, 1.0, size=num_atoms)
-    masses /= masses.sum()
-    p_plus = rng.uniform(0.0, 1.0, size=num_atoms)
-    return DiscreteInstance.binary(points, masses, p_plus)
-
-
 @dataclass
 class SphereInstance:
     """Uniform directions on the unit sphere, labeled by the first axis.

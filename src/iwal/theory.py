@@ -49,20 +49,6 @@ def loss_distance_mc(f, g, loss: LossFunction, xs,
     return mean, stderr
 
 
-def distance_bounded_by_losses(h, reference, loss: LossFunction, instance,
-                               labels=DEFAULT_LABELS) -> bool:
-    """Whether distance(h, reference) <= K * (L(h) + L(reference)) holds.
-
-    K is the loss's slope asymmetry; an infinite K makes the check vacuous.
-    """
-    k = loss.slope_asymmetry()
-    if math.isinf(k):
-        return True
-    d = loss_distance_exact(h, reference, loss, instance, labels)
-    bound = k * (instance.exact_loss(h, loss) + instance.exact_loss(reference, loss))
-    return d <= bound + 1e-12
-
-
 def disagreement_coefficient(reference, candidates, xs, loss: LossFunction,
                              r_grid, labels=DEFAULT_LABELS,
                              instance=None) -> dict:

@@ -196,8 +196,10 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
     n_right = n.take(column) - n_left
     # positives before each flat index; a cut's left side holds those up to
     # it less those before its segment, whose flat start replaces its column
+    # (copied into intp first: a cumsum of the bools would cast as it sums)
     cum = np.zeros(d * m + 1, dtype=np.intp)
-    np.cumsum(flags.ravel(), out=cum[1:])
+    cum[1:] = flags.ravel()
+    np.cumsum(cum[1:], out=cum[1:])
     np.subtract(cells, column, out=column)
     column += starts.take(cut_node)
     pos_left = cum.take(cells + 1)

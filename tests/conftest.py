@@ -3,11 +3,29 @@ import pytest
 
 from iwal.harness import ExperimentConfig
 from iwal.hypotheses import LinearPredictor, WeightedSample
+from iwal.instances import DiscreteInstance
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def save_csv(path, X, y) -> None:
+    """Write (X, y) in the CSV layout that load_dataset reads back."""
+    with open(path, "w") as fh:
+        for label, row in zip(np.asarray(y, dtype=float), np.asarray(X, dtype=float)):
+            fh.write(",".join([repr(float(label))] + [repr(float(v)) for v in row]))
+            fh.write("\n")
+
+
+def random_discrete_instance(num_atoms, dim, rng, spread=1.0):
+    """A generic enumerable binary instance for estimator and survivor tests."""
+    points = rng.uniform(-spread, spread, size=(num_atoms, dim))
+    masses = rng.uniform(0.2, 1.0, size=num_atoms)
+    masses /= masses.sum()
+    p_plus = rng.uniform(0.0, 1.0, size=num_atoms)
+    return DiscreteInstance.binary(points, masses, p_plus)
 
 
 def random_weighted_examples(rng, n, dim, max_weight=5.0, labels=(-1.0, 1.0)):

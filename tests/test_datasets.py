@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from iwal import datasets
-from iwal.datasets import load_dataset, save_csv
+from iwal.datasets import load_dataset
 from iwal.errors import DatasetFormatError
+
+from conftest import save_csv
 
 
 class TestCsv:

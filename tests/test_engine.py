@@ -10,12 +10,12 @@ from iwal.engine import ArrayOracle, Engine, weighted_loss_estimate
 from iwal.errors import PredictionDomainError, ThresholdContractError
 from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
                              ThresholdPredictor, WeightedSample)
-from iwal.instances import random_discrete_instance
 from iwal.losses import LossFunction
 from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
                              LossWeightingLinear)
 
-from conftest import random_linear_predictors, weighted_total_loss
+from conftest import (random_discrete_instance, random_linear_predictors,
+                      weighted_total_loss)
 
 
 def make_engine(p, seed=0, **kwargs):
@@ -40,7 +40,7 @@ class TestStep:
         oracle = ArrayOracle(np.ones(50))
         for i in range(50):
             engine.step(rng.normal(size=2), oracle)
-        assert engine.trace.query_count() == 50
+        assert sum(engine.trace.q) == 50
         assert len(engine.sample) == 50
         assert oracle.calls == 50
 
@@ -49,7 +49,7 @@ class TestStep:
         oracle = ArrayOracle(np.ones(50))
         for i in range(50):
             engine.step(rng.normal(size=2), oracle)
-        assert engine.trace.query_count() == 0
+        assert sum(engine.trace.q) == 0
         assert len(engine.sample) == 0
         assert oracle.calls == 0
 
@@ -61,7 +61,7 @@ class TestStep:
             xs = np.zeros((10000, 2))
             for x in xs:
                 engine.step(x, oracle)
-            fraction = engine.trace.query_count() / 10000
+            fraction = sum(engine.trace.q) / 10000
             assert abs(fraction - 0.5) <= 0.02
 
     def test_threshold_contract_enforced(self, rng):
@@ -75,7 +75,7 @@ class TestStep:
         oracle = ArrayOracle(rng.choice([-1.0, 1.0], size=300))
         for i in range(300):
             engine.step(rng.normal(size=2), oracle)
-        assert oracle.calls == engine.trace.query_count()
+        assert oracle.calls == sum(engine.trace.q)
         assert oracle.calls == len(engine.sample)
 
     def test_weights_are_inverse_probabilities(self, rng):
@@ -92,7 +92,7 @@ class TestStep:
         oracle = ArrayOracle(np.ones(1000))
         for i in range(1000):
             engine.step(rng.normal(size=2), oracle)
-        fraction = engine.trace.query_count() / 1000
+        fraction = sum(engine.trace.q) / 1000
         assert abs(fraction - 0.5) <= 0.07
 
 
@@ -192,7 +192,7 @@ class TestRunStream:
         engine = make_engine(1.0)
         engine.step(rng.normal(size=2), ArrayOracle(np.array([1.0])))
         assert len(engine.trace) == 1
-        assert engine.trace.query_count() == 1
+        assert sum(engine.trace.q) == 1
 
     def test_deterministic_replay(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -228,7 +228,7 @@ class TestRunStream:
         oracle = ArrayOracle(y)
         for x in X:
             engine.step(x, oracle)
-        assert engine.trace.query_count() < 300
+        assert sum(engine.trace.q) < 300
 
     def test_finite_class_incremental_erm_matches_scan(self, rng):
         loss = LossFunction("logistic", 1.0)
@@ -284,7 +284,7 @@ def test_trace_csv_round_trip(tmp_path, rng):
     assert len(rows) == 21
     cums = [int(r.split(",")[3]) for r in rows[1:]]
     assert cums == sorted(cums)
-    assert cums[-1] == engine.trace.query_count()
+    assert cums[-1] == sum(engine.trace.q)
 
 
 STREAM_ROWS = 130
@@ -361,7 +361,7 @@ class TestBlockSteps:
             by_block.steps(X[first:stop], oracle,
                            Z[first:stop] if finite else None)
         assert by_block.t == by_row.t == len(X)
-        assert by_block.trace.query_count() > 0
+        assert sum(by_block.trace.q) > 0
         assert _engine_state(by_block) == _engine_state(by_row)
 
     def test_a_block_without_a_table_is_predicted_once(self, monkeypatch):

@@ -128,7 +128,7 @@ class TestBuildData:
         assert support == (-1.0, 1.0)
 
     def test_file_dataset(self, tmp_path, rng):
-        from iwal.datasets import save_csv
+        from conftest import save_csv
 
         X = rng.normal(size=(60, 2))
         y = rng.choice([-1.0, 1.0], size=60)
@@ -141,7 +141,7 @@ class TestBuildData:
         assert X_test.shape == (20, 2)
 
     def test_file_too_small_rejected(self, tmp_path, rng):
-        from iwal.datasets import save_csv
+        from conftest import save_csv
 
         path = tmp_path / "d.csv"
         save_csv(path, rng.normal(size=(10, 2)), np.ones(10))
@@ -251,7 +251,7 @@ class TestRunExperiment:
         assert min(report.active.trace.p) >= 0.95
 
     def test_standardize_with_constant_feature(self, tmp_path, rng):
-        from iwal.datasets import save_csv
+        from conftest import save_csv
 
         X = rng.normal(size=(150, 3))
         X[:, 1] = 4.0

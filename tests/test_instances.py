@@ -3,9 +3,10 @@ import pytest
 
 from iwal.hypotheses import ConstantPredictor
 from iwal.instances import (DiscreteInstance, SphereInstance,
-                            lower_bound_instance, point_mass_instance,
-                            random_discrete_instance)
+                            lower_bound_instance, point_mass_instance)
 from iwal.losses import LossFunction
+
+from conftest import random_discrete_instance
 
 
 class TestDiscreteInstance:

@@ -769,15 +769,16 @@ def test_linear_stream_within_declared_tolerance_of_r_newton_search(kind):
 # factors each point once.
 @contextlib.contextmanager
 def _counting_work():
-    """Counts of `np.linalg.eigh` and `smooth_derivatives_many` calls, and of
-    untilted `_trust_region` solves (anchors)."""
-    counts = {"eigh": 0, "derivatives": 0, "anchors": 0}
-    eigh, derivatives = np.linalg.eigh, LossFunction.smooth_derivatives_many
+    """Counts of the solver's Hessian factorizations (`solver._factor`) and
+    `smooth_derivatives_many` calls, and of untilted `_trust_region` solves
+    (anchors)."""
+    counts = {"factor": 0, "derivatives": 0, "anchors": 0}
+    factor, derivatives = solver._factor, LossFunction.smooth_derivatives_many
     trust_region = solver._trust_region
 
-    def counted_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def counted_factor(hess):
+        counts["factor"] += 1
+        return factor(hess)
 
     def counted_derivatives(*args, **kwargs):
         counts["derivatives"] += 1
@@ -788,7 +789,7 @@ def _counting_work():
         return trust_region(objective, norm_bound, u, gap_target, tilt)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", counted_eigh)
+        patch.setattr(solver, "_factor", counted_factor)
         patch.setattr(LossFunction, "smooth_derivatives_many", counted_derivatives)
         patch.setattr(solver, "_trust_region", counted_trust_region)
         yield counts
@@ -796,17 +797,18 @@ def _counting_work():
 
 def _assert_one_factorization_per_point(direction, norm_bound, cap, start):
     """Both ends, x and -x, over one cap: each point is factored once, the
-    first end's alone and the pair's, and the anchor is solved once."""
+    first end's alone and the pair's, and the anchor is solved once. An end
+    that is not a shortcut factors at least the anchor."""
     with _counting_work() as counts:
         result = minimize_linear(direction, norm_bound, cap, start)
         steps = result.diagnostics.newton_steps
-        assert counts["eigh"] <= steps + 1
+        assert (not result.diagnostics.used_shortcut) <= counts["factor"] <= steps + 1
         assert counts["derivatives"] <= steps + 1
         other = minimize_linear(-direction, norm_bound, cap, start)
     steps += other.diagnostics.newton_steps
-    assert counts["eigh"] <= steps + 1
-    assert counts["derivatives"] <= steps + 1
     shortcuts = result.diagnostics.used_shortcut + other.diagnostics.used_shortcut
+    assert (shortcuts < 2) <= counts["factor"] <= steps + 1
+    assert counts["derivatives"] <= steps + 1
     assert counts["anchors"] == (shortcuts < 2)
     return result
 
@@ -870,7 +872,7 @@ def test_one_anchor_per_prediction_interval(rng):
         binding += 1
         steps = low.newton_steps + high.newton_steps
         assert counts["anchors"] == 1
-        assert counts["eigh"] <= steps + 1
+        assert 1 <= counts["factor"] <= steps + 1
         assert counts["derivatives"] <= steps + 1
     assert binding >= 5
 
@@ -897,6 +899,58 @@ class TestCapCache:
         for array in (*cap.derivatives(u), *cap.eigh(u)):
             with pytest.raises(ValueError):
                 array[...] = 0.0
+
+
+@st.composite
+def _psd_matrices(draw):
+    """A symmetric PSD d x d matrix of rank 0 to d, d from 1 to 6: B B^T with
+    B of shape (d, rank), its entries often repeated so that eigenvalues
+    repeat, symmetrized exactly."""
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, dim))
+    entry = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)),
+                      st.floats(-8.0, 8.0, allow_subnormal=False))
+    b = np.array(draw(st.lists(entry, min_size=dim * rank, max_size=dim * rank)),
+                 dtype=float).reshape(dim, rank)
+    hess = b @ b.T
+    return (hess + hess.T) / 2.0
+
+
+def _cap_with_hessian(hess):
+    """A cap whose Hessian at every point is `hess`."""
+    dim = hess.shape[0]
+    cap = WeightedLossCap(LossFunction("squared", 1.0), np.zeros((1, dim)), np.ones(1),
+                          np.ones(1), 0.3)
+    cap.derivatives = lambda u: (np.zeros(dim), hess)
+    return cap
+
+
+class TestDirectFactorization:
+    """The cap factors each Hessian with the LAPACK gufunc behind
+    `np.linalg.eigh`: a NumPy that moves or changes it fails here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_psd_matrices())
+    def test_equals_numpy_eigh_byte_for_byte(self, hess):
+        evals, evecs = _cap_with_hessian(hess).eigh(np.zeros(hess.shape[0]))
+        reference = np.linalg.eigh(hess)
+        assert evals.dtype == evecs.dtype == np.float64
+        assert evals.tobytes() == reference.eigenvalues.tobytes()
+        assert evecs.tobytes() == reference.eigenvectors.tobytes()
+        assert not evals.flags.writeable and not evecs.flags.writeable
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ("everywhere", "one entry"))
+    def test_hessian_holding_nan_raises_convergence_error(self, where):
+        hess = np.eye(4)
+        if where == "everywhere":     # LAPACK reports the failure
+            hess[...] = math.nan
+        else:                         # LAPACK returns NaN without a report
+            hess[2, 2] = math.nan
+        u = np.full(4, 0.25)
+        with pytest.raises(SolverConvergenceError) as raised:
+            _cap_with_hessian(hess).eigh(u)
+        assert raised.value.iterate is u
 
 
 # Declared tolerance of the path rate. On the ball the rate used to take a

@@ -6,16 +6,14 @@ import pytest
 
 from iwal.engine import ArrayOracle, Engine
 from iwal.hypotheses import ConstantPredictor, FiniteClass, TablePredictor
-from iwal.instances import (DiscreteInstance, SphereInstance,
-                            random_discrete_instance)
+from iwal.instances import DiscreteInstance, SphereInstance
 from iwal.losses import LossFunction
-from iwal.theory import (disagreement_coefficient, distance_bounded_by_losses,
-                         expected_query_bound, loss_deviation_bound,
-                         loss_distance_exact, loss_distance_mc,
-                         sphere_coefficient_bound)
+from iwal.theory import (disagreement_coefficient, expected_query_bound,
+                         loss_deviation_bound, loss_distance_exact,
+                         loss_distance_mc, sphere_coefficient_bound)
 from iwal.thresholds import LossWeightingFinite
 
-from conftest import random_linear_predictors
+from conftest import random_discrete_instance, random_linear_predictors
 
 
 class TestLossDistance:
@@ -54,6 +52,20 @@ class TestLossDistance:
             d_fh = loss_distance_exact(f, h, loss, instance)
             d_hg = loss_distance_exact(h, g, loss, instance)
             assert d_fg <= d_fh + d_hg + 1e-12
+
+
+def distance_bounded_by_losses(h, reference, loss, instance):
+    """Whether distance(h, reference) <= K * (L(h) + L(reference)) holds, the
+    paper's lemma on an enumerable instance.
+
+    K is the loss's slope asymmetry; an infinite K makes the check vacuous.
+    """
+    k = loss.slope_asymmetry()
+    if math.isinf(k):
+        return True
+    d = loss_distance_exact(h, reference, loss, instance)
+    bound = k * (instance.exact_loss(h, loss) + instance.exact_loss(reference, loss))
+    return d <= bound + 1e-12
 
 
 class TestDistanceLossBound:

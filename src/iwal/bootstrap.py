@@ -7,9 +7,12 @@ disagreement on it, so it never drops below p_min and the safety guarantees
 for floor-bounded sampling apply. Every tree votes -1 or +1, so that
 probability takes two values, both worked out when the threshold is built:
 p_min where the votes agree, and p_min plus (1 - p_min) times the loss
-spread of {-1, +1} where they split. After the stream, rejection sampling with
-acceptance weight/max-weight turns the importance-weighted sample back into
-an unweighted one for a final learner. The heaviest row's acceptance ratio is
+spread of {-1, +1} where they split. The committee is fixed before the
+stream, so a run gets its votes on every streamed row from one walk of the
+members' trees (`trees.predict_forest`), and each step reads its row of
+them. After the stream, rejection sampling with acceptance
+weight/max-weight turns the importance-weighted sample back into an
+unweighted one for a final learner. The heaviest row's acceptance ratio is
 exactly 1 and every uniform drawn is below 1, so costing always keeps that
 row and every final tree has rows to fit.
 """
@@ -22,7 +25,7 @@ import numpy as np
 
 from .hypotheses import FiniteClass, WeightedSample
 from .losses import LossFunction
-from .trees import DecisionTree, TreeParams, leaf_label
+from .trees import DecisionTree, TreeParams
 
 
 def train_committee(X, y, rng: np.random.Generator, size: int = 10,
@@ -39,8 +42,9 @@ def train_committee(X, y, rng: np.random.Generator, size: int = 10,
 
 class CommitteeThreshold:
     """Rejection threshold driven by committee disagreement: p_min plus
-    (1 - p_min) times the largest pairwise loss difference on x, from one walk
-    of the members' trees that stops at the first vote differing from the first."""
+    (1 - p_min) times the largest pairwise loss difference of the members'
+    votes on x, so p_min where every vote agrees and the split value where
+    any two differ."""
 
     def __init__(self, committee: FiniteClass, loss: LossFunction,
                  labels=(-1.0, 1.0), p_min: float = 0.1):
@@ -59,17 +63,15 @@ class CommitteeThreshold:
         # the p where the votes split: their spread is that of {-1, +1}
         self._split = p_min + (1.0 - p_min) * loss.spread_many(
             np.array([-1.0, 1.0]), self.labels)
-        self._walks = [h._walk for h in committee.members[1:]]
 
     def attach(self, engine) -> None:
         pass
 
-    def probability(self, x) -> float:
-        vote = self.committee.members[0].predict(x)    # checks x's shape
-        x = np.asarray(x, dtype=float).tolist()
-        if any(leaf_label(walk, x) != vote for walk in self._walks):
-            return self._split
-        return self.p_min
+    def probability(self, x, z=None) -> float:
+        """The query probability of x; z, when given, is the members' votes
+        on x as `committee.predict(x)` gives them, else each member votes."""
+        votes = (self.committee.predict(x) if z is None else z).tolist()
+        return self.p_min if votes.count(votes[0]) == len(votes) else self._split
 
     def record(self, x, y, p, queried) -> None:
         pass

@@ -9,10 +9,12 @@ is unbiased for the true loss of any fixed hypothesis.
 The engine is the only writer of its arm's store: the `WeightedSample` of
 queried examples, for a finite class the member loss sums, and for the
 linear ball the running ERM. It hands itself to the threshold once, when
-built, and the threshold reads from it. A finite class's predictions reach
-each step as a row of a table predicted at once: a slice of the run's table
-of every training row, which it predicts once for both of its arms and
-drops before it scores them. A queried row adds its losses only to the sums
+built, and the threshold reads from it. A finite class's predictions, and
+a bootstrap committee's votes, reach each step as a row of a table
+predicted at once: a slice of the run's table of every training row. A
+finite-class run predicts that table once for both of its arms and drops
+it before it scores them; a bootstrap run walks its committee's trees over
+the rows once. A queried row adds its losses only to the sums
 of the members that are read again, the threshold's survivors when it has
 them. The `QueryTrace` holds the per-step facts as two columns, the query
 probability p and the coin q, with the step t given by the position; the x
@@ -114,17 +116,19 @@ class Engine:
         threshold.attach(self)
 
     def steps(self, X, oracle: Callable, Z=None) -> None:
-        """Process the rows of X in order, each by `step`. For a finite class
-        Z is the class's predictions on X, (rows, members), row i
-        `predict(X[i])` bit for bit, as `predict_many` gives them, and one
-        `predict_many` call makes them when Z is None. They are range-checked
-        once, here, and each row's step takes its row of them."""
-        if self.member_sums is None:
+        """Process the rows of X in order, each by `step`. Z, when given, is
+        the predictions on X of the class the threshold reads (rows, members),
+        row i its `predict(X[i])` bit for bit: a finite class's, as
+        `predict_many` gives them, or a bootstrap committee's votes. For a
+        finite class one `predict_many` call makes them when Z is None. They
+        are range-checked once, here, and each row's step takes its row of
+        them; without them each row steps alone."""
+        if Z is None and self.member_sums is not None:
+            Z = self.hypothesis_class.predict_many(X)
+        if Z is None:
             for x in X:
                 self.step(x, oracle)
             return
-        if Z is None:
-            Z = self.hypothesis_class.predict_many(X)
         for x, z in zip(X, self.loss.checked_predictions(Z)):
             self.step(x, oracle, z)
 
@@ -132,9 +136,10 @@ class Engine:
         """Process one unlabeled point.
 
         oracle(i, x) is called only on a query, with i the 0-based position
-        of x in this engine's stream. z, for a finite class only, is its
-        `predict(x)` in the loss's prediction range, which the threshold and
-        the member-sum update then take; without z each predicts x itself.
+        of x in this engine's stream. z is the `predict(x)` of the class the
+        threshold reads, a finite class or a bootstrap committee, in the
+        loss's prediction range; the threshold and a finite class's
+        member-sum update then take it, and without z each predicts x itself.
         """
         self.t += 1
         raw = (self.threshold.probability(x) if z is None

@@ -449,7 +449,7 @@ def _stream(config, engine, oracle, X_train, start: int = 0, Z_train=None):
     """Step the engine over rows start..T-1 of X_train, yielding (t, labels
     taken) at each checkpoint of `_schedule`: the `start` labels taken before
     the stream plus the oracle's calls. Z_train, a finite class's predictions
-    on X_train, hands each checkpoint's rows their predictions."""
+    or a committee's votes on X_train, hands each checkpoint's rows theirs."""
     done = start
     for t in _schedule(config, len(X_train), start):
         engine.steps(X_train[done:t], oracle,
@@ -474,9 +474,12 @@ def _engine_arm(config, loss, X_train, y_train, threshold, cls, rng,
 def _bootstrap_arm(config, loss, X_train, y_train, labels, seeds) -> _Trained:
     """The bootstrap committee's active arm.
 
-    Every label taken adds one collected row, so the label count `_stream`
-    yields at a checkpoint is the number of rows the arm has collected there
-    (the prefix and the queried rows). No final tree feeds back into the
+    The committee is fixed before the stream, so one `predict_forest` walk
+    gives its votes on every training row, (rows, members), and `_stream`
+    hands each checkpoint's rows theirs. Every label taken adds one
+    collected row, so the label count `_stream` yields at a checkpoint is
+    the number of rows the arm has collected there (the prefix and the
+    queried rows). No final tree feeds back into the
     stream, so after it, checkpoint i draws its costing resample from the
     first rows it collected, with its own default_rng([costing seed, i]),
     `DecisionTree.fit_many` grows the final trees together, and
@@ -494,7 +497,9 @@ def _bootstrap_arm(config, loss, X_train, y_train, labels, seeds) -> _Trained:
     engine = Engine(loss, threshold, np.random.default_rng(engine_seed),
                     p_min=config.p_min)
     oracle = ArrayOracle(y_train[prefix:])
-    schedule, counts = zip(*_stream(config, engine, oracle, X_train, start=prefix))
+    votes = predict_forest(committee.members, X_train).T
+    schedule, counts = zip(*_stream(config, engine, oracle, X_train, start=prefix,
+                                    Z_train=votes))
     collected = (bs.weighted_examples_from_arrays(X0, y0, np.ones(prefix))
                  + engine.sample)
     resamples = (bs.costing_resample(collected.head(n),

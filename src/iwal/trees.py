@@ -54,10 +54,19 @@ A forest of K trees starts from K root segments, each a tree's rows in the
 shared order, copied into the forest's own rows. The rows of that depth's
 searched nodes lie in a (features, rows) index matrix, each node's rows one
 contiguous column segment, row f of a segment in the stable order of
-feature f. Prefix counts and the candidate cuts come from a few array
-passes over the whole matrix, the entropies and gains from passes over the
-candidates; per-node maxima and first picks come from `ufunc.at` over the
-candidates' nodes. A split partitions the rows by the threshold mask
+feature f. A cut between equal values is blocked, so a depth compares each
+column's value with the next one's, but only in the features that hold a
+tie: two equal values among all the rows of (X, y), found once from the
+shared presort. A segment holds distinct rows of X (a tree's rows repeat
+none), so in a feature without a tie no two of its values are equal. Rows
+do repeat across the trees of a forest (nested prefixes), but two segments
+meet only at the cut after a segment's last column, which leaves no row on
+its right and is blocked by min_leaf. (The committee's stacked resamples
+repeat rows, so each of their features holds a tie and is compared.)
+Prefix counts and the candidate cuts come from a few array passes over the
+whole matrix, the entropies and gains from passes over the candidates;
+per-node maxima and first picks come from `ufunc.at` over the candidates'
+nodes. A split partitions the rows by the threshold mask
 `X[feature] <= threshold`, never by cut position (a midpoint can round up
 to the upper value, whose rows then go left). Every feature row
 of a segment holds the same rows, so one per-row mask gathered through the
@@ -159,22 +168,27 @@ def _select(cells: np.ndarray, gains: np.ndarray, node: np.ndarray,
 
 def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
                  sizes: np.ndarray, starts: np.ndarray, node: np.ndarray,
-                 n_pos: np.ndarray, min_leaf: int):
+                 n_pos: np.ndarray, min_leaf: int, tied: np.ndarray):
     """One depth's split search: (feature, threshold) per node, feature -1
     where the node has no allowed cut.
 
     X is the root's (features, rows) array and pos its label > 0 flags; order
     holds the nodes' rows as consecutive column segments of the given sizes
     and starts, with n_pos positive labels each; node is each column's
-    segment.
+    segment. tied flags the features with two equal values among the rows
+    the trees are drawn from; only their cuts can fall between equal values
+    in a segment (module docstring).
     """
     d, n_rows = X.shape
     m = order.shape[1]
-    # (features, m) arrays bound a forest's memory: each is dropped once read
-    values = X.ravel().take(order + np.arange(0, d * n_rows, n_rows)[:, None])
-    blocked = np.ones((d, m), dtype=bool)        # cuts that are not allowed
-    np.equal(values[:, :-1], values[:, 1:], out=blocked[:, :-1])
-    del values
+    blocked = np.zeros((d, m), dtype=bool)       # cuts that are not allowed
+    blocked[:, -1] = True
+    tied = np.flatnonzero(tied)
+    if len(tied):
+        # (features, m) arrays bound a forest's memory: each is dropped once read
+        values = X.ravel().take(order.take(tied, axis=0) + (tied * n_rows)[:, None])
+        blocked[tied, :-1] = values[:, :-1] == values[:, 1:]
+        del values
     flags = pos.take(order)
     # a cut after a column leaves the segment's columns up to it on the left
     n = sizes.take(node).astype(float)
@@ -227,14 +241,15 @@ def _split_depth(X: np.ndarray, pos: np.ndarray, order: np.ndarray,
 
 
 def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
-          params: TreeParams):
+          params: TreeParams, tied: np.ndarray):
     """(feature, threshold, left, right, label, depth) of each tree grown on
     the (features, rows) array X with label > 0 flags pos, whose rows hold
     the trees' samples one after another, in blocks of the given sizes;
     order holds each tree's rows, stably sorted by each feature, as one
-    column segment. The trees are grown together as one forest: their roots
-    are the first depth's segments. Nodes are numbered breadth first across
-    the forest; a leaf's children are itself."""
+    column segment, and tied flags the features with a tie among the rows
+    the trees are drawn from. The trees are grown together as one forest:
+    their roots are the first depth's segments. Nodes are numbered breadth
+    first across the forest; a leaf's children are itself."""
     d, n_rows = X.shape
 
     def searched(depth, sizes, n_pos):
@@ -256,7 +271,7 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
         starts = sizes.cumsum() - sizes
         node = np.arange(len(ids)).repeat(sizes)
         feature, threshold = _split_depth(X, pos, order, sizes, starts, node, n_pos,
-                                          params.min_leaf)
+                                          params.min_leaf, tied)
         split = feature >= 0
         k = int(np.count_nonzero(split))
         if k == 0:
@@ -319,16 +334,6 @@ def _grow(X: np.ndarray, pos: np.ndarray, order: np.ndarray, sizes: np.ndarray,
         grown.append((feature[mine], threshold[mine], local[left[mine]],
                       local[right[mine]], label[mine], depth))
     return grown
-
-
-def leaf_label(walk, x: list) -> float:
-    """The label of the leaf that x, a list of features, reaches in the tree
-    whose node lists are `walk` (DecisionTree._walk)."""
-    feature, threshold, left, right, label = walk
-    node = 0
-    while left[node] != node:
-        node = left[node] if x[feature[node]] <= threshold[node] else right[node]
-    return label[node]
 
 
 def _checked(index: int, rows, n_rows: int) -> np.ndarray:
@@ -409,6 +414,10 @@ class DecisionTree:
         # no feature: sort one constant column instead, which allows no cut
         XT = np.ascontiguousarray(X.T) if X.shape[1] else np.zeros((1, len(X)))
         order = np.argsort(XT, axis=1, kind="stable")
+        # equal values sit next to each other in a sorted feature
+        ordered = np.take_along_axis(XT, order, axis=1)
+        tied = (ordered[:, :-1] == ordered[:, 1:]).any(axis=1)
+        del ordered
 
         slot = np.full(len(X), -1)
 
@@ -427,7 +436,7 @@ class DecisionTree:
             with np.errstate(divide="ignore", invalid="ignore"):
                 grown = _grow(XT.take(rows, axis=1), y.take(rows) > 0, np.concatenate(
                     [root(*tree) for tree in zip(sizes.cumsum() - sizes, forest)], axis=1),
-                    sizes, params)
+                    sizes, params, tied)
             return [cls(X.shape[1], *arrays) for arrays in grown]
 
         fitted, forest = [], []
@@ -442,7 +451,12 @@ class DecisionTree:
         return fitted
 
     def predict(self, x) -> float:
-        return leaf_label(self._walk, _point(x, self.n_features).tolist())
+        x = _point(x, self.n_features).tolist()
+        feature, threshold, left, right, label = self._walk
+        node = 0
+        while left[node] != node:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        return label[node]
 
     def predict_many(self, X) -> np.ndarray:
         return predict_forest([self], X)[0]

@@ -13,7 +13,7 @@ from iwal.engine import Engine
 from iwal.errors import DimensionMismatchError
 from iwal.hypotheses import FiniteClass, LinearPredictor, WeightedSample
 from iwal.losses import LOSS_KINDS, LossFunction
-from iwal.trees import DecisionTree, TreeParams
+from iwal.trees import DecisionTree, TreeParams, predict_forest
 
 from conftest import assert_same_tree
 
@@ -173,7 +173,7 @@ LABEL_SETS = {kind: SIGN_LABELS + ([(0.37,), (-1.0, 0.0, 1.0)]
 
 class TestTwoValuedProbability:
     """p is p_min + (1 - p_min) times the loss spread of every member's vote,
-    worked out from one walk of the members' trees."""
+    whether the members vote on x or a forest walk's row of votes is given."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
@@ -198,10 +198,12 @@ class TestTwoValuedProbability:
                 x = rng.uniform(-1.5, 1.5, size=dim)
                 x[tree.feature[node]] = tree.threshold[node]
                 probes.append(x)
-        for x in probes:
+        table = predict_forest(committee.members, np.array(probes)).T
+        for x, z in zip(probes, table):
             votes = FiniteClass(committee.members).predict(x)
             expected = p_min + (1 - p_min) * loss.spread_many(votes, labels)
             assert threshold.probability(x) == expected
+            assert threshold.probability(x, z) == expected
 
     def test_both_values_reached_on_a_stream(self, rng):
         X, y = separable_prefix(rng, n=30)

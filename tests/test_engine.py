@@ -13,6 +13,7 @@ from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearPredictor,
 from iwal.losses import LossFunction
 from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
                              LossWeightingLinear)
+from iwal.trees import predict_forest
 
 from conftest import (random_discrete_instance, random_linear_predictors,
                       weighted_total_loss)
@@ -336,11 +337,21 @@ def _engine_state(engine):
     return [a.tobytes() for a in arrays]
 
 
+def _run_table(engine, X):
+    """The table a run hands `steps` for its stream X: a finite class's
+    predictions, a committee's votes from one forest walk, or None."""
+    if engine.member_sums is not None:
+        return engine.hypothesis_class.predict_many(X)
+    committee = getattr(engine.threshold, "committee", None)
+    return None if committee is None else predict_forest(committee.members, X).T
+
+
 class TestBlockSteps:
     """`Engine.steps` over any partition of the stream into blocks writes
-    what `Engine.step` row by row writes, bit for bit. A finite class's
-    blocks take their slices of one table of its predictions on every row,
-    as a run hands them."""
+    what `Engine.step` row by row, without a table, writes, bit for bit. A
+    finite class's blocks take their slices of one table of its predictions
+    on every row, and a committee's blocks their slices of its votes, as a
+    run hands them."""
 
     @pytest.mark.parametrize("kind", ("logistic", "zero-one", "mixed", "passive",
                                       "committee", "linear"))
@@ -354,14 +365,17 @@ class TestBlockSteps:
         for x in X:
             by_row.step(x, oracle)
         by_block, X, oracle = _stream_engine(kind)
-        finite = by_block.member_sums is not None
-        Z = by_block.hypothesis_class.predict_many(X) if finite else None
+        Z = _run_table(by_block, X)
+        assert (Z is None) == (kind == "linear")
         bounds = [0, *sorted(c for c in cuts if c < len(X)), len(X)]
         for first, stop in zip(bounds, bounds[1:]):
             by_block.steps(X[first:stop], oracle,
-                           Z[first:stop] if finite else None)
+                           None if Z is None else Z[first:stop])
         assert by_block.t == by_row.t == len(X)
         assert sum(by_block.trace.q) > 0
+        if kind == "committee":
+            # the votes agree on some rows and split on others
+            assert len(set(by_row.trace.p)) == 2
         assert _engine_state(by_block) == _engine_state(by_row)
 
     def test_a_block_without_a_table_is_predicted_once(self, monkeypatch):

@@ -335,8 +335,8 @@ class TestBootstrapCheckpoints:
         config = base_config(strategy="bootstrap", train_size=300, test_size=60,
                              checkpoint_every=10, seed=3)
         reference = _eager_bootstrap_checkpoints(config, False)
-        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, params:
-                            forests.append(len(sizes)) or grow(X, pos, order, sizes, params))
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, *rest:
+                            forests.append(len(sizes)) or grow(X, pos, order, sizes, *rest))
         report = run_experiment(config)
         assert report.active.checkpoints == reference
         # one forest for the committee, one for every active checkpoint
@@ -473,8 +473,9 @@ class TestCheckpointEvaluation:
     def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
         # an engine arm predicts once per distinct checkpoint model (a finite
         # arm's models are class members that repeat) and a bootstrap arm
-        # walks its checkpoint trees once; either way one loss and one error
-        # call score every checkpoint of the arm
+        # walks its checkpoint trees once, after one walk of its committee over
+        # the training rows; either way one loss and one error call score every
+        # checkpoint of the arm
         predictions, walks, calls, models = [], [], [], []
         for cls in (LinearPredictor, DecisionTree):
             monkeypatch.setattr(cls, "predict_many",
@@ -490,14 +491,16 @@ class TestCheckpointEvaluation:
             monkeypatch.setattr(harness, name,
                                 lambda *args, name=name, score=getattr(harness, name):
                                 calls.append(name) or score(*args))
-        report = run_experiment(base_config(strategy=strategy, train_size=200,
-                                            test_size=30, checkpoint_every=20))
+        config = base_config(strategy=strategy, train_size=200, test_size=30,
+                             checkpoint_every=20)
+        report = run_experiment(config)
         arms = {id(report.active): report.active, id(report.passive): report.passive}
         checkpoints = [len(arm.checkpoints) for arm in arms.values()]
         assert sorted(calls) == (["evaluate_error"] * len(arms)
                                  + ["evaluate_loss"] * len(arms))
         if strategy == "bootstrap":
-            assert predictions == [] and walks == [(n, 30) for n in checkpoints]
+            assert predictions == [] and walks == (
+                [(config.committee["size"], 200)] + [(n, 30) for n in checkpoints])
         else:
             assert [len(hs) for hs in models] == checkpoints
             distinct = [key for hs in models for key in dict.fromkeys(map(id, hs))]

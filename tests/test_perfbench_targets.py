@@ -63,3 +63,19 @@ def test_finite_run_counts_one_step_and_one_probability_per_row():
     metrics = spans.layer_metrics(tracer)
     assert metrics["engine.steps"] == config.train_size
     assert metrics["threshold.finite.probability_calls"] == config.train_size
+
+
+def test_bootstrap_run_counts_one_step_and_one_probability_per_streamed_row():
+    # the committee arm takes its votes from a table, as the finite arm does;
+    # a stream that bypassed Engine.step or CommitteeThreshold.probability
+    # would read 0 in the benchmark's committee metrics
+    workload = bench.WORKLOADS["bootstrap-sphere"]
+    config = ExperimentConfig.from_dict({**workload.config, "seed": 1})
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.run_experiment(config)
+    metrics = spans.layer_metrics(tracer)
+    streamed = config.train_size - bench.bootstrap_prefix(config)
+    assert streamed > 0
+    assert metrics["engine.steps"] == streamed
+    assert metrics["threshold.committee.probability_calls"] == streamed

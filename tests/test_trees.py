@@ -278,8 +278,8 @@ class TestPresort:
             return grown
 
         monkeypatch.setattr(DecisionTree, "fit_many", classmethod(recording_fit_many))
-        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, params:
-                            forests.append(len(sizes)) or grow(X, pos, order, sizes, params))
+        monkeypatch.setattr(trees, "_grow", lambda X, pos, order, sizes, *rest:
+                            forests.append(len(sizes)) or grow(X, pos, order, sizes, *rest))
         config = harness.ExperimentConfig.from_dict({
             "dataset": {"kind": "sphere", "dim": 5, "noise": 0.1},
             "strategy": "bootstrap", "loss_kind": "logistic",
@@ -528,9 +528,9 @@ class TestFitMany:
         read, forests = [], []
         grow = trees._grow
 
-        def spy(X, pos, order, roots, params):
+        def spy(X, pos, order, roots, *rest):
             forests.append((X.shape[1], roots.tolist(), len(read)))
-            return grow(X, pos, order, roots, params)
+            return grow(X, pos, order, roots, *rest)
 
         def lazily():
             for rows in subsets:
@@ -598,6 +598,65 @@ class TestFitMany:
         assert len(grown) == 8 and len(forests) == 6
         assert max(tree.depth() for tree in grown) == 8
         assert len(calls) == 1
+
+
+def _fit_recording_ties(X, y, subsets, params, force):
+    """fit_many's trees and the tie flags each depth's search took; with
+    force, every feature is searched as tied, as before the tie skip."""
+    seen, search = [], trees._split_depth
+
+    def spy(*args):
+        *rest, tied = args
+        seen.append(tied.copy())
+        return search(*rest, np.ones_like(tied) if force else tied)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_split_depth", spy)
+        return DecisionTree.fit_many(X, y, subsets, params), seen
+
+
+class TestTieFreeFeatures:
+    """A feature with no two equal values in the fitted rows skips the
+    equal-value check; the trees are those of a search that checks it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(("mixed-ties", "nested-prefixes", "stacked-repeats")),
+           n=st.integers(2, 120), rounded=st.lists(st.booleans(), min_size=1, max_size=5),
+           copies=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           max_depth=st.integers(0, 8), min_leaf=st.integers(1, 4))
+    def test_same_trees_as_checking_every_feature(self, case, n, rounded, copies, seed,
+                                                  max_depth, min_leaf):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, len(rounded)))
+        # a rounded column holds few values, so it ties unless n is tiny
+        X[:, rounded] = np.round(X[:, rounded])
+        y = np.where(X.sum(axis=1) + rng.normal(size=n) > 0, 1.0, -1.0)
+        if case == "mixed-ties":
+            # the whole sample and a costing-style subset of it
+            subsets = [np.arange(n), np.flatnonzero(rng.random(n) < 0.6)]
+        elif case == "nested-prefixes":
+            # the passive twin's prefixes, grown as one forest that repeats rows
+            subsets = [np.arange(t) for t in np.unique(rng.integers(1, n + 1, size=copies))]
+        else:
+            # the committee's with-replacement resamples, stacked as blocks
+            rows = rng.integers(0, n, size=copies * n)
+            X, y = X[rows], y[rows]
+            subsets = np.arange(copies * n).reshape(copies, n)
+        subsets = [rows for rows in subsets if len(rows)]
+        params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+        grown, seen = _fit_recording_ties(X, y, subsets, params, force=False)
+        checked, _ = _fit_recording_ties(X, y, subsets, params, force=True)
+        tied = np.array([len(np.unique(column)) < len(column) for column in X.T])
+        assert all(np.array_equal(flags, tied) for flags in seen)
+        if case == "stacked-repeats":
+            # copies * n draws of n rows repeat one, tying every feature
+            assert tied.all()
+        elif not rounded[0]:
+            assert not tied[0]
+        for tree, other, rows in zip(grown, checked, subsets, strict=True):
+            assert_same_tree(tree, other)
+            if case != "stacked-repeats":
+                _assert_oracle_tree(tree, X[rows], y[rows], params)
 
 
 class TestBoundaryCuts:

@@ -14,11 +14,14 @@ a bootstrap committee's votes, reach each step as a row of a table
 predicted at once: a slice of the run's table of every training row. A
 finite-class run predicts that table once for both of its arms and drops
 it before it scores them; a bootstrap run walks its committee's trees over
-the rows once. A queried row adds its losses only to the sums
-of the members that are read again, the threshold's survivors when it has
-them. The `QueryTrace` holds the per-step facts as two columns, the query
-probability p and the coin q, with the step t given by the position; the x
-and y of a queried step live only in the sample.
+the rows once. `steps` hands a finite threshold its block of the table as
+the rows ahead, so it scores the spreads of the whole block once per
+survivor set, and a queried row's losses come from those scores. A queried
+row adds its losses only to the sums of the members that are read again,
+the threshold's survivors when it has them. The `QueryTrace` holds the
+per-step facts as two columns, the query probability p and the coin q, with
+the step t given by the position; the x and y of a queried step live only
+in the sample.
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ class Engine:
             self.member_sums = np.zeros(len(hypothesis_class.members))
             every = np.arange(len(self.member_sums))
             self._survivors = getattr(threshold, "survivors", lambda: every)
+            self._scored_losses = getattr(threshold, "scored_losses", lambda y: None)
         elif isinstance(hypothesis_class, LinearBall):
             self._current, self.erm_sum = erm_weighted(hypothesis_class, self.sample, loss)
+        self._ahead = getattr(threshold, "ahead", lambda Z: None)
         threshold.attach(self)
 
     def steps(self, X, oracle: Callable, Z=None) -> None:
@@ -122,15 +127,23 @@ class Engine:
         `predict_many` gives them, or a bootstrap committee's votes. For a
         finite class one `predict_many` call makes them when Z is None. They
         are range-checked once, here, and each row's step takes its row of
-        them; without them each row steps alone."""
+        them; without them each row steps alone. A threshold with an `ahead`
+        method, the finite class's, is handed the checked table first, so it
+        can score the rows ahead together, and is told to drop it when the
+        block ends or raises."""
         if Z is None and self.member_sums is not None:
             Z = self.hypothesis_class.predict_many(X)
         if Z is None:
             for x in X:
                 self.step(x, oracle)
             return
-        for x, z in zip(X, self.loss.checked_predictions(Z)):
-            self.step(x, oracle, z)
+        Z = self.loss.checked_predictions(Z)
+        self._ahead(Z)
+        try:
+            for x, z in zip(X, Z):
+                self.step(x, oracle, z)
+        finally:
+            self._ahead(None)
 
     def step(self, x, oracle: Callable, z=None) -> None:
         """Process one unlabeled point.
@@ -157,7 +170,9 @@ class Engine:
                     z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
                 self.loss.check_label(y)
                 read = self._survivors()
-                losses = self.loss.unchecked_values(z.take(read), y)
+                losses = self._scored_losses(y)     # from the rows ahead
+                if losses is None:
+                    losses = self.loss.unchecked_values(z.take(read), y)
                 self.member_sums[read] += weight * losses
         self.threshold.record(x, y, p, queried)
         self.trace.append(p, queried)

@@ -81,6 +81,15 @@ def shrink_survivors(averages: np.ndarray, slack: float) -> np.ndarray:
     return averages <= averages.min() + slack
 
 
+def shrink_keeps_all(least: float, largest: float, seen: int, slack: float) -> bool:
+    """Whether `shrink_survivors(sums / seen, slack)` keeps every survivor,
+    from the least and largest of the sums: for seen > 0, fl(s / seen) is
+    monotone in s, so the largest quotient is the largest sum's and the
+    least the least sum's. False when either is NaN, as numpy's min and
+    max of sums with a NaN are."""
+    return largest / seen <= least / seen + slack
+
+
 class ConstantThreshold:
     """Fixed query probability; p = 1 recovers passive learning."""
 
@@ -112,13 +121,22 @@ class LossWeightingFinite:
 
     The `alive` mask is the one record of the survivors, which `survivors()`
     reads for this threshold and its engine alike, and it only shrinks, so
-    every step's work is survivor-sized: the shrink divides only the
-    survivors' sums by the rows seen and compares them with their least
-    quotient, and the spread scores only the survivors' predictions, for
+    every step's work is survivor-sized. The shrink is decided on the
+    survivors' least and largest sums (`shrink_keeps_all`), and only when
+    some survivor is beyond the slack does the vector rule divide every
+    survivor's sum. The two sums, like the survivors' indices, are kept
+    until they change: until `record` reports a queried row, whose losses
+    the engine has added by then, or the survivors shrink, or `alive` is
+    reassigned. The spread scores only the survivors' predictions, for
     every label in one pass with no per-step checks (the labels are checked
-    here, when the threshold is built). The engine adds a queried row's
-    losses to the survivors' sums only, so a removed member's sum stays at
-    its value when it was removed; nothing reads it again.
+    here, when the threshold is built). While the engine's `steps` has
+    handed over the rows ahead (`ahead`), each call returns its row's entry
+    of the spreads of all those rows, scored once for a survivor set: at the
+    first row, and after a removal from the values already scored, with the
+    removed members' columns dropped; a queried row's losses are read from
+    them too (`scored_losses`). The engine adds a queried row's losses to
+    the survivors' sums only, so a removed member's sum stays at its value
+    when it was removed; nothing reads it again.
     """
 
     def __init__(self, hypothesis_class: FiniteClass, loss: LossFunction,
@@ -138,6 +156,18 @@ class LossWeightingFinite:
         self.t = 0
         self.loss_sums = None
         self.alive = np.ones(len(hypothesis_class), dtype=bool)
+        self._ahead = None         # the predictions of the rows ahead
+        self._row = 0              # the next of them
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every fact kept about the survivors of `alive`."""
+        self._known = self.alive     # the mask the facts below are of
+        self._indices = None         # survivors()
+        self._extremes = None        # their least and largest sums
+        self._values = None          # their losses (labels, rows, survivors)
+        self._first = 0              # on the rows ahead from this one on,
+        self._spreads = None         # and those rows' spreads
 
     def attach(self, engine) -> None:
         """Read the member loss sums of an engine built on this class."""
@@ -145,6 +175,7 @@ class LossWeightingFinite:
         if members is not self.hypothesis_class.members or engine.loss != self.loss:
             raise ValueError("the engine must run this threshold's class and loss")
         self.loss_sums = engine.member_sums
+        self._forget()
 
     def slack(self, t: int) -> float:
         if self.slack_mode == "optimistic":
@@ -154,24 +185,85 @@ class LossWeightingFinite:
 
     def survivors(self) -> np.ndarray:
         """The indices of the surviving members, in member order: the only
-        members whose loss sums are read again."""
-        return self.alive.nonzero()[0]
+        members whose loss sums are read again. The array is kept until the
+        survivors change, so callers must not write to it."""
+        if self._known is not self.alive:
+            self._forget()
+        if self._indices is None:
+            self._indices = self.alive.nonzero()[0]
+        return self._indices
+
+    def ahead(self, Z) -> None:
+        """Take Z, the range-checked predictions (rows, members) of the rows
+        the next `probability` calls score, one row each and in order, as
+        their z; None drops them."""
+        self._ahead = Z
+        self._row = 0
+        self._values = self._spreads = None
+
+    def _shrink(self, survivors: np.ndarray, seen: int):
+        """Drop the survivors whose average loss over `seen` rows is beyond
+        the slack of the least: the mask kept over the survivors before, or
+        None when every survivor stays."""
+        slack = self.slack(seen)
+        if self._extremes is None:
+            sums = self.loss_sums.take(survivors)
+            self._extremes = float(sums.min()), float(sums.max())
+        if shrink_keeps_all(*self._extremes, seen, slack):
+            return None
+        keep = shrink_survivors(self.loss_sums.take(survivors) / seen, slack)
+        if keep.all():       # NaN sums, under infinite slack
+            return None
+        self.alive[survivors] = keep
+        self._indices = survivors.compress(keep)
+        self._extremes = None
+        return keep
+
+    def _spread_ahead(self, keep) -> float:
+        """The next row ahead's spread over the survivors, after the shrink
+        that kept `keep` (None: every survivor) of the survivors before."""
+        row = self._row
+        self._row += 1
+        if self._values is None:
+            self._values = self.loss.unchecked_values(
+                self._ahead[row:].take(self.survivors(), axis=1),
+                self._label_column[:, :, None])
+        elif keep is not None:
+            self._values = self._values[:, row - self._first:].compress(keep, axis=2)
+        else:
+            return self._spreads[row - self._first]
+        self._first = row
+        spreads = self._values.max(axis=2) - self._values.min(axis=2)
+        # unchecked_spread's rule: the largest over labels and 0, where a
+        # NaN spread never wins, at most 1
+        self._spreads = np.minimum(np.fmax.reduce(spreads, axis=0, initial=0.0),
+                                   1.0).tolist()
+        return self._spreads[0]
+
+    def scored_losses(self, y):
+        """The losses against label y of the survivors, in `survivors()`
+        order, on the row the last call scored from the rows ahead, as
+        `unchecked_values` gives them; None without rows ahead or for a y
+        not among the labels."""
+        if self._ahead is None or y not in self.labels:
+            return None
+        return self._values[self.labels.index(y), self._row - 1 - self._first]
 
     def probability(self, x, z=None) -> float:
         self.t += 1
         seen = self.t - 1
-        survivors = self.survivors()
-        if seen >= 1:
-            keep = shrink_survivors(self.loss_sums.take(survivors) / seen,
-                                    self.slack(seen))
-            self.alive[survivors] = keep
-            survivors = survivors.compress(keep)
+        survivors = self.survivors()    # first: a reassigned alive is read anew
+        keep = self._shrink(survivors, seen) if seen >= 1 else None
+        if self._ahead is not None:
+            return self._spread_ahead(keep)
         if z is None:
             z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
-        return self.loss.unchecked_spread(z.take(survivors), self._label_column)
+        return self.loss.unchecked_spread(z.take(self.survivors()),
+                                          self._label_column)
 
     def record(self, x, y, p, queried) -> None:
-        pass
+        if queried:
+            self._extremes = None     # the engine has added the row's losses
 
 
 class LossWeightingLinear:

@@ -299,6 +299,7 @@ def _stream_engine(kind):
     y = np.where(X @ np.array([1.0, -0.5, 0.25]) + 0.3 * rng.normal(size=STREAM_ROWS)
                  >= 0, 1.0, -1.0)
     logistic = LossFunction("logistic", 1.0)
+    p_min = 0.2 if kind == "p_min" else 0.0
     if kind == "linear":
         # every interval is two solves, so the linear stream is shorter
         threshold = LossWeightingLinear(3, 1.0, logistic, slack_mode="optimistic")
@@ -316,9 +317,15 @@ def _stream_engine(kind):
         if kind == "passive":
             return (Engine(loss, ConstantThreshold(0.5), np.random.default_rng(7),
                            hypothesis_class=FiniteClass(members)), X, ArrayOracle(y))
-        threshold = LossWeightingFinite(FiniteClass(members), loss,
-                                        slack_mode="optimistic")
-    engine = Engine(threshold.loss, threshold, np.random.default_rng(7))
+        if kind == "paper":
+            # a small constant, so that the paper's slack removes members
+            # within the stream
+            threshold = LossWeightingFinite(FiniteClass(members), loss,
+                                            slack_constant=0.05)
+        else:
+            threshold = LossWeightingFinite(FiniteClass(members), loss,
+                                            slack_mode="optimistic")
+    engine = Engine(threshold.loss, threshold, np.random.default_rng(7), p_min=p_min)
     return engine, X, ArrayOracle(y)
 
 
@@ -346,15 +353,32 @@ def _run_table(engine, X):
     return None if committee is None else predict_forest(committee.members, X).T
 
 
+def _failing_on(oracle, k):
+    """oracle, except that its k-th call raises LookupError."""
+    calls = []
+
+    def ask(i, x):
+        calls.append(i)
+        if len(calls) == k:
+            raise LookupError("label unavailable")
+        return oracle(i, x)
+    return ask
+
+
+# the stream kinds whose threshold is a LossWeightingFinite
+SURVIVOR_KINDS = ("logistic", "zero-one", "mixed", "paper", "p_min")
+
+
 class TestBlockSteps:
     """`Engine.steps` over any partition of the stream into blocks writes
     what `Engine.step` row by row, without a table, writes, bit for bit. A
     finite class's blocks take their slices of one table of its predictions
     on every row, and a committee's blocks their slices of its votes, as a
-    run hands them."""
+    run hands them. A finite threshold scores each block's rows ahead at
+    once, so its streams remove members mid-block."""
 
-    @pytest.mark.parametrize("kind", ("logistic", "zero-one", "mixed", "passive",
-                                      "committee", "linear"))
+    @pytest.mark.parametrize("kind", (*SURVIVOR_KINDS, "passive", "committee",
+                                      "linear"))
     @settings(max_examples=15, deadline=None)
     @given(cuts=st.sets(st.integers(1, STREAM_ROWS - 1)))
     @example(cuts=set(range(1, STREAM_ROWS)))          # blocks of one row
@@ -376,7 +400,32 @@ class TestBlockSteps:
         if kind == "committee":
             # the votes agree on some rows and split on others
             assert len(set(by_row.trace.p)) == 2
+        if kind in SURVIVOR_KINDS:
+            assert not by_row.threshold.alive.all()
+        if kind == "p_min":
+            assert min(by_row.trace.p) == 0.2
         assert _engine_state(by_block) == _engine_state(by_row)
+
+    @pytest.mark.parametrize("kind", SURVIVOR_KINDS)
+    def test_a_block_that_raises_leaves_no_rows_ahead(self, kind):
+        # the oracle fails on its 10th call, in the middle of the one block;
+        # the rows after it then step alone, in reverse order, so a table
+        # left behind would hand each the wrong row; they read what a
+        # row-by-row engine with the same failure reads
+        states = []
+        for blocks in (False, True):
+            engine, X, oracle = _stream_engine(kind)
+            ask = _failing_on(oracle, 10)
+            with pytest.raises(LookupError):
+                if blocks:
+                    engine.steps(X, ask, _run_table(engine, X))
+                for x in X:
+                    engine.step(x, ask)
+            assert 10 <= engine.t < len(X) - 50
+            for x in X[:engine.t - 1:-1]:
+                engine.step(x, oracle)
+            states.append(_engine_state(engine))
+        assert states[0] == states[1]
 
     def test_a_block_without_a_table_is_predicted_once(self, monkeypatch):
         by_row, X, oracle = _stream_engine("logistic")

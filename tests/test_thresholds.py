@@ -13,7 +13,8 @@ from iwal.hypotheses import (ConstantPredictor, FiniteClass, LinearBall,
 from iwal.losses import LossFunction
 from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
                              LossWeightingLinear, dimension_slack,
-                             optimistic_slack, shrink_survivors, slack_width,
+                             optimistic_slack, shrink_keeps_all,
+                             shrink_survivors, slack_width,
                              validate_probability)
 
 from conftest import (linear_stream_config, pair_spread_oracle,
@@ -57,6 +58,28 @@ class TestSlack:
             slack_width(10, 4, 0.1) / 2.0)
 
 
+@st.composite
+def _shrink_cases(draw):
+    """(sums, seen, slack) for the survivor rule: nonnegative sums a few
+    ulps apart, so that they tie or split in the last bit of sum / seen,
+    from zero, subnormal, moderate or huge magnitudes, plus a few drawn
+    anywhere; seen up to 2**40; slack zero, tiny, about the quotients'
+    spread, moderate or infinite."""
+    base = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-300),
+                          st.floats(0.0, 1e3), st.floats(1e300, 1e308)))
+    ulps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=10))
+    sums = (np.array([base]).view(np.int64) + np.array(ulps)).view(np.float64)
+    sums = [*sums.tolist(),
+            *draw(st.lists(st.floats(0.0, 1e308), max_size=3))]
+    seen = draw(st.one_of(st.integers(1, 10), st.integers(1, 2**40)))
+    spread = (max(sums) - min(sums)) / seen
+    slack = draw(st.one_of(
+        st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
+        st.floats(0.0, 1e-9), st.floats(0.0, 2.0), st.just(math.inf),
+        st.floats(0.5, 1.5).map(lambda f: f * spread)))
+    return sums, seen, slack
+
+
 class TestShrink:
     # shrink_survivors takes the survivors' averages only and returns which
     # of them stay; the tests below keep the alive members' averages
@@ -78,6 +101,17 @@ class TestShrink:
             assert out.shape == (alive.sum(),)
             assert out.sum() >= 1
             assert out[int(np.argmin(losses[alive]))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_shrink_cases())
+    @example(case=([0.0, 0.0], 1, 0.0))
+    @example(case=([5e-324, 1e-323], 2**40, 0.0))
+    @example(case=([1e300, 1.7976931348623157e308], 2**40, math.inf))
+    def test_extreme_sums_decide_as_the_vector_rule(self, case):
+        sums, seen, slack = case
+        sums = np.array(sums)
+        assert shrink_keeps_all(float(sums.min()), float(sums.max()), seen,
+                                slack) == shrink_survivors(sums / seen, slack).all()
 
 
 class TestSpreadFinite:
@@ -147,10 +181,10 @@ class TestLossWeightingFinite:
         with pytest.raises(ValueError, match=message):
             LossWeightingFinite(cls, LossFunction("logistic", 1.0), **kwargs)
 
-    def _drive(self, rng, members, loss, steps, confidence=0.1):
+    def _drive(self, rng, members, loss, steps, slack_mode="paper"):
         """Run the threshold under an engine, returning the recorded history."""
         cls = FiniteClass(tuple(members))
-        threshold = LossWeightingFinite(cls, loss, confidence=confidence)
+        threshold = LossWeightingFinite(cls, loss, slack_mode=slack_mode)
         engine = Engine(loss, threshold, rng, hypothesis_class=cls)
         history = []
         masks = []
@@ -164,9 +198,13 @@ class TestLossWeightingFinite:
         return threshold, history, masks
 
     def test_monotone_shrinkage_and_oracle_recomputation(self, rng):
+        # under optimistic slack the rule removes members within the 60
+        # steps, so the recomputation checks removals as well as keeps
         loss = LossFunction("logistic", 1.0)
         members = random_linear_predictors(rng, 32, 2)
-        threshold, history, masks = self._drive(rng, members, loss, 60)
+        threshold, history, masks = self._drive(rng, members, loss, 60,
+                                                slack_mode="optimistic")
+        assert not threshold.alive.all()
 
         for earlier, later in zip(masks, masks[1:]):
             assert np.all(later <= earlier)
@@ -177,7 +215,7 @@ class TestLossWeightingFinite:
         for t, (x, y, p, q) in enumerate(history, start=1):
             seen = t - 1
             if seen >= 1:
-                slack = slack_width(seen, len(members), 0.1)
+                slack = optimistic_slack(seen)
                 if not math.isinf(slack):
                     averages = sums / seen
                     best = averages[alive].min()
@@ -278,6 +316,37 @@ class TestLossWeightingFinite:
                     scan += w * engine.loss.eval(h.predict(x), y)
             assert engine.member_sums[i] == scan
             assert engine.member_sums[i] == at_removal.get(i, scan)
+
+    def test_a_reassigned_alive_reads_as_a_fresh_threshold(self):
+        # perfbench/micro.py resets `t` and reassigns `alive` before each
+        # timed call; every call then returns, and shrinks to, what a fresh
+        # threshold with the same sums, alive and t does. The masks widen as
+        # well as narrow, so facts kept from the last mask would be wrong
+        cls, threshold, engine, steps = _survivor_stream(85, 3, "optimistic",
+                                                         0.0, 0.2)
+        steps = list(steps)
+        for x, oracle in steps[:60]:
+            engine.step(x, oracle)
+        t, alive = threshold.t, threshold.alive.copy()
+        assert 1 < alive.sum() < len(cls)
+        worst = np.flatnonzero(alive)[np.argmax(engine.member_sums[alive])]
+        only_worst = np.arange(len(cls)) == worst
+        everyone = np.ones(len(cls), dtype=bool)
+        shrunk = 0
+        for x, _ in steps[60:70]:
+            z = cls.predict(x)
+            for mask in (alive, only_worst, everyone, only_worst, alive):
+                fresh = LossWeightingFinite(cls, engine.loss, slack_mode="optimistic")
+                sums = Engine(engine.loss, fresh, np.random.default_rng(0)).member_sums
+                sums[:] = engine.member_sums
+                for row in (None, z):
+                    for one in (threshold, fresh):
+                        one.t, one.alive = t, mask.copy()
+                    args = (x,) if row is None else (x, row)
+                    assert threshold.probability(*args) == fresh.probability(*args)
+                    assert np.array_equal(threshold.alive, fresh.alive)
+                    shrunk += threshold.alive.sum() < mask.sum()
+        assert shrunk > 0
 
     def test_minimizer_is_the_least_sum_among_survivors(self):
         # on this seeded optimistic-slack stream the argmin over all members

@@ -70,8 +70,11 @@ def weighted_loss_estimate(sample: WeightedSample, predictor, loss: LossFunction
     """
     if steps < 1:
         raise ValueError("the estimate needs at least one step")
-    return sum(row.weight * loss.eval(predictor.predict(row.x), row.y)
-               for row in sample) / steps
+    if not len(sample):        # whose X has no row width to predict on
+        return 0.0
+    labels = loss.label_column(sample.y)[:, 0]
+    z = loss.checked_predictions(predictor.predict_many(sample.X))
+    return float(sample.w @ loss.unchecked_values(z, labels)) / steps
 
 
 class Engine:
@@ -163,12 +166,12 @@ class Engine:
         y = None
         if queried:
             y = float(oracle(self.t - 1, x))
+            self.loss.check_label(y)
             weight = 1.0 / p
             self.sample.append(x, y, weight)
             if self.member_sums is not None:
                 if z is None:
                     z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
-                self.loss.check_label(y)
                 read = self._survivors()
                 losses = self._scored_losses(y)     # from the rows ahead
                 if losses is None:

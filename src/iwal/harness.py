@@ -523,21 +523,20 @@ def _finite_prefix_sums(loss, Z, y, schedule) -> np.ndarray:
     schedule, from Z, a finite class's (rows x members) predictions on the
     rows, which the run predicts once for both of its arms.
 
-    The sums run down (rows x members) loss tables of BLOCK_ROWS rows of Z,
-    one label's rows scored by one eval_many call. Each table's first row
-    takes the last table's sums, and a cumsum down the rows adds one row at
-    a time, as the engine's `member_sums += 1.0 * losses` does; a pairwise
-    sum would round differently.
+    The labels are checked once, and the sums run down (rows x members)
+    loss tables of BLOCK_ROWS rows of Z, each range-checked and scored by
+    one loss call that broadcasts the block's labels across its members. Each
+    table's first row takes the last table's sums, and a cumsum down the
+    rows adds one row at a time, as the engine's `member_sums += 1.0 *
+    losses` does; a pairwise sum would round differently.
     """
     T = schedule[-1]
+    labels = loss.label_column(y[:T])
     marked, sums = [], np.zeros(Z.shape[1])
     for first in range(0, T, BLOCK_ROWS):
         stop = min(first + BLOCK_ROWS, T)
-        Z_block, labels = Z[first:stop], y[first:stop]
-        losses = np.empty_like(Z_block)
-        for value in np.unique(labels):
-            rows = labels == value
-            losses[rows] = loss.eval_many(Z_block[rows], float(value))
+        losses = loss.unchecked_values(loss.checked_predictions(Z[first:stop]),
+                                       labels[first:stop])
         losses[0] += sums
         sums = np.cumsum(losses, axis=0, out=losses)[-1]
         marked.append(losses[[t - 1 - first for t in schedule if first < t <= stop]])
@@ -599,8 +598,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     if config.standardize:
         X_train, X_test = _standardize(X_train, X_test)
     loss = LossFunction(config.loss_kind, config.range_bound)
-    for label in support:
-        _built(f"{config.loss_kind} loss", loss.check_label, label)
+    _built(f"{config.loss_kind} loss", loss.label_column, support)
     train, test = (X_train, y_train), (X_test, y_test, loss)
 
     if config.strategy == "bootstrap":

@@ -76,14 +76,12 @@ class DiscreteInstance:
         return X, y.astype(float)
 
     def exact_loss(self, predictor, loss: LossFunction) -> float:
-        """True normalized loss of the predictor, by enumeration."""
-        total = 0.0
-        for a in range(len(self.masses)):
-            z = predictor.predict(self.points[a])
-            for v, q in zip(self.label_values, self.label_probs[a]):
-                if q > 0:
-                    total += self.masses[a] * q * loss.eval(z, float(v))
-        return total
+        """True normalized loss of the predictor, by enumeration of the atoms
+        and of the labels they take."""
+        used = np.any(self.label_probs > 0, axis=0)
+        z = loss.checked_predictions(predictor.predict_many(self.points))
+        values = loss.unchecked_values(z, loss.label_column(self.label_values[used]))
+        return float(self.masses @ (self.label_probs[:, used] * values.T).sum(axis=1))
 
     def exact_best(self, predictors, loss: LossFunction):
         """(index, predictor, loss) of the exact minimizer over the predictors."""

@@ -71,26 +71,31 @@ class LossFunction:
         stride = max(1, (hi - lo) // 1024)
         margins = np.arange(hi, lo - 1, -stride).view(np.float64)
         with np.errstate(over="ignore"):
-            top = self._raw(-margins, 1.0).max()
+            top = _RAW[self.kind](-margins, 1.0).max()
             if stride > 1 and self.kind == "logistic":
-                top = max(top, np.nextafter(self._raw(-b, 1.0), math.inf))
+                top = max(top, np.nextafter(_RAW[self.kind](-b, 1.0), math.inf))
         object.__setattr__(self, "normalizer", float(top))
         # an infinite normalizer would make every normalized loss 0
         if not math.isfinite(self.normalizer):
             raise ValueError(f"range_bound {b} overflows the "
                              f"{self.kind} loss normalizer")
 
-    def _raw(self, z, y):
-        """Unnormalized loss, elementwise, without domain checks."""
-        return _RAW[self.kind](z, y)
-
     def check_label(self, y: float) -> None:
-        """ValueError unless y is a label this kind accepts."""
+        """ValueError unless y is a label this kind accepts (never a NaN)."""
         if self.kind in ("squared", "absolute"):
-            if abs(y) > 1.0 + _DOMAIN_TOL:
+            if not abs(y) <= 1.0 + _DOMAIN_TOL:
                 raise ValueError(f"label {y} outside [-1, 1]")
         elif y not in (-1.0, 1.0):
             raise ValueError(f"label must be -1 or +1, got {y}")
+
+    def label_column(self, labels) -> np.ndarray:
+        """The labels, in their order, as a float (labels, 1) column that
+        `unchecked_values` broadcasts against predictions; ValueError unless
+        `check_label` takes each distinct label, checked once each, in order."""
+        column = np.array(labels, dtype=float)[:, None]
+        for y in dict.fromkeys(labels):
+            self.check_label(y)
+        return column
 
     def eval(self, z: float, y: float) -> float:
         """Normalized loss of predicting z against label y; result in [0, 1].
@@ -108,7 +113,7 @@ class LossFunction:
         """eval_many's values without its checks: z must lie in Z and y, a
         label or a column of labels broadcast against z, be labels
         `check_label` takes."""
-        return self._raw(z, y) / self.normalizer
+        return _RAW[self.kind](z, y) / self.normalizer
 
     def checked_predictions(self, z) -> np.ndarray:
         """z as a float array; PredictionDomainError unless it lies in Z."""
@@ -116,7 +121,8 @@ class LossFunction:
         if self.kind == "zero-one":
             if not np.all(np.isin(z, (-1.0, 1.0))):
                 raise PredictionDomainError("zero-one predictions must be -1 or +1")
-        elif z.size and np.abs(z).max() > self.range_bound + _DOMAIN_TOL:
+        elif z.size and not np.abs(z).max() <= self.range_bound + _DOMAIN_TOL:
+            # a NaN, whose max is NaN, fails this as one beyond the range does
             raise PredictionDomainError(
                 f"prediction outside [-{self.range_bound}, {self.range_bound}]")
         return z
@@ -206,14 +212,14 @@ class LossFunction:
         hi = min(max(hi, -b), b)
         if lo > hi:
             lo = hi
-        spread = 0.0
-        for y in labels:
-            self.check_label(y)
-            # quasi-convex in z, least at z = y: the extremes lie among these
-            points = (lo, hi, y) if lo <= y <= hi else (lo, hi)
-            values = self._raw(np.array(points), y) / self.normalizer
-            spread = max(spread, float(values.max() - values.min()))
-        return min(max(spread, 0.0), 1.0)
+        labels = tuple(labels)
+        if not labels:
+            return 0.0
+        column = self.label_column(labels)
+        # quasi-convex in z, least at z = y: the extremes lie among lo, hi
+        # and y clipped into [lo, hi], an end when y lies outside
+        points = np.array([(lo, hi, min(max(y, lo), hi)) for y in labels])
+        return float(spread_of(self.unchecked_values(points, column)))
 
     def spread_many(self, z: np.ndarray, labels=(-1.0, 1.0)) -> float:
         """Largest over labels of (max - min) normalized loss over predictions z:
@@ -222,15 +228,13 @@ class LossFunction:
         if not labels:
             return 0.0
         z = self.checked_predictions(z)
-        for y in labels:
-            self.check_label(y)
-        return self.unchecked_spread(z, np.array(labels, dtype=float)[:, None])
+        return float(spread_of(self.unchecked_values(z, self.label_column(labels))))
 
-    def unchecked_spread(self, z: np.ndarray, label_column: np.ndarray) -> float:
-        """spread_many's value without its checks: z, at least one prediction,
-        must lie in Z and label_column be the labels as a (labels, 1) array,
-        each one `check_label` takes."""
-        values = self.unchecked_values(z, label_column)
-        # by Python's max, under which a NaN spread (of a NaN z) never wins
-        spread = max([0.0, *(values.max(axis=1) - values.min(axis=1)).tolist()])
-        return min(max(spread, 0.0), 1.0)
+
+def spread_of(values: np.ndarray) -> np.ndarray:
+    """The loss spread of each entry of `values`, losses indexed (labels, ...,
+    predictions): the largest over labels of max - min over the predictions,
+    at least 0, where a NaN spread never wins (`np.fmax`), and at most 1.
+    There must be at least one prediction."""
+    spreads = np.maximum.reduce(values, axis=-1) - np.minimum.reduce(values, axis=-1)
+    return np.minimum(np.fmax.reduce(spreads, axis=0, initial=0.0), 1.0)

@@ -23,10 +23,9 @@ DEFAULT_LABELS = (-1.0, 1.0)
 
 def _loss_gaps(loss: LossFunction, z, z_ref, labels) -> np.ndarray:
     """max over labels of |l(z, y) - l(z_ref, y)|, one per prediction pair."""
-    gaps = np.zeros(len(z))
-    for y in labels:
-        gaps = np.maximum(gaps, np.abs(loss.eval_many(z, y) - loss.eval_many(z_ref, y)))
-    return gaps
+    pairs = loss.checked_predictions([z, z_ref])
+    values = loss.unchecked_values(pairs, loss.label_column(labels)[:, :, None])
+    return np.abs(values[:, 0] - values[:, 1]).max(axis=0, initial=0.0)
 
 
 def loss_distance_exact(f, g, loss: LossFunction, instance,

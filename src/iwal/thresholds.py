@@ -22,7 +22,7 @@ import numpy as np
 from . import solver
 from .errors import ThresholdContractError, UnsupportedLossError
 from .hypotheses import FiniteClass, LinearBall, LinearPredictor
-from .losses import SMOOTH_KINDS, LossFunction
+from .losses import SMOOTH_KINDS, LossFunction, spread_of
 
 _NOISE_FLOOR = -1e-9
 SLACK_MODES = ("paper", "optimistic")
@@ -61,14 +61,6 @@ def dimension_slack(t: int, dim: int) -> float:
     if t < 0:
         raise ValueError("step count must be nonnegative")
     return math.inf if t == 0 else math.sqrt(dim / t)
-
-
-def _checked_labels(loss: LossFunction, labels) -> tuple:
-    """labels as a tuple; ValueError unless the loss takes each of them."""
-    labels = tuple(labels)
-    for y in labels:
-        loss.check_label(y)
-    return labels
 
 
 def shrink_survivors(averages: np.ndarray, slack: float) -> np.ndarray:
@@ -151,8 +143,8 @@ class LossWeightingFinite:
         self.confidence = confidence
         self.slack_mode = slack_mode
         self.slack_constant = slack_constant
-        self.labels = _checked_labels(loss, labels)
-        self._label_column = np.array(self.labels, dtype=float)[:, None]
+        self.labels = tuple(labels)
+        self._label_column = loss.label_column(self.labels)
         self.t = 0
         self.loss_sums = None
         self.alive = np.ones(len(hypothesis_class), dtype=bool)
@@ -233,11 +225,7 @@ class LossWeightingFinite:
         else:
             return self._spreads[row - self._first]
         self._first = row
-        spreads = self._values.max(axis=2) - self._values.min(axis=2)
-        # unchecked_spread's rule: the largest over labels and 0, where a
-        # NaN spread never wins, at most 1
-        self._spreads = np.minimum(np.fmax.reduce(spreads, axis=0, initial=0.0),
-                                   1.0).tolist()
+        self._spreads = spread_of(self._values).tolist()
         return self._spreads[0]
 
     def scored_losses(self, y):
@@ -258,8 +246,8 @@ class LossWeightingFinite:
             return self._spread_ahead(keep)
         if z is None:
             z = self.loss.checked_predictions(self.hypothesis_class.predict(x))
-        return self.loss.unchecked_spread(z.take(self.survivors()),
-                                          self._label_column)
+        return float(spread_of(self.loss.unchecked_values(z.take(self.survivors()),
+                                                          self._label_column)))
 
     def record(self, x, y, p, queried) -> None:
         if queried:
@@ -292,7 +280,8 @@ class LossWeightingLinear:
         self.hypothesis_class = LinearBall(dim, float(norm_bound))
         self.loss = loss
         self.slack_mode = slack_mode
-        self.labels = _checked_labels(loss, labels)
+        self.labels = tuple(labels)
+        loss.label_column(self.labels)       # the label checks, before any step
         self.t = 0
         self.engine = None
         self.solve_count = 0

@@ -16,7 +16,7 @@ from iwal.thresholds import (ConstantThreshold, LossWeightingFinite,
 from iwal.trees import predict_forest
 
 from conftest import (random_discrete_instance, random_linear_predictors,
-                      weighted_total_loss)
+                      random_weighted_examples, weighted_total_loss)
 
 
 def make_engine(p, seed=0, **kwargs):
@@ -108,7 +108,39 @@ class TestWeightedLossEstimate:
             y = float(rng.choice([-1.0, 1.0]))
             sample.append(x, y, 1.0)
             plain += loss.eval(h.predict(x), y)
-        assert weighted_loss_estimate(sample, h, loss, 20) == pytest.approx(plain / 20)
+        # the estimate predicts through predict_many and sums by a dot
+        # product, so it may differ from this row-by-row sum in its last bits
+        assert weighted_loss_estimate(sample, h, loss, 20) == pytest.approx(
+            plain / 20, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["zero-one", "hinge", "logistic", "squared",
+                                      "absolute"])
+    def test_equals_the_row_by_row_sum(self, kind):
+        # the row-by-row oracle predicts with `predict` and adds w * eval in
+        # query order; the estimate predicts with `predict_many` and takes
+        # one dot product, which may round differently: they agree to 1e-12
+        # relative, over weights up to 50 and real labels where the kind
+        # takes them
+        rng = np.random.default_rng(37)
+        labels = ((-1.0, -0.25, 0.0, 1.0) if kind in ("squared", "absolute")
+                  else (-1.0, 1.0))
+        loss = LossFunction(kind, 1.5)
+        h = (ThresholdPredictor(rng.normal(size=3)) if kind == "zero-one"
+             else LinearPredictor(rng.normal(size=3), 1.5))
+        sample = random_weighted_examples(rng, 200, 3, max_weight=50.0, labels=labels)
+        reference = weighted_total_loss(h, sample, loss) / 300
+        assert weighted_loss_estimate(sample, h, loss, 300) == pytest.approx(
+            reference, rel=1e-12, abs=0.0)
+
+    def test_checks_the_labels_and_predictions(self):
+        sample = WeightedSample([(np.zeros(1), 0.5, 1.0), (np.ones(1), 1.0, 2.0)])
+        with pytest.raises(ValueError, match="label must be -1 or \\+1, got 0.5"):
+            weighted_loss_estimate(sample, ConstantPredictor(0.0),
+                                   LossFunction("logistic", 1.0), 2)
+        for value in (math.nan, 1.5):
+            with pytest.raises(PredictionDomainError):
+                weighted_loss_estimate(sample, ConstantPredictor(value),
+                                       LossFunction("squared", 1.0), 2)
 
     def test_single_step_reweighting(self):
         loss = LossFunction("zero-one")
@@ -447,3 +479,47 @@ class TestBlockSteps:
         with pytest.raises(PredictionDomainError):
             engine.steps(X[:5], oracle, Z)
         assert engine.t == 0
+
+
+def _nan_member_engine():
+    """A finite-class engine whose first member predicts NaN everywhere."""
+    members = (ConstantPredictor(math.nan), ConstantPredictor(0.9),
+               ConstantPredictor(-0.9))
+    loss = LossFunction("logistic", 1.0)
+    threshold = LossWeightingFinite(FiniteClass(members), loss,
+                                    slack_mode="optimistic")
+    return Engine(loss, threshold, np.random.default_rng(0), p_min=0.5)
+
+
+class TestBadInput:
+    def test_a_nan_member_fails_steps_before_any_step(self):
+        engine = _nan_member_engine()
+        oracle = ArrayOracle(np.ones(20))
+        with pytest.raises(PredictionDomainError):
+            engine.steps(np.zeros((20, 2)), oracle)
+        assert engine.t == 0 and len(engine.trace) == 0 and oracle.calls == 0
+
+    def test_a_nan_member_fails_a_lone_step(self):
+        engine = _nan_member_engine()
+        oracle = ArrayOracle(np.ones(20))
+        with pytest.raises(PredictionDomainError):
+            engine.step(np.zeros(2), oracle)
+        assert len(engine.trace) == 0 and oracle.calls == 0
+
+    @pytest.mark.parametrize("kind", ["logistic", "passive", "committee", "linear",
+                                      "constant"])
+    def test_a_bad_label_fails_before_the_sample_takes_it(self, kind):
+        # an oracle answering 0.5 under logistic loss, which takes -1 and +1
+        # only, on every kind of engine: the first query raises, and
+        # neither the sample nor a finite class's sums hold the label
+        if kind == "constant":
+            engine = make_engine(1.0)
+            X = np.random.default_rng(5).normal(size=(10, 2))
+        else:
+            engine, X, _ = _stream_engine(kind)
+        with pytest.raises(ValueError, match="label must be -1 or \\+1, got 0.5"):
+            for x in X:
+                engine.step(x, lambda i, x: 0.5)
+        assert len(engine.sample) == 0 and len(engine.trace) == engine.t - 1
+        if engine.member_sums is not None:
+            assert not engine.member_sums.any()

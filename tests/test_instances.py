@@ -1,12 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
-from iwal.hypotheses import ConstantPredictor
+from iwal.errors import PredictionDomainError
+from iwal.hypotheses import ConstantPredictor, LinearPredictor
 from iwal.instances import (DiscreteInstance, SphereInstance,
                             lower_bound_instance, point_mass_instance)
-from iwal.losses import LossFunction
+from iwal.losses import LOSS_KINDS, LossFunction
 
 from conftest import random_discrete_instance
+
+
+def per_atom_exact_loss(instance, predictor, loss):
+    """The true loss as a loop over atoms and the labels each takes, with
+    the scalar predict and eval, summed in that order."""
+    total = 0.0
+    for a in range(len(instance.masses)):
+        z = predictor.predict(instance.points[a])
+        for v, q in zip(instance.label_values, instance.label_probs[a]):
+            if q > 0:
+                total += instance.masses[a] * q * loss.eval(z, float(v))
+    return total
 
 
 class TestDiscreteInstance:
@@ -27,7 +42,42 @@ class TestDiscreteInstance:
         loss = LossFunction("zero-one")
         h = ConstantPredictor(1.0)
         # errors exactly when y = -1: atom 2 with probability 0.75
-        assert instance.exact_loss(h, loss) == pytest.approx(0.7 * 0.75)
+        assert instance.exact_loss(h, loss) == pytest.approx(0.7 * 0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_exact_loss_equals_the_per_atom_sum(self, kind):
+        # exact_loss predicts every atom through predict_many and sums the
+        # labels per atom, then the atoms by a dot product: it agrees with
+        # the per-atom loop to 1e-12 relative, not bit for bit
+        rng = np.random.default_rng(49)
+        loss = LossFunction(kind, 1.0)
+        instances = [random_discrete_instance(30, 3, rng)]
+        if kind in ("squared", "absolute"):
+            instances.append(point_mass_instance(0.3, 3))
+        for instance in instances:
+            for _ in range(10):
+                w = rng.normal(size=3)
+                h = (ConstantPredictor(float(np.sign(w[0]))) if kind == "zero-one"
+                     else LinearPredictor(w, 1.0))
+                assert instance.exact_loss(h, loss) == pytest.approx(
+                    per_atom_exact_loss(instance, h, loss), rel=1e-12, abs=0.0)
+
+    def test_exact_loss_checks_only_the_labels_taken(self):
+        # label 0 is no logistic label: an alphabet that lists it with zero
+        # probability is scored, one that gives it mass is refused
+        loss = LossFunction("logistic", 1.0)
+        points, masses = np.array([[0.0], [1.0]]), np.array([0.5, 0.5])
+        unused = DiscreteInstance(points, masses, np.array([-1.0, 0.0, 1.0]),
+                                  np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]))
+        h = ConstantPredictor(0.25)
+        assert unused.exact_loss(h, loss) == pytest.approx(
+            per_atom_exact_loss(unused, h, loss), rel=1e-12, abs=0.0)
+        used = DiscreteInstance(points, masses, np.array([-1.0, 0.0, 1.0]),
+                                np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="got 0.0"):
+            used.exact_loss(h, loss)
+        with pytest.raises(PredictionDomainError):
+            unused.exact_loss(ConstantPredictor(math.nan), loss)
 
     def test_sampling_matches_masses(self, rng):
         instance = random_discrete_instance(5, 2, rng)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from iwal.errors import PredictionDomainError, UnsupportedLossError
-from iwal.losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction
+from iwal.losses import LOSS_KINDS, SMOOTH_KINDS, LossFunction, spread_of
 
 
 def grid_predictions(loss, n=201):
@@ -509,7 +510,7 @@ def test_spread_many_fails_as_the_per_label_reference(kind):
     label_sets = ((-1.0, 1.0), (1.0, 2.0), (2.0, -1.0), (0.5,), (1.0,), ())
     for z in (inside, outside, [math.nan, 0.5], [math.nan]):
         for labels in label_sets:
-            # a NaN prediction passes the range check; its loss is NaN
+            # a NaN prediction fails the range check on both sides
             with np.errstate(invalid="ignore"):
                 assert (_outcome(loss.spread_many, np.array(z), labels)
                         == _outcome(frozen_spread_many, loss, np.array(z), labels)), (z, labels)
@@ -518,3 +519,90 @@ def test_spread_many_fails_as_the_per_label_reference(kind):
     for labels in label_sets[:-1]:
         with pytest.raises(ValueError):
             loss.spread_many(np.array([]), labels)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_nan_predictions_fail_the_range_check(kind):
+    # a NaN's max is NaN, and NaN <= bound is False: the one pass that
+    # rejects a prediction beyond the range rejects a NaN too
+    loss = LossFunction(kind, 1.0)
+    for z in ([math.nan], [1.0, math.nan], [math.nan, -1.0, 1.0]):
+        with pytest.raises(PredictionDomainError):
+            loss.checked_predictions(z)
+        with pytest.raises(PredictionDomainError):
+            loss.eval_many(np.array(z), 1.0)
+        with pytest.raises(PredictionDomainError):
+            loss.spread_many(np.array(z))
+    with pytest.raises(PredictionDomainError):
+        loss.eval(math.nan, 1.0)
+
+
+class TestLabelColumn:
+    def test_a_checked_column_in_the_given_order(self):
+        loss = LossFunction("squared", 1.0)
+        column = loss.label_column((0.5, -1.0, 0.5, 0.0))
+        assert column.shape == (4, 1) and column.dtype == float
+        assert column[:, 0].tolist() == [0.5, -1.0, 0.5, 0.0]
+        assert loss.label_column(np.array([1.0, -1.0]))[:, 0].tolist() == [1.0, -1.0]
+        assert loss.label_column(()).shape == (0, 1)
+
+    def test_each_distinct_label_is_checked_once_in_order(self):
+        loss = LossFunction("logistic", 1.0)
+        checked = []
+        with mock.patch.object(LossFunction, "check_label",
+                               lambda self, y: checked.append(y)):
+            loss.label_column((1.0, -1.0, 1.0, 1.0, -1.0))
+        assert checked == [1.0, -1.0]
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_the_first_bad_label_raises_as_check_label_does(self, kind):
+        loss = LossFunction(kind, 1.0)
+        for bad in (2.0, -1.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as by_column:
+                loss.label_column((1.0, bad, 3.0))
+            with pytest.raises(ValueError) as by_check:
+                loss.check_label(bad)
+            assert str(by_column.value) == str(by_check.value)
+
+
+@st.composite
+def loss_tables(draw):
+    """A loss, labels it accepts, and a (rows, predictions) table of its
+    predictions, with a NaN in some entries: few distinct values, so that
+    a row often holds one value only, and every loss of a label in it is
+    the same."""
+    loss, labels, _ = draw(spread_batches())
+    if loss.kind == "zero-one":
+        values = [-1.0, 1.0]
+    else:
+        values = draw(st.lists(st.floats(-loss.range_bound, loss.range_bound),
+                               min_size=1, max_size=3))
+    entries = st.sampled_from(values) | st.just(math.nan)
+    rows = draw(st.integers(1, 5))
+    predictions = draw(st.integers(1, 6))
+    table = draw(st.lists(st.lists(entries, min_size=predictions, max_size=predictions),
+                          min_size=rows, max_size=rows))
+    return loss, labels, np.array(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=loss_tables())
+@example(case=(LossFunction("logistic", 1.0), (-1.0, 1.0), np.array([[0.5]])))
+@example(case=(LossFunction("squared", 1.0), (0.25, 0.25),
+               np.array([[0.5, 0.5], [math.nan, 0.5], [math.nan, math.nan]])))
+@example(case=(LossFunction("zero-one"), (-1.0, 1.0),
+               np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, math.nan]])))
+def test_spread_of_equals_the_per_label_reference_property(case):
+    # spread_of scores every row of a (labels, rows, predictions) table;
+    # row i must be the per-label reference's spread of row i, bit for bit.
+    # The reference takes a NaN row only with the range check off, as it
+    # did before that check failed a NaN
+    loss, labels, table = case
+    with np.errstate(invalid="ignore"):
+        values = loss.unchecked_values(table, loss.label_column(labels)[:, :, None])
+        spreads = spread_of(values)
+        assert spreads.shape == (len(table),)
+        with mock.patch.object(LossFunction, "checked_predictions",
+                               lambda self, z: np.asarray(z, dtype=float)):
+            expected = [frozen_spread_many(loss, row, labels).hex() for row in table]
+    assert [s.hex() for s in spreads.tolist()] == expected

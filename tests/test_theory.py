@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from iwal.engine import ArrayOracle, Engine
+from iwal.errors import PredictionDomainError
 from iwal.hypotheses import ConstantPredictor, FiniteClass, TablePredictor
 from iwal.instances import DiscreteInstance, SphereInstance
-from iwal.losses import LossFunction
-from iwal.theory import (disagreement_coefficient, expected_query_bound,
+from iwal.losses import LOSS_KINDS, LossFunction
+from iwal.theory import (_loss_gaps, disagreement_coefficient, expected_query_bound,
                          loss_deviation_bound, loss_distance_exact,
                          loss_distance_mc, sphere_coefficient_bound)
 from iwal.thresholds import LossWeightingFinite
@@ -52,6 +53,31 @@ class TestLossDistance:
             d_fh = loss_distance_exact(f, h, loss, instance)
             d_hg = loss_distance_exact(h, g, loss, instance)
             assert d_fg <= d_fh + d_hg + 1e-12
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_gaps_equal_the_per_label_maximum(kind):
+    # the gaps are exact: |a - b| and a maximum round nothing, so one
+    # broadcast over the labels equals the per-label loop bit for bit
+    rng = np.random.default_rng(8)
+    loss = LossFunction(kind, 1.0)
+    if kind == "zero-one":
+        z, z_ref = rng.choice([-1.0, 1.0], size=(2, 50))
+    else:
+        z, z_ref = rng.uniform(-1.0, 1.0, size=(2, 50))
+    label_sets = [(-1.0, 1.0), (1.0,), ()]
+    if kind in ("squared", "absolute"):
+        label_sets.append((0.3, -1.0, 0.0))
+    for labels in label_sets:
+        reference = np.zeros(len(z))
+        for y in labels:
+            reference = np.maximum(reference, np.abs(loss.eval_many(z, y)
+                                                     - loss.eval_many(z_ref, y)))
+        assert _loss_gaps(loss, z, z_ref, labels).tobytes() == reference.tobytes()
+    with pytest.raises(PredictionDomainError):
+        _loss_gaps(loss, z, np.full(len(z), math.nan), (-1.0, 1.0))
+    with pytest.raises(ValueError, match="label"):
+        _loss_gaps(loss, z, z_ref, (1.0, 1.5))
 
 
 def distance_bounded_by_losses(h, reference, loss, instance):

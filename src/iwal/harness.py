@@ -358,9 +358,9 @@ def _standardize(X_train, X_test):
 
 def _finite_members(size: int, dim: int, norm_bound: float, range_bound: float,
                     loss_kind: str, rng: np.random.Generator):
+    # one draw fills the rows in the order `size` draws of `dim` would
     members = []
-    for _ in range(size):
-        u = rng.normal(size=dim)
+    for u in rng.normal(size=(size, dim)):
         u *= math.sqrt(norm_bound) / np.linalg.norm(u)
         if loss_kind == "zero-one":
             members.append(ThresholdPredictor(u))
@@ -410,14 +410,8 @@ def _tree_params(config: ExperimentConfig) -> TreeParams:
 
 
 def _predict_each(hs, X):
-    """One row of predictions on X per model, by its own predict_many, called
-    once for each distinct model: a finite arm's checkpoint models are class
-    members that repeat, and an ERM no new row changed is the same object."""
-    rows = {}
-    for h in hs:
-        if id(h) not in rows:
-            rows[id(h)] = h.predict_many(X)
-    return np.array([rows[id(h)] for h in hs])
+    """One row of predictions on X per model, by its own predict_many."""
+    return np.array([h.predict_many(X) for h in hs])
 
 
 class _Trained(NamedTuple):
@@ -436,12 +430,18 @@ class _Trained(NamedTuple):
 
 def _scored_arm(arm: _Trained, X_test, y_test, loss) -> ArmResult:
     """The arm's checkpoints scored on the test rows: one predict call, and
-    one evaluate_loss and one evaluate_error call for all the models; the
-    last gives the final loss and error."""
-    Z = arm.predict(arm.models, X_test)
-    checkpoints = list(zip(arm.schedule, arm.labels,
-                           evaluate_loss(arm.models[-1], X_test, y_test, loss, Z),
-                           evaluate_error(arm.models[-1], X_test, y_test, Z)))
+    one evaluate_loss and one evaluate_error call, for the distinct models
+    (a finite arm's checkpoint models are class members that repeat, and an
+    ERM no new row changed is the same object), each model's loss and error
+    then copied to its checkpoints; the last gives the final loss and
+    error."""
+    distinct = {id(h): h for h in arm.models}
+    slot = dict(zip(distinct, range(len(distinct))))
+    Z = arm.predict(list(distinct.values()), X_test)
+    losses = evaluate_loss(arm.models[-1], X_test, y_test, loss, Z)
+    errors = evaluate_error(arm.models[-1], X_test, y_test, Z)
+    checkpoints = [(t, labels, losses[slot[id(h)]], errors[slot[id(h)]])
+                   for t, labels, h in zip(arm.schedule, arm.labels, arm.models)]
     return ArmResult(checkpoints, arm.trace, arm.diagnostics or {})
 
 
@@ -518,29 +518,64 @@ def _bootstrap_arm(config, loss, X_train, y_train, labels, seeds) -> _Trained:
 BLOCK_ROWS = 100
 
 
-def _finite_prefix_sums(loss, Z, y, schedule) -> np.ndarray:
+def _finite_prefix_sums(loss, Z, y, schedule, score=None) -> np.ndarray:
     """The members' loss sums over rows 0..t-1, one row for each t in
     schedule, from Z, a finite class's (rows x members) predictions on the
     rows, which the run predicts once for both of its arms.
 
     The labels are checked once, and the sums run down (rows x members)
     loss tables of BLOCK_ROWS rows of Z, each range-checked and scored by
-    one loss call that broadcasts the block's labels across its members. Each
+    one call of score(predictions, labels), `loss.unchecked_values` by
+    default, that broadcasts the block's labels across its members. Each
     table's first row takes the last table's sums, and a cumsum down the
     rows adds one row at a time, as the engine's `member_sums += 1.0 *
-    losses` does; a pairwise sum would round differently.
+    losses` does; a pairwise sum would round differently. score may write
+    every block to one buffer: the sums carried over are a copy.
     """
     T = schedule[-1]
     labels = loss.label_column(y[:T])
+    score = score or loss.unchecked_values
     marked, sums = [], np.zeros(Z.shape[1])
     for first in range(0, T, BLOCK_ROWS):
         stop = min(first + BLOCK_ROWS, T)
-        losses = loss.unchecked_values(loss.checked_predictions(Z[first:stop]),
-                                       labels[first:stop])
+        losses = score(loss.checked_predictions(Z[first:stop]), labels[first:stop])
         losses[0] += sums
-        sums = np.cumsum(losses, axis=0, out=losses)[-1]
+        sums = np.cumsum(losses, axis=0, out=losses)[-1].copy()
         marked.append(losses[[t - 1 - first for t in schedule if first < t <= stop]])
     return np.concatenate(marked)
+
+
+def _finite_prefix_argmins(loss, Z, y, schedule) -> list:
+    """For each t in schedule, the index of the first member with the least
+    loss sum over rows 0..t-1: np.argmin of `_finite_prefix_sums` per row,
+    from exact sums of only the members a cheaper bound cannot rule out.
+
+    Pass 1 sums `loss.bound_values`, within delta = `loss.bound_tolerance`
+    of each exact value, down the same blocks, each written to one pair of
+    block-sized buffers. With u = 2^-53, a recursive float sum of t values in
+    [0, 1] rounds each partial sum s_k by at most u s_k <= k u, so it is
+    within t^2 u / 2 of the real sum; t^2 u leaves room for values up to
+    delta above 1 and for the margin's own rounding. The two real sums differ
+    by at most t delta, so a member's bound sum is within e(t) = t delta +
+    2 t^2 u of its exact float sum. A member whose bound sum exceeds the
+    least bound sum by more than margin(t) = 2 e(t) therefore has an exact
+    sum above the least exact sum, and every member whose exact sum is the
+    least is kept. Pass 2 runs the exact sums on the members kept at
+    any checkpoint, in member order, so each checkpoint's first least member
+    among them is the full table's, bit for bit. The bound only saves time
+    where NumPy's vector exp and log1p beat the logaddexp loop's libm calls
+    (SIMD); the argmins hold on any CPU.
+    """
+    rows = min(BLOCK_ROWS, schedule[-1])
+    out, work = np.empty((2, rows, Z.shape[1]))
+    bound = _finite_prefix_sums(
+        loss, Z, y, schedule,
+        lambda z, labels: loss.bound_values(z, labels, out[:len(z)], work[:len(z)]))
+    t = np.array(schedule, dtype=float)[:, None]
+    margin = 2 * t * loss.bound_tolerance + 4 * t * t * 2.0 ** -53
+    kept = np.flatnonzero((bound - bound.min(axis=1, keepdims=True) <= margin).any(axis=0))
+    exact = _finite_prefix_sums(loss, Z[:, kept], y, schedule)
+    return kept[np.argmin(exact, axis=1)].tolist()
 
 
 def _ball_prefix_minimizers(ball: LinearBall, loss, X, y, schedule) -> list:
@@ -564,8 +599,10 @@ def _passive_arm(config, loss, X_train, y_train, cls, Z_train=None) -> _Trained:
     Streamed at p = 1, every coin comes up heads (a uniform draw is below
     1), every weight 1/p is 1 and the oracle returns the next label, so the
     learner after t rows depends on rows 0..t-1 alone, and each checkpoint's
-    is built from that prefix: a finite class's least running member loss
-    sum, the linear ball's unit-weight ERM, warm from the last checkpoint's,
+    is built from that prefix: a finite class's first member with the least
+    running loss sum (`_finite_prefix_argmins`: exact sums only for the few
+    members a cheap bound's sums within its stated margin cannot rule out),
+    the linear ball's unit-weight ERM, warm from the last checkpoint's,
     or a tree grown on every row, as costing keeps every row of equal weight.
     The bootstrap twin's checkpoints start at the committee prefix, as the
     active arm's do.
@@ -579,8 +616,8 @@ def _passive_arm(config, loss, X_train, y_train, cls, Z_train=None) -> _Trained:
     else:
         predict, schedule = _predict_each, _schedule(config, T)
         if isinstance(cls, FiniteClass):
-            sums = _finite_prefix_sums(loss, Z_train, y_train, schedule)
-            hs = [cls.members[i] for i in np.argmin(sums, axis=1).tolist()]
+            hs = [cls.members[i]
+                  for i in _finite_prefix_argmins(loss, Z_train, y_train, schedule)]
         else:
             hs = _ball_prefix_minimizers(cls, loss, X_train, y_train, schedule)
     return _Trained(schedule, schedule, hs, predict)

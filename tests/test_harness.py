@@ -16,7 +16,7 @@ from iwal.harness import (ExperimentConfig, aggregate_reports, build_data,
                           emit_curves, evaluate_error, evaluate_loss,
                           run_experiment, run_replicates)
 from iwal.hypotheses import FiniteClass, LinearPredictor
-from iwal.losses import LossFunction
+from iwal.losses import LOSS_KINDS, LossFunction
 from iwal.thresholds import ConstantThreshold
 from iwal.trees import DecisionTree, TreeParams
 
@@ -385,6 +385,25 @@ def _unstacked_members(size, dim, norm_bound, range_bound, loss_kind, rng,
 
 FINITE = {"class_spec": {"kind": "finite", "size": 16}}
 
+# checkpoints on the block edges of 1, 7 and 100 rows, and off them
+NEAR_TIE_SCHEDULE = [1, 6, 7, 8, 14, 99, 100, 101, 150, 200, 230]
+
+
+def _near_tie_table(rng, loss_kind):
+    """A finite class's predictions on 230 rows, and ±1 labels, where each of
+    12 members comes four times: one ulp down, itself, a duplicate and one
+    ulp up (clipped to the range; zero-one predictions, ±1, are not moved).
+    Duplicates tie exactly, so the first must win, and the moved members'
+    sums sit within rounding of their member's."""
+    X = rng.normal(size=(230, 4))
+    y = np.where(rng.random(230) < 0.5, -1.0, 1.0)
+    Z = harness._finite_members(12, 4, 1.0, 1.0, loss_kind, rng).predict_many(X)
+    if loss_kind == "zero-one":
+        down = up = Z
+    else:
+        down, up = (np.clip(np.nextafter(Z, to), -1.0, 1.0) for to in (-np.inf, np.inf))
+    return np.stack([down, Z, Z, up], axis=2).reshape(len(X), -1), y
+
 
 class TestEngineCheckpoints:
     @pytest.mark.parametrize("strategy, extra, unstacked", [
@@ -437,6 +456,43 @@ class TestEngineCheckpoints:
         sums = harness._finite_prefix_sums(loss, cls.predict_many(X), y, schedule)
         assert sums.tobytes() == np.array(streamed).tobytes()
 
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("block", (harness.BLOCK_ROWS, 7, 1))
+    def test_prefix_argmins_are_the_exact_sums_argmins(self, monkeypatch, rng, loss_kind,
+                                                       block):
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block)
+        loss = LossFunction(loss_kind)
+        Z, y = _near_tie_table(rng, loss_kind)
+        exact = harness._finite_prefix_sums(loss, Z, y, NEAR_TIE_SCHEDULE)
+        assert (harness._finite_prefix_argmins(loss, Z, y, NEAR_TIE_SCHEDULE)
+                == np.argmin(exact, axis=1).tolist())
+
+    @pytest.mark.parametrize("noise", ("seeded", "by-column"))
+    @pytest.mark.parametrize("block", (harness.BLOCK_ROWS, 7))
+    def test_bound_noise_within_the_tolerance_moves_no_argmin(self, monkeypatch, rng,
+                                                              noise, block):
+        # the margin must hold for any bound within the tolerance, not only
+        # the one this CPU computes: seeded noise of up to the tolerance, or
+        # the whole tolerance, up on even members and down on odd ones
+        monkeypatch.setattr(harness, "BLOCK_ROWS", block)
+        loss = LossFunction("logistic")
+        Z, y = _near_tie_table(rng, "logistic")
+        expected = harness._finite_prefix_argmins(loss, Z, y, NEAR_TIE_SCHEDULE)
+        draws, bound_values = np.random.default_rng(17), LossFunction.bound_values
+
+        def noisy(self, z, labels, out, work):
+            values = bound_values(self, z, labels, out, work)
+            delta = self.bound_tolerance
+            if noise == "seeded":
+                values += draws.uniform(-delta, delta, values.shape)
+            else:
+                values[:, 0::2] += delta
+                values[:, 1::2] -= delta
+            return values
+
+        monkeypatch.setattr(LossFunction, "bound_values", noisy)
+        assert harness._finite_prefix_argmins(loss, Z, y, NEAR_TIE_SCHEDULE) == expected
+
     @pytest.mark.parametrize("strategy", ("loss-weighting-finite", "passive"))
     def test_finite_run_predicts_the_training_rows_once(self, monkeypatch, strategy):
         # both arms read one table of the class's predictions on every
@@ -471,12 +527,13 @@ class TestEngineCheckpoints:
 class TestCheckpointEvaluation:
     @pytest.mark.parametrize("strategy", ("passive", "loss-weighting-finite", "bootstrap"))
     def test_one_prediction_per_checkpoint(self, monkeypatch, strategy):
-        # an engine arm predicts once per distinct checkpoint model (a finite
-        # arm's models are class members that repeat) and a bootstrap arm
-        # walks its checkpoint trees once, after one walk of its committee over
-        # the training rows; either way one loss and one error call score every
-        # checkpoint of the arm
-        predictions, walks, calls, models = [], [], [], []
+        # an arm is scored on its distinct checkpoint models, in the order
+        # they first appear (a finite arm's models are class members that
+        # repeat): an engine arm predicts once per distinct model and a
+        # bootstrap arm walks its checkpoint trees once, after one walk of its
+        # committee over the training rows; either way one loss and one error
+        # call score every checkpoint of the arm
+        predictions, walks, calls, models, trained = [], [], [], [], []
         for cls in (LinearPredictor, DecisionTree):
             monkeypatch.setattr(cls, "predict_many",
                                 lambda h, X, predict=cls.predict_many:
@@ -491,22 +548,28 @@ class TestCheckpointEvaluation:
             monkeypatch.setattr(harness, name,
                                 lambda *args, name=name, score=getattr(harness, name):
                                 calls.append(name) or score(*args))
+        monkeypatch.setattr(harness, "_scored_arm",
+                            lambda arm, *rest, score=harness._scored_arm:
+                            trained.append(arm.models) or score(arm, *rest))
         config = base_config(strategy=strategy, train_size=200, test_size=30,
                              checkpoint_every=20)
         report = run_experiment(config)
         arms = {id(report.active): report.active, id(report.passive): report.passive}
         checkpoints = [len(arm.checkpoints) for arm in arms.values()]
+        assert [len(hs) for hs in trained] == checkpoints
+        distinct = [list(dict.fromkeys(map(id, hs))) for hs in trained]
         assert sorted(calls) == (["evaluate_error"] * len(arms)
                                  + ["evaluate_loss"] * len(arms))
         if strategy == "bootstrap":
             assert predictions == [] and walks == (
-                [(config.committee["size"], 200)] + [(n, 30) for n in checkpoints])
+                [(config.committee["size"], 200)] + [(len(keys), 30) for keys in distinct])
         else:
-            assert [len(hs) for hs in models] == checkpoints
-            distinct = [key for hs in models for key in dict.fromkeys(map(id, hs))]
-            assert walks == [] and predictions == [(key, 30) for key in distinct]
+            assert [list(map(id, hs)) for hs in models] == distinct
+            assert walks == [] and predictions == [(key, 30) for keys in distinct
+                                                   for key in keys]
             if strategy == "loss-weighting-finite":
-                assert len(distinct) < sum(checkpoints)
+                assert [len(keys) for keys in distinct] == [2, 2]
+                assert checkpoints == [10, 10]
 
     def test_prediction_matrix_scores_each_row_as_its_own_call(self, rng):
         # a label's columns Z[:, mask] would be F-ordered, and their row sums

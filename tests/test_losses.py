@@ -606,3 +606,36 @@ def test_spread_of_equals_the_per_label_reference_property(case):
                                lambda self, z: np.asarray(z, dtype=float)):
             expected = [frozen_spread_many(loss, row, labels).hex() for row in table]
     assert [s.hex() for s in spreads.tolist()] == expected
+
+
+# -- the cheap bound the passive twin sums first ---------------------------------
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("b", (1e-4, 1e-3, 1.0, 30.0, 700.0))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       edges=st.lists(st.floats(-1.0, 1.0), max_size=8))
+def test_bound_values_lie_within_the_tolerance_property(kind, b, seed, edges):
+    # every kind but logistic runs its one formula, so its bound is exact;
+    # the logistic bound differs from np.logaddexp by its exp and log1p
+    # alone. A (rows, predictions) table as the twin's blocks score it, with
+    # each label and with a column of both
+    loss = LossFunction(kind, b)
+    rng = np.random.default_rng(seed)
+    if kind == "zero-one":
+        z = rng.choice([-1.0, 1.0], size=(40, 50))
+    else:
+        z = rng.uniform(-b, b, size=(40, 50))
+        z[0, :len(edges) + 3] = [-b, 0.0, b] + [e * b for e in edges]
+    both = np.where(rng.random((40, 1)) < 0.5, -1.0, 1.0)
+    for y in (-1.0, 1.0, both):
+        out, work = np.empty((2, *z.shape))
+        bound = loss.bound_values(z, y, out, work)
+        exact = loss.unchecked_values(z, y)
+        assert bound is out
+        if kind == "logistic":
+            assert 0.0 < loss.bound_tolerance
+            assert np.abs(bound - exact).max() <= loss.bound_tolerance
+        else:
+            assert loss.bound_tolerance == 0.0
+            assert bound.tobytes() == exact.tobytes()
